@@ -1089,12 +1089,14 @@ let () =
 (* ------------------------------------------------------------------ *)
 
 (* Sustained updates/sec through the incremental verification service
-   (bounded queue, churn-safe invalidation, memo-warm sweeps), with the
+   (bounded queue, in-place database patches, churn-safe invalidation,
+   targeted re-verifies), with the
    contracts that make the number meaningful:
 
      - differential: the stream's final per-route verdicts must equal a
-       from-scratch batch verify of the final RIB on the final database
-       generation — the caches must be invisible in the output;
+       from-scratch batch verify of the final RIB on a database built
+       afresh from the final IR — the caches must be invisible in the
+       output;
      - bounded memory: the queue high-water mark stays within capacity
        and is reported (the Block policy also guarantees losslessness);
      - chaos survival: a rate-1.0 chaos pass must complete with every
@@ -1152,7 +1154,9 @@ let () =
       fail "Block policy dropped events";
     if stats.S.r_hwm > capacity then fail "queue exceeded its capacity";
     let final_reports = S.reports t in
-    let batch_engine = Rz_verify.Engine.create (S.db t) rels in
+    let batch_engine =
+      Rz_verify.Engine.create (Rz_irr.Db.build (Rz_irr.Db.ir (S.db t))) rels
+    in
     List.iter
       (fun (route, streamed) ->
         let batch = Rz_verify.Engine.verify_route batch_engine route in

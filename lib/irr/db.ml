@@ -26,6 +26,32 @@ let max_flatten_depth = 64
 let max_flatten_work = 10_000
 let max_route_set_members = 200_000
 
+(* A policy-object change, named by the object that changed; see db.mli. *)
+type edit =
+  | Edit_aut_num of Rz_net.Asn.t
+  | Edit_set of string
+  | Edit_route of Rz_net.Prefix.t * Rz_net.Asn.t
+
+(* What [patch] needs to find the memo entries an edit reaches: the set
+   reference graph both ways, and which route-sets read which origins'
+   route objects. Built by the first [patch] from the IR as it then is,
+   and kept current by every later one. *)
+type graph = {
+  refs : (string, string list) Hashtbl.t;  (* [referenced_sets], per set *)
+  parents : (string, string list) Hashtbl.t;  (* reverse of [refs] *)
+  rs_asns : (string, Rz_net.Asn.t list) Hashtbl.t;  (* route-set [Rs_asn] members *)
+  asn_readers : (Rz_net.Asn.t, string list) Hashtbl.t;  (* reverse of [rs_asns] *)
+  rs_sets : (string, string list) Hashtbl.t;  (* route-set [Rs_set] members *)
+  mutable near_cycle : (string, unit) Hashtbl.t option;
+      (* sets that reach a reference cycle; [None] after the graph changed *)
+}
+
+(* Aut-num [member-of] claims, both ways, as last indexed. *)
+type claims = {
+  by_asn : (Rz_net.Asn.t, string list) Hashtbl.t;
+  by_set : (string, Rz_net.Asn.t list) Hashtbl.t;
+}
+
 type t = {
   ir : Rz_ir.Ir.t;
   route_trie : Rz_net.Asn.t Rz_net.Prefix_trie.t;
@@ -40,8 +66,15 @@ type t = {
   as_loop : (string, bool) Hashtbl.t;
   (* Canonical names of sets whose flattening hit a bound above. Written
      only while memo tables are being filled (i.e. before [warm_caches]
-     completes), so reads after warming are safe across domains. *)
+     completes) or by [patch] (single owner only), so reads after warming
+     are safe across domains. *)
   flatten_trunc : (string, unit) Hashtbl.t;
+  (* Reverse indexes for [patch], each made on first use, so [build]
+     does no work for them. *)
+  mutable graph : graph option;
+  mutable claims : claims option;
+  mutable member_routes : Rz_ir.Ir.route_obj list option;
+      (* route objects with a [member-of], oldest first *)
 }
 
 let mark_truncated t key =
@@ -127,7 +160,10 @@ let build (ir : Rz_ir.Ir.t) =
     rs_flat = Hashtbl.create 64;
     as_depth = Hashtbl.create 256;
     as_loop = Hashtbl.create 256;
-    flatten_trunc = Hashtbl.create 16 })
+    flatten_trunc = Hashtbl.create 16;
+    graph = None;
+    claims = None;
+    member_routes = None })
 
 let of_dumps dumps =
   let ir = Rz_ir.Ir.create () in
@@ -398,52 +434,295 @@ let referenced_sets t name =
   in
   List.sort_uniq compare acc
 
-let set_reaches t ~root ~target =
-  let root = canon root and target = canon target in
-  if root = target then true
-  else begin
-    let visited = Hashtbl.create 16 in
-    let rec go name =
-      name = target
-      || (not (Hashtbl.mem visited name))
-         && begin
-              Hashtbl.replace visited name ();
-              List.exists go (referenced_sets t name)
-            end
+(* ---------------- in-place patching ---------------- *)
+
+let set_or_remove tbl k = function
+  | [] -> Hashtbl.remove tbl k
+  | l -> Hashtbl.replace tbl k l
+
+let push tbl k v =
+  Hashtbl.replace tbl k (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
+
+let pull tbl k v =
+  Option.iter
+    (fun l -> set_or_remove tbl k (List.filter (fun x -> x <> v) l))
+    (Hashtbl.find_opt tbl k)
+
+(* Bring one set's entries in [g] up to date with the IR. *)
+let index_set t g key =
+  let refs = referenced_sets t key in
+  let old = Option.value ~default:[] (Hashtbl.find_opt g.refs key) in
+  if refs <> old then begin
+    List.iter (fun c -> pull g.parents c key) old;
+    List.iter (fun c -> push g.parents c key) refs;
+    set_or_remove g.refs key refs;
+    g.near_cycle <- None
+  end;
+  let asns, sets =
+    match Hashtbl.find_opt t.ir.route_sets key with
+    | None -> ([], [])
+    | Some s ->
+      List.fold_right
+        (fun m (asns, sets) ->
+          match m with
+          | Rz_ir.Ir.Rs_asn (a, _) -> (a :: asns, sets)
+          | Rz_ir.Ir.Rs_set (c, _) -> (asns, canon c :: sets)
+          | Rz_ir.Ir.Rs_prefix _ -> (asns, sets))
+        s.members ([], [])
+  in
+  let asns = List.sort_uniq compare asns in
+  let old_asns = Option.value ~default:[] (Hashtbl.find_opt g.rs_asns key) in
+  if asns <> old_asns then begin
+    List.iter (fun a -> pull g.asn_readers a key) old_asns;
+    List.iter (fun a -> push g.asn_readers a key) asns;
+    set_or_remove g.rs_asns key asns
+  end;
+  set_or_remove g.rs_sets key sets
+
+let graph t =
+  match t.graph with
+  | Some g -> g
+  | None ->
+    let g =
+      { refs = Hashtbl.create 256; parents = Hashtbl.create 256;
+        rs_asns = Hashtbl.create 64; asn_readers = Hashtbl.create 256;
+        rs_sets = Hashtbl.create 16; near_cycle = None }
     in
-    go root
+    (* a name shared by two set classes is indexed twice, harmlessly *)
+    let index key _ = index_set t g key in
+    Hashtbl.iter index t.ir.as_sets;
+    Hashtbl.iter index t.ir.route_sets;
+    Hashtbl.iter index t.ir.filter_sets;
+    Hashtbl.iter index t.ir.peering_sets;
+    t.graph <- Some g;
+    g
+
+(* [keys] and every set that reaches one of them. *)
+let ancestors g keys =
+  let seen = Hashtbl.create 16 in
+  let rec go = function
+    | [] -> ()
+    | k :: rest when Hashtbl.mem seen k -> go rest
+    | k :: rest ->
+      Hashtbl.replace seen k ();
+      go (List.rev_append (Option.value ~default:[] (Hashtbl.find_opt g.parents k)) rest)
+  in
+  go keys;
+  Hashtbl.fold (fun k () acc -> k :: acc) seen []
+
+(* Sets that reach a reference cycle. A depth-first search finds a back
+   edge on every cycle; its target lies on the cycle, and the other
+   members of the cycle reach it. *)
+let near_cycle g =
+  match g.near_cycle with
+  | Some near -> near
+  | None ->
+    let color = Hashtbl.create 256 (* true: on the search path *) in
+    let on_cycle = ref [] in
+    let refs k = Option.value ~default:[] (Hashtbl.find_opt g.refs k) in
+    let rec search = function
+      | [] -> ()
+      | (u, []) :: rest ->
+        Hashtbl.replace color u false;
+        search rest
+      | (u, v :: vs) :: rest ->
+        let stack = (u, vs) :: rest in
+        (match Hashtbl.find_opt color v with
+         | Some true ->
+           on_cycle := v :: !on_cycle;
+           search stack
+         | Some false -> search stack
+         | None ->
+           Hashtbl.replace color v true;
+           search ((v, refs v) :: stack))
+    in
+    Hashtbl.iter
+      (fun k _ ->
+        if not (Hashtbl.mem color k) then begin
+          Hashtbl.replace color k true;
+          search [ (k, refs k) ]
+        end)
+      g.refs;
+    let near = Hashtbl.create 16 in
+    List.iter (fun k -> Hashtbl.replace near k ()) (ancestors g !on_cycle);
+    g.near_cycle <- Some near;
+    near
+
+(* Drop every memo entry of [keys] (closed upwards by the caller). Below
+   a reference cycle, a memo entry's value depends on which entries were
+   memoized when it was computed (cycle cuts are path-relative), so when
+   any of [keys] reaches a cycle, every set that does is dropped too:
+   entries are then refilled from the same state [build] starts from.
+   A flatten that hits a work or depth bound is order-dependent as well,
+   but its cut moves with every warm entry below it, so no such reset
+   restores [build]'s answer; db.mli states what holds there. *)
+let forget t keys =
+  let drop key =
+    Hashtbl.remove t.as_flat key;
+    Hashtbl.remove t.rs_flat key;
+    Hashtbl.remove t.as_depth key;
+    Hashtbl.remove t.as_loop key;
+    Hashtbl.remove t.flatten_trunc key
+  in
+  match keys with
+  | [] -> ()
+  | _ ->
+    let near = near_cycle (graph t) in
+    List.iter drop keys;
+    if List.exists (Hashtbl.mem near) keys then Hashtbl.iter (fun k () -> drop k) near
+
+let set_claims c asn sets =
+  let old = Option.value ~default:[] (Hashtbl.find_opt c.by_asn asn) in
+  if sets <> old then begin
+    List.iter (fun s -> pull c.by_set s asn) old;
+    List.iter (fun s -> push c.by_set s asn) sets;
+    set_or_remove c.by_asn asn sets
   end
 
-(* Whether flattening the set named [root] consults the route objects of
-   [asn] (a route-set [Rs_asn] member, or an as-set member whose flattened
-   ASNs include it) — the flatten-time origin reads invisible to the
-   verification engine's own dependency notes. *)
-let set_consults_origin t ~root asn =
-  let visited = Hashtbl.create 16 in
-  let rec go name =
-    if Hashtbl.mem visited name then false
-    else begin
-      Hashtbl.replace visited name ();
-      let here =
-        match Hashtbl.find_opt t.ir.route_sets name with
-        | None -> false
-        | Some s ->
-          List.exists
-            (fun m ->
-              match m with
-              | Rz_ir.Ir.Rs_asn (a, _) -> a = asn
-              | Rz_ir.Ir.Rs_set (child, _) ->
-                let child_key = canon child in
-                (not (Hashtbl.mem t.ir.route_sets child_key))
-                && Hashtbl.mem t.ir.as_sets child_key
-                && Asn_set.mem asn (flatten_as_set t child_key)
-              | Rz_ir.Ir.Rs_prefix _ -> false)
-            s.members
-      in
-      here || List.exists go (referenced_sets t name)
+let member_of_keys t asn =
+  match Hashtbl.find_opt t.ir.aut_nums asn with
+  | None -> []
+  | Some an -> List.sort_uniq compare (List.map canon an.member_of)
+
+let claims t =
+  match t.claims with
+  | Some c -> c
+  | None ->
+    let c = { by_asn = Hashtbl.create 256; by_set = Hashtbl.create 64 } in
+    Hashtbl.iter (fun asn _ -> set_claims c asn (member_of_keys t asn)) t.ir.aut_nums;
+    t.claims <- Some c;
+    c
+
+let member_routes t =
+  match t.member_routes with
+  | Some l -> l
+  | None ->
+    let acc = ref [] in
+    Rz_ir.Ir.iter_routes_rev t.ir (fun (r : Rz_ir.Ir.route_obj) ->
+        if r.member_of_ids <> [] then acc := r :: !acc);
+    t.member_routes <- Some !acc;
+    !acc
+
+(* Recompute a set's indirect members the way [build] does. *)
+let reindex_indirect t key =
+  if Hashtbl.mem t.ir.as_sets key || Hashtbl.mem t.indirect_as_members key then
+    set_or_remove t.indirect_as_members key
+      (match Hashtbl.find_opt t.ir.as_sets key with
+       | None -> []
+       | Some set ->
+         List.filter
+           (fun asn ->
+             match Hashtbl.find_opt t.ir.aut_nums asn with
+             | Some (an : Rz_ir.Ir.aut_num) -> mbrs_by_ref_allows set.mbrs_by_ref an.mnt_by
+             | None -> false)
+           (Option.value ~default:[] (Hashtbl.find_opt (claims t).by_set key)));
+  if Hashtbl.mem t.ir.route_sets key || Hashtbl.mem t.indirect_route_members key then
+    set_or_remove t.indirect_route_members key
+      (match Hashtbl.find_opt t.ir.route_sets key with
+       | None -> []
+       | Some set ->
+         List.concat_map
+           (fun (r : Rz_ir.Ir.route_obj) ->
+             if mbrs_by_ref_allows set.mbrs_by_ref (Rz_ir.Ir.route_mnt_by t.ir r) then
+               List.filter_map
+                 (fun s -> if canon s = key then Some (r.prefix, Rz_net.Range_op.None_) else None)
+                 (Rz_ir.Ir.route_member_of t.ir r)
+             else [])
+           (member_routes t))
+
+let same_route p o (r : Rz_ir.Ir.route_obj) =
+  r.origin = o && Rz_net.Prefix.equal r.prefix p
+
+(* Index the route object (p, o) as added, or drop it as removed, by
+   whether the IR now holds it. An added route object is the IR's newest
+   ([Ir.add_route] appends), so it goes last, where [build] puts it. *)
+let patch_route t p o =
+  if Hashtbl.mem t.ir.route_seen (p, o) then begin
+    if not (List.mem o (Rz_net.Prefix_trie.exact t.route_trie p)) then begin
+      Rz_net.Prefix_trie.add_last t.route_trie p o;
+      Rz_obs.Obs.Counter.incr c_trie_inserts;
+      Hashtbl.replace t.by_origin o (origin_prefixes t o @ [ p ]);
+      match t.member_routes with
+      | None -> ()
+      | Some l ->
+        let newest = ref None in
+        (try
+           Rz_ir.Ir.iter_routes_rev t.ir (fun r ->
+               if same_route p o r then begin
+                 newest := Some r;
+                 raise Exit
+               end)
+         with Exit -> ());
+        (match !newest with
+         | Some r when r.member_of_ids <> [] -> t.member_routes <- Some (l @ [ r ])
+         | _ -> ())
     end
+  end
+  else begin
+    Rz_net.Prefix_trie.remove t.route_trie p (fun v -> v = o);
+    set_or_remove t.by_origin o
+      (List.filter (fun q -> not (Rz_net.Prefix.equal q p)) (origin_prefixes t o));
+    Option.iter
+      (fun l -> t.member_routes <- Some (List.filter (fun r -> not (same_route p o r)) l))
+      t.member_routes
+  end
+
+let set_ancestors t name = ancestors (graph t) [ canon name ]
+
+(* Route-sets whose flattening reads [asn]'s route objects directly: an
+   [Rs_asn] member naming it, or a member as-set whose flattened ASNs
+   include it. *)
+let direct_readers t asn =
+  let g = graph t in
+  Hashtbl.fold
+    (fun rs children acc ->
+      if
+        List.exists
+          (fun c ->
+            (not (Hashtbl.mem t.ir.route_sets c))
+            && Hashtbl.mem t.ir.as_sets c
+            && Asn_set.mem asn (flatten_as_set t c))
+          children
+        && not (List.mem rs acc)
+      then rs :: acc
+      else acc)
+    g.rs_sets
+    (Option.value ~default:[] (Hashtbl.find_opt g.asn_readers asn))
+
+let origin_readers t asn = ancestors (graph t) (direct_readers t asn)
+
+let patch t edits =
+  Rz_obs.Obs.Span.with_ "db-patch" (fun () ->
+  let g = graph t in
+  (* claims and route indexes first: recomputing a set's indirect
+     members reads both, whatever order the edits came in *)
+  let origins =
+    List.filter_map
+      (function
+        | Edit_aut_num asn ->
+          Option.iter (fun c -> set_claims c asn (member_of_keys t asn)) t.claims;
+          None
+        | Edit_route (p, o) ->
+          patch_route t p o;
+          Some o
+        | Edit_set _ -> None)
+      edits
   in
-  go (canon root)
+  let edited =
+    List.filter_map
+      (function
+        | Edit_set name ->
+          let key = canon name in
+          index_set t g key;
+          reindex_indirect t key;
+          Some key
+        | Edit_aut_num _ | Edit_route _ -> None)
+      edits
+  in
+  forget t (ancestors g edited);
+  (* after the set edits, so the flattening behind [direct_readers] sees
+     the new members *)
+  List.iter (fun o -> forget t (origin_readers t o)) origins)
 
 (* ---------------- delegates ---------------- *)
 

@@ -8,7 +8,8 @@
 type t
 
 val build : Rz_ir.Ir.t -> t
-(** Index an already-lowered IR. The IR must not be mutated afterwards. *)
+(** Index an already-lowered IR. The IR must not be mutated afterwards,
+    except by an owner that reports each change through {!patch}. *)
 
 val ir : t -> Rz_ir.Ir.t
 
@@ -96,31 +97,68 @@ val warm_caches : t -> unit
     detection) so subsequent queries are read-only — required before
     sharing the database across domains for parallel verification. *)
 
-(** {1 Set reference graph}
-
-    The edge relation behind churn-safe cache invalidation
-    ({!Rz_verify.Engine.apply_edits}): which other sets can a set's
-    evaluation or flattening read? Edges are a {e superset} of actual
-    reads (unbounded by the flattening work/depth caps), so reachability
-    over-approximates — invalidation can only widen, never miss. *)
+(** {1 Set reference graph} *)
 
 val referenced_sets : t -> string -> string list
 (** Canonical names of sets directly referenced by the set object(s) with
     this (canonicalized) name, across every set class: as-set member
     sets, route-set [Rs_set] members, set references inside a
     filter-set's filter, peering-set peerings. Sorted, deduplicated;
-    empty for unknown names. *)
+    empty for unknown names. Edges are a {e superset} of what evaluation
+    can read and ignore the flattening caps, so reachability over them
+    over-approximates: invalidation built on it can only widen. *)
 
-val set_reaches : t -> root:string -> target:string -> bool
-(** Whether [target] is reachable from [root] over {!referenced_sets}
-    edges (reflexively: a set reaches itself). Cycle-safe. *)
+(** {1 In-place patching (streaming edits)}
 
-val set_consults_origin : t -> root:string -> Rz_net.Asn.t -> bool
-(** Whether flattening rooted at [root] consults the route objects
-    originated by this ASN — a route-set [Rs_asn] member naming it, or a
-    route-set member as-set whose flattened ASNs include it. These are
-    the flatten-time reads of [origin_prefixes] that the verification
-    engine cannot observe from outside {!flatten_route_set}. *)
+    A database whose IR changes one object at a time can be patched
+    instead of rebuilt: the owner mutates the IR, then reports what
+    changed. {!patch} updates the route-object indexes and the indirect
+    members, and drops exactly the flattening memo entries the change
+    reaches; every other entry stays warm. Only a single-owner database
+    may be patched (a database shared across domains must be rebuilt
+    and swapped). The reverse indexes this needs are built by the first
+    {!patch}, so {!build} pays nothing for them. *)
+
+(** A policy-object change, named by the object that changed.
+    [Edit_aut_num] is a change to that aut-num; when its [member-of] or
+    [mnt-by] changed, the sets it claims before or after must be
+    reported as [Edit_set] too. [Edit_set] is any change to the set with
+    that name in any set class, creation and deletion included.
+    [Edit_route] is the addition or removal of the (prefix, origin)
+    route object — added means {!Rz_ir.Ir.add_route}, which makes it the
+    newest — plus [Edit_set] for its [member-of] targets, when any. *)
+type edit =
+  | Edit_aut_num of Rz_net.Asn.t
+  | Edit_set of string
+  | Edit_route of Rz_net.Prefix.t * Rz_net.Asn.t
+
+val patch : t -> edit list -> unit
+(** Bring the database up to date with its (already mutated) IR. The
+    edits may come in any order, except that route objects added
+    together are listed in the order they were added. After it, every
+    query answers as it would on [build] of the same IR, in the same
+    element order, for every set whose flattening hits no resolution
+    bound when it is the first set a fresh [build] is asked for. (Below
+    a reference cycle an answer depends on the order sets are first
+    asked for, under [build] too, so compare in one order.)
+
+    Where a bound is hit, the cut falls where the work ran out, and that
+    depends on which sets were already memoized, under [build] as much
+    as here. There a patched database may answer with more members than
+    a fresh one asked in the same order, but never with a member the
+    set does not have, and it lists in {!truncated_sets} only sets that
+    hit a bound on a fresh [build]. *)
+
+val set_ancestors : t -> string -> string list
+(** The set with this name and every set that reaches it over
+    {!referenced_sets} edges, as of the last {!patch}. Cycle-safe. *)
+
+val origin_readers : t -> Rz_net.Asn.t -> string list
+(** Every set whose flattening reads the route objects this ASN
+    originates: route-sets with an [Rs_asn] member naming it or a member
+    as-set whose flattened ASNs include it, and the sets that reach
+    those. These reads happen inside {!flatten_route_set}, out of the
+    verification engine's sight. *)
 
 (** {1 Other object queries (delegates to the IR)} *)
 

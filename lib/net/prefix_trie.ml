@@ -61,6 +61,15 @@ let add t prefix value =
   descend (root t prefix) 0;
   t.count <- t.count + 1
 
+let find_node t prefix =
+  let rec descend node depth =
+    if depth = prefix.Prefix.len then Some node
+    else
+      let child = if Prefix.bit prefix depth then node.one else node.zero in
+      match child with None -> None | Some c -> descend c (depth + 1)
+  in
+  descend (root t prefix) 0
+
 let exact t prefix =
   let rec descend node depth =
     if depth = prefix.Prefix.len then node.values
@@ -69,6 +78,25 @@ let exact t prefix =
       match child with None -> [] | Some c -> descend c (depth + 1)
   in
   descend (root t prefix) 0
+
+(* Bind behind every existing binding: the place [add] would have given
+   the value had it been added before all of them. Emptied nodes stay in
+   the trie; lookups skip them. *)
+let add_last t prefix value =
+  match find_node t prefix with
+  | Some node when node.values <> [] ->
+    node.values <- node.values @ [ value ];
+    t.count <- t.count + 1
+  | Some _ | None -> add t prefix value
+
+let remove t prefix matches =
+  match find_node t prefix with
+  | None -> ()
+  | Some node ->
+    let kept = List.filter (fun v -> not (matches v)) node.values in
+    t.count <- t.count - (List.length node.values - List.length kept);
+    node.values <- kept;
+    if kept = [] then node.prefix <- None
 
 let mem_exact t prefix = exact t prefix <> []
 

@@ -17,6 +17,14 @@ val add : 'a t -> Prefix.t -> 'a -> unit
 val exact : 'a t -> Prefix.t -> 'a list
 (** Values stored at exactly this prefix (most recent first). *)
 
+val add_last : 'a t -> Prefix.t -> 'a -> unit
+(** Bind behind every existing binding of the prefix, so {!exact} lists
+    the value last — as if it had been added before all of them. *)
+
+val remove : 'a t -> Prefix.t -> ('a -> bool) -> unit
+(** Drop every value bound at exactly this prefix that satisfies the
+    predicate; the order of the rest is kept. *)
+
 val covering : 'a t -> Prefix.t -> (Prefix.t * 'a) list
 (** All (prefix, value) entries whose prefix contains the argument,
     including an exact match; shortest (least specific) first. *)

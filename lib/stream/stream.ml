@@ -17,7 +17,9 @@ module Json = Rz_json.Json
 let c_abandoned = Obs.Counter.make "stream.events_abandoned"
 let c_retries = Obs.Counter.make "stream.retries"
 let c_watchdog = Obs.Counter.make "stream.watchdog_trips"
+let c_reverified = Obs.Counter.make "stream.reverified"
 let h_event_ns = Obs.Histogram.make "stream.event_ns"
+let h_patch_ns = Obs.Histogram.make "stream.patch_ns"
 
 type config = {
   window : int;
@@ -60,11 +62,14 @@ type t = {
   engine : Engine.t;
   rib : (Prefix.t * Asn.t, Route.t) Hashtbl.t;
   reports : (Prefix.t * Asn.t, Report.route_report option) Hashtbl.t;
+  peers : (Prefix.t, Asn.t list) Hashtbl.t;  (* RIB slots by prefix *)
+  path_dep : (Prefix.t * Asn.t, unit) Hashtbl.t;
+      (* slots whose last verify bypassed the hop memo somewhere *)
   mutable processed : int;
   mutable applied : int;
   mutable abandoned : int;
   mutable rejected : int;
-  mutable generations : int;  (* database rebuilds (policy edits applied) *)
+  mutable generations : int;  (* policy edits applied (database patches) *)
   mutable invalidated : int;  (* hop memo entries invalidated, cumulative *)
   mutable windows_rev : window list;
   (* current (open) window accumulators *)
@@ -90,6 +95,8 @@ let create ?(config = default_config) ~ir ~rels () =
     engine = Engine.create ~config:engine_config db rels;
     rib = Hashtbl.create 1024;
     reports = Hashtbl.create 1024;
+    peers = Hashtbl.create 1024;
+    path_dep = Hashtbl.create 64;
     processed = 0;
     applied = 0;
     abandoned = 0;
@@ -138,21 +145,47 @@ let slot_of route =
   | Some peer -> Some (route.Route.prefix, peer)
   | None -> None
 
+let verify_slot t key route =
+  let bypasses = Engine.bypasses t.engine in
+  Hashtbl.replace t.reports key (Engine.verify_route t.engine route);
+  if Engine.bypasses t.engine > bypasses then Hashtbl.replace t.path_dep key ()
+  else Hashtbl.remove t.path_dep key
+
 let verify_into t route =
   match slot_of route with
   | None -> ()
-  | Some key ->
+  | Some ((prefix, peer) as key) ->
+      if not (Hashtbl.mem t.rib key) then
+        Hashtbl.replace t.peers prefix
+          (peer :: Option.value ~default:[] (Hashtbl.find_opt t.peers prefix));
       Hashtbl.replace t.rib key route;
-      Hashtbl.replace t.reports key (Engine.verify_route t.engine route)
+      verify_slot t key route
 
-(* Re-verify every RIB entry after a generation swap. Invalidation
-   exactness makes this a memo-warm sweep: hops the edits could not
-   reach are cache hits. *)
-let sweep t =
-  Hashtbl.iter
-    (fun key route ->
-      Hashtbl.replace t.reports key (Engine.verify_route t.engine route))
-    t.rib
+let withdraw t ((prefix, peer) as key) =
+  if Hashtbl.mem t.rib key then begin
+    Hashtbl.remove t.rib key;
+    Hashtbl.remove t.reports key;
+    Hashtbl.remove t.path_dep key;
+    match List.filter (fun p -> p <> peer) (Hashtbl.find t.peers prefix) with
+    | [] -> Hashtbl.remove t.peers prefix
+    | l -> Hashtbl.replace t.peers prefix l
+  end
+
+(* Re-verify the routes an edit can have changed: those under a prefix
+   whose hop memo entries it removed, and those holding a path-dependent
+   hop (never memoized, so no invalidation names them). Every other
+   route's hops are memo entries the edit left alone, so its verdict
+   stands. *)
+let reverify t prefixes =
+  let todo = Hashtbl.copy t.path_dep in
+  List.iter
+    (fun prefix ->
+      match Hashtbl.find_opt t.peers prefix with
+      | None -> ()
+      | Some peers -> List.iter (fun peer -> Hashtbl.replace todo (prefix, peer) ()) peers)
+    prefixes;
+  Hashtbl.iter (fun key () -> verify_slot t key (Hashtbl.find t.rib key)) todo;
+  Obs.Counter.add c_reverified (Hashtbl.length todo)
 
 let blank_aut_num asn =
   { Ir.asn;
@@ -175,11 +208,12 @@ let blank_as_set name =
 
 let canon = Rz_rpsl.Set_name.canonical
 
-(* Mutate the IR per the edit; [Ok edits] lists what changed in the
-   engine's vocabulary, [Error reason] rejects the event (bad rule text —
-   a journal-content problem, not a fault). *)
+(* Mutate the IR per the edit; [Ok (edits, stale)] lists what changed in
+   the engine's vocabulary and the AS-path patterns the edit took away,
+   [Error reason] rejects the event (bad rule text — a journal-content
+   problem, not a fault). *)
 let apply_policy_edit t (edit : Events.policy_edit) :
-    (Engine.edit list, string) result =
+    (Engine.edit list * Rz_aspath.Regex_ast.t list, string) result =
   let update_autnum asn f =
     let an =
       match Ir.find_aut_num t.ir asn with
@@ -190,7 +224,13 @@ let apply_policy_edit t (edit : Events.policy_edit) :
     | Error _ as e -> e
     | Ok an' ->
         Hashtbl.replace t.ir.Ir.aut_nums asn an';
-        Ok [ Engine.Edit_aut_num asn ]
+        let kept = Engine.rule_patterns (an'.Ir.imports @ an'.Ir.exports) in
+        let stale =
+          List.filter
+            (fun p -> not (List.mem p kept))
+            (Engine.rule_patterns (an.Ir.imports @ an.Ir.exports))
+        in
+        Ok ([ Engine.Edit_aut_num asn ], stale)
   in
   let drop_nth l i =
     if i < 0 || i >= List.length l then l
@@ -231,26 +271,26 @@ let apply_policy_edit t (edit : Events.policy_edit) :
         else { s with Ir.member_asns = asn :: s.Ir.member_asns }
       in
       Hashtbl.replace t.ir.Ir.as_sets key s';
-      Ok [ Engine.Edit_set key ]
+      Ok ([ Engine.Edit_set key ], [])
   | Events.As_set_del (name, asn) -> (
       let key = canon name in
       match Ir.find_as_set t.ir key with
-      | None -> Ok []
+      | None -> Ok ([], [])
       | Some s ->
           let s' =
             { s with
               Ir.member_asns = List.filter (fun a -> a <> asn) s.Ir.member_asns }
           in
           Hashtbl.replace t.ir.Ir.as_sets key s';
-          Ok [ Engine.Edit_set key ])
+          Ok ([ Engine.Edit_set key ], []))
   | Events.Route_add (p, o) ->
-      if Hashtbl.mem t.ir.Ir.route_seen (p, o) then Ok []
+      if Hashtbl.mem t.ir.Ir.route_seen (p, o) then Ok ([], [])
       else (
         Ir.add_route t.ir ~prefix:p ~origin:o ~member_of:[] ~mnt_by:[]
           ~source:"STREAM";
-        Ok [ Engine.Edit_route (p, o) ])
+        Ok ([ Engine.Edit_route (p, o) ], []))
   | Events.Route_del (p, o) ->
-      if not (Hashtbl.mem t.ir.Ir.route_seen (p, o)) then Ok []
+      if not (Hashtbl.mem t.ir.Ir.route_seen (p, o)) then Ok ([], [])
       else
         let member_sets = ref [] in
         Ir.filter_routes t.ir
@@ -264,7 +304,7 @@ let apply_policy_edit t (edit : Events.policy_edit) :
           List.sort_uniq compare !member_sets
           |> List.map (fun s -> Engine.Edit_set (canon s))
         in
-        Ok (Engine.Edit_route (p, o) :: set_edits)
+        Ok (Engine.Edit_route (p, o) :: set_edits, [])
 
 let apply_event t (ev : Events.event) : (unit, string) result =
   match ev with
@@ -273,18 +313,20 @@ let apply_event t (ev : Events.event) : (unit, string) result =
         Error "announce without a usable path head"
       else (verify_into t r; Ok ())
   | Events.Withdraw (p, peer) ->
-      Hashtbl.remove t.rib (p, peer);
-      Hashtbl.remove t.reports (p, peer);
+      withdraw t (p, peer);
       Ok ()
   | Events.Edit e -> (
       match apply_policy_edit t e with
       | Error _ as err -> err
-      | Ok [] -> Ok ()  (* no-op edit: nothing referenced changed *)
-      | Ok edits ->
-          let db' = Db.build t.ir in
-          t.invalidated <- t.invalidated + Engine.apply_edits t.engine ~db:db' edits;
+      | Ok ([], _) -> Ok ()  (* no-op edit: nothing referenced changed *)
+      | Ok (edits, stale_patterns) ->
+          let t0 = Obs.now_ns () in
+          Db.patch (db t) edits;
+          let removed, prefixes = Engine.apply_edits t.engine ~stale_patterns edits in
+          t.invalidated <- t.invalidated + removed;
           t.generations <- t.generations + 1;
-          sweep t;
+          reverify t prefixes;
+          Obs.Histogram.observe h_patch_ns (float_of_int (Obs.now_ns () - t0));
           Ok ())
 
 (* ------------------------------------------------------------------ *)

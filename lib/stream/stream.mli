@@ -5,13 +5,17 @@
 
     The batch pipeline verifies a frozen world once; this module turns
     the engine into a long-lived service. It owns a private copy of the
-    IR, rebuilds the database generation on each policy edit, invalidates
-    exactly the memoized hop verdicts and compiled NFAs the edit can
-    reach ({!Rz_verify.Engine.apply_edits}), and re-verifies the RIB as a
-    memo-warm sweep — untouched hops are cache hits, so incremental cost
-    tracks the blast radius of the change, not the RIB size. The
-    streaming differential test proves the incremental verdicts equal a
-    from-scratch batch verify after any event sequence, faults included.
+    IR and, on each policy edit, patches its database in place
+    ({!Rz_irr.Db.patch}), invalidates exactly the memoized hop verdicts
+    the edit can reach and evicts the NFAs of patterns it took away
+    ({!Rz_verify.Engine.apply_edits}), then re-verifies only the routes
+    under a prefix whose memo entries went, plus the routes holding a
+    path-dependent (never memoized) hop. Every other route keeps its
+    verdict, so an edit costs its blast radius, not the registry or RIB
+    size ([stream.reverified], [stream.patch_ns]). The streaming
+    differential test proves the incremental verdicts equal a
+    from-scratch batch verify after every edit of any event sequence,
+    faults included.
 
     Overload and fault handling are explicit: events flow through a
     {!Bqueue} whose policy bounds memory (block / shed-oldest /
@@ -48,13 +52,13 @@ val create : ?config:config -> ir:Rz_ir.Ir.t -> rels:Rz_asrel.Rel_db.t -> unit -
 
 val engine : t -> Rz_verify.Engine.t
 val db : t -> Rz_irr.Db.t
-(** Current database generation. *)
+(** The service's database, patched in place by every policy edit. *)
 
 val generations : t -> int
-(** Database rebuilds so far (policy edits applied). *)
+(** Database generations so far: policy edits applied, each one patch. *)
 
 val invalidated : t -> int
-(** Cumulative hop-memo invalidations across generation swaps. *)
+(** Cumulative hop-memo invalidations across generations. *)
 
 val rib_routes : t -> Rz_bgp.Route.t list
 (** Current RIB contents in deterministic (prefix, path) order. *)

@@ -126,9 +126,7 @@ let max_deps = 128
 let fresh_deps () = { n_sets = []; n_origins = []; n_overflow = false }
 
 type t = {
-  mutable db : Db.t;
-      (* mutable for generation swaps: {!apply_edits} installs the next
-         database generation after invalidating what the edits touched *)
+  db : Db.t;
   rels : Rel_db.t;
   config : config;
   only_provider_memo : (Rz_net.Asn.t, bool) Hashtbl.t;
@@ -146,6 +144,7 @@ type t = {
   idx_prefix : (Rz_net.Prefix.t, hop_key list ref) Hashtbl.t;
   idx_set : (string, hop_key list ref) Hashtbl.t;
   idx_origin : (Rz_net.Asn.t, hop_key list ref) Hashtbl.t;
+  mutable bypasses : int;  (* hop checks that skipped the memo as path-dependent *)
 }
 
 let create ?(config = default_config) db rels =
@@ -157,9 +156,11 @@ let create ?(config = default_config) db rels =
     idx_subject = Hashtbl.create 64;
     idx_prefix = Hashtbl.create 256;
     idx_set = Hashtbl.create 64;
-    idx_origin = Hashtbl.create 64 }
+    idx_origin = Hashtbl.create 64;
+    bypasses = 0 }
 
 let db t = t.db
+let bypasses t = t.bypasses
 let hop_memo_size t = Hop_tbl.length t.hop_memo
 let nfa_cache_size t = Rz_aspath.Regex_nfa.Cache.size t.regex_cache
 
@@ -912,33 +913,26 @@ let verify_hop t ~direction ~subject ~remote ~prefix ~path : Report.hop =
           if t.config.track_deps then index_entry t key deps;
           "miss"
         end
-        else "bypass"
+        else begin
+          t.bypasses <- t.bypasses + 1;
+          "bypass"
+        end
       in
       if tracing then
         emit_trace ~direction ~subject ~remote ~prefix ~path ~memo:memo_label hop prov;
       hop
   end
 
-(* ---------------- generation swaps and churn-safe invalidation ------- *)
+(* ---------------- churn-safe invalidation ---------------- *)
 
-(* A policy-object change, described by the object that changed. The
-   caller (the streaming engine) mutates its IR, rebuilds the database
-   indexes, and hands the new generation here together with what changed;
-   this function removes exactly the memoized state the change can reach
-   and swaps the engine onto the new database.
-
-   [Edit_aut_num] covers rule changes of that aut-num (member-of changes
-   must additionally be reported as [Edit_set] of the affected sets).
-   [Edit_set] covers any definition/member change of the named set, in
-   any set class, including creation and deletion. [Edit_route] covers
-   adding or removing the (prefix, origin) route object (its [member-of]
-   sets, when any, must be reported as [Edit_set] too). *)
-type edit =
+(* A policy-object change; see {!Db.edit}. The caller (the streaming
+   engine) mutates its IR and patches the database ({!Db.patch}) first;
+   {!apply_edits} then removes exactly the memoized state the change can
+   reach. *)
+type edit = Db.edit =
   | Edit_aut_num of Rz_net.Asn.t
   | Edit_set of string
   | Edit_route of Rz_net.Prefix.t * Rz_net.Asn.t
-
-let canon = Rz_rpsl.Set_name.canonical
 
 let rec patterns_of_filter acc (f : Ast.filter) =
   match f with
@@ -950,7 +944,7 @@ let rec patterns_of_filter acc (f : Ast.filter) =
   | Ast.Route_set_ref _ | Ast.Filter_set_ref _ | Ast.Prefix_set _
   | Ast.Community _ | Ast.Fltr_martian -> acc
 
-let patterns_of_rules rules =
+let rule_patterns rules =
   List.fold_left
     (fun acc (rule : Ast.rule) ->
       List.fold_left
@@ -961,19 +955,13 @@ let patterns_of_rules rules =
         acc (Ast.expr_terms rule.expr))
     [] rules
 
-let evict_patterns t patterns =
-  List.iter
-    (fun p ->
-      Rz_aspath.Regex_nfa.Cache.remove t.regex_cache p;
-      Obs.Counter.incr c_nfa_evicted)
-    patterns
-
-let apply_edits t ~db:new_db edits =
-  let old_db = t.db in
+let apply_edits t ~stale_patterns edits =
   let removed = ref 0 in
+  let prefixes = Hashtbl.create 16 in
   let invalidate_key key =
     if Hop_tbl.mem t.hop_memo key then begin
       Hop_tbl.remove t.hop_memo key;
+      Hashtbl.replace prefixes key.k_prefix ();
       incr removed
     end
   in
@@ -986,9 +974,13 @@ let apply_edits t ~db:new_db edits =
   in
   (* Overflowed entries depend on unknown objects: any edit kills them. *)
   if edits <> [] then invalidate_bucket t.idx_set "*";
-  let set_roots () =
-    Hashtbl.fold (fun r _ acc -> if r = "*" then acc else r :: acc) t.idx_set []
-  in
+  (* The NFAs of patterns the edits took away; the cache is pure, so
+     eviction bounds memory, never correctness. *)
+  List.iter
+    (fun p ->
+      Rz_aspath.Regex_nfa.Cache.remove t.regex_cache p;
+      Obs.Counter.incr c_nfa_evicted)
+    stale_patterns;
   let any_set_edit = ref false in
   List.iter
     (fun edit ->
@@ -997,64 +989,32 @@ let apply_edits t ~db:new_db edits =
         Hashtbl.remove t.only_provider_memo x;
         Hashtbl.remove t.path_dep_memo (x lsl 1);
         Hashtbl.remove t.path_dep_memo ((x lsl 1) lor 1);
-        invalidate_bucket t.idx_subject x;
-        (* Evict the NFAs of both the outgoing and the incoming rule
-           sets; the cache is pure, so eviction is a memory-bound
-           measure, never a correctness one. *)
-        List.iter
-          (fun db0 ->
-            match Db.find_aut_num db0 x with
-            | None -> ()
-            | Some an ->
-              evict_patterns t (patterns_of_rules (an.imports @ an.exports)))
-          [ old_db; new_db ]
+        invalidate_bucket t.idx_subject x
       | Edit_set name ->
         any_set_edit := true;
-        let target = canon name in
-        List.iter
-          (fun db0 ->
-            match Db.find_filter_set db0 target with
-            | None -> ()
-            | Some fs -> evict_patterns t (patterns_of_filter [] fs.filter))
-          [ old_db; new_db ];
-        (* Invalidate every entry whose recorded root set can reach the
-           edited set — in the old graph (the entry read it) or the new
-           one (covers multi-edit batches where an earlier edit wires up
-           the path). *)
-        List.iter
-          (fun root ->
-            if
-              Db.set_reaches old_db ~root ~target
-              || Db.set_reaches new_db ~root ~target
-            then invalidate_bucket t.idx_set root)
-          (set_roots ())
+        (* every entry whose recorded root set reaches the edited set *)
+        List.iter (invalidate_bucket t.idx_set) (Db.set_ancestors t.db name)
       | Edit_route (p, o) ->
         (* Covering-route reads: every memoized evaluation under a prefix
            the edited route object covers saw a different covering list. *)
-        let prefixes = Hashtbl.fold (fun q _ acc -> q :: acc) t.idx_prefix [] in
+        let covered = Hashtbl.fold (fun q _ acc -> q :: acc) t.idx_prefix [] in
         List.iter
           (fun q -> if Rz_net.Prefix.contains p q then invalidate_bucket t.idx_prefix q)
-          prefixes;
+          covered;
         (* Route-presence reads: entries whose verdict hinged on whether
            [o] originates anything at all. *)
         invalidate_bucket t.idx_origin o;
         (* Flatten-time reads: route-set flattens that consult [o]'s
-           route objects. Route edits leave the set graph untouched, so
-           either generation answers identically; use the new one. *)
-        List.iter
-          (fun root ->
-            if Db.set_consults_origin new_db ~root o then
-              invalidate_bucket t.idx_set root)
-          (set_roots ()))
+           route objects. *)
+        List.iter (invalidate_bucket t.idx_set) (Db.origin_readers t.db o))
     edits;
   (* Path-freeness can flip when a filter-set starts or stops hiding a
      Path_regex; the memo is small and lazily refilled, so clear it
      wholesale on any set edit. (Per-subject entries for edited aut-nums
      were already removed above.) *)
   if !any_set_edit then Hashtbl.reset t.path_dep_memo;
-  t.db <- new_db;
   Obs.Counter.add c_invalidations !removed;
-  !removed
+  (!removed, Hashtbl.fold (fun p () acc -> p :: acc) prefixes [])
 
 let verify_route_impl t (route : Rz_bgp.Route.t) : Report.route_report option =
   if Rz_bgp.Route.contains_as_set route then None

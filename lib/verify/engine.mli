@@ -44,7 +44,8 @@ val create : ?config:config -> Rz_irr.Db.t -> Rz_asrel.Rel_db.t -> t
     database used by the special-case checks. *)
 
 val db : t -> Rz_irr.Db.t
-(** The engine's current database generation. *)
+(** The engine's database; a streaming owner patches it in place
+    ({!Rz_irr.Db.patch}). *)
 
 val hop_memo_size : t -> int
 (** Number of memoized hop verdicts (bounded-memory reporting). *)
@@ -52,33 +53,41 @@ val hop_memo_size : t -> int
 val nfa_cache_size : t -> int
 (** Number of compiled AS-path NFAs held by the engine's cache. *)
 
-(** {1 Generation swaps (streaming verification)} *)
+val bypasses : t -> int
+(** Hop checks so far that skipped the memo because the subject's
+    policies read the AS-path. A caller that compares the count around
+    {!verify_route} learns whether the route's verdict can change
+    without any memo entry being invalidated. *)
 
-(** A policy-object change: the object whose definition changed. The
-    caller mutates its IR, rebuilds the database ({!Rz_irr.Db.build}),
-    and reports what changed via {!apply_edits}. [Edit_aut_num] is a rule
-    change of that aut-num ([member-of] changes must also be reported as
-    [Edit_set] of the affected sets); [Edit_set] is any change to the set
-    with that (canonicalized) name in any set class, including creation
-    and deletion; [Edit_route] is the addition or removal of the
-    (prefix, origin) route object (plus [Edit_set] for its [member-of]
-    targets, when any). Relationship (rels) data is static. *)
-type edit =
+(** {1 Churn-safe invalidation (streaming verification)} *)
+
+(** A policy-object change, as {!Rz_irr.Db.edit}. The caller mutates its
+    IR, patches the database ({!Rz_irr.Db.patch}), then reports the same
+    edits to {!apply_edits}. Relationship (rels) data is static. *)
+type edit = Rz_irr.Db.edit =
   | Edit_aut_num of Rz_net.Asn.t
   | Edit_set of string
   | Edit_route of Rz_net.Prefix.t * Rz_net.Asn.t
 
-val apply_edits : t -> db:Rz_irr.Db.t -> edit list -> int
-(** [apply_edits t ~db edits] invalidates every memoized hop verdict the
-    edits can reach — via the reverse dependency indexes recorded under
-    [track_deps] — evicts compiled NFAs contributed by edited objects,
-    drops the affected path-freeness and only-provider memo entries, and
-    swaps the engine onto the [db] generation. Returns the number of hop
-    memo entries removed (also added to [stream.invalidations]; NFA
-    evictions count on [stream.nfa_evicted]). Invalidation is {e sound}
-    (no stale entry survives — the streaming differential test proves
-    incremental verdicts equal a from-scratch batch) and {e surgical}
-    (an entry is removed only through a dependency it recorded). *)
+val rule_patterns : Rz_policy.Ast.rule list -> Rz_aspath.Regex_ast.t list
+(** The AS-path patterns the rules' filters hold — what a caller passes
+    as [stale_patterns] for rules an edit takes away. *)
+
+val apply_edits :
+  t -> stale_patterns:Rz_aspath.Regex_ast.t list -> edit list -> int * Rz_net.Prefix.t list
+(** [apply_edits t ~stale_patterns edits] invalidates every memoized hop
+    verdict the edits can reach — via the reverse dependency indexes
+    recorded under [track_deps] — evicts the compiled NFAs of
+    [stale_patterns] (patterns the edit took away), and drops the
+    affected path-freeness and only-provider memo entries. Returns the
+    number of hop memo entries removed (also added to
+    [stream.invalidations]; NFA evictions count on [stream.nfa_evicted])
+    and the distinct prefixes of their keys: a route whose prefix is not
+    among them, and whose hop checks all used the memo, keeps its
+    verdict. Invalidation is {e sound} (no stale entry survives — the
+    streaming differential test proves incremental verdicts equal a
+    from-scratch batch) and {e surgical} (an entry is removed only
+    through a dependency it recorded). *)
 
 val verify_hop :
   t ->

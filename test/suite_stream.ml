@@ -9,6 +9,7 @@ module Bq = Rz_stream.Bqueue
 module E = Rz_routegen.Events
 module Fault = Rz_fault.Fault
 module Engine = Rz_verify.Engine
+module Db = Rz_irr.Db
 module Obs = Rz_obs.Obs
 
 let small_world =
@@ -32,10 +33,28 @@ let gen_items ?(n = 80) ?(edit_rate = 0.12) ~seed world =
   E.generate ~seed ~n ~edit_rate view
 
 (* The differential surface: every verdict the service holds must equal
-   what a fresh engine over the service's *current* database computes. *)
+   what a fresh engine computes over a database built afresh from the
+   service's current IR — so an index or flatten memo the service's
+   patched database carried stale across an edit cannot pass unseen. *)
 let differential_holds t (world : Rpslyzer.Pipeline.world) =
-  let fresh = Engine.create (S.db t) world.rels in
+  let fresh = Engine.create (Db.build (Db.ir (S.db t))) world.rels in
   List.for_all (fun (r, rep) -> Engine.verify_route fresh r = rep) (S.reports t)
+
+let is_edit (item : E.item) = match item.E.ev with E.Edit _ -> true | _ -> false
+
+(* Feed every item, checking the differential after each applied edit;
+   the seq of the first edit after which it failed, if any. *)
+let feed_checked t world items =
+  List.fold_left
+    (fun broke item ->
+      let applied = S.feed t item = S.Applied in
+      match broke with
+      | Some _ -> broke
+      | None ->
+        if applied && is_edit item && not (differential_holds t world) then
+          Some item.E.seq
+        else None)
+    None items
 
 (* ---- bounded queue ---- *)
 
@@ -127,11 +146,12 @@ let test_differential_clean () =
   let world = Lazy.force small_world in
   let t = mk_service world in
   let items = gen_items ~n:120 ~edit_rate:0.15 ~seed:31 world in
-  ignore (feed_all t items);
+  let broke = feed_checked t world items in
   S.flush t;
   Alcotest.(check bool) "policy edits happened" true (S.generations t > 0);
   Alcotest.(check bool) "rib populated" true (S.rib_routes t <> []);
-  Alcotest.(check bool) "incremental == batch" true (differential_holds t world)
+  Alcotest.(check (option int)) "incremental == batch after every edit" None broke;
+  Alcotest.(check bool) "incremental == batch at the end" true (differential_holds t world)
 
 let qcheck_differential =
   QCheck.Test.make ~count:10 ~name:"incremental == batch after any event sequence"
@@ -143,12 +163,157 @@ let qcheck_differential =
       in
       let t = mk_service ~config:{ test_config with chaos } world in
       let items = gen_items ~n:80 ~seed world in
-      ignore (feed_all t items);
+      (match feed_checked t world items with
+       | Some seq ->
+         QCheck.Test.fail_reportf "differential broke after edit %d at seed %d (chaos %b)"
+           seq seed with_chaos
+       | None -> ());
       S.flush t;
       if not (differential_holds t world) then
-        QCheck.Test.fail_reportf "differential broke at seed %d (chaos %b)" seed
+        QCheck.Test.fail_reportf "differential broke at the end, seed %d (chaos %b)" seed
           with_chaos;
       true)
+
+(* ---- Db.patch == Db.build ---- *)
+
+(* Everything a query can see of a database, each set queried in one
+   fixed order: flattening memoizes, and below a reference cycle the
+   memoized answers depend on the order sets were first asked for. *)
+let db_view db ~origins ~prefixes =
+  let ir = Db.ir db in
+  let names =
+    List.sort_uniq compare
+      (Hashtbl.fold (fun k _ acc -> k :: acc) ir.Rz_ir.Ir.as_sets []
+       @ Hashtbl.fold (fun k _ acc -> k :: acc) ir.Rz_ir.Ir.route_sets [])
+  in
+  let sets =
+    List.map
+      (fun name ->
+        ( name,
+          Db.Asn_set.elements (Db.flatten_as_set db name),
+          Db.flatten_route_set db name,
+          Db.as_set_depth db name,
+          Db.as_set_has_loop db name ))
+      names
+  in
+  ( sets,
+    Db.truncated_sets db,
+    List.map (fun o -> (Db.origin_prefixes db o, Db.origin_has_routes db o)) origins,
+    List.map (fun p -> (Db.covering_routes db p, Db.exact_origins db p)) prefixes )
+
+let qcheck_db_patch =
+  QCheck.Test.make ~count:8 ~name:"db patch == build after every edit"
+    QCheck.(make ~print:Print.int Gen.(int_bound 9999))
+    (fun seed ->
+      let world = Lazy.force small_world in
+      let t = mk_service world in
+      let items = gen_items ~n:60 ~edit_rate:0.6 ~seed world in
+      (* every origin and prefix the run can touch, removed ones included *)
+      let route_objs = ref [] in
+      Rz_ir.Ir.iter_routes (Db.ir world.db) (fun r ->
+          route_objs := (r.Rz_ir.Ir.prefix, r.Rz_ir.Ir.origin) :: !route_objs);
+      List.iter
+        (fun (item : E.item) ->
+          match item.E.ev with
+          | E.Edit (E.Route_add (p, o) | E.Route_del (p, o)) ->
+            route_objs := (p, o) :: !route_objs
+          | E.Announce r -> route_objs := (r.Rz_bgp.Route.prefix, 0) :: !route_objs
+          | _ -> ())
+        items;
+      let origins = List.sort_uniq compare (List.map snd !route_objs) in
+      let prefixes =
+        List.sort_uniq Rz_net.Prefix.compare
+          (List.map fst !route_objs
+           @ List.map (fun (r : Rz_bgp.Route.t) -> r.prefix) (base_routes world))
+      in
+      let view db = db_view db ~origins ~prefixes in
+      ignore (view (S.db t));
+      List.iter
+        (fun (item : E.item) ->
+          if S.feed t item = S.Applied && is_edit item then begin
+            let patched = view (S.db t) in
+            let built = view (Db.build (Rz_ir.Ir.copy (Db.ir (S.db t)))) in
+            if patched <> built then
+              QCheck.Test.fail_reportf "patched db differs after edit %d (seed %d)"
+                item.E.seq seed
+          end)
+        items;
+      true)
+
+(* A verifiable base route and its first hop: (route, importer, exporter). *)
+let first_hop world =
+  let route =
+    List.find
+      (fun (r : Rz_bgp.Route.t) ->
+        (not (Rz_bgp.Route.contains_as_set r))
+        && List.length (Rz_bgp.Route.dedup_path r) >= 2)
+      (base_routes world)
+  in
+  match Rz_bgp.Route.dedup_path route with
+  | a :: b :: _ -> (route, a, b)
+  | _ -> assert false
+
+let feeder t seq ev =
+  Alcotest.(check bool) (Printf.sprintf "event %d applied" seq) true
+    (S.feed t { E.seq; ev } = S.Applied)
+
+let test_drop_import_evicts_nfa () =
+  let world = Lazy.force small_world in
+  let t = mk_service world in
+  let route, importer, exporter = first_hop world in
+  let feed = feeder t in
+  feed 1
+    (E.Edit
+       (E.Add_import
+          ( importer,
+            Printf.sprintf "from AS%d accept <^AS%d AS%d* .*$>" exporter exporter exporter )));
+  feed 2 (E.Announce route);
+  let before = Engine.nfa_cache_size (S.engine t) in
+  Alcotest.(check bool) "the new rule's pattern is compiled" true (before > 0);
+  let n_imports =
+    match Db.find_aut_num (S.db t) importer with
+    | Some an -> List.length an.Rz_ir.Ir.imports
+    | None -> Alcotest.fail "importer has no aut-num"
+  in
+  feed 3 (E.Edit (E.Drop_import (importer, n_imports - 1)));
+  Alcotest.(check bool) "dropping the rule evicts its NFA" true
+    (Engine.nfa_cache_size (S.engine t) < before);
+  Alcotest.(check bool) "differential still holds" true (differential_holds t world)
+
+(* A hop whose policy reads the AS-path is never memoized, so no memo
+   invalidation names its route; the edit below changes its verdict all
+   the same (the regex consults the as-set). *)
+let test_path_dependent_reverified () =
+  let world = Lazy.force small_world in
+  let t = mk_service world in
+  let route, importer, exporter = first_hop world in
+  let origin = List.hd (List.rev (Rz_bgp.Route.dedup_path route)) in
+  let feed = feeder t in
+  let n_imports =
+    match Db.find_aut_num (S.db t) importer with
+    | Some an -> List.length an.Rz_ir.Ir.imports
+    | None -> 0
+  in
+  for i = 1 to n_imports do
+    feed i (E.Edit (E.Drop_import (importer, 0)))
+  done;
+  feed 100
+    (E.Edit (E.Add_import (importer, Printf.sprintf "from AS%d accept <AS-PDTEST$>" exporter)));
+  feed 101 (E.Announce route);
+  let import_verified () =
+    match List.assoc route (S.reports t) with
+    | Some rep ->
+      List.exists
+        (fun (h : Rz_verify.Report.hop) ->
+          h.direction = `Import && h.to_as = importer
+          && h.status = Rz_verify.Status.Verified)
+        rep.Rz_verify.Report.hops
+    | None -> false
+  in
+  Alcotest.(check bool) "origin not yet in the set" false (import_verified ());
+  feed 102 (E.Edit (E.As_set_add ("AS-PDTEST", origin)));
+  Alcotest.(check bool) "re-verified after the set edit" true (import_verified ());
+  Alcotest.(check bool) "differential holds" true (differential_holds t world)
 
 let test_invalidation_counters () =
   Obs.reset ();
@@ -164,7 +329,7 @@ let test_invalidation_counters () =
   Alcotest.(check bool) "generations advanced" true (S.generations t > 0);
   Alcotest.(check int) "counter tracks engine invalidations"
     (S.invalidated t) (Obs.Counter.get invalidations);
-  (* memo-warm sweeps: untouched hops must be cache hits, not re-verifies *)
+  (* re-verified routes find the hops an edit left alone in the memo *)
   Alcotest.(check bool) "sweeps hit the hop memo" true (Obs.Counter.get memo_hits > 0);
   Alcotest.(check bool) "differential still holds" true (differential_holds t world)
 
@@ -257,6 +422,11 @@ let suite =
     Alcotest.test_case "generator deterministic" `Quick test_generate_deterministic;
     Alcotest.test_case "differential (clean run)" `Quick test_differential_clean;
     QCheck_alcotest.to_alcotest qcheck_differential;
+    QCheck_alcotest.to_alcotest qcheck_db_patch;
+    Alcotest.test_case "dropping a regex rule evicts its NFA" `Quick
+      test_drop_import_evicts_nfa;
+    Alcotest.test_case "path-dependent routes re-verified" `Quick
+      test_path_dependent_reverified;
     Alcotest.test_case "invalidation counters" `Quick test_invalidation_counters;
     Alcotest.test_case "chaos deterministic" `Quick test_chaos_deterministic;
     Alcotest.test_case "chaos 1.0 degrades, never crashes" `Quick
