@@ -19,42 +19,24 @@ let sibling (p : Prefix.t) =
            Prefix.v6 (Int64.logxor hi (Int64.shift_left 1L (64 - p.len)), lo) p.len
          else Prefix.v6 (hi, Int64.logxor lo (Int64.shift_left 1L (128 - p.len))) p.len)
 
-(* Drop prefixes covered by an earlier (shorter or equal) one. The list
-   must be sorted by Prefix.compare, which orders a covering prefix
-   before everything it contains. *)
-let drop_contained sorted =
-  let rec go kept = function
-    | [] -> List.rev kept
-    | p :: rest ->
-      if List.exists (fun k -> Prefix.contains k p) kept then go kept rest
-      else go (p :: kept) rest
-  in
-  (* only the most recent kept prefixes can cover p; linear scan is fine
-     for filter-sized lists *)
-  go [] sorted
-
-let rec merge_siblings sorted =
-  let rec go acc changed = function
-    | a :: b :: rest when a.Prefix.len = b.Prefix.len && sibling a = Some b ->
-      (match parent a with
-       | Some up -> go (up :: acc) true rest
-       | None -> go (b :: a :: acc) changed rest)
-    | x :: rest -> go (x :: acc) changed rest
-    | [] -> (List.rev acc, changed)
-  in
-  let merged, changed = go [] false sorted in
-  if changed then
-    merge_siblings (drop_contained (List.sort_uniq Prefix.compare merged))
-  else merged
+(* [stack] holds the output so far, last prefix on top: disjoint and in
+   Prefix.compare order. A covering prefix sorts before everything it
+   contains, so only the top can cover the next input; and a prefix pushed
+   after its lower sibling lands right on top of it, so merging the top
+   two until they stop being siblings leaves no sibling pair anywhere. *)
+let rec merge_top = function
+  | hi :: lo :: below as stack -> (
+    match (sibling hi, parent hi) with
+    | Some s, Some up when Prefix.equal s lo -> merge_top (up :: below)
+    | _ -> stack)
+  | stack -> stack
 
 let aggregate prefixes =
-  prefixes
-  |> List.sort_uniq Prefix.compare
-  |> drop_contained
-  |> merge_siblings
+  let push stack p =
+    match stack with
+    | top :: _ when Prefix.contains top p -> stack
+    | _ -> merge_top (p :: stack)
+  in
+  List.rev (List.fold_left push [] (List.sort_uniq Prefix.compare prefixes))
 
-let covers_same_space a b =
-  let canon l = aggregate l in
-  let ca = canon a and cb = canon b in
-  let covered_by l p = List.exists (fun q -> Prefix.contains q p) l in
-  List.for_all (covered_by cb) ca && List.for_all (covered_by ca) cb
+let covers_same_space a b = List.equal Prefix.equal (aggregate a) (aggregate b)

@@ -2,20 +2,20 @@
     generated router filters (its [-A] flag): collapse a set of prefixes
     into the minimal list covering exactly the same address space.
 
-    Two reductions run to fixpoint:
-    - containment: a prefix covered by another in the list is dropped;
-    - sibling merge: two prefixes that are the two halves of their common
-      parent are replaced by the parent.
-
-    Both preserve the represented address set exactly. *)
+    One pass over the sorted input keeps the output as a stack: a prefix
+    covered by the top is dropped, otherwise it is pushed and the top two
+    are replaced by their parent while they are its two halves. The cost
+    is the sort, O(n log n); the pass after it is linear. The result is
+    the unique canonical form of the address set: no prefix contains
+    another and no two are siblings. *)
 
 val aggregate : Prefix.t list -> Prefix.t list
 (** Minimal equivalent prefix list, sorted. Families are aggregated
     independently and may be mixed in the input. *)
 
 val covers_same_space : Prefix.t list -> Prefix.t list -> bool
-(** Whether two prefix lists denote the same address set (used by the
-    property tests; exact, via mutual containment of a canonical form). *)
+(** Whether two prefix lists denote the same address set: exact, since
+    equal address sets have equal aggregates. *)
 
 val sibling : Prefix.t -> Prefix.t option
 (** The other half of this prefix's parent ([None] for length 0). *)

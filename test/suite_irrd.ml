@@ -103,6 +103,50 @@ let test_a_aggregated_prefixes () =
   Alcotest.(check bool) "unknown set" true
     (Q.answer (Lazy.force db) "!aAS-NOWHERE" = Q.Not_found_key)
 
+(* A cone whose routes aggregate only across origins: no member's own
+   routes merge with each other, and AS64599, outside the cone, holds the
+   /24 that would close the last hole. *)
+let cascade_fixture =
+  "as-set: AS-CASCADE\n\
+   members: AS64510, AS64511, AS64512, AS64513, AS-CASCADE-SUB\n\
+   \n\
+   as-set: AS-CASCADE-SUB\n\
+   members: AS64514\n\
+   \n\
+   route: 100.64.0.0/24\norigin: AS64510\n\n\
+   route: 100.64.1.0/24\norigin: AS64511\n\n\
+   route: 100.64.2.0/24\norigin: AS64512\n\n\
+   route: 100.64.3.0/24\norigin: AS64513\n\n\
+   route: 100.64.2.128/25\norigin: AS64513\n\n\
+   route: 100.64.4.0/24\norigin: AS64514\n\n\
+   route: 100.64.5.0/25\norigin: AS64510\n\n\
+   route: 100.64.5.128/25\norigin: AS64511\n\n\
+   route: 100.64.6.0/24\norigin: AS64512\n\n\
+   route: 100.64.7.0/24\norigin: AS64599\n\n\
+   route6: 2001:db8::/64\norigin: AS64510\n\n\
+   route6: 2001:db8:0:1::/64\norigin: AS64511\n\n\
+   route6: 2001:db8:0:2::/63\norigin: AS64512\n\n\
+   route6: 2001:db8:0:4::/64\norigin: AS64513\n\n\
+   route6: 2001:db8:1::/128\norigin: AS64514\n\n\
+   route6: 2001:db8:1::1/128\norigin: AS64510\n"
+
+let test_a_cascade_across_origins () =
+  let db = Db.of_dumps [ ("TEST", cascade_fixture) ] in
+  let payload query =
+    match Q.answer db query with
+    | Q.Data payload -> payload
+    | other -> Alcotest.failf "%s: expected data, got %s" query (Q.render other)
+  in
+  Alcotest.(check string) "one origin alone does not merge" "100.64.0.0/24 100.64.5.0/25"
+    (payload "!gAS64510");
+  Alcotest.(check string) "!a" "100.64.0.0/22 100.64.4.0/23 100.64.6.0/24"
+    (payload "!aAS-CASCADE");
+  Alcotest.(check string) "!a6" "2001:db8::/62 2001:db8:0:4::/64 2001:db8:1::/127"
+    (payload "!a6AS-CASCADE");
+  Alcotest.(check string) "!a framed"
+    "A41\n100.64.0.0/22 100.64.4.0/23 100.64.6.0/24\nC\n"
+    (Q.render (Q.answer db "!aAS-CASCADE"))
+
 let test_plain_whois () =
   expect_data "AS-CONE" (fun payload ->
       Alcotest.(check bool) "as-set block" true
@@ -190,6 +234,7 @@ let suite =
     Alcotest.test_case "!m bad class" `Quick test_m_bad_class;
     Alcotest.test_case "!r exact/covering/origins" `Quick test_r_exact_and_covering;
     Alcotest.test_case "!a aggregated prefixes" `Quick test_a_aggregated_prefixes;
+    Alcotest.test_case "!a cascades across origins" `Quick test_a_cascade_across_origins;
     Alcotest.test_case "plain whois" `Quick test_plain_whois;
     Alcotest.test_case "framing" `Quick test_framing;
     Alcotest.test_case "session" `Quick test_session;

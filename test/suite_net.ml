@@ -264,24 +264,179 @@ let test_agg_sibling_parent () =
   Alcotest.(check (option string)) "default has no parent" None
     (Option.map Prefix.to_string (Prefix_agg.parent (p "0.0.0.0/0")))
 
+(* 8,191 /24s: all of 10.0.0.0/11 less the one at 10.0.5.0 (the hole).
+   10.16.0.0/12 cascades up whole; in 10.0.0.0/12 each level along the
+   hole's path keeps the one half the hole does not touch: a staircase. *)
+let test_agg_cascade_staircase () =
+  let hole = p "10.0.5.0/24" in
+  let slash24s =
+    List.filter
+      (fun q -> not (Prefix.equal q hole))
+      (Prefix.subnets (p "10.0.0.0/12") 24 @ Prefix.subnets (p "10.16.0.0/12") 24)
+  in
+  Alcotest.(check int) "input size" 8191 (List.length slash24s);
+  Alcotest.(check (list string)) "staircase around the hole"
+    [ "10.0.0.0/22"; "10.0.4.0/24"; "10.0.6.0/23"; "10.0.8.0/21"; "10.0.16.0/20";
+      "10.0.32.0/19"; "10.0.64.0/18"; "10.0.128.0/17"; "10.1.0.0/16"; "10.2.0.0/15";
+      "10.4.0.0/14"; "10.8.0.0/13"; "10.16.0.0/12" ]
+    (List.map Prefix.to_string (Prefix_agg.aggregate (List.rev slash24s)));
+  Alcotest.(check (list string)) "no hole: one prefix" [ "10.0.0.0/11" ]
+    (List.map Prefix.to_string (Prefix_agg.aggregate (hole :: slash24s)))
+
+(* The containment-then-sibling-merge fixpoint that [Prefix_agg.aggregate]
+   replaced, kept as a reference implementation. *)
+let reference_aggregate prefixes =
+  let drop_contained sorted =
+    let rec go kept = function
+      | [] -> List.rev kept
+      | q :: rest ->
+        if List.exists (fun k -> Prefix.contains k q) kept then go kept rest
+        else go (q :: kept) rest
+    in
+    go [] sorted
+  in
+  let rec merge_siblings sorted =
+    let rec go acc changed = function
+      | a :: b :: rest when a.Prefix.len = b.Prefix.len && Prefix_agg.sibling a = Some b -> (
+        match Prefix_agg.parent a with
+        | Some up -> go (up :: acc) true rest
+        | None -> go (b :: a :: acc) changed rest)
+      | x :: rest -> go (x :: acc) changed rest
+      | [] -> (List.rev acc, changed)
+    in
+    let merged, changed = go [] false sorted in
+    if changed then merge_siblings (drop_contained (List.sort_uniq Prefix.compare merged))
+    else merged
+  in
+  prefixes |> List.sort_uniq Prefix.compare |> drop_contained |> merge_siblings
+
+(* A cluster of random prefixes: one family, an anchor length and a
+   window. Draws keep the family's base address except in the [window]
+   bits just above the anchor, and most sit at the anchor, so they repeat
+   and fill whole blocks that cascade. A few are one or two bits shorter,
+   and one cluster in three has one prefix of any length down to /0; they
+   cover runs of the others. Anchors favour the edges: /0, /1, the
+   longest two and, for v6, the /63-/65 limb boundary. *)
+let gen_cluster =
+  let open QCheck.Gen in
+  let* v6 = bool in
+  let max = if v6 then 128 else 32 in
+  let* anchor =
+    frequency
+      ([ (1, return 0); (1, return 1); (2, int_range (max - 1) max); (3, int_range 0 max) ]
+      @ if v6 then [ (3, int_range 63 65) ] else [])
+  in
+  let* window = int_range 1 8 in
+  let gen_at len =
+    let+ flips = int_bound ((1 lsl window) - 1) in
+    let flipped i =
+      i < len && i >= anchor - window && flips land (1 lsl (anchor - 1 - i)) <> 0
+    in
+    if v6 then begin
+      let word base off =
+        let w = ref base in
+        for i = 0 to 63 do
+          if flipped (off + i) then w := Int64.logxor !w (Int64.shift_left 1L (63 - i))
+        done;
+        !w
+      in
+      Prefix.v6 (word 0x20010DB8_00000000L 0, word 0L 64) len
+    end
+    else begin
+      let a = ref 0x0A000000 in
+      for i = 0 to 31 do
+        if flipped i then a := !a lxor (1 lsl (31 - i))
+      done;
+      Prefix.v4 !a len
+    end
+  in
+  let* near =
+    list_size (int_range 0 150)
+      (let* d = frequencyl [ (30, 0); (2, 1); (1, 2) ] in
+       gen_at (Int.max 0 (anchor - d)))
+  in
+  let+ cover =
+    frequency [ (2, return []); (1, map (fun q -> [ q ]) (int_bound anchor >>= gen_at)) ]
+  in
+  cover @ near
+
+(* One to three clusters, up to a few hundred prefixes, plus repeats of
+   some of them, in random order. *)
+let gen_prefix_list =
+  let open QCheck.Gen in
+  let* clusters = list_size (int_range 1 3) gen_cluster in
+  let drawn = List.concat clusters in
+  let* repeats = shuffle_l drawn in
+  let* n_repeats = int_bound (List.length drawn) in
+  shuffle_l (drawn @ List.filteri (fun i _ -> i < n_repeats) repeats)
+
+let arb_prefix_list =
+  QCheck.make
+    ~print:(fun l -> String.concat " " (List.map Prefix.to_string l))
+    gen_prefix_list
+
+(* Whether two prefix lists cover the same addresses, checked with host
+   probes through a trie rather than by aggregating. Coverage of a list
+   changes only at the first address of one of its prefixes or just past
+   the last, so probing those points of both lists is exhaustive. *)
+let same_address_set a b =
+  let trie l =
+    let t = Prefix_trie.create () in
+    List.iter (fun q -> Prefix_trie.add t q ()) l;
+    t
+  in
+  let ta = trie a and tb = trie b in
+  let host (q : Prefix.t) =
+    match q.addr with V4 x -> Prefix.v4 x 32 | V6 x -> Prefix.v6 x 128
+  in
+  let past_end (q : Prefix.t) =
+    match q.addr with
+    | V4 x ->
+      let next = x + (1 lsl (32 - q.len)) in
+      if next >= 1 lsl 32 then None else Some (Prefix.v4 next 32)
+    | V6 (hi, lo) ->
+      if q.len = 0 then None
+      else if q.len <= 64 then
+        let hi' = Int64.add hi (Int64.shift_left 1L (64 - q.len)) in
+        if hi' = 0L then None else Some (Prefix.v6 (hi', 0L) 128)
+      else
+        let lo' = Int64.add lo (Int64.shift_left 1L (128 - q.len)) in
+        if lo' <> 0L then Some (Prefix.v6 (hi, lo') 128)
+        else if hi = -1L then None
+        else Some (Prefix.v6 (Int64.succ hi, 0L) 128)
+  in
+  let covered t probe = Prefix_trie.covering t probe <> [] in
+  List.for_all
+    (fun q ->
+      List.for_all
+        (fun probe -> covered ta probe = covered tb probe)
+        (host q :: Option.to_list (past_end q)))
+    (a @ b)
+
+let test_same_address_set_oracle () =
+  let ps = List.map p in
+  Alcotest.(check bool) "halves = parent" true
+    (same_address_set (ps [ "10.0.0.0/24"; "10.0.1.0/24" ]) (ps [ "10.0.0.0/23" ]));
+  Alcotest.(check bool) "missing half" false
+    (same_address_set (ps [ "10.0.0.0/24" ]) (ps [ "10.0.0.0/23" ]));
+  Alcotest.(check bool) "v6 across the limb" true
+    (same_address_set (ps [ "2001:db8::/64"; "2001:db8:0:1::/64" ]) (ps [ "2001:db8::/63" ]));
+  Alcotest.(check bool) "top of the v6 space" false
+    (same_address_set (ps [ "ffff:ffff:ffff:ffff::/64" ]) (ps [ "ffff:ffff:ffff:fffe::/63" ]));
+  Alcotest.(check bool) "families differ" false
+    (same_address_set (ps [ "0.0.0.0/0" ]) (ps [ "::/0" ]))
+
 let agg_preserves_space =
-  QCheck.Test.make ~name:"aggregation preserves the address set" ~count:200
-    (QCheck.make
-       QCheck.Gen.(list_size (int_range 1 25) (pair (int_range 0 0xFFFF) (int_range 16 28))))
-    (fun specs ->
-      let prefixes = List.map (fun (a16, len) -> Prefix.v4 (a16 lsl 16) len) specs in
+  QCheck.Test.make ~name:"aggregation preserves the address set" ~count:200 arb_prefix_list
+    (fun prefixes ->
       let out = Prefix_agg.aggregate prefixes in
-      (* every input is covered by the output, and the output is stable *)
-      List.for_all (fun pfx -> List.exists (fun q -> Prefix.contains q pfx) out) prefixes
+      same_address_set prefixes out
       && Prefix_agg.aggregate out = out
       && Prefix_agg.covers_same_space prefixes out)
 
 let agg_is_minimal =
   QCheck.Test.make ~name:"aggregation leaves no siblings or containment" ~count:200
-    (QCheck.make
-       QCheck.Gen.(list_size (int_range 1 25) (pair (int_range 0 0xFFFF) (int_range 16 28))))
-    (fun specs ->
-      let prefixes = List.map (fun (a16, len) -> Prefix.v4 (a16 lsl 16) len) specs in
+    arb_prefix_list (fun prefixes ->
       let out = Prefix_agg.aggregate prefixes in
       let no_containment =
         List.for_all
@@ -297,6 +452,11 @@ let agg_is_minimal =
           out
       in
       no_containment && no_siblings)
+
+let agg_matches_reference =
+  QCheck.Test.make ~name:"aggregation = containment/sibling fixpoint" ~count:300
+    arb_prefix_list (fun prefixes ->
+      List.equal Prefix.equal (Prefix_agg.aggregate prefixes) (reference_aggregate prefixes))
 
 (* ---------------- afi ---------------- *)
 
@@ -370,8 +530,11 @@ let suite =
     Alcotest.test_case "agg mixed families" `Quick test_agg_mixed_families;
     Alcotest.test_case "agg v6" `Quick test_agg_v6_siblings;
     Alcotest.test_case "agg sibling/parent" `Quick test_agg_sibling_parent;
+    Alcotest.test_case "agg cascade staircase" `Quick test_agg_cascade_staircase;
+    Alcotest.test_case "agg address-set oracle" `Quick test_same_address_set_oracle;
     QCheck_alcotest.to_alcotest agg_preserves_space;
     QCheck_alcotest.to_alcotest agg_is_minimal;
+    QCheck_alcotest.to_alcotest agg_matches_reference;
     Alcotest.test_case "afi parse" `Quick test_afi_parse;
     Alcotest.test_case "afi parse list" `Quick test_afi_parse_list;
     Alcotest.test_case "afi matching" `Quick test_afi_matching;
