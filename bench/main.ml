@@ -86,31 +86,6 @@ let bench_serve_out =
   in
   find 1
 
-(* --bench-scale [FILE]: run the paper-scale shard-and-merge benchmark
-   (multi-process verify over a replicated RIB vs the in-process oracle),
-   write FILE (default BENCH_scale.json), and exit. Shares
-   --bench-baseline for the accounting gate. *)
-let bench_scale_out =
-  let rec find i =
-    if i >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--bench-scale" then
-      if
-        i + 1 < Array.length Sys.argv
-        && not (String.length Sys.argv.(i + 1) >= 2 && String.sub Sys.argv.(i + 1) 0 2 = "--")
-      then Some Sys.argv.(i + 1)
-      else Some "BENCH_scale.json"
-    else find (i + 1)
-  in
-  find 1
-
-(* OCaml 5 forbids Unix.fork in a process that has ever spawned a
-   domain, and the shard-and-merge bench forks workers. Pin the world
-   build (parallel ingest) to one domain for that mode, via the same env
-   override every call site already honors; the in-process oracle pass
-   (which does spawn a domain) runs after the forking passes. *)
-let () =
-  if bench_scale_out <> None then Unix.putenv "RPSLYZER_DOMAINS" "1"
-
 let bench_baseline_path =
   let rec find i =
     if i >= Array.length Sys.argv - 1 then None
@@ -119,8 +94,8 @@ let bench_baseline_path =
   in
   find 1
 
-(* --bench-ingest [FILE]: run the ingestion benchmark (parallel sharded
-   parse + IR snapshot cache vs the sequential Db.of_dumps loop), write
+(* --bench-ingest [FILE]: run the ingestion benchmark (one-pass scanner
+   ingest + IR snapshot cache vs the sequential Db.of_dumps loop), write
    FILE (default BENCH_ingest.json), and exit. Shares --bench-baseline
    with the verify bench: only one benchmark runs per invocation. *)
 let bench_ingest_out =
@@ -188,9 +163,9 @@ let () =
     let skip_subtrees = [ "meta"; "histograms"; "spans"; "windows" ] in
     (* Wall-clock (and host-shape) keys: informational, never compared. *)
     let skip_keys =
-      [ "secs"; "save_secs"; "load_secs"; "ablation_secs"; "sharded_secs";
+      [ "secs"; "save_secs"; "load_secs"; "ablation_secs"; "scanner_secs";
         "total_ns"; "max_ns"; "p50"; "p90"; "p99"; "duration_s";
-        "start_unix_s"; "elapsed_s"; "domains_effective"; "cores";
+        "start_unix_s"; "elapsed_s";
         "minor_words"; "major_words" ]
     in
     let starts_with p s =
@@ -328,8 +303,8 @@ let world =
 (* Sweeps object-level corruption over the freshly built world and
    asserts the robustness contract rather than timing anything: the
    pipeline must complete at every rate (no exception reaches us), route
-   accounting must stay intact (collector dumps are not corrupted, and a
-   crashed domain's shard is retried — so totals never move), and
+   accounting must stay intact (collector dumps are not corrupted, so
+   totals and exclusions never move), and
    verification quality must degrade roughly in proportion to the damage,
    never collapse. Runs after world construction and exits 0, skipping
    the paper tables and micro-benchmarks. *)
@@ -346,15 +321,12 @@ let () =
       let plan = Rz_fault.Fault.plan ~seed:chaos_seed ~rate () in
       let corrupted, report = Rz_fault.Fault.corrupt_dumps plan world.dumps in
       let db = Rz_irr.Db.of_dumps corrupted in
+      (* flatten every set, not only those the routes reach, as
+         faultinject does *)
+      Rz_irr.Db.warm_caches db;
       let w = { world with Rpslyzer.Pipeline.db; dumps = corrupted } in
-      let inject_domain_fault =
-        if rate > 0. then Some (fun d -> if d = 0 then failwith "chaos domain crash")
-        else None
-      in
       let t0 = Unix.gettimeofday () in
-      let agg, `Total total, `Excluded excluded =
-        Rpslyzer.Pipeline.verify_parallel ?inject_domain_fault ~domains:4 w
-      in
+      let agg, `Total total, `Excluded excluded = Rpslyzer.Pipeline.verify w in
       let elapsed = Unix.gettimeofday () -. t0 in
       let counts = Aggregate.counts_classes (Aggregate.overall agg) in
       let verified = List.assoc "verified" counts in
@@ -389,7 +361,7 @@ let () =
       (fun (rate, faults, total, excluded, _, verified, _) ->
         if rate > 0. then assert (faults > 0);
         (* Route accounting is corruption-independent: collector dumps are
-           untouched and crashed domains are retried without loss. *)
+           untouched. *)
         assert (total = base_total);
         assert (excluded = base_excluded);
         (* Proportional degradation, not collapse: corruption can only
@@ -411,15 +383,14 @@ let () =
 (* Verify-throughput benchmark (--bench-verify)                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Times the overhauled verification stack (hop-verdict memoization,
-   compiled-regex cache, route dedup with multiplicity, work-stealing
-   shards) against the closest in-tree ablation of the pre-overhaul
-   engine: memoization off, no dedup, one route at a time — what
-   [Pipeline.verify] did before this layer existed. The three runs must
-   produce identical aggregates (the whole point of the caches is that
-   they are invisible in the output); accounting drift or zero throughput
-   is a benchmark failure, and [--bench-baseline] extends that check
-   across commits. Exits 0 on success, skipping the paper tables. *)
+(* Times the verification stack as shipped ([Pipeline.verify]: hop-verdict
+   memoization, compiled-regex cache) against the closest in-tree
+   ablation of the pre-overhaul engine: memoization off, one route at a
+   time. The two runs must produce identical aggregates (the whole point
+   of the caches is that they are invisible in the output); accounting
+   drift or zero throughput is a benchmark failure, and
+   [--bench-baseline] extends that check across commits. Exits 0 on
+   success, skipping the paper tables. *)
 let () =
   match bench_verify_out with
   | None -> ()
@@ -433,8 +404,8 @@ let () =
     in
     (* The workload is [snapshots] consecutive RIB snapshots of the
        world's collector dumps — the shape of the paper's 779M-route run,
-       where the same routes recur across collectors and dump times. Route
-       dedup and hop memoization exist precisely for that recurrence. *)
+       where the same routes recur across collectors and dump times. Hop
+       memoization exists precisely for that recurrence. *)
     let snapshots = 12 in
     let bench_world =
       { world with
@@ -452,10 +423,9 @@ let () =
       (Aggregate.n_routes agg, Aggregate.n_hops agg,
        Aggregate.counts_classes (Aggregate.overall agg))
     in
-    (* All passes are timed with metrics disabled (shared atomic counters
-       would serialize the domains); a separate metered pass afterwards
-       collects the cache statistics. Shared Db/Rel_db caches are warmed
-       first so every pass sees the same state. *)
+    (* All passes are timed with metrics disabled; a separate metered
+       pass afterwards collects the cache statistics. Shared Db/Rel_db
+       caches are warmed first so every pass sees the same state. *)
     Rpslyzer.Obs.disable ();
     Rz_irr.Db.warm_caches world.db;
     Rz_asrel.Rel_db.warm_cones world.rels;
@@ -476,7 +446,7 @@ let () =
       done;
       (Option.get !best_r, !best_t)
     in
-    (* pre-overhaul ablation: sequential, memo off, undeduplicated *)
+    (* pre-overhaul ablation: memo off *)
     let (agg_off, excl_off), t_off =
       timed (fun () ->
           let engine =
@@ -494,50 +464,35 @@ let () =
             routes;
           (agg, !excluded))
     in
-    (* overhauled stack, single domain: dedup + memo, no parallelism *)
+    (* the shipped stack *)
     let (agg_on, excl_on), t_on =
       timed (fun () ->
           let agg, `Total total, `Excluded excluded =
-            Rpslyzer.Pipeline.verify_parallel ~domains:1 bench_world
+            Rpslyzer.Pipeline.verify bench_world
           in
-          if total <> n_total then fail "single-domain run dropped routes";
+          if total <> n_total then fail "Pipeline.verify dropped routes";
           (agg, excluded))
     in
-    (* Full parallel stack: dedup + memo + work-stealing across domains.
-       This row exercises the stealing/merge/retry machinery and its
-       identical-aggregate contract; on boxes with fewer cores than
-       [par_domains] it is oversubscribed and its wall-clock is not a
-       speedup claim — the 1-domain row is the like-for-like measure. *)
-    let par_domains = 4 in
-    let (agg_par, excl_par), t_par =
-      timed (fun () ->
-          let agg, `Total total, `Excluded excluded =
-            Rpslyzer.Pipeline.verify_parallel ~domains:par_domains bench_world
-          in
-          if total <> n_total then fail "parallel run dropped routes";
-          (agg, excluded))
-    in
-    (* metered pass: cache statistics (hit rate, dedup, stealing) *)
+    (* metered pass: memo statistics *)
     let c_hits = Rpslyzer.Obs.Counter.make "verify.memo_hits" in
     let c_misses = Rpslyzer.Obs.Counter.make "verify.memo_misses" in
-    let c_collapsed = Rpslyzer.Obs.Counter.make "dedup.collapsed" in
-    let c_steal = Rpslyzer.Obs.Counter.make "steal.batches" in
     Rpslyzer.Obs.enable ();
     Rpslyzer.Obs.reset ();
-    ignore (Rpslyzer.Pipeline.verify_parallel ~domains:1 bench_world);
+    ignore (Rpslyzer.Pipeline.verify bench_world);
     Rpslyzer.Obs.disable ();
     let memo_hits = Rpslyzer.Obs.Counter.get c_hits in
     let memo_misses = Rpslyzer.Obs.Counter.get c_misses in
-    let collapsed = Rpslyzer.Obs.Counter.get c_collapsed in
-    let steal_batches = Rpslyzer.Obs.Counter.get c_steal in
+    (* distinct (prefix, path) routes: how much of the workload recurs *)
+    let unique_routes =
+      let seen = Hashtbl.create n_total in
+      Array.iter (fun route -> Hashtbl.replace seen route ()) routes;
+      Hashtbl.length seen
+    in
     (* identical-output contract *)
     if fingerprint agg_on <> fingerprint agg_off || excl_on <> excl_off then
-      fail "memo/dedup changed the aggregate vs the pre-overhaul ablation";
-    if fingerprint agg_par <> fingerprint agg_off || excl_par <> excl_off then
-      fail "work-stealing parallel run changed the aggregate";
+      fail "memoization changed the aggregate vs the pre-overhaul ablation";
     let rps t = if t > 0. then fint n_total /. t else 0. in
-    if rps t_off <= 0. || rps t_on <= 0. || rps t_par <= 0. then
-      fail "zero throughput";
+    if rps t_off <= 0. || rps t_on <= 0. then fail "zero throughput";
     let hit_rate =
       if memo_hits + memo_misses = 0 then 0.
       else fint memo_hits /. fint (memo_hits + memo_misses)
@@ -545,30 +500,19 @@ let () =
     let speedup = t_off /. t_on in
     Table.print
       ~header:[ "engine"; "secs"; "routes/s"; "speedup" ]
-      [ [ "pre-overhaul (no memo, no dedup)"; Printf.sprintf "%.3f" t_off;
+      [ [ "pre-overhaul (no memo)"; Printf.sprintf "%.3f" t_off;
           Printf.sprintf "%.0f" (rps t_off); "1.00x" ];
-        [ "overhauled, 1 domain"; Printf.sprintf "%.3f" t_on;
-          Printf.sprintf "%.0f" (rps t_on); Printf.sprintf "%.2fx" speedup ];
-        [ Printf.sprintf "overhauled, %d domains" par_domains;
-          Printf.sprintf "%.3f" t_par; Printf.sprintf "%.0f" (rps t_par);
-          Printf.sprintf "%.2fx" (t_off /. t_par) ] ];
-    if Rz_util.Domains.recommended () < par_domains then
-      Printf.printf
-        "(%d-domain row oversubscribed: %d core(s) available)\n"
-        par_domains
-        (Rz_util.Domains.recommended ());
-    Printf.printf
-      "\n%s routes (%s unique), memo hit rate %s, %d batches stolen\n"
-      (Table.commas n_total)
-      (Table.commas (n_total - collapsed))
-      (pct hit_rate) steal_batches;
+        [ "Pipeline.verify"; Printf.sprintf "%.3f" t_on;
+          Printf.sprintf "%.0f" (rps t_on); Printf.sprintf "%.2fx" speedup ] ];
+    Printf.printf "\n%s routes (%s unique), memo hit rate %s\n"
+      (Table.commas n_total) (Table.commas unique_routes) (pct hit_rate);
     let mode = if quick then "quick" else if big then "big" else "default" in
     let counts = Aggregate.counts_classes (Aggregate.overall agg_off) in
     let accounting =
       Json.Obj
         ([ ("routes", Json.Int n_total);
            ("excluded", Json.Int excl_off);
-           ("unique_routes", Json.Int (n_total - collapsed));
+           ("unique_routes", Json.Int unique_routes);
            ("hops", Json.Int (Aggregate.n_hops agg_off)) ]
         @ List.map (fun (label, v) -> (label, Json.Int v)) counts)
     in
@@ -586,14 +530,7 @@ let () =
                 ("routes_per_sec", Json.Float (rps t_on));
                 ("memo_hits", Json.Int memo_hits);
                 ("memo_misses", Json.Int memo_misses);
-                ("memo_hit_rate", Json.Float hit_rate);
-                ("dedup_collapsed", Json.Int collapsed) ] );
-          ( "parallel",
-            Json.Obj
-              [ ("domains", Json.Int par_domains);
-                ("secs", Json.Float t_par);
-                ("routes_per_sec", Json.Float (rps t_par));
-                ("steal_batches", Json.Int steal_batches) ] );
+                ("memo_hit_rate", Json.Float hit_rate) ] );
           ("speedup_sequential", Json.Float speedup);
           ("gc", gc_json ()) ]
     in
@@ -630,204 +567,20 @@ let () =
     exit 0
 
 (* ------------------------------------------------------------------ *)
-(* Paper-scale shard-and-merge benchmark (--bench-scale)                *)
-(* ------------------------------------------------------------------ *)
-
-(* Times the multi-process shard-and-merge engine (Rz_shard) over a RIB
-   replicated to the paper-run shape — >= 10M routes per pass, where the
-   same routes recur across collectors and snapshots — against the
-   in-process 1-domain oracle. Three hard gates: the route floor, the
-   canonical aggregate fingerprint (sharded == oracle, bit for bit), and
-   nonzero throughput. The near-linear shard-scaling gate (>= 2.5x at 4
-   shards) only applies when the host actually has 4 cores: forked
-   workers time-slicing one core measure scheduler fairness, not the
-   protocol — the same oversubscription caveat BENCH_verify documents
-   for its domain row. The core count is recorded in the payload. *)
-let () =
-  match bench_scale_out with
-  | None -> ()
-  | Some out ->
-    section "Paper-scale verification: multi-process shard-and-merge";
-    let module Json = Rpslyzer.Json in
-    let fail msg =
-      Printf.eprintf "BENCH SCALE FAILED: %s\n" msg;
-      exit 1
-    in
-    let route_floor = 10_000_000 in
-    let base_routes =
-      List.fold_left
-        (fun acc (d : Rz_bgp.Table_dump.t) -> acc + List.length d.routes)
-        0 world.Rpslyzer.Pipeline.table_dumps
-    in
-    if base_routes = 0 then fail "empty world";
-    let snapshots = (route_floor + base_routes - 1) / base_routes in
-    let bench_world =
-      { world with
-        Rpslyzer.Pipeline.table_dumps =
-          List.concat
-            (List.init snapshots (fun _ -> world.Rpslyzer.Pipeline.table_dumps)) }
-    in
-    let n_total = base_routes * snapshots in
-    Printf.printf "workload: %s routes (%d RIB snapshots of %s)\n"
-      (Table.commas n_total) snapshots (Table.commas base_routes);
-    if n_total < route_floor then fail "route floor not reached";
-    Rpslyzer.Obs.disable ();
-    Rz_irr.Db.warm_caches world.Rpslyzer.Pipeline.db;
-    Rz_asrel.Rel_db.warm_cones world.Rpslyzer.Pipeline.rels;
-    (* Each pass walks >= 10M routes; one rep keeps the quick/CI rule
-       affordable, and the gates here are exactness gates (fingerprint,
-       floor), not tight perf floors — those need min-of-reps. *)
-    let reps = if quick then 1 else 2 in
-    let timed f =
-      let best_t = ref infinity and best_r = ref None in
-      for _ = 1 to reps do
-        let t0 = Unix.gettimeofday () in
-        let r = f () in
-        let dt = Unix.gettimeofday () -. t0 in
-        if dt < !best_t then begin
-          best_t := dt;
-          best_r := Some r
-        end
-      done;
-      (Option.get !best_r, !best_t)
-    in
-    let run_sharded shards =
-      timed (fun () ->
-          let agg, `Total total, `Excluded excluded =
-            Rz_shard.Shard.verify_sharded ~shards bench_world
-          in
-          if total <> n_total then
-            fail (Printf.sprintf "%d-shard run dropped routes" shards);
-          (agg, excluded))
-    in
-    (* forking passes first: verify_parallel spawns a domain, after which
-       the runtime refuses Unix.fork for the life of the process *)
-    let (agg_s1, excl_s1), t_s1 = run_sharded 1 in
-    let (agg_s4, excl_s4), t_s4 = run_sharded 4 in
-    (* in-process oracle: the overhauled single-domain engine *)
-    let (agg_oracle, excl_oracle), t_oracle =
-      timed (fun () ->
-          let agg, `Total total, `Excluded excluded =
-            Rpslyzer.Pipeline.verify_parallel ~domains:1 bench_world
-          in
-          if total <> n_total then fail "oracle dropped routes";
-          (agg, excluded))
-    in
-    (* exact-merge contract: canonical fingerprints, bit for bit *)
-    let fp = Aggregate.fingerprint agg_oracle in
-    if Aggregate.fingerprint agg_s1 <> fp || excl_s1 <> excl_oracle then
-      fail "1-shard aggregate differs from the in-process oracle";
-    if Aggregate.fingerprint agg_s4 <> fp || excl_s4 <> excl_oracle then
-      fail "4-shard merged aggregate differs from the in-process oracle";
-    let rps t = if t > 0. then fint n_total /. t else 0. in
-    if rps t_oracle <= 0. || rps t_s1 <= 0. || rps t_s4 <= 0. then
-      fail "zero throughput";
-    let speedup_shards = t_s1 /. t_s4 in
-    let cores = Domain.recommended_domain_count () in
-    Table.print
-      ~header:[ "engine"; "secs"; "routes/s"; "vs 1 shard" ]
-      [ [ "in-process oracle (1 domain)"; Printf.sprintf "%.3f" t_oracle;
-          Printf.sprintf "%.0f" (rps t_oracle); "-" ];
-        [ "sharded, 1 worker"; Printf.sprintf "%.3f" t_s1;
-          Printf.sprintf "%.0f" (rps t_s1); "1.00x" ];
-        [ "sharded, 4 workers"; Printf.sprintf "%.3f" t_s4;
-          Printf.sprintf "%.0f" (rps t_s4);
-          Printf.sprintf "%.2fx" speedup_shards ] ];
-    Printf.printf "aggregate fingerprint %s (sharded == oracle)\n" fp;
-    if cores >= 4 then begin
-      if speedup_shards < 2.5 then
-        fail
-          (Printf.sprintf
-             "4-shard speedup %.2fx below the 2.5x floor on a %d-core host"
-             speedup_shards cores)
-    end
-    else
-      Printf.printf
-        "(4-worker speedup gate skipped: %d core(s) available, workers \
-         time-slice)\n"
-        cores;
-    let mode = if quick then "quick" else if big then "big" else "default" in
-    let counts = Aggregate.counts_classes (Aggregate.overall agg_oracle) in
-    let accounting =
-      Json.Obj
-        ([ ("routes", Json.Int n_total);
-           ("excluded", Json.Int excl_oracle);
-           ("hops", Json.Int (Aggregate.n_hops agg_oracle));
-           ("fingerprint", Json.String fp) ]
-        @ List.map (fun (label, v) -> (label, Json.Int v)) counts)
-    in
-    let json =
-      Json.Obj
-        [ ("mode", Json.String mode);
-          ("accounting", accounting);
-          ("route_floor", Json.Int route_floor);
-          ("snapshots", Json.Int snapshots);
-          ("cores", Json.Int cores);
-          ( "oracle",
-            Json.Obj
-              [ ("secs", Json.Float t_oracle);
-                ("routes_per_sec", Json.Float (rps t_oracle)) ] );
-          ( "shards_1",
-            Json.Obj
-              [ ("secs", Json.Float t_s1);
-                ("routes_per_sec", Json.Float (rps t_s1)) ] );
-          ( "shards_4",
-            Json.Obj
-              [ ("secs", Json.Float t_s4);
-                ("routes_per_sec", Json.Float (rps t_s4)) ] );
-          ("speedup_shards", Json.Float speedup_shards);
-          ("gc", gc_json ()) ]
-    in
-    let oc = open_out out in
-    output_string oc (Json.to_string ~indent:2 json);
-    output_string oc "\n";
-    close_out oc;
-    Printf.printf "(wrote %s)\n" out;
-    (match bench_baseline_path with
-     | None -> ()
-     | Some path ->
-       let text =
-         let ic = open_in path in
-         let s = really_input_string ic (in_channel_length ic) in
-         close_in ic;
-         s
-       in
-       (match Json.of_string text with
-        | Error e -> fail (Printf.sprintf "baseline %s: %s" path e)
-        | Ok base ->
-          (match (Json.member "mode" base, Json.member "accounting" base) with
-           | Some (Json.String base_mode), Some base_acc ->
-             if base_mode <> mode then
-               fail
-                 (Printf.sprintf "baseline mode %s does not match run mode %s"
-                    base_mode mode)
-             else if not (Json.equal base_acc accounting) then
-               fail
-                 (Printf.sprintf
-                    "scale accounting drifted from baseline %s\nbaseline:  %s\nmeasured: %s"
-                    path (Json.to_string base_acc) (Json.to_string accounting))
-             else Printf.printf "accounting matches baseline %s\n" path
-           | _ -> fail (Printf.sprintf "baseline %s missing mode/accounting" path))));
-    exit 0
-
-(* ------------------------------------------------------------------ *)
 (* Ingestion benchmark (--bench-ingest)                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Times the overhauled ingestion stack (single-pass scanner, sharded
-   per-dump lowering with memoized rule/member parsers, winner-scan
-   merge) and the IR snapshot cache against the sequential ablation:
+(* Times the ingestion stack as shipped ([Ingest.ingest]: single-pass
+   scanner, memoized rule/member parsers, one pass in priority order) and
+   the IR snapshot cache against the sequential ablation:
    [Reader.parse_string] + [Lower.add_dump] per dump in priority order —
-   what [Db.of_dumps] did before this layer existed. Contracts asserted
-   here:
+   what [Db.of_dumps] does. Contracts asserted here:
 
-     - identical IR: the parallel path at 4 forced domains must be
-       byte-identical (Ir_json) to the sequential oracle;
-     - parse throughput: the parallel path's parse phase must beat the
-       ablation's parser by >= 2x in default/big mode (the single-pass
-       scanner supplies that on one core; domain sharding scales it
-       further on multicore hosts) — quick mode uses a looser 1.4x
-       floor because its dumps are small enough for timer noise;
+     - identical IR: [Ingest.ingest] must be byte-identical (Ir_json) to
+       the sequential oracle;
+     - parse throughput: the scanner must beat the ablation's parser by
+       >= 2x in default/big mode — quick mode uses a looser 1.4x floor
+       because its dumps are small enough for timer noise;
      - snapshot: loading a snapshot must be >= 5x faster than the cold
        sequential parse (>= 2x in quick mode), and a flipped byte must
        be rejected and fall back to parsing, never silently loaded.
@@ -838,7 +591,7 @@ let () =
   match bench_ingest_out with
   | None -> ()
   | Some out ->
-    section "Ingestion: parallel sharded parse + snapshot cache vs sequential ablation";
+    section "Ingestion: one-pass scanner ingest + snapshot cache vs sequential ablation";
     let module Json = Rpslyzer.Json in
     let module Ingest = Rz_ingest.Ingest in
     let fail msg =
@@ -865,56 +618,26 @@ let () =
       done;
       (!best_a, !best_b)
     in
-    let par_domains = 4 in
-    (* end-to-end: sequential oracle vs the parallel path as shipped
-       (requested 4 domains; the pool clamps itself to the host) *)
-    let t_seq, t_par =
+    (* end-to-end: sequential oracle vs the ingest as shipped *)
+    let t_seq, t_one =
       timed_pair
         (fun () -> Ingest.ingest_sequential dumps)
-        (fun () -> Ingest.ingest ~domains:par_domains dumps)
+        (fun () -> Ingest.ingest dumps)
     in
-    (* parse phase only: the ablation's parser vs the parallel path's
-       phase A (work-stealing scan over whole files) *)
-    let files = Array.of_list dumps in
-    let scan_all () =
-      let eff = min par_domains (max 1 (Rz_util.Domains.recommended ())) in
-      if eff <= 1 then
-        Array.iter (fun (_, t) -> ignore (Sys.opaque_identity (Rz_rpsl.Reader.scan_string t))) files
-      else begin
-        let next = Atomic.make 0 in
-        let work () =
-          let rec drain () =
-            let i = Atomic.fetch_and_add next 1 in
-            if i < Array.length files then begin
-              ignore (Sys.opaque_identity (Rz_rpsl.Reader.scan_string (snd files.(i))));
-              drain ()
-            end
-          in
-          drain ()
-        in
-        List.iter Domain.join (List.init eff (fun _ -> Domain.spawn work))
-      end
+    (* parse phase only: the ablation's parser vs the scanner *)
+    let each parse () =
+      List.iter (fun (_, t) -> ignore (Sys.opaque_identity (parse t))) dumps
     in
-    let t_parse_seq, t_parse_par =
+    let t_parse_seq, t_parse_scan =
       timed_pair
-        (fun () ->
-          Array.iter
-            (fun (_, t) -> ignore (Sys.opaque_identity (Rz_rpsl.Reader.parse_string t)))
-            files)
-        scan_all
+        (each (fun t -> Rz_rpsl.Reader.parse_string t))
+        (each (fun t -> Rz_rpsl.Reader.scan_string t))
     in
-    (* identical-IR contract, at genuinely forced multi-domain execution *)
+    (* identical-IR contract *)
     let oracle_ir = Ingest.ingest_sequential dumps in
     let oracle = Rz_ir.Ir_json.export_string oracle_ir in
-    List.iter
-      (fun domains ->
-        let got =
-          Rz_ir.Ir_json.export_string
-            (Ingest.ingest ~domains ~force_domains:true dumps)
-        in
-        if not (String.equal got oracle) then
-          fail (Printf.sprintf "parallel ingest at %d domains is not byte-identical" domains))
-      [ 1; par_domains ];
+    if not (String.equal (Rz_ir.Ir_json.export_string (Ingest.ingest dumps)) oracle) then
+      fail "Ingest.ingest is not byte-identical to the sequential oracle";
     (* snapshot cache: save, timed load, digest hit, flipped-byte reject *)
     let snap = Filename.temp_file "rz_bench_snapshot" ".snap" in
     let digest = Ingest.dumps_digest dumps in
@@ -976,7 +699,7 @@ let () =
     if snap_hits < 1 then fail "rewritten snapshot did not count as a hit";
     Sys.remove snap;
     (* thresholds *)
-    let parse_speedup = t_parse_seq /. t_parse_par in
+    let parse_speedup = t_parse_seq /. t_parse_scan in
     let parse_floor = if quick then 1.4 else 2.0 in
     if parse_speedup < parse_floor then
       fail
@@ -993,21 +716,17 @@ let () =
       ~header:[ "path"; "secs"; "MiB/s"; "speedup" ]
       [ [ "sequential ablation (parse+lower)"; Printf.sprintf "%.4f" t_seq;
           Printf.sprintf "%.1f" (mibs t_seq); "1.00x" ];
-        [ Printf.sprintf "parallel ingest (<=%d domains)" par_domains;
-          Printf.sprintf "%.4f" t_par; Printf.sprintf "%.1f" (mibs t_par);
-          Printf.sprintf "%.2fx" (t_seq /. t_par) ];
+        [ "one-pass ingest (scanner + memoized parsers)";
+          Printf.sprintf "%.4f" t_one; Printf.sprintf "%.1f" (mibs t_one);
+          Printf.sprintf "%.2fx" (t_seq /. t_one) ];
         [ "parse phase: ablation parser"; Printf.sprintf "%.4f" t_parse_seq;
           Printf.sprintf "%.1f" (mibs t_parse_seq); "1.00x" ];
-        [ "parse phase: sharded scanner"; Printf.sprintf "%.4f" t_parse_par;
-          Printf.sprintf "%.1f" (mibs t_parse_par);
+        [ "parse phase: scanner"; Printf.sprintf "%.4f" t_parse_scan;
+          Printf.sprintf "%.1f" (mibs t_parse_scan);
           Printf.sprintf "%.2fx" parse_speedup ];
         [ "snapshot load"; Printf.sprintf "%.4f" t_snap_load;
           Printf.sprintf "%.1f" (mibs t_snap_load);
           Printf.sprintf "%.2fx" snap_speedup ] ];
-    if Rz_util.Domains.recommended () < par_domains then
-      Printf.printf
-        "(parallel rows clamped to %d core(s); domain sharding adds on multicore)\n"
-        (Rz_util.Domains.recommended ());
     Printf.printf
       "\n%d dumps, %s bytes; snapshot %s bytes, saved in %.4fs; identical IR held\n"
       n_dumps (Table.commas bytes) (Table.commas snap_bytes) t_snap_save;
@@ -1029,18 +748,15 @@ let () =
           ( "sequential",
             Json.Obj
               [ ("secs", Json.Float t_seq); ("mib_per_sec", Json.Float (mibs t_seq)) ] );
-          ( "parallel",
+          ( "one_pass",
             Json.Obj
-              [ ("domains_requested", Json.Int par_domains);
-                ("domains_effective",
-                 Json.Int (min par_domains (max 1 (Rz_util.Domains.recommended ()))));
-                ("secs", Json.Float t_par);
-                ("mib_per_sec", Json.Float (mibs t_par));
-                ("speedup", Json.Float (t_seq /. t_par)) ] );
+              [ ("secs", Json.Float t_one);
+                ("mib_per_sec", Json.Float (mibs t_one));
+                ("speedup", Json.Float (t_seq /. t_one)) ] );
           ( "parse_phase",
             Json.Obj
               [ ("ablation_secs", Json.Float t_parse_seq);
-                ("sharded_secs", Json.Float t_parse_par);
+                ("scanner_secs", Json.Float t_parse_scan);
                 ("speedup", Json.Float parse_speedup) ] );
           ( "snapshot",
             Json.Obj
@@ -1917,33 +1633,10 @@ let performance () =
   let t0 = Unix.gettimeofday () in
   List.iter (fun r -> ignore (Rz_verify.Engine.verify_route engine r)) routes;
   let verify_s = Unix.gettimeofday () -. t0 in
-  Printf.printf "verify %s routes: %.3fs (%s routes/s, 1 core)\n"
+  Printf.printf "verify %s routes: %.3fs (%s routes/s, 1 core; the paper used 128)\n"
     (Table.commas (List.length routes))
     verify_s
-    (Table.commas (int_of_float (fint (List.length routes) /. verify_s)));
-  let cores = Rz_util.Domains.recommended () in
-  if cores <= 1 then
-    print_endline
-      "(single-core environment: skipping the multi-domain measurement;\n\
-       \ Pipeline.verify_parallel shards routes across OCaml 5 domains for\n\
-       \ the paper's 128-core setting — equivalence with the sequential\n\
-       \ verifier is covered by the test suite)"
-  else begin
-    let domains = max 2 (min 8 cores) in
-    (* warm the shared caches outside the timed window, as a long-running
-       deployment would *)
-    Rz_irr.Db.warm_caches world.db;
-    Rz_asrel.Rel_db.warm_cones world.rels;
-    let t0 = Unix.gettimeofday () in
-    let _ = Rpslyzer.Pipeline.verify_parallel ~domains world in
-    let par_s = Unix.gettimeofday () -. t0 in
-    Printf.printf
-      "verify %s routes: %.3fs (%s routes/s, %d domains — the paper used 128 cores)\n"
-      (Table.commas (List.length routes))
-      par_s
-      (Table.commas (int_of_float (fint (List.length routes) /. par_s)))
-      domains
-  end
+    (Table.commas (int_of_float (fint (List.length routes) /. verify_s)))
 
 (* ------------------------------------------------------------------ *)
 (* Security comparison: RPSL verification vs ROV vs ASPA                *)

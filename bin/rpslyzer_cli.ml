@@ -135,7 +135,7 @@ let obs_opts_term =
 (* Shared --snapshot FILE flag (parse/stats/verify): binary IR snapshot
    cache keyed on the dumps' digest. A valid, current snapshot skips
    parsing entirely; anything else — absent, stale, corrupt — falls back
-   to a (parallel) parse and rewrites the file. *)
+   to a parse and rewrites the file. *)
 let snapshot_arg =
   Arg.(
     value
@@ -147,20 +147,6 @@ let snapshot_arg =
            parse (counted as snapshot.hits); a stale, truncated, or corrupt \
            file is ignored (snapshot.misses / snapshot.rejects) and \
            rewritten after the parse.")
-
-(* Shared --domains N flag (verify/stream/rpki): worker-domain count for
-   the parallel ingest behind the world load. Defaults to the host
-   recommendation, which the RPSLYZER_DOMAINS environment variable
-   overrides (Rz_util.Domains) — flag beats env beats autodetect. *)
-let domains_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the parallel ingest. Defaults to the host's \
-           recommended count; the $(b,RPSLYZER_DOMAINS) environment \
-           variable overrides that default, and this flag overrides both.")
 
 let write_file ~what path contents =
   try
@@ -189,8 +175,6 @@ let with_obs ~cmd ?seed opts body =
   if Rpslyzer.Obs.enabled () then begin
     Rpslyzer.Obs.Meta.set "subcommand" (Rpslyzer.Json.String cmd);
     Rpslyzer.Obs.Meta.set "start_unix_s" (Rpslyzer.Json.Float (Unix.gettimeofday ()));
-    Rpslyzer.Obs.Meta.set "domains"
-      (Rpslyzer.Json.Int (Rz_util.Domains.recommended ()));
     match seed with
     | Some s -> Rpslyzer.Obs.Meta.set "seed" (Rpslyzer.Json.Int s)
     | None -> ()
@@ -527,32 +511,17 @@ let stats_cmd =
 (* ---------------- verify ---------------- *)
 
 let verify_cmd =
-  let run obs dir snapshot domains shards paper_compat verbose =
+  let run obs dir snapshot paper_compat verbose =
     guarded @@ fun () ->
-    (* Sharded runs keep going past lost workers; the recovery counters
-       drive the exit policy (degradation -> exit 2), so the registry is
-       always on for them, like faultinject / rpki / stream. *)
-    if shards > 0 then Rpslyzer.Obs.enable ();
     with_obs ~cmd:"verify" obs @@ fun () ->
-    (* OCaml 5 refuses Unix.fork in a process that has ever spawned a
-       domain, so a sharded run pins the ingest to one domain: process
-       sharding replaces domain parallelism wholesale in this mode. *)
-    let domains = if shards > 0 then Some 1 else domains in
-    let world = Rpslyzer.Pipeline.load_world ?snapshot ?domains dir in
+    let world = Rpslyzer.Pipeline.load_world ?snapshot dir in
     let config = { Rz_verify.Engine.default_config with paper_compat } in
     let t0 = Unix.gettimeofday () in
-    let agg, `Total total, `Excluded excluded =
-      if shards > 0 then Rz_shard.Shard.verify_sharded ~config ~shards world
-      else Rpslyzer.Pipeline.verify ~config world
-    in
+    let agg, `Total total, `Excluded excluded = Rpslyzer.Pipeline.verify ~config world in
     let elapsed = Unix.gettimeofday () -. t0 in
     Printf.printf "verified %d routes (%d excluded) in %.2fs (%.0f routes/s)\n" total
       excluded elapsed
       (float_of_int total /. elapsed);
-    if shards > 0 then
-      Printf.printf "aggregate fingerprint: %s (%d shards)\n"
-        (Rz_verify.Aggregate.fingerprint agg)
-        shards;
     let c = Rz_verify.Aggregate.overall agg in
     let hop_total = float_of_int (Rz_verify.Aggregate.n_hops agg) in
     print_endline "\n== hop statuses ==";
@@ -566,32 +535,7 @@ let verify_cmd =
       Printf.printf "\nASes: %d (single-status %s, all-verified %s)\n" s2.n_ases
         (Rz_util.Table.pct (float_of_int s2.all_same_status /. float_of_int s2.n_ases))
         (Rz_util.Table.pct (float_of_int s2.all_verified /. float_of_int s2.n_ases))
-    end;
-    if shards > 0 then begin
-      let snapshot = Rpslyzer.Obs.Registry.snapshot () in
-      let counters = Rpslyzer.Obs.Registry.counters snapshot in
-      let value name = Option.value ~default:0 (List.assoc_opt name counters) in
-      let degraded =
-        List.exists
-          (fun name -> value name > 0)
-          Rpslyzer.Obs.recovery_counter_names
-      in
-      if degraded then begin
-        print_endline "\nresult: DEGRADED (recovery paths fired; exit 2)";
-        exit 2
-      end
     end
-  in
-  let shards =
-    Arg.(
-      value & opt int 0
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Verify across $(docv) forked worker processes (multi-process \
-             shard-and-merge; 0 = in-process). The merged aggregate is \
-             identical to the in-process run's; a worker whose result \
-             frame is lost or corrupt is re-verified inline and counted \
-             as degradation (exit 2).")
   in
   let paper_compat =
     Arg.(
@@ -604,8 +548,7 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc:"Verify collector routes against the RPSL (Section 5).")
     Term.(
-      const run $ obs_opts_term $ dir_arg $ snapshot_arg $ domains_arg $ shards
-      $ paper_compat $ verbose)
+      const run $ obs_opts_term $ dir_arg $ snapshot_arg $ paper_compat $ verbose)
 
 (* ---------------- explain ---------------- *)
 
@@ -775,7 +718,7 @@ let serve_address_of_string s =
     | None -> Rz_serve.Serve.Socket s)
 
 let serve_cmd =
-  let run obs dir domains seed snapshot port socket workers max_inflight
+  let run obs dir seed snapshot port socket workers max_inflight
       query_timeout_ms read_timeout_ms journal journal_batch access_log
       access_log_sample connect queries =
     guarded @@ fun () ->
@@ -799,7 +742,7 @@ let serve_cmd =
         with_obs ~cmd:"serve" ~seed obs @@ fun () ->
         let world =
           match dir with
-          | Some dir -> Rpslyzer.Pipeline.load_world ?snapshot ?domains dir
+          | Some dir -> Rpslyzer.Pipeline.load_world ?snapshot dir
           | None ->
             let topo_params =
               { Rz_topology.Gen.default_params with
@@ -1008,7 +951,7 @@ let serve_cmd =
           on clean SIGTERM shutdown, 2 when recovery guards fired \
           (hostile queries, shed sessions), 1 on hard failure.")
     Term.(
-      const run $ obs_opts_term $ dir $ domains_arg $ seed $ snapshot_arg
+      const run $ obs_opts_term $ dir $ seed $ snapshot_arg
       $ port $ socket $ workers $ max_inflight $ query_timeout_ms
       $ read_timeout_ms $ journal $ journal_batch $ access_log
       $ access_log_sample $ connect $ queries)
@@ -1309,7 +1252,7 @@ let recovery_counter_names = Rpslyzer.Obs.recovery_counter_names
 (* ---------------- rpki ---------------- *)
 
 let rpki_cmd =
-  let run obs dir snapshot domains roa_file fault_rate fault_seed json_out golden =
+  let run obs dir snapshot roa_file fault_rate fault_seed json_out golden =
     guarded @@ fun () ->
     (* Counters drive the exit policy (degraded ROA input -> exit 2), so
        the registry is always on here, like faultinject. *)
@@ -1317,7 +1260,7 @@ let rpki_cmd =
     let mismatches = ref [] in
     let degraded =
       with_obs ~cmd:"rpki" obs @@ fun () ->
-      let world = Rpslyzer.Pipeline.load_world ?snapshot ?domains dir in
+      let world = Rpslyzer.Pipeline.load_world ?snapshot dir in
       let roa_path =
         match roa_file with
         | Some path -> path
@@ -1451,13 +1394,13 @@ let rpki_cmd =
           when ROA input was degraded (rejected entries or injected \
           faults).")
     Term.(
-      const run $ obs_opts_term $ dir_arg $ snapshot_arg $ domains_arg
-      $ roa_file $ fault_rate $ fault_seed $ json_out $ golden)
+      const run $ obs_opts_term $ dir_arg $ snapshot_arg $ roa_file $ fault_rate
+      $ fault_seed $ json_out $ golden)
 
 (* ---------------- stream ---------------- *)
 
 let stream_cmd =
-  let run obs dir domains seed events window capacity policy edit_rate
+  let run obs dir seed events window capacity policy edit_rate
       chaos_rate chaos_seed max_retries backoff_ms watchdog_ms journal_out
       replay json_out golden =
     guarded @@ fun () ->
@@ -1471,7 +1414,7 @@ let stream_cmd =
       with_obs ~cmd:"stream" ~seed obs @@ fun () ->
       let world =
         match dir with
-        | Some dir -> Rpslyzer.Pipeline.load_world ?domains dir
+        | Some dir -> Rpslyzer.Pipeline.load_world dir
         | None ->
           let topo_params =
             { Rz_topology.Gen.default_params with
@@ -1732,7 +1675,7 @@ let stream_cmd =
           (dropped, sampled, abandoned, or rejected events; watchdog \
           trips).")
     Term.(
-      const run $ obs_opts_term $ dir $ domains_arg $ seed $ events $ window $ capacity
+      const run $ obs_opts_term $ dir $ seed $ events $ window $ capacity
       $ policy $ edit_rate $ chaos_rate $ chaos_seed $ max_retries $ backoff_ms
       $ watchdog_ms $ journal_out $ replay $ json_out $ golden)
 
@@ -1770,7 +1713,7 @@ let nfa_audit ir =
   !total
 
 let faultinject_cmd =
-  let run obs dir seed rate kinds domains =
+  let run obs dir seed rate kinds =
     guarded @@ fun () ->
     (* Counters drive the exit policy, so the registry is always on here;
        --metrics additionally dumps the snapshot. *)
@@ -1807,15 +1750,11 @@ let faultinject_cmd =
     let db = Rz_irr.Db.of_dumps corrupted in
     let world = { base with Rpslyzer.Pipeline.db; dumps = corrupted } in
     let n_regexes = nfa_audit (Rz_irr.Db.ir db) in
-    (* Simulate a domain crash alongside the data corruption so the
-       sequential-retry path is exercised on every corrupted run. *)
-    let inject_domain_fault =
-      if rate > 0. then Some (fun d -> if d = 0 then failwith "injected domain fault")
-      else None
-    in
-    let agg, `Total total, `Excluded excluded =
-      Rpslyzer.Pipeline.verify_parallel ?inject_domain_fault ~domains world
-    in
+    (* The same audit for sets: verification flattens only the sets its
+       routes reach, so flatten every one up front and let a set bomb
+       nothing routes through still hit the bounds. *)
+    Rz_irr.Db.warm_caches db;
+    let agg, `Total total, `Excluded excluded = Rpslyzer.Pipeline.verify world in
     print_endline "== fault injection ==";
     List.iter print_endline (Rz_fault.Fault.report_lines report);
     Printf.printf "parse errors recorded: %d\n"
@@ -1866,9 +1805,6 @@ let faultinject_cmd =
                 $(b,rz_fault) for the kind names, e.g. \
                 'byte-splice,as-set-deep-bomb'.")
   in
-  let domains =
-    Arg.(value & opt int 4 & info [ "domains" ] ~doc:"Verification domains.")
-  in
   Cmd.v
     (Cmd.info "faultinject"
        ~doc:
@@ -1876,7 +1812,7 @@ let faultinject_cmd =
           pipeline on the damage, and report every recovery path that \
           fired. Exits 0 when clean, 2 when the pipeline degraded \
           (keep-going), 1 on hard failure.")
-    Term.(const run $ obs_opts_term $ dir $ seed $ rate $ kinds $ domains)
+    Term.(const run $ obs_opts_term $ dir $ seed $ rate $ kinds)
 
 let () =
   let info =

@@ -121,216 +121,6 @@ module Pipeline = struct
       (Rz_stats.Rpki_cross.unrecorded_but_rpki_valid matrix);
     matrix
 
-  (** Parallel verification across OCaml 5 domains — the multicore mode
-      matching the paper's 128-core verification run. The database and
-      relationship caches are pre-warmed so the shared structures are
-      read-only; each domain runs its own engine over a chunk of routes
-      and the per-domain aggregates are merged. *)
-  let c_par_domains = Rz_obs.Obs.Counter.make "verify.parallel.domains_total"
-  let c_domain_retries = Rz_obs.Obs.Counter.make "verify.domain_retries"
-  let c_dedup_collapsed = Rz_obs.Obs.Counter.make "dedup.collapsed"
-  let c_steal_batches = Rz_obs.Obs.Counter.make "steal.batches"
-  let h_par_domain_routes = Rz_obs.Obs.Histogram.make "verify.parallel.domain_routes"
-  let h_par_domain_ns = Rz_obs.Obs.Histogram.make "verify.parallel.domain_ns"
-
-  (* Dedup runs over every route of every dump, so it hashes by hand
-     (prefix words + path ASNs are machine integers) rather than paying
-     [Hashtbl.hash]'s generic structure walk per route. *)
-  module Route_tbl = Hashtbl.Make (struct
-    type t = Rz_bgp.Route.t
-
-    let equal = Rz_bgp.Route.equal
-
-    let hash (r : Rz_bgp.Route.t) =
-      let h =
-        match r.prefix.addr with
-        | Rz_net.Prefix.V4 a -> (a * 31) + r.prefix.len
-        | Rz_net.Prefix.V6 (hi, lo) ->
-          (((Int64.to_int hi * 31) + Int64.to_int lo) * 31) + r.prefix.len
-      in
-      List.fold_left
-        (fun h (seg : Rz_bgp.Route.segment) ->
-          match seg with
-          | Rz_bgp.Route.Seq asn -> (h * 31) + asn
-          | Rz_bgp.Route.Set asns -> List.fold_left (fun h a -> (h * 33) + a) (h * 37) asns)
-        h r.path
-  end)
-
-  (* Collapse identical [(prefix, as_path)] routes (collector dumps repeat
-     them heavily) into (unique route, multiplicity) pairs, preserving
-     first-occurrence order. Each unique route is verified once and its
-     report weighted by multiplicity, which produces the exact aggregate
-     an undeduplicated run would. *)
-  let dedup_routes routes =
-    let n = Array.length routes in
-    let index = Route_tbl.create (2 * n) in
-    let order = ref [] and n_unique = ref 0 in
-    Array.iter
-      (fun (route : Rz_bgp.Route.t) ->
-        match Route_tbl.find index route with
-        | cell -> incr cell
-        | exception Not_found ->
-          Route_tbl.add index route (ref 1);
-          order := route :: !order;
-          incr n_unique)
-      routes;
-    let unique = Array.of_list (List.rev !order) in
-    let weights = Array.map (fun route -> !(Route_tbl.find index route)) unique in
-    Rz_obs.Obs.Counter.add c_dedup_collapsed (n - !n_unique);
-    (unique, weights)
-
-  (* [inject_domain_fault] is the fault-injection hook used by the
-     faultinject harness and the chaos bench: it runs at the top of each
-     spawned domain (with the domain index) and may raise to simulate a
-     domain crash. It deliberately does NOT run during the sequential
-     retry, which is the recovery path under test; that path has its own
-     hook, [inject_batch_fault], driven by a seed derived below. *)
-
-  let max_batch_attempts = 3
-
-  (* The retry sweep's per-attempt seed: a pure function of the run seed,
-     the batch being retried, and the attempt number, so a chaos run
-     replays bit-identically — no ambient RNG state leaks in. *)
-  let retry_seed ~run_seed ~batch ~attempt =
-    let rng =
-      Rz_util.Splitmix.create
-        (run_seed lxor (batch * 0x9E3779B1) lxor (attempt * 0x85EBCA77))
-    in
-    Rz_util.Splitmix.int rng max_int
-
-  let verify_parallel ?config ?(domains = 4) ?(seed = 0) ?inject_domain_fault
-      ?inject_batch_fault world =
-    Rz_obs.Obs.Span.with_ "verify" @@ fun () ->
-    let all_routes =
-      Array.of_list
-        (List.concat_map (fun (d : Rz_bgp.Table_dump.t) -> d.routes) world.table_dumps)
-    in
-    Rz_irr.Db.warm_caches world.db;
-    Rz_asrel.Rel_db.warm_cones world.rels;
-    let n_total = Array.length all_routes in
-    let routes, weights = dedup_routes all_routes in
-    let n = Array.length routes in
-    let domains = max 1 (min domains n) in
-    (* Work-stealing over fixed-size batches: domains claim the next batch
-       off a shared Atomic cursor, so fast domains drain what stragglers
-       would otherwise sit on. Several batches per domain keeps claims
-       cheap while leaving enough slack to steal. *)
-    let batch_size = max 1 (min 256 (n / (domains * 8) + 1)) in
-    let n_batches = (n + batch_size - 1) / batch_size in
-    let next_batch = Atomic.make 0 in
-    (* owners.(b): domain that claimed batch b, -1 while unclaimed. A
-       batch claimed by a domain that later crashed is lost with that
-       domain's private aggregate, so the retry sweep covers every batch
-       whose owner crashed or never existed. *)
-    let owners = Array.init n_batches (fun _ -> Atomic.make (-1)) in
-    let verify_batch engine agg excluded ~on_route_error b =
-      let lo = b * batch_size in
-      let hi = min n (lo + batch_size) in
-      for i = lo to hi - 1 do
-        let weight = weights.(i) in
-        match Rz_verify.Engine.verify_route engine routes.(i) with
-        | Some report ->
-          Rz_verify.Aggregate.add_route_report ~weight agg report;
-          Rz_verify.Engine.replay_route_counters ~times:(weight - 1) (Some report)
-        | None ->
-          excluded := !excluded + weight;
-          Rz_verify.Engine.replay_route_counters ~times:(weight - 1) None
-        | exception e -> on_route_error i e
-      done;
-      hi - lo
-    in
-    let work d () =
-      (* per-domain hop/status tallies accumulate into the shared
-         Atomic-backed counters; the per-domain route share and wall
-         time go to histograms so stragglers are visible *)
-      (match inject_domain_fault with Some f -> f d | None -> ());
-      (* one span per worker: gives each domain its own lane in the
-         Chrome trace export (rz_trace) at negligible cost *)
-      Rz_obs.Obs.Span.with_ "verify.domain" @@ fun () ->
-      Rz_obs.Obs.Counter.incr c_par_domains;
-      let t0 = Rz_obs.Obs.now_ns () in
-      let engine = Rz_verify.Engine.create ?config world.db world.rels in
-      let agg = Rz_verify.Aggregate.create () in
-      let excluded = ref 0 and claimed_routes = ref 0 in
-      (* In the spawned domain a poison route re-raises: every batch this
-         domain claimed is retried sequentially below, where per-route
-         recovery applies. *)
-      let rec drain () =
-        let b = Atomic.fetch_and_add next_batch 1 in
-        if b < n_batches then begin
-          Atomic.set owners.(b) d;
-          Rz_obs.Obs.Counter.incr c_steal_batches;
-          claimed_routes :=
-            !claimed_routes
-            + verify_batch engine agg excluded ~on_route_error:(fun _ e -> raise e) b;
-          drain ()
-        end
-      in
-      drain ();
-      Rz_obs.Obs.Histogram.observe h_par_domain_routes (float_of_int !claimed_routes);
-      Rz_obs.Obs.Histogram.observe h_par_domain_ns
-        (float_of_int (Rz_obs.Obs.now_ns () - t0));
-      (agg, !excluded)
-    in
-    let handles = List.init domains (fun d -> (d, Domain.spawn (work d))) in
-    let agg = Rz_verify.Aggregate.create () in
-    let excluded = ref 0 in
-    let crashed = Array.make domains false in
-    List.iter
-      (fun (d, handle) ->
-        match Domain.join handle with
-        | part, part_excluded ->
-          Rz_verify.Aggregate.merge_into ~dst:agg part;
-          excluded := !excluded + part_excluded
-        | exception _ ->
-          (* Crash isolation: the dead domain's whole private aggregate is
-             gone; its batches are re-verified in the sweep below. *)
-          Rz_obs.Obs.Counter.incr c_domain_retries;
-          crashed.(d) <- true)
-      handles;
-    if Array.exists Fun.id crashed || Atomic.get next_batch < n_batches then begin
-      (* Sequential retry: every batch owned by a crashed domain, plus any
-         batch never claimed (possible only when domains died), is
-         re-verified here with per-route recovery, so a dead domain loses
-         no routes and one poison route costs only itself. *)
-      let engine = Rz_verify.Engine.create ?config world.db world.rels in
-      for b = 0 to n_batches - 1 do
-        let owner = Atomic.get owners.(b) in
-        if owner < 0 || crashed.(owner) then begin
-          (* Bounded attempts. The fault hook runs before the batch is
-             verified, so a failed attempt adds nothing to the aggregate
-             and a retry never double-counts. An exhausted batch is
-             excluded whole — the accounting invariant (every route
-             verified or excluded) survives even a hook that always
-             raises. *)
-          let rec attempt k =
-            match
-              (match inject_batch_fault with
-              | Some f ->
-                f ~seed:(retry_seed ~run_seed:seed ~batch:b ~attempt:k)
-                  ~batch:b ~attempt:k
-              | None -> ());
-              verify_batch engine agg excluded
-                ~on_route_error:(fun i _ -> excluded := !excluded + weights.(i))
-                b
-            with
-            | _ -> ()
-            | exception _ when k < max_batch_attempts ->
-              Rz_obs.Obs.Counter.incr c_domain_retries;
-              attempt (k + 1)
-            | exception _ ->
-              Rz_obs.Obs.Counter.incr c_domain_retries;
-              let lo = b * batch_size and hi = min n ((b + 1) * batch_size) in
-              for i = lo to hi - 1 do
-                excluded := !excluded + weights.(i)
-              done
-          in
-          attempt 1
-        end
-      done
-    end;
-    (agg, `Total n_total, `Excluded !excluded)
-
   (** Section-4 characterization of the world's RPSL. *)
   let usage world = Rz_stats.Usage.compute ~dumps:world.dumps world.db
 
@@ -475,8 +265,9 @@ module Pipeline = struct
       metadata and is suitable for parsing, stats, and verification.
       [snapshot] names an IR snapshot cache file ({!Rz_ir.Ir_snapshot}):
       when present and built from exactly these dumps the parse is
-      skipped entirely; otherwise the dumps are ingested (in parallel,
-      up to [domains] domains) and the snapshot is (re)written. *)
+      skipped entirely; otherwise the dumps are ingested and the
+      snapshot is (re)written. [domains] is deprecated: any value other
+      than 1 raises [Invalid_argument] (see {!Rz_ingest.Ingest.ingest}). *)
   let load_world ?snapshot ?domains dir =
     let dumps = load_dumps dir in
     let db = Rz_ingest.Ingest.db_of_dumps ?domains ?snapshot dumps in

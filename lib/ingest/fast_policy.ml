@@ -164,8 +164,7 @@ let parse_simple ~direction ~multiprotocol text =
 (* A fresh memoized rule parser: fast path first, general parser as
    fallback, every (direction, multiprotocol, text) result — including
    errors — cached. parse_rule is pure, so caching is transparent; the
-   table is NOT domain-safe, so the parallel ingest creates one per
-   domain. *)
+   table is unsynchronized, so each ingest pass creates its own. *)
 let cached_rule_parser () : Rz_ir.Lower.rule_parser =
   let tbl : ((bool * bool * string), (Rz_policy.Ast.rule, string) result) Hashtbl.t =
     Hashtbl.create 2048
@@ -187,7 +186,7 @@ let cached_rule_parser () : Rz_ir.Lower.rule_parser =
    heavily across a dump (the same maintainers guard thousands of
    routes), so caching [Lower.split_names] per raw value skips most of
    the continuation-folding and re-splitting work. Pure function, so
-   transparent; same per-domain ownership rule as the rule parser. *)
+   transparent; same single-owner rule as the rule parser. *)
 let cached_split () =
   let tbl : (string, string list) Hashtbl.t = Hashtbl.create 2048 in
   fun value ->

@@ -15,10 +15,10 @@ val parse_simple :
 val cached_rule_parser : unit -> Rz_ir.Lower.rule_parser
 (** A fresh memoized parser: fast path first, general parser fallback,
     all results (including errors) cached per (direction,
-    multiprotocol, text). The table is not synchronized — create one
-    per domain. *)
+    multiprotocol, text). The table is not synchronized — one owner at
+    a time. *)
 
 val cached_split : unit -> string -> string list
 (** A fresh memoized {!Rz_ir.Lower.split_names}: member-list values
-    (mnt-by above all) repeat heavily within a dump. Same per-domain
-    ownership rule as {!cached_rule_parser}. *)
+    (mnt-by above all) repeat heavily within a dump. Same single-owner
+    rule as {!cached_rule_parser}. *)

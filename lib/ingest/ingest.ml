@@ -1,50 +1,23 @@
-(* Parallel multi-IRR ingestion: the ingestion-side counterpart of the
-   verify hot-path overhaul.
+(* Multi-IRR ingestion: one sequential pass over the dumps in priority
+   order. Each dump is parsed by the single-pass scanner
+   ([Reader.scan_string]) and lowered into one IR with [Fast_policy]'s
+   memoized rule and member-list parsers. The IR's own tables carry the
+   inter-IRR first-definition-wins gate, exactly as in the
+   [Lower.add_dump] loop of [ingest_sequential], so the result is
+   byte-identical to that oracle under [Ir_json.export] (the
+   differential suite holds this under QCheck, including over
+   rz_fault-corrupted worlds). *)
 
-   The sequential oracle is [Db.of_dumps]'s loop — [Lower.add_dump] per
-   dump in priority order, where the IR's own tables carry the
-   first-definition-wins gate. That loop cannot shard as-is: lowering a
-   dump observes every earlier dump's insertions (which duplicates are
-   shadowed, hence which error lists they emit). The parallel path
-   splits the gate out:
-
-     A. parse   — every dump scanned independently ([Reader.scan_string]),
-                  domains work-stealing whole files off an Atomic cursor;
-     B. scan    — one cheap sequential pass over all parsed objects in
-                  dump-priority order computes per-object keep flags from
-                  [Lower.admission_key] (filter-sets claim their key only
-                  when lowerable, matching the sequential gate that stays
-                  open after a failed insert);
-     C. lower   — each dump lowers into a private IR with its keep flags
-                  and a per-domain memoized fast-path rule parser, again
-                  work-stealing;
-     D. merge   — winners' tables are key-disjoint by construction, so
-                  tables union; the routes and errors lists concatenate
-                  in dump order, reproducing the oracle's insertion
-                  order exactly.
-
-   The result is byte-identical to the oracle under [Ir_json.export]
-   (the differential suite holds this under QCheck, including over
-   rz_fault-corrupted worlds). A domain crash mid-phase loses only its
-   unfinished slots; a sequential sweep re-runs those, mirroring
-   verify_parallel's retry semantics. *)
-
+(* One increment per [ingest] call: the pass always runs on one domain. *)
 let c_domains = Rz_obs.Obs.Counter.make "ingest.parallel.domains"
-let c_files_stolen = Rz_obs.Obs.Counter.make "ingest.files_stolen"
 let c_snapshot_hits = Rz_obs.Obs.Counter.make "snapshot.hits"
 let c_snapshot_misses = Rz_obs.Obs.Counter.make "snapshot.misses"
 
-let default_domains = max 1 (min 4 (Rz_util.Domains.recommended ()))
-
-(* Requested domain counts are clamped to the host's recommended count:
-   oversubscribing cores costs real time (every minor GC is a
-   stop-the-world sync across domains, so idle-core domains make the
-   whole pool slower, measured 2x on a single-core host). [force] is the
-   test harness bypass — differential suites must genuinely exercise
-   multi-domain interleavings even where the scheduler would not. *)
-let effective_domains ~force ~requested n =
-  let cap = if force then requested else min requested (Rz_util.Domains.recommended ()) in
-  max 1 (min cap n)
+(* The deprecated [?domains] argument: accepted only as 1. *)
+let check_domains = function
+  | None | Some 1 -> ()
+  | Some n ->
+    invalid_arg (Printf.sprintf "Ingest: ~domains:%d (deprecated; only 1 is accepted)" n)
 
 (* The sequential oracle: exactly what [Db.of_dumps] does before the
    index build. The ingest bench uses it as the ablation baseline; the
@@ -54,137 +27,21 @@ let ingest_sequential dumps =
   List.iter (fun (source, text) -> ignore (Rz_ir.Lower.add_dump ir ~source text)) dumps;
   ir
 
-(* Run [work 0..domains-1]; a crashed domain is absorbed (its unfinished
-   slots are retried by the caller's sweep). domains = 1 runs inline —
-   no spawn cost on single-core hosts. *)
-let run_domains ~domains work =
-  if domains <= 1 then (try work 0 () with _ -> ())
-  else begin
-    let handles = List.init domains (fun d -> Domain.spawn (work d)) in
-    List.iter
-      (fun h -> match Domain.join h with () -> () | exception _ -> ())
-      handles
-  end
-
-(* Phase B: cross-dump first-wins admission, resolved sequentially in
-   dump-priority order over the already-parsed objects. *)
-let winner_scan parsed =
-  let n = Array.length parsed in
-  let taken = Hashtbl.create 4096 in
-  let keep_of obj =
-    match Rz_ir.Lower.admission_key obj with
-    | None -> true
-    | Some key ->
-      if Hashtbl.mem taken key then false
-      else begin
-        (match key with
-         | Rz_ir.Lower.K_filter_set _ ->
-           (* a filter-set that cannot lower leaves its key unclaimed *)
-           if Rz_ir.Lower.filter_set_lowerable obj then Hashtbl.replace taken key ()
-         | _ -> Hashtbl.replace taken key ());
-        true
-      end
-  in
-  let keeps = Array.make n [||] in
-  for i = 0 to n - 1 do
-    let r : Rz_rpsl.Reader.result_t = parsed.(i) in
-    keeps.(i) <- Array.of_list (List.map keep_of r.objects)
-  done;
-  keeps
-
-let ingest ?(domains = default_domains) ?(force_domains = false) ?inject_domain_fault
-    dumps =
-  let files = Array.of_list dumps in
-  let n = Array.length files in
-  if n = 0 then Rz_ir.Ir.create ()
-  else begin
-    let domains = effective_domains ~force:force_domains ~requested:domains n in
-    Rz_obs.Obs.Counter.add c_domains domains;
-    (* ---- phase A: parallel parse, stealing whole files ---- *)
-    let parsed : Rz_rpsl.Reader.result_t option array = Array.make n None in
-    let next = Atomic.make 0 in
-    let parse_one i =
-      let _, text = files.(i) in
-      let r =
+let ingest ?domains dumps =
+  check_domains domains;
+  Rz_obs.Obs.Counter.incr c_domains;
+  let ir = Rz_ir.Ir.create () in
+  let rule_parser = Fast_policy.cached_rule_parser () in
+  let split = Fast_policy.cached_split () in
+  List.iter
+    (fun (source, text) ->
+      let parsed =
         Rz_obs.Obs.Span.with_ "parse" (fun () -> Rz_rpsl.Reader.scan_string text)
       in
-      parsed.(i) <- Some r;
-      Rz_obs.Obs.Counter.incr c_files_stolen
-    in
-    run_domains ~domains (fun d () ->
-        (match inject_domain_fault with Some f -> f d | None -> ());
-        let rec drain () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n then begin
-            parse_one i;
-            drain ()
-          end
-        in
-        drain ());
-    (* crash sweep: re-parse any slot a dead domain claimed but never
-       finished (parsing is pure, so a finished slot is always valid) *)
-    for i = 0 to n - 1 do
-      if Option.is_none parsed.(i) then parse_one i
-    done;
-    let parsed = Array.map Option.get parsed in
-    (* ---- phase B: sequential winner scan ---- *)
-    let keeps = winner_scan parsed in
-    (* ---- phase C: parallel lowering into private IRs ---- *)
-    let privates : Rz_ir.Ir.t option array = Array.make n None in
-    let next = Atomic.make 0 in
-    let lower_one ~rule_parser ~split i =
-      let source, _ = files.(i) in
-      let p = parsed.(i) in
-      let ir = Rz_ir.Ir.create () in
-      Rz_ir.Lower.add_reader_errors ir ~source p.errors;
-      Rz_ir.Lower.add_objects ~rule_parser ~split ~keep:keeps.(i) ir ~source
-        p.objects;
-      privates.(i) <- Some ir
-    in
-    run_domains ~domains (fun d () ->
-        (match inject_domain_fault with Some f -> f d | None -> ());
-        (* memo tables are private to the domain, hence unsynchronized *)
-        let rule_parser = Fast_policy.cached_rule_parser () in
-        let split = Fast_policy.cached_split () in
-        let rec drain () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n then begin
-            lower_one ~rule_parser ~split i;
-            drain ()
-          end
-        in
-        drain ());
-    (let retry_memos =
-       lazy (Fast_policy.cached_rule_parser (), Fast_policy.cached_split ())
-     in
-     for i = 0 to n - 1 do
-       if Option.is_none privates.(i) then begin
-         let rule_parser, split = Lazy.force retry_memos in
-         lower_one ~rule_parser ~split i
-       end
-     done);
-    (* ---- phase D: deterministic merge in dump-priority order ---- *)
-    let merged = Rz_ir.Ir.create () in
-    let union dst src = Hashtbl.iter (fun k v -> Hashtbl.replace dst k v) src in
-    for i = 0 to n - 1 do
-      let p = Option.get privates.(i) in
-      union merged.Rz_ir.Ir.aut_nums p.Rz_ir.Ir.aut_nums;
-      union merged.mntners p.mntners;
-      union merged.inet_rtrs p.inet_rtrs;
-      union merged.rtr_sets p.rtr_sets;
-      union merged.as_sets p.as_sets;
-      union merged.route_sets p.route_sets;
-      union merged.peering_sets p.peering_sets;
-      union merged.filter_sets p.filter_sets;
-      union merged.route_seen p.route_seen;
-      (* routes append in dump order with ids re-interned into the
-         merged pool, reproducing the oracle's insertion order; errors
-         are still a reversed cons list, so earlier dumps prepend *)
-      Rz_ir.Ir.absorb_routes merged p;
-      merged.errors <- p.errors @ merged.errors
-    done;
-    merged
-  end
+      Rz_ir.Lower.add_reader_errors ir ~source parsed.errors;
+      Rz_ir.Lower.add_objects ~rule_parser ~split ir ~source parsed.objects)
+    dumps;
+  ir
 
 (* MD5 over the input dumps (sources and texts, NUL-framed): the staleness
    key stored in a snapshot's header. *)
@@ -197,7 +54,7 @@ let dumps_digest dumps =
    digest (hit); otherwise — absent, rejected, or stale — ingest and
    (re)write it (miss). Rejections additionally bump [snapshot.rejects]
    inside [Ir_snapshot.load]; a stale-but-valid snapshot is only a miss. *)
-let ingest_cached ?domains ~snapshot dumps =
+let ingest_cached ~snapshot dumps =
   let digest = dumps_digest dumps in
   let cached =
     if Sys.file_exists snapshot then
@@ -212,15 +69,16 @@ let ingest_cached ?domains ~snapshot dumps =
     ir
   | None ->
     Rz_obs.Obs.Counter.incr c_snapshot_misses;
-    let ir = ingest ?domains dumps in
+    let ir = ingest dumps in
     (try Rz_ir.Ir_snapshot.save snapshot ~input_digest:digest ir
      with Sys_error _ -> ());
     ir
 
 let db_of_dumps ?domains ?snapshot dumps =
+  check_domains domains;
   let ir =
     match snapshot with
-    | Some path -> ingest_cached ?domains ~snapshot:path dumps
-    | None -> ingest ?domains dumps
+    | Some path -> ingest_cached ~snapshot:path dumps
+    | None -> ingest dumps
   in
   Rz_irr.Db.build ir

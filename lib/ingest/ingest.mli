@@ -1,43 +1,29 @@
-(** Parallel multi-IRR ingestion with an IR snapshot cache.
+(** Multi-IRR ingestion with an IR snapshot cache.
 
-    [ingest] shards per-IRR dump parsing and lowering across OCaml 5
-    domains (work-stealing whole files off an Atomic cursor, the
-    [verify_parallel] pattern) and merges deterministically, preserving
-    {!Rz_irr.Db}'s inter-IRR first-definition-wins priority semantics:
-    the result is byte-identical (via {!Rz_ir.Ir_json}) to the
-    sequential [Lower.add_dump] loop, for any input and any domain
-    count. Counters: [ingest.parallel.domains], [ingest.files_stolen],
+    [ingest] parses and lowers the per-IRR dumps in one sequential pass,
+    in priority order, preserving {!Rz_irr.Db}'s inter-IRR
+    first-definition-wins semantics: the result is byte-identical (via
+    {!Rz_ir.Ir_json}) to the [Lower.add_dump] loop of
+    {!ingest_sequential}, for any input. Counters:
+    [ingest.parallel.domains] (one per [ingest] call),
     [snapshot.hits]/[snapshot.misses] (plus [snapshot.rejects] from
     {!Rz_ir.Ir_snapshot}). *)
-
-val default_domains : int
-(** [max 1 (min 4 (Rz_util.Domains.recommended ()))] (honors the [RPSLYZER_DOMAINS] override). *)
 
 val ingest_sequential : (string * string) list -> Rz_ir.Ir.t
 (** The sequential oracle: exactly [Db.of_dumps]'s lowering loop. The
     bench's ablation baseline and the differential suite's ground
     truth. *)
 
-val ingest :
-  ?domains:int ->
-  ?force_domains:bool ->
-  ?inject_domain_fault:(int -> unit) ->
-  (string * string) list ->
-  Rz_ir.Ir.t
-(** Parallel ingest of [(source, rpsl_text)] dumps given in priority
-    order. [domains] is a requested upper bound: the pool is sized to
-    [min domains (min n_dumps (Rz_util.Domains.recommended ()))]
-    because oversubscribing cores is a measured slowdown (minor GCs are
-    stop-the-world syncs across all domains). [force_domains] bypasses
-    the recommended-count clamp so differential tests can genuinely
-    exercise multi-domain interleavings on any host.
-    [inject_domain_fault] (fault-injection harness hook) runs at the
-    top of each worker with the domain index and may raise to simulate
-    a domain crash; lost work is retried sequentially and the result is
-    unchanged. *)
+val ingest : ?domains:int -> (string * string) list -> Rz_ir.Ir.t
+(** Ingest [(source, rpsl_text)] dumps given in priority order: each
+    dump is parsed by {!Rz_rpsl.Reader.scan_string} (spanned as
+    ["parse"]) and lowered into one IR (spanned as ["lower"]) with the
+    memoized parsers of {!Fast_policy}.
 
-val ingest_cached :
-  ?domains:int -> snapshot:string -> (string * string) list -> Rz_ir.Ir.t
+    [domains] is deprecated: ingestion runs on one domain, and any value
+    other than 1 raises [Invalid_argument]. *)
+
+val ingest_cached : snapshot:string -> (string * string) list -> Rz_ir.Ir.t
 (** Snapshot-backed ingest: loads [snapshot] when it is valid and was
     built from exactly these dumps (hit); otherwise ingests and
     (re)writes it (miss; a corrupt file additionally counts a reject and
@@ -49,5 +35,7 @@ val dumps_digest : (string * string) list -> string
 
 val db_of_dumps :
   ?domains:int -> ?snapshot:string -> (string * string) list -> Rz_irr.Db.t
-(** Drop-in parallel replacement for {!Rz_irr.Db.of_dumps}, optionally
-    snapshot-cached. *)
+(** {!ingest} (or {!ingest_cached} when [snapshot] is given) followed by
+    {!Rz_irr.Db.build}: a drop-in replacement for {!Rz_irr.Db.of_dumps},
+    optionally snapshot-cached. [domains] is deprecated as in
+    {!ingest}. *)

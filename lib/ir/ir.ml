@@ -148,8 +148,8 @@ let route_mnt_by t (r : route_obj) = List.map (Pool.resolve t.pool) r.mnt_by_ids
    when dedup semantics apply (lowering, streaming edits). *)
 let add_route t ~prefix ~origin ~member_of ~mnt_by ~source =
   (* explicit lets pin the interning order (member-of, mnt-by, source):
-     id assignment must be deterministic so the parallel-merge remap
-     reproduces it *)
+     id assignment must be deterministic so snapshots and exports built
+     from the same dumps are byte-identical *)
   let member_of_ids = List.map (Pool.intern t.pool) member_of in
   let mnt_by_ids = List.map (Pool.intern t.pool) mnt_by in
   let source_id = Pool.intern t.pool source in
@@ -161,28 +161,6 @@ let iter_routes t f = Arena.iter t.routes f
 let iter_routes_rev t f = Arena.iter_rev t.routes f
 let fold_routes t ~init ~f = Arena.fold t.routes ~init ~f
 let filter_routes t keep = Arena.filter_in_place t.routes keep
-
-(* Append [src]'s routes (in insertion order) onto [dst], re-interning
-   every string id into [dst]'s pool. The dense-int remap table is the
-   whole point of interning: one resolve+intern per *distinct* string,
-   not per route. *)
-let absorb_routes dst src =
-  let remap = Array.make (max 1 (Pool.length src.pool)) (-1) in
-  let map id =
-    let m = remap.(id) in
-    if m >= 0 then m
-    else begin
-      let m = Pool.intern dst.pool (Pool.resolve src.pool id) in
-      remap.(id) <- m;
-      m
-    end
-  in
-  Arena.iter src.routes (fun r ->
-      (* same interning order as [add_route]: member-of, mnt-by, source *)
-      let member_of_ids = List.map map r.member_of_ids in
-      let mnt_by_ids = List.map map r.mnt_by_ids in
-      let source_id = map r.source_id in
-      Arena.push dst.routes { r with member_of_ids; mnt_by_ids; source_id })
 
 let error_kind_to_string = function
   | Syntax_error msg -> "syntax error: " ^ msg

@@ -179,10 +179,6 @@ val filter_routes : t -> (route_obj -> bool) -> unit
 (** Drop route objects failing the predicate, in place, preserving
     relative order. Does not touch [route_seen]. *)
 
-val absorb_routes : t -> t -> unit
-(** [absorb_routes dst src] appends [src]'s routes to [dst] in [src]'s
-    insertion order, re-interning string ids into [dst]'s pool. *)
-
 val error_kind_to_string : error_kind -> string
 
 val n_rules : aut_num -> int

@@ -44,18 +44,16 @@ let split_names value =
 let multi_names split obj attr =
   List.concat_map split (Rz_rpsl.Obj.values obj attr)
 
-(* Every gate below is [keep && not (Hashtbl.mem ...)]: [keep] is the
-   cross-dump first-wins verdict (always true on the sequential path,
-   precomputed by the parallel ingest's winner scan) and the table
-   membership test handles duplicates within one dump. Errors outside
-   the gate (name validity, bad prefixes) stay unconditional — the
-   sequential path emits them for shadowed duplicates too. *)
+(* Every gate below is [not (Hashtbl.mem ...)]: the IR's tables carry
+   first-definition-wins, across dumps (fed in priority order) and
+   within one. Errors outside the gate (name validity, bad prefixes)
+   stay unconditional, so shadowed duplicates emit them too. *)
 
-let lower_aut_num ~keep ~parse ~split ir (obj : Rz_rpsl.Obj.t) source =
+let lower_aut_num ~parse ~split ir (obj : Rz_rpsl.Obj.t) source =
   match Rz_net.Asn.of_string obj.name with
   | Error msg -> push_error ir (Ir.Syntax_error ("aut-num name: " ^ msg)) obj source
   | Ok asn ->
-    if keep && not (Hashtbl.mem ir.Ir.aut_nums asn) then begin
+    if not (Hashtbl.mem ir.Ir.aut_nums asn) then begin
       let imports =
         lower_rules ~parse ir obj source ~attr:"import" ~direction:`Import ~multiprotocol:false
         @ lower_rules ~parse ir obj source ~attr:"mp-import" ~direction:`Import ~multiprotocol:true
@@ -102,11 +100,11 @@ let classify_as_member name =
       if Rz_rpsl.Set_name.is_valid Rz_rpsl.Set_name.As_set name then M_set name
       else M_bad name
 
-let lower_as_set ~keep ~split ir (obj : Rz_rpsl.Obj.t) source =
+let lower_as_set ~split ir (obj : Rz_rpsl.Obj.t) source =
   let key = canon obj.name in
   if not (Rz_rpsl.Set_name.is_valid Rz_rpsl.Set_name.As_set obj.name) then
     push_error ir Ir.Invalid_as_set_name obj source;
-  if keep && not (Hashtbl.mem ir.Ir.as_sets key) then begin
+  if not (Hashtbl.mem ir.Ir.as_sets key) then begin
     let members = multi_names split obj "members" @ multi_names split obj "mp-members" in
     let member_asns = ref [] and member_sets = ref [] and contains_any = ref false in
     List.iter
@@ -152,11 +150,11 @@ let classify_route_member name =
           then Ok (Ir.Rs_set (base, op))
           else Error (Printf.sprintf "bad route-set member %S" name)))
 
-let lower_route_set ~keep ~split ir (obj : Rz_rpsl.Obj.t) source =
+let lower_route_set ~split ir (obj : Rz_rpsl.Obj.t) source =
   let key = canon obj.name in
   if not (Rz_rpsl.Set_name.is_valid Rz_rpsl.Set_name.Route_set obj.name) then
     push_error ir Ir.Invalid_route_set_name obj source;
-  if keep && not (Hashtbl.mem ir.Ir.route_sets key) then begin
+  if not (Hashtbl.mem ir.Ir.route_sets key) then begin
     let raw = multi_names split obj "members" @ multi_names split obj "mp-members" in
     let members =
       List.filter_map
@@ -176,11 +174,11 @@ let lower_route_set ~keep ~split ir (obj : Rz_rpsl.Obj.t) source =
         source }
   end
 
-let lower_peering_set ~keep ir (obj : Rz_rpsl.Obj.t) source =
+let lower_peering_set ir (obj : Rz_rpsl.Obj.t) source =
   let key = canon obj.name in
   if not (Rz_rpsl.Set_name.is_valid Rz_rpsl.Set_name.Peering_set obj.name) then
     push_error ir Ir.Invalid_peering_set_name obj source;
-  if keep && not (Hashtbl.mem ir.Ir.peering_sets key) then begin
+  if not (Hashtbl.mem ir.Ir.peering_sets key) then begin
     let values =
       Rz_rpsl.Obj.values obj "peering" @ Rz_rpsl.Obj.values obj "mp-peering"
     in
@@ -197,30 +195,15 @@ let lower_peering_set ~keep ir (obj : Rz_rpsl.Obj.t) source =
     Hashtbl.replace ir.peering_sets key { Ir.name = obj.name; peerings; source }
   end
 
-(* The filter-set value the lowering interprets: [filter] preferred,
-   [mp-filter] as fallback. *)
-let filter_set_value (obj : Rz_rpsl.Obj.t) =
-  match (Rz_rpsl.Obj.value obj "filter", Rz_rpsl.Obj.value obj "mp-filter") with
-  | Some f, _ -> Some f
-  | None, Some f -> Some f
-  | None, None -> None
-
-(* A filter-set only occupies its key when the filter actually lowers
-   (sequential semantics: a failed insert leaves the gate open for a
-   later same-key object). The winner scan needs this predicate. *)
-let filter_set_lowerable obj =
-  match filter_set_value obj with
-  | None -> false
-  | Some v -> Result.is_ok (Rz_policy.Parser.parse_filter (flat v))
-
-let lower_filter_set ~keep ir (obj : Rz_rpsl.Obj.t) source =
+let lower_filter_set ir (obj : Rz_rpsl.Obj.t) source =
   let key = canon obj.name in
   if not (Rz_rpsl.Set_name.is_valid Rz_rpsl.Set_name.Filter_set obj.name) then
     push_error ir Ir.Invalid_filter_set_name obj source;
-  if keep && not (Hashtbl.mem ir.Ir.filter_sets key) then begin
-    match filter_set_value obj with
-    | None -> push_error ir (Ir.Syntax_error "filter-set without filter") obj source
-    | Some v ->
+  if not (Hashtbl.mem ir.Ir.filter_sets key) then begin
+    (* [filter] preferred, [mp-filter] as fallback *)
+    match (Rz_rpsl.Obj.value obj "filter", Rz_rpsl.Obj.value obj "mp-filter") with
+    | None, None -> push_error ir (Ir.Syntax_error "filter-set without filter") obj source
+    | Some v, _ | None, Some v ->
       (match Rz_policy.Parser.parse_filter (flat v) with
        | Ok filter ->
          Hashtbl.replace ir.filter_sets key { Ir.name = obj.name; filter; source }
@@ -228,28 +211,8 @@ let lower_filter_set ~keep ir (obj : Rz_rpsl.Obj.t) source =
   end
 
 (* Route object identity is (prefix, origin); duplicates across IRRs are
-   dropped but distinct origins for the same prefix are kept. The
-   admission key uses the parsed prefix value directly: [Prefix.t] is
-   canonical (of_string normalizes, to_string is injective on it), so
-   keying on the struct is equivalent to keying on the rendered string
-   that [route_seen] uses, without paying [to_string] in the scan. *)
-let route_identity (obj : Rz_rpsl.Obj.t) =
-  match Rz_net.Prefix.of_string obj.name with
-  | Error _ -> None
-  | Ok prefix ->
-    (* attrs store lowercased keys, so look up "origin" directly *)
-    (match
-       List.find_map
-         (fun (a : Rz_rpsl.Attr.t) -> if a.key = "origin" then Some a.value else None)
-         obj.attrs
-     with
-     | None -> None
-     | Some origin_text ->
-       (match Rz_net.Asn.of_string origin_text with
-        | Error _ -> None
-        | Ok origin -> Some (prefix, origin)))
-
-let lower_route ~keep ~split ir (obj : Rz_rpsl.Obj.t) source =
+   dropped but distinct origins for the same prefix are kept. *)
+let lower_route ~split ir (obj : Rz_rpsl.Obj.t) source =
   match Rz_net.Prefix.of_string obj.name with
   | Error e -> push_error ir (Ir.Bad_prefix e) obj source
   | Ok prefix ->
@@ -260,15 +223,15 @@ let lower_route ~keep ~split ir (obj : Rz_rpsl.Obj.t) source =
         | Error e -> push_error ir (Ir.Bad_origin e) obj source
         | Ok origin ->
           let key = (prefix, origin) in
-          if keep && not (Hashtbl.mem ir.Ir.route_seen key) then
+          if not (Hashtbl.mem ir.Ir.route_seen key) then
             Ir.add_route ir ~prefix ~origin
               ~member_of:(multi_names split obj "member-of")
               ~mnt_by:(multi_names split obj "mnt-by")
               ~source))
 
-let lower_mntner ~keep ir (obj : Rz_rpsl.Obj.t) source =
+let lower_mntner ir (obj : Rz_rpsl.Obj.t) source =
   let key = Rz_util.Strings.uppercase obj.name in
-  if keep && not (Hashtbl.mem ir.Ir.mntners key) then
+  if not (Hashtbl.mem ir.Ir.mntners key) then
     Hashtbl.replace ir.mntners key
       { Ir.name = obj.name; auth = Rz_rpsl.Obj.values obj "auth"; source }
 
@@ -289,9 +252,9 @@ let parse_bgp_peer value =
   in
   match (addr, asno) with Some a, Some n -> Some (a, n) | _ -> None
 
-let lower_inet_rtr ~keep ~split ir (obj : Rz_rpsl.Obj.t) source =
+let lower_inet_rtr ~split ir (obj : Rz_rpsl.Obj.t) source =
   let key = Rz_util.Strings.lowercase obj.name in
-  if keep && not (Hashtbl.mem ir.Ir.inet_rtrs key) then begin
+  if not (Hashtbl.mem ir.Ir.inet_rtrs key) then begin
     let local_as =
       Option.bind (Rz_rpsl.Obj.value obj "local-as") (fun v ->
           Result.to_option (Rz_net.Asn.of_string v))
@@ -309,65 +272,31 @@ let lower_inet_rtr ~keep ~split ir (obj : Rz_rpsl.Obj.t) source =
         source }
   end
 
-let lower_rtr_set ~keep ~split ir (obj : Rz_rpsl.Obj.t) source =
+let lower_rtr_set ~split ir (obj : Rz_rpsl.Obj.t) source =
   let key = Rz_util.Strings.uppercase obj.name in
-  if keep && not (Hashtbl.mem ir.Ir.rtr_sets key) then
+  if not (Hashtbl.mem ir.Ir.rtr_sets key) then
     Hashtbl.replace ir.rtr_sets key
       { Ir.name = obj.name;
         members = multi_names split obj "members" @ multi_names split obj "mp-members";
         mbrs_by_ref = multi_names split obj "mbrs-by-ref";
         source }
 
-(* The cross-dump admission key of an object: the identity under which
-   first-definition-wins merge priority applies. [None] for non-routing
-   classes and for objects whose identity does not parse (those never
-   insert, and their name errors are emitted unconditionally). *)
-type admission_key =
-  | K_aut_num of Rz_net.Asn.t
-  | K_as_set of string
-  | K_route_set of string
-  | K_peering_set of string
-  | K_filter_set of string
-  | K_mntner of string
-  | K_inet_rtr of string
-  | K_rtr_set of string
-  | K_route of Rz_net.Prefix.t * Rz_net.Asn.t
-
-let admission_key (obj : Rz_rpsl.Obj.t) =
-  match obj.cls with
-  | "aut-num" ->
-    (match Rz_net.Asn.of_string obj.name with
-     | Ok asn -> Some (K_aut_num asn)
-     | Error _ -> None)
-  | "as-set" -> Some (K_as_set (canon obj.name))
-  | "route-set" -> Some (K_route_set (canon obj.name))
-  | "peering-set" -> Some (K_peering_set (canon obj.name))
-  | "filter-set" -> Some (K_filter_set (canon obj.name))
-  | "mntner" -> Some (K_mntner (Rz_util.Strings.uppercase obj.name))
-  | "inet-rtr" -> Some (K_inet_rtr (Rz_util.Strings.lowercase obj.name))
-  | "rtr-set" -> Some (K_rtr_set (Rz_util.Strings.uppercase obj.name))
-  | "route" | "route6" ->
-    Option.map (fun (p, o) -> K_route (p, o)) (route_identity obj)
-  | _ -> None
-
-let add_objects ?(rule_parser = lower_rule) ?(split = split_names) ?keep ir ~source
-    objects =
+let add_objects ?(rule_parser = lower_rule) ?(split = split_names) ir ~source objects =
   Rz_obs.Obs.Span.with_ "lower" (fun () ->
-      List.iteri
-        (fun i (obj : Rz_rpsl.Obj.t) ->
-          let keep = match keep with None -> true | Some flags -> flags.(i) in
+      List.iter
+        (fun (obj : Rz_rpsl.Obj.t) ->
           let routing =
             match obj.cls with
             | "aut-num" ->
-              lower_aut_num ~keep ~parse:rule_parser ~split ir obj source; true
-            | "mntner" -> lower_mntner ~keep ir obj source; true
-            | "inet-rtr" -> lower_inet_rtr ~keep ~split ir obj source; true
-            | "rtr-set" -> lower_rtr_set ~keep ~split ir obj source; true
-            | "as-set" -> lower_as_set ~keep ~split ir obj source; true
-            | "route-set" -> lower_route_set ~keep ~split ir obj source; true
-            | "peering-set" -> lower_peering_set ~keep ir obj source; true
-            | "filter-set" -> lower_filter_set ~keep ir obj source; true
-            | "route" | "route6" -> lower_route ~keep ~split ir obj source; true
+              lower_aut_num ~parse:rule_parser ~split ir obj source; true
+            | "mntner" -> lower_mntner ir obj source; true
+            | "inet-rtr" -> lower_inet_rtr ~split ir obj source; true
+            | "rtr-set" -> lower_rtr_set ~split ir obj source; true
+            | "as-set" -> lower_as_set ~split ir obj source; true
+            | "route-set" -> lower_route_set ~split ir obj source; true
+            | "peering-set" -> lower_peering_set ir obj source; true
+            | "filter-set" -> lower_filter_set ir obj source; true
+            | "route" | "route6" -> lower_route ~split ir obj source; true
             | _ -> false
           in
           if routing then Rz_obs.Obs.Counter.incr c_objects_lowered)

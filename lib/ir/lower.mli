@@ -13,13 +13,12 @@ type rule_parser =
   string ->
   (Rz_policy.Ast.rule, string) result
 (** The function that lowers one import/export attribute value. The
-    default is {!lower_rule}; the parallel ingest substitutes a memoized
-    fast-path parser that is observationally identical. *)
+    default is {!lower_rule}; [Rz_ingest.Ingest.ingest] substitutes a
+    memoized fast-path parser that is observationally identical. *)
 
 val add_objects :
   ?rule_parser:rule_parser ->
   ?split:(string -> string list) ->
-  ?keep:bool array ->
   Ir.t ->
   source:string ->
   Rz_rpsl.Obj.t list ->
@@ -30,14 +29,7 @@ val add_objects :
 
     [split] splits one member-list attribute value into names; the
     default is {!split_names} and any substitute must be observationally
-    identical (the parallel ingest passes a memoized wrapper).
-
-    [keep] (parallel-ingest winner flags, aligned by index with
-    [objects]) pre-resolves cross-dump first-wins admission: an object
-    with [keep.(i) = false] behaves exactly as if its key were already
-    taken — unconditional errors (name validity, bad prefixes) are still
-    emitted, but nothing is inserted. Omitted = all true (sequential
-    behavior, where the IR's own tables carry the gate). *)
+    identical (the ingest passes a memoized wrapper). *)
 
 val split_names : string -> string list
 (** The default member-list splitter: continuation folding + comma/space
@@ -50,8 +42,8 @@ val add_dump : Ir.t -> source:string -> string -> Rz_rpsl.Reader.error list
 val add_reader_errors :
   Ir.t -> source:string -> Rz_rpsl.Reader.error list -> unit
 (** Append reader-level errors to [ir.errors] as dump-class syntax
-    errors, exactly as {!add_dump} does before lowering — the parallel
-    ingest calls this on independently parsed dumps. *)
+    errors, exactly as {!add_dump} does before lowering — the ingest
+    calls this on dumps it parsed with the scanner. *)
 
 val lower_rule :
   direction:[ `Import | `Export ] ->
@@ -59,36 +51,3 @@ val lower_rule :
   string ->
   (Rz_policy.Ast.rule, string) result
 (** Exposed for tests: lower one rule attribute value. *)
-
-(** {2 Winner-scan support}
-
-    The parallel ingest lowers each dump into a private IR, so the
-    cross-dump first-wins gate cannot live in the shared tables. A cheap
-    sequential scan computes per-object [keep] flags instead, using the
-    same admission identity the gates use. *)
-
-(** The identity under which first-definition-wins merge priority
-    applies, one constructor per IR table ([route]/[route6] share the
-    (prefix, origin) key of the route dedup index). *)
-type admission_key =
-  | K_aut_num of Rz_net.Asn.t
-  | K_as_set of string
-  | K_route_set of string
-  | K_peering_set of string
-  | K_filter_set of string
-  | K_mntner of string
-  | K_inet_rtr of string
-  | K_rtr_set of string
-  | K_route of Rz_net.Prefix.t * Rz_net.Asn.t
-
-val admission_key : Rz_rpsl.Obj.t -> admission_key option
-(** [None] for non-routing classes and for objects whose identity does
-    not parse (bad aut-num name, bad route prefix/origin): those never
-    insert, and their errors are unconditional, so they always lower
-    with [keep = true]. *)
-
-val filter_set_lowerable : Rz_rpsl.Obj.t -> bool
-(** Whether a filter-set object would actually insert when its gate is
-    open: a [filter]/[mp-filter] value is present and parses. A
-    filter-set that fails this leaves its key unclaimed (sequential
-    semantics: the gate stays open for a later same-key object). *)

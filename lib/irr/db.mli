@@ -95,7 +95,7 @@ val exact_origins : t -> Rz_net.Prefix.t -> Rz_net.Asn.t list
 val warm_caches : t -> unit
 (** Force every memo table (as-set and route-set flattening, depth, loop
     detection) so subsequent queries are read-only — required before
-    sharing the database across domains for parallel verification. *)
+    sharing the database across domains (the [serve] workers). *)
 
 (** {1 Set reference graph} *)
 

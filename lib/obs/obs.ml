@@ -139,8 +139,6 @@ module Histogram = struct
     buckets : int Atomic.t array;
   }
 
-  type snap = { s_name : string; s_gamma : float; s_counts : int array }
-
   let table : (string, t) Hashtbl.t = Hashtbl.create 16
 
   let make ?(gamma = default_gamma) name =
@@ -174,50 +172,10 @@ module Histogram = struct
   let gamma h = h.gamma
   let name h = h.name
 
-  let snapshot h = { s_name = h.name; s_gamma = h.gamma; s_counts = counts h }
-
-  (* Bucket-wise difference of a later snapshot against [baseline];
-     histograms only grow, so the result is the observations made in
-     between. A histogram absent from [baseline] deltas against zero. *)
-  let delta ~baseline s =
-    match List.find_opt (fun b -> b.s_name = s.s_name) baseline with
-    | None -> s
-    | Some b ->
-      { s with s_counts = Array.mapi (fun i v -> v - b.s_counts.(i)) s.s_counts }
-
-  (* Replay a (delta) snapshot into the live registry: registers the
-     name if needed and adds the shipped bucket counts. Addition is
-     commutative and associative, so merging any permutation of worker
-     deltas equals having observed inline. Gated on the enable flag like
-     [observe], so a disabled parent drops deltas the same way it drops
-     direct observations. *)
-  let merge_into s =
-    if Atomic.get enabled_flag then begin
-      let h = make ~gamma:s.s_gamma s.s_name in
-      Array.iteri
-        (fun i v -> if v <> 0 then ignore (Atomic.fetch_and_add h.buckets.(i) v))
-        s.s_counts
-    end
-
-  let snapshot_all () =
-    with_lock (fun () ->
-        Hashtbl.fold
-          (fun _ h acc ->
-            { s_name = h.name; s_gamma = h.gamma; s_counts = Array.map Atomic.get h.buckets }
-            :: acc)
-          table []
-        |> List.sort (fun a b -> compare a.s_name b.s_name))
-
-  let deltas_since baseline =
-    List.filter_map
-      (fun s ->
-        let d = delta ~baseline s in
-        if Array.exists (fun v -> v <> 0) d.s_counts then Some d else None)
-      (snapshot_all ())
 end
 
 (* ------------------------------------------------------------------ *)
-(* Windows: rings of time buckets with mergeable snapshots             *)
+(* Windows: rings of time buckets                                     *)
 (* ------------------------------------------------------------------ *)
 
 module Window = struct
@@ -234,14 +192,6 @@ module Window = struct
     slot_ns : int;
     n_slots : int;
     slots : slot array;
-  }
-
-  type snap = {
-    w_name : string;
-    w_gamma : float;
-    w_slot_ns : int;
-    w_n_slots : int;
-    w_cells : (int * int * int array) list;  (* epoch, count, buckets *)
   }
 
   let table : (string, t) Hashtbl.t = Hashtbl.create 8
@@ -330,84 +280,6 @@ module Window = struct
     acc
 
   let quantile ?now_ns w q = quantile_of_counts ~gamma:w.gamma (counts ?now_ns w) q
-
-  let snapshot ?now_ns:at w =
-    let cells =
-      fold_cells ?now_ns:at w
-        (fun acc slot epoch ->
-          let c = Atomic.get slot.count in
-          if c = 0 then acc
-          else (epoch, c, Array.map Atomic.get slot.buckets) :: acc)
-        []
-    in
-    { w_name = w.name; w_gamma = w.gamma; w_slot_ns = w.slot_ns;
-      w_n_slots = w.n_slots; w_cells = List.sort compare cells }
-
-  (* Merge a shipped snapshot into the live registry. Cells land in the
-     slot their epoch maps to: an older epoch than the slot currently
-     holds is out of window and dropped; a newer epoch rolls the slot
-     first. Both rules are order-insensitive — any merge order of a set
-     of snapshots keeps exactly the cells of the newest epoch per slot,
-     summed. *)
-  let merge_into s =
-    if Atomic.get enabled_flag then begin
-      let w =
-        make ~slots:s.w_n_slots
-          ~slot_ms:(max 1 (s.w_slot_ns / 1_000_000))
-          ~gamma:s.w_gamma s.w_name
-      in
-      List.iter
-        (fun (epoch, c, counts) ->
-          let slot = slot_for w epoch in
-          roll slot epoch;
-          if Atomic.get slot.epoch = epoch then begin
-            ignore (Atomic.fetch_and_add slot.count c);
-            Array.iteri
-              (fun i v -> if v <> 0 then ignore (Atomic.fetch_and_add slot.buckets.(i) v))
-              counts
-          end)
-        s.w_cells
-    end
-
-  let snapshot_all ?now_ns () =
-    with_lock (fun () -> Hashtbl.fold (fun _ w acc -> w :: acc) table [])
-    |> List.sort (fun a b -> compare a.name b.name)
-    |> List.map (fun w -> snapshot ?now_ns w)
-    |> List.filter (fun s -> s.w_cells <> [])
-
-  (* Cell-wise difference against the matching baseline snapshot: a cell
-     whose epoch also appears in the baseline subtracts the baseline's
-     contents (per-slot contents only grow while an epoch is live, and
-     an epoch is never revisited after rolling, so the subtraction is
-     exact); an epoch absent from the baseline is shipped whole. Used by
-     forked shard workers, which inherit the parent's pre-fork cells and
-     must not echo them back. *)
-  let delta ~baseline s =
-    match List.find_opt (fun b -> b.w_name = s.w_name) baseline with
-    | None -> s
-    | Some b ->
-      let cells =
-        List.filter_map
-          (fun (epoch, c, counts) ->
-            match
-              List.find_opt (fun (e, _, _) -> e = epoch) b.w_cells
-            with
-            | None -> Some (epoch, c, counts)
-            | Some (_, bc, bcounts) ->
-              let c = c - bc in
-              if c <= 0 then None
-              else
-                Some (epoch, c, Array.mapi (fun i v -> v - bcounts.(i)) counts))
-          s.w_cells
-      in
-      { s with w_cells = cells }
-
-  let deltas_since ?now_ns baseline =
-    List.filter_map
-      (fun s ->
-        let d = delta ~baseline s in
-        if d.w_cells = [] then None else Some d)
-      (snapshot_all ?now_ns ())
 end
 
 (* ------------------------------------------------------------------ *)
@@ -552,7 +424,6 @@ let recovery_counter_names =
     "reader.lines_dropped";
     "flatten.truncated";
     "nfa.capped";
-    "verify.domain_retries";
     "rpki.roas_rejected";
     "stream.events_dropped";
     "stream.events_sampled";
@@ -560,7 +431,6 @@ let recovery_counter_names =
     "stream.journal_rejected";
     "stream.watchdog_trips";
     "stream.retries";
-    "shard.frames_rejected";
     "serve.queries_rejected";
     "serve.sessions_rejected";
     "serve.sessions_dropped";

@@ -10,17 +10,10 @@
       is disabled (the default). Instrumented libraries can therefore
       create metrics unconditionally at module-init time.
     - {b Domain safety.} Counters, gauges, histogram buckets, and window
-      slots are [Atomic]-backed, so concurrent increments from
-      [Domain.spawn] workers (as in [Rpslyzer.Pipeline.verify_parallel])
-      are never lost. Span nesting state is domain-local ([Domain.DLS]);
-      the accumulated per-name statistics are atomics.
-    - {b Mergeable snapshots.} Histogram and window snapshots are plain
-      bucket-count values; {!Histogram.merge_into} / {!Window.merge_into}
-      add them back into the live registry. Addition commutes, so a set
-      of worker deltas merged in any order equals having observed inline
-      — the property [lib/shard] relies on to ship latency observations
-      across fork boundaries, pinned by a QCheck differential in
-      suite_obs.
+      slots are [Atomic]-backed, so concurrent increments from worker
+      domains (the [serve] query workers, the [stream] pipeline stages)
+      are never lost. Span nesting state is domain-local
+      ([Domain.DLS]); the accumulated per-name statistics are atomics.
     - {b Naming.} Metric names follow [subsystem.metric_name], e.g.
       [verify.hops_total], [irr.as_flat.hits]. Counters that only ever
       grow end in [_total] or a [.hits]/[.misses] pair. *)
@@ -86,14 +79,6 @@ module Histogram : sig
 
   type t
 
-  type snap = {
-    s_name : string;
-    s_gamma : float;
-    s_counts : int array;  (** one count per log bucket *)
-  }
-  (** A plain-value copy of a histogram's buckets, safe to marshal
-      across process boundaries (the shard frame payload). *)
-
   val make : ?gamma:float -> string -> t
   (** [gamma] is the bucket growth factor, default [2^(1/4)] (~19% wide
       buckets, <= 9% quantile error). Must exceed 1.0. Idempotent per
@@ -134,25 +119,6 @@ module Histogram : sig
   val gamma : t -> float
   val name : t -> string
 
-  val snapshot : t -> snap
-  val delta : baseline:snap list -> snap -> snap
-  (** Bucket-wise difference against the matching (by name) baseline
-      snapshot; absent from the baseline means delta against zero. *)
-
-  val merge_into : snap -> unit
-  (** Add a (delta) snapshot's buckets into the live registry,
-      registering the name if needed. Commutative and associative, so
-      merging worker deltas in any order equals observing inline. Gated
-      on the enable flag like {!observe}. *)
-
-  val snapshot_all : unit -> snap list
-  (** Snapshots of every registered histogram, sorted by name. Workers
-      take this as a baseline before doing work. *)
-
-  val deltas_since : snap list -> snap list
-  (** [deltas_since baseline] = non-zero deltas of the current registry
-      against a {!snapshot_all} baseline — the payload a shard worker
-      ships home. *)
 end
 
 module Window : sig
@@ -163,25 +129,11 @@ module Window : sig
       the clock advances; readers only aggregate slots whose epoch falls
       inside the current window.
 
-      Snapshots are {e order-insensitively mergeable}: cells carry their
-      absolute epoch, merge sums same-epoch cells and keeps only the
-      newest epoch per ring slot, so any merge order of a snapshot set
-      yields the same registry state (QCheck-pinned in suite_obs).
-
       All reads and writes accept an explicit [?now_ns] so tests drive
       virtual time deterministically; production callers omit it and get
       the monotonic clock. *)
 
   type t
-
-  type snap = {
-    w_name : string;
-    w_gamma : float;
-    w_slot_ns : int;
-    w_n_slots : int;
-    w_cells : (int * int * int array) list;
-        (** (epoch, event count, value buckets), sorted by epoch *)
-  }
 
   val make : ?slots:int -> ?slot_ms:int -> ?gamma:float -> string -> t
   (** Default 12 slots of 5s each — a 60-second rolling window.
@@ -211,27 +163,6 @@ module Window : sig
   val gamma : t -> float
   val name : t -> string
 
-  val snapshot : ?now_ns:int -> t -> snap
-  (** In-window cells with their absolute epochs (empty cells elided). *)
-
-  val merge_into : snap -> unit
-  (** Merge a snapshot into the live registry: same-epoch cells sum,
-      newer epochs roll the slot, older epochs are dropped as out of
-      window. Order-insensitive. Gated on the enable flag. *)
-
-  val snapshot_all : ?now_ns:int -> unit -> snap list
-  (** Non-empty snapshots of every registered window, sorted by name. *)
-
-  val delta : baseline:snap list -> snap -> snap
-  (** Cell-wise difference against the matching (by name) baseline
-      snapshot: same-epoch cells subtract (exact — per-slot contents
-      only grow while an epoch is live and epochs are never revisited),
-      epochs absent from the baseline ship whole. *)
-
-  val deltas_since : ?now_ns:int -> snap list -> snap list
-  (** Non-empty deltas of the current registry against a
-      {!snapshot_all} baseline — the payload a forked worker ships
-      home without echoing inherited cells. *)
 end
 
 module Span : sig

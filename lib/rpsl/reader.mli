@@ -36,8 +36,8 @@ val scan_string : ?limits:limits -> string -> result_t
 (** Single-pass fast scanner over a whole dump held in memory. Produces
     output identical to {!parse_string} (objects, errors, counters) while
     avoiding per-line string and per-attribute buffer allocations — the
-    hot path of parallel ingestion. Never raises under {!default_limits}
-    (or any limits with [max_line_bytes >= 64]). *)
+    parse step of [Rz_ingest.Ingest.ingest]. Never raises under
+    {!default_limits} (or any limits with [max_line_bytes >= 64]). *)
 
 val parse_file : ?limits:limits -> string -> result_t
 (** Parse a dump file from disk. Never raises: an unopenable file yields

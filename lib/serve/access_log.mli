@@ -26,9 +26,9 @@ type t
 val create : ?capacity:int -> ?sampling:Rz_trace.Trace.sampling -> string -> t
 (** Open [path] for writing (truncating) and spawn the writer domain.
     [capacity] (default 1024) bounds the in-flight record queue;
-    [sampling] defaults to [All]. Spawns a domain — callers that must
-    [Unix.fork] later (sharded verify) cannot use this, which is fine:
-    only the serve path logs access. *)
+    [sampling] defaults to [All]. Spawns a domain, so a process that
+    must [Unix.fork] later cannot use this; only the serve path logs
+    access. *)
 
 val log :
   t ->

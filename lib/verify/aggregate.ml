@@ -13,16 +13,14 @@ let zero_counts () =
 let counts_total c =
   c.verified + c.skipped + c.unrecorded + c.relaxed + c.safelisted + c.unverified
 
-let counts_add_n c (status : Status.t) n =
+let counts_add c (status : Status.t) =
   match status with
-  | Status.Verified -> c.verified <- c.verified + n
-  | Status.Skipped _ -> c.skipped <- c.skipped + n
-  | Status.Unrecorded _ -> c.unrecorded <- c.unrecorded + n
-  | Status.Relaxed _ -> c.relaxed <- c.relaxed + n
-  | Status.Safelisted _ -> c.safelisted <- c.safelisted + n
-  | Status.Unverified -> c.unverified <- c.unverified + n
-
-let counts_add c status = counts_add_n c status 1
+  | Status.Verified -> c.verified <- c.verified + 1
+  | Status.Skipped _ -> c.skipped <- c.skipped + 1
+  | Status.Unrecorded _ -> c.unrecorded <- c.unrecorded + 1
+  | Status.Relaxed _ -> c.relaxed <- c.relaxed + 1
+  | Status.Safelisted _ -> c.safelisted <- c.safelisted + 1
+  | Status.Unverified -> c.unverified <- c.unverified + 1
 
 let counts_classes c =
   [ ("verified", c.verified); ("skipped", c.skipped); ("unrecorded", c.unrecorded);
@@ -100,7 +98,7 @@ let special_flags_of t asn =
     Hashtbl.replace t.special_by_as asn f;
     f
 
-let record_hop t ~weight (hop : Report.hop) route_counts =
+let record_hop t (hop : Report.hop) route_counts =
   let subject =
     match hop.direction with `Import -> hop.to_as | `Export -> hop.from_as
   in
@@ -110,11 +108,9 @@ let record_hop t ~weight (hop : Report.hop) route_counts =
   let pair_table =
     match hop.direction with `Import -> t.per_pair_import | `Export -> t.per_pair_export
   in
-  (* Global tallies take the route's multiplicity; [route_counts] is the
-     profile of one route, so it always takes 1. *)
-  counts_add_n (table_counts as_table subject) hop.status weight;
-  counts_add_n (table_counts pair_table (hop.from_as, hop.to_as)) hop.status weight;
-  counts_add_n t.total hop.status weight;
+  counts_add (table_counts as_table subject) hop.status;
+  counts_add (table_counts pair_table (hop.from_as, hop.to_as)) hop.status;
+  counts_add t.total hop.status;
   counts_add route_counts hop.status;
   (match hop.status with
    | Status.Unrecorded reason ->
@@ -136,7 +132,7 @@ let record_hop t ~weight (hop : Report.hop) route_counts =
       | Status.Tier1_pair -> f.tier1_pair <- true
       | Status.Uphill -> f.uphill <- true)
    | Status.Unverified ->
-     t.unverified_hops <- t.unverified_hops + weight;
+     t.unverified_hops <- t.unverified_hops + 1;
      (* "Undeclared peering": every diagnostic is a peering mismatch —
         no rule's peering covered the neighbor. *)
      let peering_only =
@@ -147,61 +143,14 @@ let record_hop t ~weight (hop : Report.hop) route_counts =
          hop.items
      in
      if peering_only then
-       t.unverified_peering_only <- t.unverified_peering_only + weight
+       t.unverified_peering_only <- t.unverified_peering_only + 1
    | Status.Verified | Status.Skipped _ -> ())
 
-let add_route_report ?(weight = 1) t (report : Report.route_report) =
-  if weight > 0 then begin
-    let route_counts = zero_counts () in
-    List.iter (fun hop -> record_hop t ~weight hop route_counts) report.hops;
-    (* [weight] identical routes contribute [weight] identical per-route
-       profiles; the record is never mutated after this point, so the
-       copies can share it. *)
-    for _ = 1 to weight do
-      t.per_route <- route_counts :: t.per_route
-    done;
-    t.n_routes <- t.n_routes + weight
-  end
-
-let add_counts_into (dst : counts) (src : counts) =
-  dst.verified <- dst.verified + src.verified;
-  dst.skipped <- dst.skipped + src.skipped;
-  dst.unrecorded <- dst.unrecorded + src.unrecorded;
-  dst.relaxed <- dst.relaxed + src.relaxed;
-  dst.safelisted <- dst.safelisted + src.safelisted;
-  dst.unverified <- dst.unverified + src.unverified
-
-let merge_into ~dst (src : t) =
-  let merge_table dst_tbl src_tbl =
-    Hashtbl.iter (fun key c -> add_counts_into (table_counts dst_tbl key) c) src_tbl
-  in
-  merge_table dst.per_as_import src.per_as_import;
-  merge_table dst.per_as_export src.per_as_export;
-  merge_table dst.per_pair_import src.per_pair_import;
-  merge_table dst.per_pair_export src.per_pair_export;
-  dst.per_route <- src.per_route @ dst.per_route;
-  Hashtbl.iter
-    (fun asn (f : unrec_flags) ->
-      let d = unrec_flags_of dst asn in
-      d.no_aut_num <- d.no_aut_num || f.no_aut_num;
-      d.no_rules <- d.no_rules || f.no_rules;
-      d.zero_route_as <- d.zero_route_as || f.zero_route_as;
-      d.missing_set <- d.missing_set || f.missing_set)
-    src.unrec_by_as;
-  Hashtbl.iter
-    (fun asn (f : special_flags) ->
-      let d = special_flags_of dst asn in
-      d.export_self <- d.export_self || f.export_self;
-      d.import_customer <- d.import_customer || f.import_customer;
-      d.missing_routes <- d.missing_routes || f.missing_routes;
-      d.only_provider <- d.only_provider || f.only_provider;
-      d.tier1_pair <- d.tier1_pair || f.tier1_pair;
-      d.uphill <- d.uphill || f.uphill)
-    src.special_by_as;
-  add_counts_into dst.total src.total;
-  dst.n_routes <- dst.n_routes + src.n_routes;
-  dst.unverified_hops <- dst.unverified_hops + src.unverified_hops;
-  dst.unverified_peering_only <- dst.unverified_peering_only + src.unverified_peering_only
+let add_route_report t (report : Report.route_report) =
+  let route_counts = zero_counts () in
+  List.iter (fun hop -> record_hop t hop route_counts) report.hops;
+  t.per_route <- route_counts :: t.per_route;
+  t.n_routes <- t.n_routes + 1
 
 let n_routes t = t.n_routes
 let n_hops t = counts_total t.total
@@ -425,12 +374,11 @@ let special_breakdown (t : t) =
 
 (* ---------------- canonical fingerprint ---------------- *)
 
-(* The only order-sensitive component of [t] is [per_route]:
-   [merge_into] prepend-concatenates, so two merge trees over the same
-   shards interleave the profiles differently while agreeing on the
-   multiset. The fingerprint therefore sorts the per-route profiles and
-   every keyed series; everything else in [t] is commutative sums and
-   monotone flags, independent of add/merge order by construction. *)
+(* The only order-sensitive component of [t] is [per_route], the
+   profiles in add order. The fingerprint sorts them and every keyed
+   series, so it depends on the multiset of route reports only;
+   everything else in [t] is commutative sums and monotone flags,
+   independent of add order by construction. *)
 let fingerprint (t : t) =
   let b = Buffer.create 4096 in
   let counts c =

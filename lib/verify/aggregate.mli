@@ -23,18 +23,8 @@ type t
 
 val create : unit -> t
 
-val add_route_report : ?weight:int -> t -> Report.route_report -> unit
-(** Fold one route's hop reports in. [weight] (default 1) is the route's
-    multiplicity: identical routes collapsed by dedup are verified once
-    and added with their pre-dedup copy count, which scales every global
-    tally (per-AS, per-pair, overall, [n_routes], the unverified-hop
-    accounting) while contributing [weight] identical per-route profiles —
-    exactly what adding the report [weight] separate times would produce.
-    A non-positive [weight] adds nothing. *)
-
-val merge_into : dst:t -> t -> unit
-(** Fold another aggregate into [dst]; used to combine per-domain
-    aggregates after parallel verification. *)
+val add_route_report : t -> Report.route_report -> unit
+(** Fold one route's hop reports in. *)
 
 val n_routes : t -> int
 val n_hops : t -> int
@@ -132,8 +122,7 @@ val special_breakdown : t -> special_breakdown
 val fingerprint : t -> string
 (** MD5 hex digest of a canonical rendering of the whole aggregate —
     overall counts, every per-AS and per-pair series (sorted), the
-    per-route profile multiset (sorted, since {!merge_into} interleaves
-    the list by merge order), and both breakdown figures. Two aggregates
-    built from the same hop reports fingerprint identically regardless
-    of add order, dedup weighting, domain split, or merge tree; the
-    shard-and-merge differential gates key on this. *)
+    per-route profile multiset (sorted), and both breakdown figures. Two
+    aggregates built from the same hop reports fingerprint identically
+    regardless of add order; the verify differential gates key on
+    this. *)

@@ -9,8 +9,7 @@ let default_config = { paper_compat = false; memoize = true; track_deps = false 
 
 (* Observability: one increment of [verify.hops_total] plus exactly one
    per-status counter per hop check, so the status counters always sum
-   to the hop total (asserted by the golden pipeline test). All are
-   Atomic-backed — safe under verify_parallel's domain fan-out. *)
+   to the hop total (asserted by the golden pipeline test). *)
 module Obs = Rz_obs.Obs
 module Trace = Rz_trace.Trace
 
@@ -1060,15 +1059,3 @@ let verify_route t route =
      | None -> Obs.Counter.incr c_routes_excluded);
     result
   end
-
-let replay_route_counters ~times (result : Report.route_report option) =
-  if times > 0 && Obs.enabled () then
-    match result with
-    | None -> Obs.Counter.add c_routes_excluded times
-    | Some report ->
-      Obs.Counter.add c_routes times;
-      List.iter
-        (fun (hop : Report.hop) ->
-          Obs.Counter.add c_hops times;
-          Obs.Counter.add (status_counter hop.status) times)
-        report.hops

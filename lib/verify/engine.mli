@@ -107,11 +107,3 @@ val verify_route : t -> Rz_bgp.Route.t -> Report.route_report option
     routes the paper excludes: single-AS paths (nothing to verify) and
     paths containing BGP AS_SETs. Prepending is removed first. *)
 
-val replay_route_counters : times:int -> Report.route_report option -> unit
-(** Advance the observability counters as if {!verify_route} had returned
-    this result [times] more times: [verify.routes_total] plus the hop and
-    per-status counters for a report, [verify.routes_excluded_total] for
-    [None]. Used by route dedup (identical routes verified once, weighted
-    [multiplicity]) so global counters match an undeduplicated run; the
-    per-route latency histogram is {e not} replayed. No-op when [times <= 0]
-    or metrics are disabled. *)

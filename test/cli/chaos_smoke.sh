@@ -17,7 +17,7 @@ counter() { # counter <name> <metrics-file> -> value (0 when absent)
   sed -n "s/.*\"$1\"[^0-9-]*\([0-9][0-9]*\).*/\1/p" "$2" | head -n1
 }
 
-RECOVERY="fault.injected reader.lines_dropped flatten.truncated nfa.capped verify.domain_retries"
+RECOVERY="fault.injected reader.lines_dropped flatten.truncated nfa.capped"
 
 # --- corrupted run: fixed seed, 10% object corruption ---
 "$CLI" faultinject --seed 7 --rate 0.10 --metrics "$DIR/chaos.json" \

@@ -1,7 +1,7 @@
 (* Tests for the fault-injection harness (Rz_fault) and the recovery
    paths it exists to exercise: the bounded reader, the bounded
-   flatteners, the capped NFA compiler, and crash-isolated parallel
-   verification. *)
+   flatteners, the capped NFA compiler, the snapshot decoder, and the
+   ROA, journal and query parsers. *)
 
 module Fault = Rz_fault.Fault
 module Reader = Rz_rpsl.Reader
@@ -401,153 +401,6 @@ let test_snapshot_corrupt_fallback_parses () =
   Alcotest.(check int) "rewritten snapshot hits" 1 (Obs.Counter.get hits);
   ignore again
 
-(* ---- crash-isolated parallel verification ---- *)
-
-let small_world =
-  lazy
-    (let topo_params =
-       { Rz_topology.Gen.default_params with seed = 5; n_tier1 = 3; n_mid = 12; n_stub = 40 }
-     in
-     Rpslyzer.Pipeline.build_synthetic ~topo_params ())
-
-let agg_fingerprint agg =
-  (Rz_verify.Aggregate.n_hops agg,
-   Rz_verify.Aggregate.counts_classes (Rz_verify.Aggregate.overall agg))
-
-let test_domain_crash_loses_nothing () =
-  Obs.enable ();
-  Obs.reset ();
-  let retries = Obs.Counter.make "verify.domain_retries" in
-  let world = Lazy.force small_world in
-  let seq, `Total t1, `Excluded e1 = Rpslyzer.Pipeline.verify world in
-  (* crash every domain: the whole verification runs through the
-     sequential retry path and must still account for every route *)
-  let par, `Total t2, `Excluded e2 =
-    Rpslyzer.Pipeline.verify_parallel ~domains:4
-      ~inject_domain_fault:(fun _ -> failwith "injected crash")
-      world
-  in
-  Obs.disable ();
-  Alcotest.(check int) "totals equal" t1 t2;
-  Alcotest.(check int) "excluded equal" e1 e2;
-  Alcotest.(check bool) "aggregates identical" true
-    (agg_fingerprint seq = agg_fingerprint par);
-  Alcotest.(check int) "every domain retried" 4 (Obs.Counter.get retries)
-
-let test_single_domain_crash () =
-  let world = Lazy.force small_world in
-  let seq, _, _ = Rpslyzer.Pipeline.verify world in
-  let par, _, _ =
-    Rpslyzer.Pipeline.verify_parallel ~domains:4
-      ~inject_domain_fault:(fun d -> if d = 2 then failwith "injected crash")
-      world
-  in
-  Alcotest.(check bool) "one crashed domain, same aggregate" true
-    (agg_fingerprint seq = agg_fingerprint par)
-
-(* Work stealing + dedup under a crash: triplicate the collector dumps so
-   dedup assigns real multiplicities, crash one of the stealing domains,
-   and require that no route (weighted or not) is lost — the parallel
-   aggregate and the accounting match the sequential run exactly, while
-   the stealing and dedup counters show both mechanisms actually ran. *)
-let test_stealing_crash_loses_nothing () =
-  Obs.enable ();
-  Obs.reset ();
-  let steal = Obs.Counter.make "steal.batches" in
-  let collapsed = Obs.Counter.make "dedup.collapsed" in
-  let world = Lazy.force small_world in
-  let world =
-    { world with
-      Rpslyzer.Pipeline.table_dumps =
-        world.table_dumps @ world.table_dumps @ world.table_dumps }
-  in
-  let seq, `Total t1, `Excluded e1 = Rpslyzer.Pipeline.verify world in
-  let par, `Total t2, `Excluded e2 =
-    Rpslyzer.Pipeline.verify_parallel ~domains:3
-      ~inject_domain_fault:(fun d -> if d = 1 then failwith "injected crash")
-      world
-  in
-  Obs.disable ();
-  Alcotest.(check int) "totals equal" t1 t2;
-  Alcotest.(check int) "excluded equal" e1 e2;
-  Alcotest.(check bool) "aggregates identical" true
-    (agg_fingerprint seq = agg_fingerprint par);
-  Alcotest.(check bool) "surviving domains stole batches" true
-    (Obs.Counter.get steal > 0);
-  Alcotest.(check bool) "dedup collapsed the triplicated dumps" true
-    (3 * Obs.Counter.get collapsed >= 2 * t2)
-
-(* ---- bounded retry of crashed batches (sequential sweep) ---- *)
-
-let test_retry_seed_pure () =
-  let s = Rpslyzer.Pipeline.retry_seed in
-  Alcotest.(check int) "same inputs, same seed"
-    (s ~run_seed:42 ~batch:3 ~attempt:1) (s ~run_seed:42 ~batch:3 ~attempt:1);
-  Alcotest.(check bool) "attempt changes it" true
-    (s ~run_seed:42 ~batch:3 ~attempt:1 <> s ~run_seed:42 ~batch:3 ~attempt:2);
-  Alcotest.(check bool) "batch changes it" true
-    (s ~run_seed:42 ~batch:3 ~attempt:1 <> s ~run_seed:42 ~batch:4 ~attempt:1);
-  Alcotest.(check bool) "run seed changes it" true
-    (s ~run_seed:42 ~batch:3 ~attempt:1 <> s ~run_seed:43 ~batch:3 ~attempt:1)
-
-let test_batch_retry_recovers () =
-  Obs.enable ();
-  Obs.reset ();
-  let retries = Obs.Counter.make "verify.domain_retries" in
-  let world = Lazy.force small_world in
-  let seq, `Total t1, `Excluded e1 = Rpslyzer.Pipeline.verify world in
-  (* crash every domain so the sweep owns every batch, then fail each
-     batch's first attempt: the second attempt must recover everything,
-     and the seed handed to the hook must be the pinned pure function of
-     (run seed, batch, attempt) — chaos runs replay bit-identically *)
-  let seen = Hashtbl.create 16 in
-  let par, `Total t2, `Excluded e2 =
-    Rpslyzer.Pipeline.verify_parallel ~domains:4 ~seed:7
-      ~inject_domain_fault:(fun _ -> failwith "injected crash")
-      ~inject_batch_fault:(fun ~seed ~batch ~attempt ->
-        Hashtbl.replace seen (batch, attempt) seed;
-        if attempt = 1 then failwith "first attempt fails")
-      world
-  in
-  Obs.disable ();
-  Alcotest.(check int) "totals equal" t1 t2;
-  Alcotest.(check int) "excluded equal" e1 e2;
-  Alcotest.(check bool) "aggregates identical" true
-    (agg_fingerprint seq = agg_fingerprint par);
-  Alcotest.(check bool) "batches were retried" true (Hashtbl.length seen > 0);
-  Hashtbl.iter
-    (fun (batch, attempt) seed ->
-      Alcotest.(check int)
-        (Printf.sprintf "seed for batch %d attempt %d" batch attempt)
-        (Rpslyzer.Pipeline.retry_seed ~run_seed:7 ~batch ~attempt)
-        seed)
-    seen;
-  Alcotest.(check bool) "retries counted" true (Obs.Counter.get retries > 0)
-
-let test_batch_exhaustion_excludes_whole_batch () =
-  let world = Lazy.force small_world in
-  let _, `Total t1, `Excluded _ = Rpslyzer.Pipeline.verify world in
-  let attempts = Hashtbl.create 16 in
-  (* a hook that always raises: every batch burns its full attempt budget
-     and is excluded whole — accounting still covers every route *)
-  let par, `Total t2, `Excluded e2 =
-    Rpslyzer.Pipeline.verify_parallel ~domains:4 ~seed:7
-      ~inject_domain_fault:(fun _ -> failwith "injected crash")
-      ~inject_batch_fault:(fun ~seed:_ ~batch ~attempt ->
-        Hashtbl.replace attempts batch attempt;
-        failwith "always fails")
-      world
-  in
-  Alcotest.(check int) "totals still cover every route" t1 t2;
-  Alcotest.(check int) "every route excluded" t2 e2;
-  Alcotest.(check int) "nothing aggregated" 0 (Rz_verify.Aggregate.n_hops par);
-  Hashtbl.iter
-    (fun batch attempt ->
-      Alcotest.(check int)
-        (Printf.sprintf "batch %d stopped at the attempt budget" batch)
-        Rpslyzer.Pipeline.max_batch_attempts attempt)
-    attempts
-
 (* ---- journal parser hardening (table-driven) ---- *)
 
 (* Each case: journal text, expected accepted count, expected rejected
@@ -687,14 +540,6 @@ let suite =
     Alcotest.test_case "snapshot version bump rejected" `Quick
       test_snapshot_version_bump_rejected;
     Alcotest.test_case "snapshot corrupt fallback" `Quick test_snapshot_corrupt_fallback_parses;
-    Alcotest.test_case "all-domain crash loses nothing" `Quick test_domain_crash_loses_nothing;
-    Alcotest.test_case "single-domain crash" `Quick test_single_domain_crash;
-    Alcotest.test_case "stealing crash loses nothing" `Quick
-      test_stealing_crash_loses_nothing;
-    Alcotest.test_case "retry seed pure" `Quick test_retry_seed_pure;
-    Alcotest.test_case "batch retry recovers" `Quick test_batch_retry_recovers;
-    Alcotest.test_case "batch exhaustion excludes whole batch" `Quick
-      test_batch_exhaustion_excludes_whole_batch;
     Alcotest.test_case "journal parser table" `Quick test_journal_parser_table;
     Alcotest.test_case "query corpus rate-1.0 drill" `Quick
       test_query_corpus_rate_one_drill ]

@@ -1,9 +1,9 @@
-(* Differential and golden tests for the parallel ingestion layer
-   (Rz_ingest) and the IR snapshot cache (Rz_ir.Ir_snapshot).
+(* Differential and golden tests for the ingestion layer (Rz_ingest) and
+   the IR snapshot cache (Rz_ir.Ir_snapshot).
 
-   The contract under test is byte-identity: for any input and any
-   domain count, [Ingest.ingest] must produce an IR whose Ir_json export
-   equals the sequential oracle's ([Ingest.ingest_sequential], i.e. the
+   The contract under test is byte-identity: for any input,
+   [Ingest.ingest] (scanner + memoized fast-path parsers) must produce
+   an IR whose Ir_json export equals the sequential oracle's ([Ingest.ingest_sequential], i.e. the
    [Db.of_dumps] lowering loop) — including the error list and the
    inter-IRR first-definition-wins winners. Snapshots must round-trip
    byte-stably and a valid-looking-but-stale snapshot must miss, never
@@ -26,28 +26,28 @@ let world_dumps =
      in
      (Rpslyzer.Pipeline.build_synthetic ~topo_params ()).dumps)
 
-(* ---- differential parity: parallel vs the sequential oracle ---- *)
+(* ---- differential parity: one-pass ingest vs the sequential oracle ---- *)
 
 let test_parity_clean_world () =
   let dumps = Lazy.force world_dumps in
   Alcotest.(check int) "13-IRR world" 13 (List.length dumps);
   let oracle = export (Ingest.ingest_sequential dumps) in
-  List.iter
-    (fun domains ->
-      let got = export (Ingest.ingest ~domains ~force_domains:true dumps) in
-      Alcotest.(check bool)
-        (Printf.sprintf "byte-identical at %d forced domains" domains)
-        true (String.equal got oracle))
-    [ 1; 2; 4 ]
+  Alcotest.(check bool) "byte-identical" true
+    (String.equal (export (Ingest.ingest dumps)) oracle);
+  Alcotest.(check bool) "deprecated ~domains:1 is the same pass" true
+    (String.equal (export (Ingest.ingest ~domains:1 dumps)) oracle);
+  Alcotest.check_raises "any other ~domains is rejected"
+    (Invalid_argument "Ingest: ~domains:4 (deprecated; only 1 is accepted)")
+    (fun () -> ignore (Ingest.ingest ~domains:4 dumps))
 
 let test_parity_error_lists () =
   (* structural parity of the lowering-error list, not just its JSON *)
   let plan = Rz_fault.Fault.plan ~seed:31 ~rate:0.25 () in
   let dumps, _ = Rz_fault.Fault.corrupt_dumps plan (Lazy.force world_dumps) in
   let seq = Ingest.ingest_sequential dumps in
-  let par = Ingest.ingest ~domains:4 ~force_domains:true dumps in
+  let got = Ingest.ingest dumps in
   Alcotest.(check bool) "corruption produced lowering errors" true (seq.errors <> []);
-  Alcotest.(check bool) "error lists structurally equal" true (par.errors = seq.errors);
+  Alcotest.(check bool) "error lists structurally equal" true (got.errors = seq.errors);
   (* interned ids are deterministic (first-seen order matches the
      sequential lowering), so raw route records — ids included — must
      agree, and so must the strings the ids resolve to *)
@@ -60,7 +60,7 @@ let test_parity_error_lists () =
         :: acc)
   in
   Alcotest.(check bool) "route lists structurally equal" true
-    (witness par = witness seq)
+    (witness got = witness seq)
 
 let gen_fault_plan =
   Gen.map2
@@ -68,28 +68,12 @@ let gen_fault_plan =
     (Gen.int_range 0 10_000) (Gen.int_range 0 50)
 
 let parity_under_corruption =
-  QCheck.Test.make ~count:12 ~name:"parallel = sequential on corrupted worlds"
+  QCheck.Test.make ~count:12 ~name:"one-pass = sequential on corrupted worlds"
     (QCheck.make gen_fault_plan) (fun plan ->
       let dumps, _ = Rz_fault.Fault.corrupt_dumps plan (Lazy.force world_dumps) in
-      let oracle = export (Ingest.ingest_sequential dumps) in
-      List.for_all
-        (fun domains ->
-          String.equal oracle
-            (export (Ingest.ingest ~domains ~force_domains:true dumps)))
-        [ 2; 4 ])
-
-let test_parity_under_domain_crash () =
-  (* crash every forced domain in both parallel phases: the sequential
-     sweep must reproduce the oracle exactly *)
-  let dumps = Lazy.force world_dumps in
-  let oracle = export (Ingest.ingest_sequential dumps) in
-  let crashed =
-    Ingest.ingest ~domains:4 ~force_domains:true
-      ~inject_domain_fault:(fun _ -> failwith "injected crash")
-      dumps
-  in
-  Alcotest.(check bool) "all-domain crash still byte-identical" true
-    (String.equal oracle (export crashed))
+      String.equal
+        (export (Ingest.ingest_sequential dumps))
+        (export (Ingest.ingest dumps)))
 
 (* ---- merge priority: inter-IRR first-definition-wins ---- *)
 
@@ -117,17 +101,16 @@ let test_merge_priority_winners () =
      | Some s ->
        Alcotest.(check (list int)) (tag ^ ": alpha member list wins") [ 64500 ] s.member_asns);
     (* the unlowerable ALPHA filter-set left its key unclaimed, so the
-       later lowerable BETA definition is admitted — the sequential gate
-       behaves the same way *)
+       later lowerable BETA definition is admitted *)
     match Rz_ir.Ir.find_filter_set ir "FLTR-DUP" with
     | None -> Alcotest.failf "%s: FLTR-DUP missing" tag
     | Some f -> Alcotest.(check string) (tag ^ ": lowerable definition wins") "BETA" f.source
   in
   let seq = Ingest.ingest_sequential dumps in
-  let par = Ingest.ingest ~domains:2 ~force_domains:true dumps in
+  let one_pass = Ingest.ingest dumps in
   check seq "seq";
-  check par "par";
-  Alcotest.(check bool) "byte-identical" true (String.equal (export seq) (export par))
+  check one_pass "one-pass";
+  Alcotest.(check bool) "byte-identical" true (String.equal (export seq) (export one_pass))
 
 (* ---- scanner vs reference parser ---- *)
 
@@ -177,7 +160,7 @@ let fast_parser_parity =
       let dumps = [ ("GEN", dump) ] in
       String.equal
         (export (Ingest.ingest_sequential dumps))
-        (export (Ingest.ingest ~domains:2 ~force_domains:true dumps)))
+        (export (Ingest.ingest dumps)))
 
 (* ---- snapshot cache ---- *)
 
@@ -314,11 +297,11 @@ let test_fixture_crlf_values_clean () =
   | [] -> Alcotest.fail "CRLF fixture parsed no objects"
 
 let test_fixture_corpus_ingest_parity () =
-  (* the corpus as a 10-IRR world: parallel = sequential on real files *)
+  (* the corpus as a 10-IRR world: one-pass = sequential on real files *)
   let dumps = List.map (fun (file, _, _, _) -> (file, read_fixture file)) fixture_table in
   let oracle = export (Ingest.ingest_sequential dumps) in
   Alcotest.(check bool) "fixture world byte-identical" true
-    (String.equal oracle (export (Ingest.ingest ~domains:3 ~force_domains:true dumps)))
+    (String.equal oracle (export (Ingest.ingest dumps)))
 
 let test_truncated_file_keeps_partial () =
   (* cut a fixture mid-object (no trailing newline, mid-attribute): every
@@ -349,7 +332,6 @@ let suite =
   [ Alcotest.test_case "parity on clean world" `Quick test_parity_clean_world;
     Alcotest.test_case "parity of error lists" `Quick test_parity_error_lists;
     QCheck_alcotest.to_alcotest parity_under_corruption;
-    Alcotest.test_case "parity under domain crash" `Quick test_parity_under_domain_crash;
     Alcotest.test_case "merge priority winners" `Quick test_merge_priority_winners;
     QCheck_alcotest.to_alcotest scan_equals_parse;
     QCheck_alcotest.to_alcotest fast_parser_parity;

@@ -2,7 +2,7 @@
    counter/histogram/span semantics, JSON round-trip through Rz_json,
    and a multi-domain stress test proving no increments are lost under
    Domain.spawn fan-out (the registry's core safety claim, relied on by
-   Rpslyzer.Pipeline.verify_parallel). *)
+   the serve workers and the stream pipeline). *)
 
 module Obs = Rz_obs.Obs
 module Json = Rz_json.Json
@@ -177,139 +177,6 @@ let test_window_rolling () =
   (* make is idempotent and keeps the first geometry *)
   let w' = Obs.Window.make ~slots:99 ~slot_ms:1 "test.win_roll" in
   Alcotest.(check int) "second make keeps geometry" (4 * ns) (Obs.Window.span_ns w')
-
-let test_window_snapshot_delta () =
-  let w = Obs.Window.make ~slots:4 ~slot_ms:1000 "test.win_delta" in
-  let t0 = 200 * ns in
-  Obs.Window.observe ~now_ns:t0 w 5.0;
-  let base = Obs.Window.snapshot_all ~now_ns:t0 () in
-  Obs.Window.observe ~now_ns:t0 w 5.0;
-  Obs.Window.observe ~now_ns:(t0 + ns) w 7.0;
-  let deltas = Obs.Window.deltas_since ~now_ns:(t0 + ns) base in
-  let d =
-    match
-      List.find_opt (fun (s : Obs.Window.snap) -> s.w_name = "test.win_delta") deltas
-    with
-    | Some d -> d
-    | None -> Alcotest.fail "no delta for test.win_delta"
-  in
-  (* the delta carries exactly the post-baseline events: one more in the
-     t0 epoch, one in the t0+1s epoch *)
-  let total = List.fold_left (fun acc (_, c, _) -> acc + c) 0 d.w_cells in
-  Alcotest.(check int) "delta total" 2 total;
-  Alcotest.(check int) "delta epochs" 2 (List.length d.w_cells)
-
-(* ---------------- merge == inline differentials ---------------- *)
-
-(* The shard contract: worker processes observe into their own registry,
-   ship (histogram, window) deltas home, and the parent merges them.
-   Merging the worker snapshots in any order must equal having observed
-   every event inline — bucket-exact, not just statistically close. The
-   tests emulate the fork boundary by observing each partition into a
-   scratch metric, snapshotting it, and re-labelling the snapshot to the
-   shared target name before merge_into. *)
-
-let trial = ref 0
-
-let permutations3 = [| [ 0; 1; 2 ]; [ 0; 2; 1 ]; [ 1; 0; 2 ];
-                       [ 1; 2; 0 ]; [ 2; 0; 1 ]; [ 2; 1; 0 ] |]
-
-let hist_merge_order_differential =
-  QCheck.Test.make ~count:100
-    ~name:"histogram: merging worker deltas in any order = observing inline"
-    (QCheck.make
-       QCheck.Gen.(
-         pair
-           (list_size (int_range 0 60)
-              (pair (int_range 0 2) (float_range 0.0 1e7)))
-           (int_range 0 5)))
-    (fun (events, perm) ->
-      Obs.enable ();
-      Fun.protect ~finally:Obs.disable @@ fun () ->
-      incr trial;
-      let n = !trial in
-      let inline = Obs.Histogram.make (Printf.sprintf "test.hmerge.%d.inline" n) in
-      List.iter (fun (_, v) -> Obs.Histogram.observe inline v) events;
-      let target_name = Printf.sprintf "test.hmerge.%d.merged" n in
-      let snaps =
-        List.init 3 (fun k ->
-            let scratch =
-              Obs.Histogram.make (Printf.sprintf "test.hmerge.%d.w%d" n k)
-            in
-            List.iter
-              (fun (owner, v) ->
-                if owner = k then Obs.Histogram.observe scratch v)
-              events;
-            { (Obs.Histogram.snapshot scratch) with s_name = target_name })
-      in
-      List.iter
-        (fun i -> Obs.Histogram.merge_into (List.nth snaps i))
-        permutations3.(perm);
-      let merged = Obs.Histogram.make target_name in
-      if Obs.Histogram.counts merged <> Obs.Histogram.counts inline then
-        QCheck.Test.fail_reportf "buckets diverge: merged count %d, inline %d"
-          (Obs.Histogram.count merged) (Obs.Histogram.count inline);
-      true)
-
-let window_fingerprint (s : Obs.Window.snap) =
-  String.concat ";"
-    (List.map
-       (fun (epoch, count, buckets) ->
-         Printf.sprintf "%d:%d:%s" epoch count
-           (String.concat "," (List.map string_of_int (Array.to_list buckets))))
-       s.w_cells)
-
-let window_merge_order_differential =
-  QCheck.Test.make ~count:100
-    ~name:"window: merging worker snapshots in any order = observing inline"
-    (QCheck.make
-       QCheck.Gen.(
-         pair
-           (list_size (int_range 0 60)
-              (triple (int_range 0 2) (int_range 0 20) (float_range 0.0 1e7)))
-           (int_range 0 5)))
-    (fun (events, perm) ->
-      Obs.enable ();
-      Fun.protect ~finally:Obs.disable @@ fun () ->
-      incr trial;
-      let n = !trial in
-      let t0 = 1000 * ns in
-      let t_read = t0 + (20 * ns) in
-      (* 12x5s window: every event offset (0..20s) stays in window *)
-      let at off = t0 + (off * ns) in
-      let by_time = List.sort (fun (_, a, _) (_, b, _) -> compare a b) events in
-      let inline = Obs.Window.make (Printf.sprintf "test.wmerge.%d.inline" n) in
-      List.iter (fun (_, off, v) -> Obs.Window.observe ~now_ns:(at off) inline v) by_time;
-      let target_name = Printf.sprintf "test.wmerge.%d.merged" n in
-      let snaps =
-        List.init 3 (fun k ->
-            let scratch =
-              Obs.Window.make (Printf.sprintf "test.wmerge.%d.w%d" n k)
-            in
-            List.iter
-              (fun (owner, off, v) ->
-                if owner = k then Obs.Window.observe ~now_ns:(at off) scratch v)
-              by_time;
-            { (Obs.Window.snapshot ~now_ns:t_read scratch) with w_name = target_name })
-      in
-      List.iter
-        (fun i -> Obs.Window.merge_into (List.nth snaps i))
-        permutations3.(perm);
-      let merged = Obs.Window.make target_name in
-      let fp_merged =
-        window_fingerprint (Obs.Window.snapshot ~now_ns:t_read merged)
-      in
-      let fp_inline =
-        window_fingerprint (Obs.Window.snapshot ~now_ns:t_read inline)
-      in
-      if fp_merged <> fp_inline then
-        QCheck.Test.fail_reportf "window cells diverge:\nmerged %s\ninline %s"
-          fp_merged fp_inline;
-      if
-        Obs.Window.total ~now_ns:t_read merged
-        <> Obs.Window.total ~now_ns:t_read inline
-      then QCheck.Test.fail_reportf "window totals diverge";
-      true)
 
 (* ---------------- scrape-vs-observe race ---------------- *)
 
@@ -628,27 +495,6 @@ let test_span_crash_isolation () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "snapshot after crash invalid: %s" e
 
-let test_parallel_verify_counters_match_sequential () =
-  (* the counters under Pipeline.verify_parallel (domains = 4) must agree
-     with a sequential run over the same world: nothing lost, nothing
-     double-counted *)
-  let world =
-    Rpslyzer.Pipeline.build_synthetic
-      ~topo_params:{ Rz_topology.Gen.default_params with n_tier1 = 3; n_mid = 12; n_stub = 30 }
-      ()
-  in
-  let hops = Obs.Counter.make "verify.hops_total" in
-  Obs.reset ();
-  let agg_seq, _, _ = Rpslyzer.Pipeline.verify world in
-  let seq_hops = Obs.Counter.get hops in
-  Alcotest.(check int) "sequential counter = aggregate hops"
-    (Rz_verify.Aggregate.n_hops agg_seq) seq_hops;
-  Obs.reset ();
-  let agg_par, _, _ = Rpslyzer.Pipeline.verify_parallel ~domains:4 world in
-  Alcotest.(check int) "parallel counter = aggregate hops"
-    (Rz_verify.Aggregate.n_hops agg_par) (Obs.Counter.get hops);
-  Alcotest.(check int) "parallel = sequential" seq_hops (Obs.Counter.get hops)
-
 let test_recovery_names_complete () =
   (* Obs.recovery_counter_names is the single source of truth the CLI's
      exit-2 policy and the docs both read. Counters register at library
@@ -695,9 +541,6 @@ let suite =
     Alcotest.test_case "json round-trip" `Quick (with_metrics test_json_roundtrip);
     Alcotest.test_case "text rendering" `Quick (with_metrics test_text_rendering);
     Alcotest.test_case "window rolling semantics" `Quick (with_metrics test_window_rolling);
-    Alcotest.test_case "window snapshot delta" `Quick (with_metrics test_window_snapshot_delta);
-    QCheck_alcotest.to_alcotest hist_merge_order_differential;
-    QCheck_alcotest.to_alcotest window_merge_order_differential;
     Alcotest.test_case "scrape under observe stress (4 domains)" `Quick
       (with_metrics test_scrape_under_observe_stress);
     Alcotest.test_case "prometheus round-trip" `Quick (with_metrics test_prometheus_roundtrip);
@@ -708,7 +551,5 @@ let suite =
       (with_metrics test_multi_domain_no_lost_increments);
     Alcotest.test_case "span crash isolation (4 domains)" `Quick
       (with_metrics test_span_crash_isolation);
-    Alcotest.test_case "verify_parallel counters" `Quick
-      (with_metrics test_parallel_verify_counters_match_sequential);
     Alcotest.test_case "recovery counter list complete" `Quick
       (with_metrics test_recovery_names_complete) ]

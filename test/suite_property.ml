@@ -229,9 +229,9 @@ let fault_parse_total =
           && (String.trim corrupted = "" || a.objects <> [] || a.errors <> []))
         (Lazy.force fault_base_dumps))
 
-(* Hop accounting survives corruption and domain crashes: the aggregate's
-   per-class counts sum to its hop total, and both agree with the
-   verify.hops_total observability counter. *)
+(* Hop accounting survives corruption: the aggregate's per-class counts
+   sum to its hop total, and both agree with the verify.hops_total
+   observability counter. *)
 let fault_hops_accounting =
   QCheck.Test.make ~count:5 ~name:"hop accounting under corruption"
     (QCheck.make gen_fault_plan) (fun plan ->
@@ -246,11 +246,7 @@ let fault_hops_accounting =
       Rz_obs.Obs.enable ();
       Rz_obs.Obs.reset ();
       let c_hops = Rz_obs.Obs.Counter.make "verify.hops_total" in
-      let agg, _, _ =
-        Rpslyzer.Pipeline.verify_parallel ~domains:3
-          ~inject_domain_fault:(fun d -> if d = 0 then failwith "crash")
-          world
-      in
+      let agg, _, _ = Rpslyzer.Pipeline.verify world in
       let counted = Rz_obs.Obs.Counter.get c_hops in
       Rz_obs.Obs.disable ();
       let classes = Rz_verify.Aggregate.counts_classes (Rz_verify.Aggregate.overall agg) in

@@ -1,9 +1,6 @@
 let () =
   Alcotest.run "rpslyzer"
-    [ (* shard must run first: it forks, and OCaml 5 forbids Unix.fork
-         once any suite has spawned a domain (see suite_shard.ml) *)
-      ("shard", Suite_shard.suite);
-      ("util", Suite_util.suite);
+    [ ("util", Suite_util.suite);
       ("intern", Suite_intern.suite);
       ("json", Suite_json.suite);
       ("net", Suite_net.suite);
