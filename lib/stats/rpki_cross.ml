@@ -130,8 +130,7 @@ let of_json json =
   t.no_origin <- no_origin;
   Ok t
 
-(* Exact structural diff with dotted paths — the same shape as the bench
-   harness's --metrics-diff walk, but with no tolerances: the golden
+(* Exact structural diff with dotted paths and no tolerances: the golden
    matrix is integer-only and deterministic, so any drift is a finding. *)
 let diff_json ~baseline current =
   let out = ref [] in

@@ -303,13 +303,12 @@ let small_world =
 let base_db =
   lazy (Db.of_dumps (Lazy.force small_world).Rpslyzer.Pipeline.dumps)
 
-let chunk3 ops =
-  let n = List.length ops in
-  let k = max 1 ((n + 2) / 3) in
-  let b1 = List.filteri (fun i _ -> i < k) ops in
-  let b2 = List.filteri (fun i _ -> i >= k && i < 2 * k) ops in
-  let b3 = List.filteri (fun i _ -> i >= 2 * k) ops in
-  List.filter (fun b -> b <> []) [ b1; b2; b3 ]
+(* Split a journal into at most [parts] consecutive batches of equal
+   size (the last may be short), dropping empty ones. *)
+let chunk parts ops =
+  let k = max 1 ((List.length ops + parts - 1) / parts) in
+  List.init parts (fun b -> List.filteri (fun i _ -> i / k = b) ops)
+  |> List.filter (fun b -> b <> [])
 
 (* Eight concurrent sessions race three live generation swaps; every
    transcript+fingerprint pair a reader observes must equal one of the
@@ -325,7 +324,7 @@ let qcheck_soak =
       let ops = Nrtm.generate ~seed ~n:24 world.Rpslyzer.Pipeline.dumps in
       if List.length ops < 6 then
         QCheck.Test.fail_reportf "journal too small at seed %d" seed;
-      let batches = chunk3 ops in
+      let batches = chunk 3 ops in
       let probes =
         [ "!r198.18.0.0/24"; "!r198.18.1.0/24"; "!gAS64511"; "!iAS-NOWHERE" ]
       in
@@ -405,7 +404,7 @@ let qcheck_incremental_equals_batch =
       let dumps = world.Rpslyzer.Pipeline.dumps in
       let ops = Nrtm.generate ~seed ~n dumps in
       let store = Generation.init (Db.ir base) in
-      List.iter (fun batch -> ignore (Generation.apply store batch)) (chunk3 ops);
+      List.iter (fun batch -> ignore (Generation.apply store batch)) (chunk 3 ops);
       let fp_incremental = Generation.fingerprint (Generation.current store) in
       let fp_batch =
         Generation.fingerprint (Db.of_dumps (Nrtm.apply_to_dumps ops dumps))
@@ -450,7 +449,7 @@ let test_scrape_soak_under_swaps () =
   let world = Lazy.force small_world in
   let base = Lazy.force base_db in
   let ops = Nrtm.generate ~seed:55 ~n:24 world.Rpslyzer.Pipeline.dumps in
-  let batches = chunk3 ops in
+  let batches = chunk 3 ops in
   Alcotest.(check int) "three batches" 3 (List.length batches);
   let n_gens = List.length batches + 1 in
   let store = Generation.init (Db.ir base) in
@@ -516,7 +515,7 @@ let test_scrape_matches_access_log () =
   let world = Lazy.force small_world in
   let base = Lazy.force base_db in
   let ops = Nrtm.generate ~seed:77 ~n:24 world.Rpslyzer.Pipeline.dumps in
-  let batches = chunk3 ops in
+  let batches = chunk 3 ops in
   Alcotest.(check int) "three batches" 3 (List.length batches);
   let log_path = Filename.temp_file "rz_access" ".jsonl" in
   Fun.protect ~finally:(fun () -> try Sys.remove log_path with Sys_error _ -> ())

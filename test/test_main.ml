@@ -32,4 +32,5 @@ let () =
       ("fault", Suite_fault.suite);
       ("stream", Suite_stream.suite);
       ("serve", Suite_serve.suite);
-      ("ingest", Suite_ingest.suite) ]
+      ("ingest", Suite_ingest.suite);
+      ("accounting", Suite_accounting.suite) ]
