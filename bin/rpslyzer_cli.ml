@@ -1044,8 +1044,7 @@ let top_cmd =
         (num "serve_queries_total") (num "serve_queries_rejected");
       line "  query timeouts    %10.0f   sessions dropped %10.0f"
         (num "serve_query_timeouts") (num "serve_sessions_dropped");
-      line "  accesslog dropped %10.0f   watchdog trips   %10.0f"
-        (num "obs_accesslog_dropped") (num "stream_watchdog_trips");
+      line "  accesslog dropped %10.0f" (num "obs_accesslog_dropped");
       Buffer.contents b
     in
     if once then print_string (render ())
@@ -1096,8 +1095,8 @@ let top_cmd =
        ~doc:
          "Live one-screen health view of a running serve process: polls \
           the $(b,!s) telemetry scrape and renders windowed qps, rolling \
-          p50/p99 latency, in-flight sessions, rejects, the live \
-          generation/serial/fingerprint, and watchdog state.")
+          p50/p99 latency, in-flight sessions, rejects, and the live \
+          generation/serial/fingerprint.")
     Term.(const run $ connect $ interval $ once)
 
 (* ---------------- peval ---------------- *)
@@ -1400,9 +1399,8 @@ let rpki_cmd =
 (* ---------------- stream ---------------- *)
 
 let stream_cmd =
-  let run obs dir seed events window capacity policy edit_rate
-      chaos_rate chaos_seed max_retries backoff_ms watchdog_ms journal_out
-      replay json_out golden =
+  let run obs dir seed events window edit_rate chaos_rate chaos_seed
+      max_retries journal_out replay json_out golden =
     guarded @@ fun () ->
     let module S = Rz_stream.Stream in
     let module E = Rz_routegen.Events in
@@ -1454,36 +1452,18 @@ let stream_cmd =
       (match journal_out with
        | Some path -> write_file ~what:"journal" path (E.render items)
        | None -> ());
-      let policy =
-        match String.lowercase_ascii policy with
-        | "block" -> Rz_stream.Bqueue.Block
-        | "shed-oldest" -> Rz_stream.Bqueue.Shed_oldest
-        | p when String.length p > 7 && String.sub p 0 7 = "sample:" -> (
-          match float_of_string_opt (String.sub p 7 (String.length p - 7)) with
-          | Some f when f >= 0. && f <= 1. -> Rz_stream.Bqueue.Sample f
-          | _ -> failwith (Printf.sprintf "bad sample rate in --policy %s" p))
-        | p -> failwith (Printf.sprintf "unknown --policy %s" p)
-      in
       let chaos =
         if chaos_rate > 0. then
           Some (Rz_fault.Fault.plan ~seed:chaos_seed ~rate:chaos_rate ())
         else None
       in
-      let config =
-        { S.window;
-          queue_capacity = capacity;
-          policy;
-          chaos;
-          max_retries;
-          backoff_ms;
-          watchdog_ms }
-      in
+      let config = { S.window; chaos; max_retries } in
       let t =
         S.create ~config
           ~ir:(Rz_irr.Db.ir world.Rpslyzer.Pipeline.db)
           ~rels:world.Rpslyzer.Pipeline.rels ()
       in
-      let stats = S.run ~seed t items in
+      let stats = S.run t items in
       let doc = S.stats_to_json t stats in
       let snapshot = Rpslyzer.Obs.Registry.snapshot () in
       let counters = Rpslyzer.Obs.Registry.counters snapshot in
@@ -1499,12 +1479,8 @@ let stream_cmd =
           "events: %d processed, %d applied, %d abandoned, %d rejected\n"
           stats.S.r_processed stats.S.r_applied stats.S.r_abandoned
           stats.S.r_rejected;
-        Printf.printf "queue: %d dropped, %d sampled, hwm %d, final policy %s\n"
-          stats.S.r_dropped stats.S.r_sampled stats.S.r_hwm
-          (Rz_stream.Bqueue.policy_name stats.S.r_final_policy);
-        Printf.printf
-          "engine: %d generations, %d invalidations, %d watchdog trips\n"
-          (S.generations t) (S.invalidated t) stats.S.r_watchdog_trips;
+        Printf.printf "engine: %d generations, %d invalidations\n"
+          (S.generations t) (S.invalidated t);
         Printf.printf "\n== windows ==\n";
         List.iter
           (fun (w : S.window) ->
@@ -1537,22 +1513,7 @@ let stream_cmd =
          match Rpslyzer.Json.of_string baseline_text with
          | Error e -> failwith (Printf.sprintf "golden file %s: %s" path e)
          | Ok baseline ->
-           (* The event stream and verdicts are deterministic, but queue
-              occupancy depends on producer/consumer interleaving, so the
-              golden surface projects those timing-dependent fields away.
-              The baseline is a full `--json` dump; both sides are
-              projected, so regeneration is just re-running with --json. *)
-           let stable doc =
-             Rpslyzer.Json.Obj
-               (List.filter_map
-                  (fun k ->
-                    Option.map (fun v -> (k, v)) (Rpslyzer.Json.member k doc))
-                  [ "processed"; "applied"; "abandoned"; "rejected";
-                    "generations"; "invalidated"; "rib"; "windows" ])
-           in
-           mismatches :=
-             Rz_stats.Rpki_cross.diff_json ~baseline:(stable baseline)
-               (stable doc));
+           mismatches := Rz_stats.Rpki_cross.diff_json ~baseline doc);
       degraded
     in
     (match !mismatches with
@@ -1585,19 +1546,6 @@ let stream_cmd =
       & info [ "window" ] ~docv:"N"
           ~doc:"Events per windowed per-verdict aggregate.")
   in
-  let capacity =
-    Arg.(
-      value & opt int 256
-      & info [ "capacity" ] ~docv:"N" ~doc:"Bounded queue capacity.")
-  in
-  let policy =
-    Arg.(
-      value & opt string "block"
-      & info [ "policy" ] ~docv:"POLICY"
-          ~doc:"Backpressure policy when the queue is full: $(b,block) \
-                (lossless, deterministic), $(b,shed-oldest) (newest wins), \
-                or $(b,sample:P) (admit with probability P).")
-  in
   let edit_rate =
     Arg.(
       value & opt float 0.05
@@ -1609,7 +1557,7 @@ let stream_cmd =
       value & opt float 0.
       & info [ "chaos" ] ~docv:"P"
           ~doc:"Per-attempt probability that applying an event fails \
-                (seeded, replayable). Retries with exponential backoff; \
+                (seeded, replayable). Failed attempts are retried; \
                 budget exhaustion abandons the event and degrades the run.")
   in
   let chaos_seed =
@@ -1620,19 +1568,6 @@ let stream_cmd =
       value & opt int 2
       & info [ "max-retries" ] ~docv:"N"
           ~doc:"Retries before an event is abandoned.")
-  in
-  let backoff_ms =
-    Arg.(
-      value & opt float 0.
-      & info [ "backoff-ms" ] ~docv:"MS"
-          ~doc:"Base retry backoff in milliseconds, doubled per attempt.")
-  in
-  let watchdog_ms =
-    Arg.(
-      value & opt int 0
-      & info [ "watchdog-ms" ] ~docv:"MS"
-          ~doc:"Stall-detection interval; a stalled consumer degrades the \
-                queue policy to shed-oldest. 0 disables.")
   in
   let journal_out =
     Arg.(
@@ -1658,26 +1593,24 @@ let stream_cmd =
       value
       & opt (some string) None
       & info [ "golden" ] ~docv:"FILE"
-          ~doc:"Structurally compare this run's JSON summary against the \
-                baseline in $(docv); any difference is printed and the \
-                command exits 1. Timing-dependent fields (queue occupancy, \
-                backpressure tallies) are projected away on both sides, so \
-                a baseline is just a committed $(b,--json) dump.")
+          ~doc:"Structurally compare this run's whole JSON summary against \
+                the baseline in $(docv); any difference is printed and the \
+                command exits 1. A run is deterministic, so a baseline is \
+                just a committed $(b,--json) dump.")
   in
   Cmd.v
     (Cmd.info "stream"
        ~doc:
          "Stream a live update feed (announce/withdraw/policy-edit events) \
-          through the incremental verification service: bounded queues \
-          with explicit backpressure, churn-safe cache invalidation, \
-          windowed per-verdict aggregates. Exits 0 when clean, 1 on \
-          golden mismatch or hard failure, 2 when the pipeline degraded \
-          (dropped, sampled, abandoned, or rejected events; watchdog \
-          trips).")
+          through the incremental verification service, one event at a \
+          time: churn-safe cache invalidation, windowed per-verdict \
+          aggregates. Exits 0 when clean, 1 on golden mismatch or hard \
+          failure, 2 when the run degraded (abandoned or rejected \
+          events, or any recovery counter fired).")
     Term.(
-      const run $ obs_opts_term $ dir $ seed $ events $ window $ capacity
-      $ policy $ edit_rate $ chaos_rate $ chaos_seed $ max_retries $ backoff_ms
-      $ watchdog_ms $ journal_out $ replay $ json_out $ golden)
+      const run $ obs_opts_term $ dir $ seed $ events $ window $ edit_rate
+      $ chaos_rate $ chaos_seed $ max_retries $ journal_out $ replay
+      $ json_out $ golden)
 
 (* ---------------- faultinject ---------------- *)
 

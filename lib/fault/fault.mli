@@ -10,8 +10,9 @@
 
     Faults never make the pipeline {e wrong}, only {e degraded}: parsers
     record errors, flatteners truncate, matchers abstain. The harness in
-    [bin/rpslyzer_cli.ml] ([faultinject]) and the [--chaos] bench sweep
-    assert exactly that. Applications are counted on [fault.injected]. *)
+    [bin/rpslyzer_cli.ml] ([faultinject]) and the [accounting] test
+    suite's "chaos sweep table" and "chaos sweep contract" cases assert
+    exactly that. Applications are counted on [fault.injected]. *)
 
 type kind =
   | Truncate_mid_object  (** cut the object's text at a random byte *)

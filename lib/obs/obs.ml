@@ -425,11 +425,8 @@ let recovery_counter_names =
     "flatten.truncated";
     "nfa.capped";
     "rpki.roas_rejected";
-    "stream.events_dropped";
-    "stream.events_sampled";
     "stream.events_abandoned";
     "stream.journal_rejected";
-    "stream.watchdog_trips";
     "stream.retries";
     "serve.queries_rejected";
     "serve.sessions_rejected";

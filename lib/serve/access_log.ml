@@ -1,6 +1,5 @@
 (* Structured per-query access log. See access_log.mli. *)
 
-module Bqueue = Rz_stream.Bqueue
 module Obs = Rz_obs.Obs
 module Json = Rz_json.Json
 module Trace = Rz_trace.Trace
@@ -13,7 +12,7 @@ type t = {
   sampling : Trace.sampling;
   (* per-response-class quota ledger under [Per_status]; the mutex also
      serializes [close] against late [log] calls racing the queue close *)
-  quota : (string, int) Hashtbl.t;
+  quota : Trace.Quota.t;
   lock : Mutex.t;
   mutable closed : bool;
   writer : unit Domain.t;
@@ -21,10 +20,9 @@ type t = {
 
 let create ?(capacity = 1024) ?(sampling = Trace.All) path =
   let capacity = max 1 capacity in
-  (* Double the admission bound inside the queue itself: [log] drops at
-     [capacity] by length check, so racing producers overshooting the
-     check still never block on a full queue. *)
-  let queue = Bqueue.create ~capacity:(2 * capacity) () in
+  (* [log] checks the length and pushes under [lock], dropping at
+     [capacity], so a push never blocks on a full queue. *)
+  let queue = Bqueue.create ~capacity in
   (* open in the caller so a bad path fails [create], not the domain *)
   let oc = open_out path in
   let writer =
@@ -42,20 +40,14 @@ let create ?(capacity = 1024) ?(sampling = Trace.All) path =
         in
         loop ())
   in
-  { queue; capacity; sampling; quota = Hashtbl.create 8;
+  { queue; capacity; sampling; quota = Trace.Quota.create ();
     lock = Mutex.create (); closed = false; writer }
 
 let should_keep t verdict =
-  match t.sampling with
-  | Trace.Off -> false
-  | Trace.All -> true
-  | Trace.Per_status q ->
-    Mutex.lock t.lock;
-    let n = Option.value ~default:0 (Hashtbl.find_opt t.quota verdict) in
-    let keep = n < q in
-    if keep then Hashtbl.replace t.quota verdict (n + 1);
-    Mutex.unlock t.lock;
-    keep
+  Mutex.lock t.lock;
+  let keep = Trace.Quota.admit t.sampling t.quota verdict in
+  Mutex.unlock t.lock;
+  keep
 
 let log t ~peer ~query ~verdict ?rejected ~latency_ns ~generation ~serial () =
   if should_keep t verdict then begin
@@ -74,10 +66,8 @@ let log t ~peer ~query ~verdict ?rejected ~latency_ns ~generation ~serial () =
     in
     let line = Json.to_string record in
     Mutex.lock t.lock;
-    let dropped =
-      t.closed || Bqueue.length t.queue >= t.capacity
-      || not (Bqueue.push t.queue line)
-    in
+    let dropped = t.closed || Bqueue.length t.queue >= t.capacity in
+    if not dropped then Bqueue.push t.queue line;
     Mutex.unlock t.lock;
     if dropped then Obs.Counter.incr c_dropped
   end

@@ -1,7 +1,6 @@
 (* Long-lived IRRd query service. See serve.mli. *)
 
 module Irrd_query = Rz_irr.Irrd_query
-module Bqueue = Rz_stream.Bqueue
 module Nrtm = Rz_synthirr.Nrtm
 module Obs = Rz_obs.Obs
 module Json = Rz_json.Json
@@ -300,7 +299,7 @@ let accept_loop t () =
           else
             (* the accept domain is the only producer, so the length
                check above keeps this push from ever blocking *)
-            ignore (Bqueue.push t.queue fd)));
+            Bqueue.push t.queue fd));
       loop ()
     end
   in
@@ -337,7 +336,7 @@ let start ?(config = default_config) ?(journal = []) ?access_log store address =
       listen_fd;
       bound_port;
       sock_path;
-      queue = Bqueue.create ~capacity:(max 1 config.max_inflight) ();
+      queue = Bqueue.create ~capacity:(max 1 config.max_inflight);
       stopping = Atomic.make false;
       access_log;
       journal;

@@ -2,7 +2,7 @@
 
     The server speaks the {!Rz_irr.Irrd_query} protocol on a TCP or Unix
     socket: an accept loop admits client sessions into a bounded queue
-    ({!Rz_stream.Bqueue}) drained by a pool of worker domains, each
+    ({!Bqueue}) drained by a pool of worker domains, each
     session answering query lines against whatever generation its
     {!Generation.store} publishes at the moment the query arrives. One
     control extension, [!u], applies the next pending NRTM journal batch

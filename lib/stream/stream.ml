@@ -16,29 +16,17 @@ module Json = Rz_json.Json
 
 let c_abandoned = Obs.Counter.make "stream.events_abandoned"
 let c_retries = Obs.Counter.make "stream.retries"
-let c_watchdog = Obs.Counter.make "stream.watchdog_trips"
 let c_reverified = Obs.Counter.make "stream.reverified"
 let h_event_ns = Obs.Histogram.make "stream.event_ns"
 let h_patch_ns = Obs.Histogram.make "stream.patch_ns"
 
 type config = {
   window : int;
-  queue_capacity : int;
-  policy : Bqueue.policy;
   chaos : Fault.plan option;
   max_retries : int;
-  backoff_ms : float;
-  watchdog_ms : int;
 }
 
-let default_config =
-  { window = 64;
-    queue_capacity = 256;
-    policy = Bqueue.Block;
-    chaos = None;
-    max_retries = 2;
-    backoff_ms = 1.0;
-    watchdog_ms = 0 }
+let default_config = { window = 64; chaos = None; max_retries = 2 }
 
 type window = {
   w_index : int;
@@ -452,12 +440,7 @@ let feed t (item : Events.item) =
         let rec attempt k =
           if chaos_fires plan ~seq:item.Events.seq ~attempt:k then
             if k > t.cfg.max_retries then Abandoned
-            else (
-              Obs.Counter.incr c_retries;
-              if t.cfg.backoff_ms > 0. then
-                Unix.sleepf
-                  (t.cfg.backoff_ms *. (2. ** float_of_int (k - 1)) /. 1000.);
-              attempt (k + 1))
+            else (Obs.Counter.incr c_retries; attempt (k + 1))
           else
             match apply_event t item.Events.ev with
             | Ok () -> Applied
@@ -470,7 +453,7 @@ let feed t (item : Events.item) =
   result
 
 (* ------------------------------------------------------------------ *)
-(* Pipelined run                                                       *)
+(* Run                                                                 *)
 (* ------------------------------------------------------------------ *)
 
 type run_stats = {
@@ -478,73 +461,17 @@ type run_stats = {
   r_applied : int;
   r_abandoned : int;
   r_rejected : int;
-  r_dropped : int;
-  r_sampled : int;
-  r_hwm : int;
-  r_watchdog_trips : int;
-  r_final_policy : Bqueue.policy;
   r_degraded : bool;
 }
 
-let run ?(seed = 0) t items =
-  let q = Bqueue.create ~policy:t.cfg.policy ~seed ~capacity:t.cfg.queue_capacity () in
-  let heartbeat = Atomic.make 0 in
-  let finished = Atomic.make false in
-  let trips = Atomic.make 0 in
-  let producer =
-    Domain.spawn (fun () ->
-        List.iter (fun item -> ignore (Bqueue.push q item)) items;
-        Bqueue.close q)
-  in
-  let watchdog =
-    if t.cfg.watchdog_ms <= 0 then None
-    else
-      Some
-        (Domain.spawn (fun () ->
-             let last = ref (-1) in
-             while not (Atomic.get finished) do
-               Unix.sleepf (float_of_int t.cfg.watchdog_ms /. 1000.);
-               let beat = Atomic.get heartbeat in
-               if
-                 (not (Atomic.get finished))
-                 && beat = !last
-                 && Bqueue.length q > 0
-               then (
-                 (* consumer stalled with work queued: degrade so the
-                    producer can never wedge behind a full queue *)
-                 Atomic.incr trips;
-                 Obs.Counter.incr c_watchdog;
-                 Bqueue.set_policy q Bqueue.Shed_oldest);
-               last := beat
-             done))
-  in
-  let rec consume () =
-    match Bqueue.pop q with
-    | None -> ()
-    | Some item ->
-        ignore (feed t item);
-        Atomic.incr heartbeat;
-        consume ()
-  in
-  consume ();
-  Atomic.set finished true;
-  Domain.join producer;
-  Option.iter Domain.join watchdog;
+let run t items =
+  List.iter (fun item -> ignore (feed t item)) items;
   flush t;
-  let dropped = Bqueue.dropped q and sampled = Bqueue.sampled q in
-  let trips = Atomic.get trips in
   { r_processed = t.processed;
     r_applied = t.applied;
     r_abandoned = t.abandoned;
     r_rejected = t.rejected;
-    r_dropped = dropped;
-    r_sampled = sampled;
-    r_hwm = Bqueue.hwm q;
-    r_watchdog_trips = trips;
-    r_final_policy = Bqueue.policy q;
-    r_degraded =
-      t.abandoned > 0 || t.rejected > 0 || dropped > 0 || sampled > 0
-      || trips > 0 }
+    r_degraded = t.abandoned > 0 || t.rejected > 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Views and summaries                                                 *)
@@ -575,11 +502,6 @@ let stats_to_json t (stats : run_stats) =
       ("applied", Json.Int stats.r_applied);
       ("abandoned", Json.Int stats.r_abandoned);
       ("rejected", Json.Int stats.r_rejected);
-      ("dropped", Json.Int stats.r_dropped);
-      ("sampled", Json.Int stats.r_sampled);
-      ("queue_hwm", Json.Int stats.r_hwm);
-      ("watchdog_trips", Json.Int stats.r_watchdog_trips);
-      ("final_policy", Json.String (Bqueue.policy_name stats.r_final_policy));
       ("degraded", Json.Bool stats.r_degraded);
       ("generations", Json.Int t.generations);
       ("invalidated", Json.Int t.invalidated);

@@ -17,31 +17,22 @@
     from-scratch batch verify after every edit of any event sequence,
     faults included.
 
-    Overload and fault handling are explicit: events flow through a
-    {!Bqueue} whose policy bounds memory (block / shed-oldest /
-    degrade-to-sampling), chaos-injected failures are retried with
-    seeded exponential backoff and abandoned after a budget
-    ([stream.events_abandoned]), and a watchdog degrades the queue
-    policy rather than let a stalled stage wedge the pipeline
-    ([stream.watchdog_trips]). The pipeline degrades — it never crashes
-    or deadlocks, even at chaos rate 1.0. *)
+    Events are fed one at a time on the caller's domain, in order, so a
+    run is deterministic end to end. Chaos-injected failures are retried
+    and abandoned after a budget ([stream.events_abandoned]); the
+    service degrades — it never crashes, even at chaos rate 1.0. *)
 
 type config = {
   window : int;           (** events per aggregate window (count-based) *)
-  queue_capacity : int;   (** bounded-queue capacity for {!run} *)
-  policy : Bqueue.policy; (** initial backpressure policy *)
   chaos : Rz_fault.Fault.plan option;
       (** seeded fault injection: each event application fails with
           probability [rate], deterministically per
           (plan seed, event seq, attempt) *)
   max_retries : int;      (** retries before an event is abandoned *)
-  backoff_ms : float;     (** base retry backoff, doubled per attempt; 0 in tests *)
-  watchdog_ms : int;      (** stall-detection interval for {!run}; 0 disables *)
 }
 
 val default_config : config
-(** window 64, capacity 256, [Block], no chaos, 2 retries, 1ms backoff,
-    watchdog off. *)
+(** window 64, no chaos, 2 retries. *)
 
 type t
 
@@ -74,7 +65,7 @@ val reports : t -> (Rz_bgp.Route.t * Rz_verify.Report.route_report option) list
 type feed_result = Applied | Abandoned | Rejected of string
 
 val feed : t -> Rz_routegen.Events.item -> feed_result
-(** Apply one event synchronously (chaos, retries and backoff included).
+(** Apply one event synchronously (chaos and retries included).
     Window accounting advances; a full window closes automatically. *)
 
 (** {1 Windowed aggregates} *)
@@ -101,28 +92,19 @@ val flush : t -> unit
 
 val window_to_json : window -> Rz_json.Json.t
 
-(** {1 Pipelined run} *)
+(** {1 Run} *)
 
 type run_stats = {
   r_processed : int;
   r_applied : int;
   r_abandoned : int;
   r_rejected : int;
-  r_dropped : int;
-  r_sampled : int;
-  r_hwm : int;            (** queue high-water mark (bounded-memory witness) *)
-  r_watchdog_trips : int;
-  r_final_policy : Bqueue.policy;  (** differs from the config's after degradation *)
   r_degraded : bool;
-      (** any recovery path fired — the CLI's exit-2 signal *)
+      (** an event was abandoned or rejected — the CLI's exit-2 signal *)
 }
 
-val run : ?seed:int -> t -> Rz_routegen.Events.item list -> run_stats
-(** Producer domain -> bounded queue -> consumer (calling domain), with
-    the watchdog (when enabled) monitoring consumer heartbeats and
-    degrading the queue policy to [Shed_oldest] on a stall. Joins all
-    domains and flushes the trailing window before returning. [seed]
-    drives [Sample] admission. *)
+val run : t -> Rz_routegen.Events.item list -> run_stats
+(** {!feed} every item in order, then {!flush}. *)
 
 val stats_to_json : t -> run_stats -> Rz_json.Json.t
 (** Full run summary: stats, cache sizes, and every window. *)

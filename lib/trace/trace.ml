@@ -15,6 +15,23 @@ let sampling_to_string = function
   | All -> "all"
   | Per_status q -> Printf.sprintf "quota:%d" q
 
+(* "Keep the first [q] of each class": the ledger counts an admission
+   when it grants it, so a caller that builds its record only after a
+   [true] never pays for the drops. *)
+module Quota = struct
+  type t = (string, int) Hashtbl.t
+
+  let create () : t = Hashtbl.create 8
+
+  let admit sampling (t : t) cls =
+    match sampling with
+    | Off -> false
+    | All -> true
+    | Per_status q ->
+      let n = Option.value ~default:0 (Hashtbl.find_opt t cls) in
+      n < q && (Hashtbl.replace t cls (n + 1); true)
+end
+
 let sampling_of_string s =
   match String.lowercase_ascii (String.trim s) with
   | "off" -> Some Off
@@ -72,7 +89,7 @@ type ring = {
   mutable pos : int;          (* next write slot *)
   mutable written : int;      (* records accepted into this ring *)
   mutable overwritten : int;  (* records evicted by ring wrap-around *)
-  counts : (string, int ref) Hashtbl.t;  (* per verdict_class, for quotas *)
+  quota : Quota.t;  (* per verdict_class admissions under [Per_status] *)
 }
 
 let on = Atomic.make false
@@ -103,7 +120,7 @@ let my_ring () =
     let r =
       { r_gen = gen; r_domain = (Domain.self () :> int); r_cap = cap;
         buf = Array.make cap None; pos = 0; written = 0; overwritten = 0;
-        counts = Hashtbl.create 8 }
+        quota = Quota.create () }
     in
     with_lock (fun () -> rings := r :: !rings);
     cell := Some r;
@@ -122,19 +139,12 @@ let enabled () = Atomic.get on
 let sampling () = Atomic.get policy
 let ring_capacity () = Atomic.get capacity
 
-let class_count ring cls =
-  match Hashtbl.find_opt ring.counts cls with Some c -> !c | None -> 0
-
 (* The sampling decision, separated from [emit] so the producer can skip
    building the record (prefix rendering, item strings) when it will be
    dropped anyway. Quotas are per domain: each worker keeps its first [q]
    records of every verdict class. *)
 let should_sample verdict_class =
-  Atomic.get on
-  && (match Atomic.get policy with
-      | Off -> false
-      | All -> true
-      | Per_status q -> class_count (my_ring ()) verdict_class < q)
+  Atomic.get on && Quota.admit (Atomic.get policy) (my_ring ()).quota verdict_class
 
 let next_seq () = Atomic.fetch_and_add seq_ctr 1
 
@@ -150,9 +160,6 @@ let emit r0 =
     ring.buf.(ring.pos) <- Some r;
     ring.pos <- (ring.pos + 1) mod ring.r_cap;
     ring.written <- ring.written + 1;
-    (match Hashtbl.find_opt ring.counts r.verdict_class with
-     | Some c -> incr c
-     | None -> Hashtbl.replace ring.counts r.verdict_class (ref 1));
     Obs.Counter.incr c_records
   end
 

@@ -24,6 +24,20 @@ type sampling = Off | All | Per_status of int
 
 val sampling_to_string : sampling -> string
 
+(** The per-class quota ledger behind [Per_status]: shared by the trace
+    rings here and by the serve access log. *)
+module Quota : sig
+  type t
+
+  val create : unit -> t
+
+  val admit : sampling -> t -> string -> bool
+  (** [admit sampling t cls] — whether to keep one more record of class
+      [cls]: always under [All], never under [Off], and under
+      [Per_status q] while fewer than [q] of [cls] were admitted. A
+      [true] counts toward the quota. Not thread-safe. *)
+end
+
 val sampling_of_string : string -> sampling option
 (** Accepts ["off"], ["all"], ["quota:N"] (N > 0); case-insensitive. *)
 
@@ -68,9 +82,10 @@ val sampling : unit -> sampling
 val ring_capacity : unit -> int
 
 val should_sample : string -> bool
-(** [should_sample verdict_class] — whether a record of this class would
-    currently be kept by this domain's ring. Check before building the
-    record to skip rendering work for drops. *)
+(** [should_sample verdict_class] — whether this domain's ring keeps a
+    record of this class; a [true] counts toward its [Per_status] quota
+    ({!Quota.admit}), so call it once per record, before building it, to
+    skip rendering work for drops. *)
 
 val emit : record -> unit
 (** Append to this domain's ring (lock-free; [seq] is overwritten with

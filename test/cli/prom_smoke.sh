@@ -3,7 +3,7 @@
 # can emit must validate under the library's strict parser (prom_check),
 # for both a clean verify run and a chaos-injected stream run, and must
 # carry the samples the run is known to produce (verify latency buckets,
-# stream watchdog/chaos accounting, the meta comments).
+# stream chaos accounting, the meta comments).
 set -eu
 CLI="$1"
 PROM_CHECK="$2"

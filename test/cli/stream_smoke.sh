@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end contract for the stream subcommand: the anchor seed must
-# reproduce the committed windowed-aggregate golden, a perturbed world
-# must be rejected with exit 1, a journal replay must reproduce the
+# reproduce the committed golden, compared whole (events are fed in
+# order on one domain, so every field of the --json dump is
+# deterministic), a perturbed world must be rejected with exit 1, a journal replay must reproduce the
 # generated run, corrupt journal lines and chaos drills must degrade
 # (exit 2, recovery counters lit) without crashing, and --metrics output
 # must re-parse with the library's own JSON parser. Regenerate with:

@@ -127,14 +127,8 @@ let test_ingest_accounting () =
 (* ---- stream ---- *)
 
 let n_events = 1_500
-let capacity = 512
 
-let stream_config =
-  { S.default_config with
-    window = 256;
-    queue_capacity = capacity;
-    policy = Rz_stream.Bqueue.Block;
-    backoff_ms = 0. }
+let stream_config = { S.default_config with window = 256 }
 
 let stream_items =
   lazy
@@ -144,7 +138,7 @@ let stream_items =
 let stream_run config =
   let w = Lazy.force world in
   let t = S.create ~config ~ir:(Db.ir w.db) ~rels:w.rels () in
-  let stats = S.run ~seed:42 t (Lazy.force stream_items) in
+  let stats = S.run t (Lazy.force stream_items) in
   (t, stats)
 
 let test_stream_accounting () =
@@ -160,11 +154,10 @@ let test_stream_accounting () =
     routes;
   check_counts "events"
     [ ("events", 1_500); ("applied", 1_500); ("abandoned", 0); ("rejected", 0);
-      ("dropped", 0); ("sampled", 0); ("generations", 90); ("invalidations", 850);
+      ("generations", 90); ("invalidations", 850);
       ("rib", 849); ("routes", 844); ("excluded", 5) ]
     [ ("events", st.S.r_processed); ("applied", st.r_applied);
       ("abandoned", st.r_abandoned); ("rejected", st.r_rejected);
-      ("dropped", st.r_dropped); ("sampled", st.r_sampled);
       ("generations", S.generations t); ("invalidations", S.invalidated t);
       ("rib", List.length reports); ("routes", List.length routes);
       ("excluded", List.length reports - List.length routes) ];
@@ -172,7 +165,6 @@ let test_stream_accounting () =
     [ ("verified", 941); ("skipped", 0); ("unrecorded", 3_061); ("relaxed", 120);
       ("safelisted", 168); ("unverified", 178) ]
     (Aggregate.counts_classes counts);
-  Alcotest.(check bool) "queue hwm within capacity" true (st.r_hwm <= capacity);
   Alcotest.(check bool) "incremental == batch" true
     (Suite_stream.differential_holds t (Lazy.force world))
 

@@ -625,6 +625,68 @@ let test_stale_ops_skipped () =
   Alcotest.(check string) "content unchanged" fp1
     (Generation.fingerprint (Generation.current store))
 
+(* ---- bounded queue: session admission and the access-log writer ---- *)
+
+module Bq = Rz_serve.Bqueue
+
+let drain q =
+  let rec go acc = match Bq.pop q with Some x -> go (x :: acc) | None -> List.rev acc in
+  go []
+
+let test_bqueue_block_lossless () =
+  (* eight pushes through two slots: the producer blocks instead of
+     losing anything *)
+  let q = Bq.create ~capacity:2 in
+  let producer =
+    Domain.spawn (fun () ->
+        for i = 1 to 8 do
+          Bq.push q i
+        done;
+        Bq.close q)
+  in
+  let got = drain q in
+  Domain.join producer;
+  Alcotest.(check (list int)) "FIFO, nothing lost" [ 1; 2; 3; 4; 5; 6; 7; 8 ] got
+
+let test_bqueue_close_semantics () =
+  let q = Bq.create ~capacity:4 in
+  Bq.push q 1;
+  Bq.push q 2;
+  Bq.close q;
+  Alcotest.(check bool) "drains after close" true (Bq.pop q = Some 1 && Bq.pop q = Some 2);
+  Alcotest.(check bool) "then None" true (Bq.pop q = None);
+  Alcotest.(check bool) "push after close raises" true
+    (match Bq.push q 3 with
+     | exception Invalid_argument _ -> true
+     | () -> false)
+
+let test_access_log_quota () =
+  let path = Filename.temp_file "rz_access" ".jsonl" in
+  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+  @@ fun () ->
+  let alog =
+    Rz_serve.Access_log.create ~sampling:(Rz_trace.Trace.Per_status 1) path
+  in
+  List.iter
+    (fun verdict ->
+      Rz_serve.Access_log.log alog ~peer:"test" ~query:"!gAS1" ~verdict
+        ~latency_ns:1 ~generation:1 ~serial:0 ())
+    [ "data"; "data"; "no_data"; "not_found"; "data"; "error"; "no_data"; "error" ];
+  Rz_serve.Access_log.close alog;
+  let classes =
+    String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all)
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun line ->
+           match Json.of_string line with
+           | Ok doc -> (
+             match Json.member "class" doc with
+             | Some (Json.String c) -> c
+             | _ -> Alcotest.failf "record lacks a class: %s" line)
+           | Error e -> Alcotest.failf "record does not parse: %s: %s" e line)
+  in
+  Alcotest.(check (list string)) "one line per class, first come"
+    [ "data"; "no_data"; "not_found"; "error" ] classes
+
 let suite =
   [ Alcotest.test_case "dispatch conformance pins" `Quick test_dispatch_conformance;
     Alcotest.test_case "dispatch == answer on clean queries" `Quick
@@ -646,4 +708,7 @@ let suite =
     Alcotest.test_case "!s matches access-log recomputation" `Quick
       test_scrape_matches_access_log;
     QCheck_alcotest.to_alcotest qcheck_incremental_equals_batch;
-    QCheck_alcotest.to_alcotest qcheck_soak ]
+    QCheck_alcotest.to_alcotest qcheck_soak;
+    Alcotest.test_case "bqueue block lossless" `Quick test_bqueue_block_lossless;
+    Alcotest.test_case "bqueue close semantics" `Quick test_bqueue_close_semantics;
+    Alcotest.test_case "access log per-class quota" `Quick test_access_log_quota ]

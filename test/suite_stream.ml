@@ -1,11 +1,10 @@
-(* Tests for the streaming verification engine (Rz_stream): the bounded
-   backpressure queue, the journal round-trip, chaos determinism, and —
+(* Tests for the streaming verification engine (Rz_stream): the journal
+   round-trip, chaos determinism, and —
    the load-bearing property — the differential between incremental
    verification and a from-scratch batch re-verify after an arbitrary
    event sequence, fault-injected runs included. *)
 
 module S = Rz_stream.Stream
-module Bq = Rz_stream.Bqueue
 module E = Rz_routegen.Events
 module Fault = Rz_fault.Fault
 module Engine = Rz_verify.Engine
@@ -22,8 +21,7 @@ let small_world =
 let base_routes (world : Rpslyzer.Pipeline.world) =
   List.concat_map (fun (d : Rz_bgp.Table_dump.t) -> d.routes) world.table_dumps
 
-let test_config =
-  { S.default_config with window = 16; queue_capacity = 64; backoff_ms = 0.0 }
+let test_config = { S.default_config with window = 16 }
 
 let mk_service ?(config = test_config) (world : Rpslyzer.Pipeline.world) =
   S.create ~config ~ir:(Rz_irr.Db.ir world.db) ~rels:world.rels ()
@@ -55,71 +53,6 @@ let feed_checked t world items =
           Some item.E.seq
         else None)
     None items
-
-(* ---- bounded queue ---- *)
-
-let test_bqueue_block_lossless () =
-  let q = Bq.create ~capacity:8 () in
-  for i = 1 to 8 do
-    Alcotest.(check bool) "admitted" true (Bq.push q i)
-  done;
-  Alcotest.(check int) "hwm" 8 (Bq.hwm q);
-  Bq.close q;
-  let rec drain acc = match Bq.pop q with Some x -> drain (x :: acc) | None -> List.rev acc in
-  Alcotest.(check (list int)) "FIFO, nothing lost" [ 1; 2; 3; 4; 5; 6; 7; 8 ] (drain []);
-  Alcotest.(check int) "nothing dropped" 0 (Bq.dropped q);
-  Alcotest.(check int) "nothing sampled" 0 (Bq.sampled q)
-
-let test_bqueue_shed_oldest () =
-  let q = Bq.create ~policy:Bq.Shed_oldest ~capacity:4 () in
-  for i = 1 to 10 do
-    ignore (Bq.push q i)
-  done;
-  Bq.close q;
-  let rec drain acc = match Bq.pop q with Some x -> drain (x :: acc) | None -> List.rev acc in
-  Alcotest.(check (list int)) "freshest survive" [ 7; 8; 9; 10 ] (drain []);
-  Alcotest.(check int) "oldest shed" 6 (Bq.dropped q);
-  Alcotest.(check int) "hwm capped" 4 (Bq.hwm q)
-
-let test_bqueue_sample_deterministic () =
-  (* sampling is an overload policy: it only gates arrivals once the
-     queue is full, so keep the capacity small relative to the pushes *)
-  let run seed =
-    let q = Bq.create ~policy:(Bq.Sample 0.4) ~seed ~capacity:16 () in
-    let admitted = List.init 200 (fun i -> Bq.push q (i + 1)) in
-    (admitted, Bq.sampled q)
-  in
-  let a1, s1 = run 9 in
-  let a2, s2 = run 9 in
-  let a3, _ = run 10 in
-  Alcotest.(check (list bool)) "same seed, same admissions" a1 a2;
-  Alcotest.(check int) "same seed, same sampled count" s1 s2;
-  Alcotest.(check bool) "sampling actually discards" true (s1 > 0);
-  Alcotest.(check bool) "sampling actually admits" true (List.exists Fun.id a1);
-  Alcotest.(check bool) "different seed, different pattern" true (a1 <> a3)
-
-let test_bqueue_close_semantics () =
-  let q = Bq.create ~capacity:4 () in
-  ignore (Bq.push q 1);
-  ignore (Bq.push q 2);
-  Bq.close q;
-  Alcotest.(check bool) "drains after close" true (Bq.pop q = Some 1 && Bq.pop q = Some 2);
-  Alcotest.(check bool) "then None" true (Bq.pop q = None);
-  Alcotest.(check bool) "push after close raises" true
-    (match Bq.push q 3 with
-     | exception Invalid_argument _ -> true
-     | _ -> false)
-
-let test_bqueue_set_policy_live () =
-  let q = Bq.create ~capacity:2 () in
-  ignore (Bq.push q 1);
-  ignore (Bq.push q 2);
-  (* full under Block would wedge a single-threaded pusher; the
-     watchdog's degradation lever must unwedge it *)
-  Bq.set_policy q Bq.Shed_oldest;
-  Alcotest.(check bool) "push proceeds" true (Bq.push q 3);
-  Alcotest.(check int) "oldest shed" 1 (Bq.dropped q);
-  Alcotest.(check string) "policy switched" "shed-oldest" (Bq.policy_name (Bq.policy q))
 
 (* ---- journal round-trip ---- *)
 
@@ -369,25 +302,6 @@ let test_chaos_rate_one_degrades_never_crashes () =
   Alcotest.(check int) "rib untouched" 0 (List.length (S.rib_routes t));
   Alcotest.(check int) "no generation swaps" 0 (S.generations t)
 
-(* ---- pipelined run ---- *)
-
-let test_run_matches_sequential_feed () =
-  let world = Lazy.force small_world in
-  let items = gen_items ~n:100 ~seed:83 world in
-  let t_seq = mk_service world in
-  ignore (feed_all t_seq items);
-  S.flush t_seq;
-  let t_run = mk_service world in
-  let stats = S.run ~seed:0 t_run items in
-  Alcotest.(check int) "all events processed" 100 stats.S.r_processed;
-  Alcotest.(check int) "Block loses nothing" 0 (stats.S.r_dropped + stats.S.r_sampled);
-  Alcotest.(check bool) "bounded queue memory" true
-    (stats.S.r_hwm <= test_config.S.queue_capacity);
-  Alcotest.(check bool) "clean run not degraded" true (not stats.S.r_degraded);
-  Alcotest.(check bool) "pipelined == synchronous" true
-    (S.reports t_run = S.reports t_seq);
-  Alcotest.(check bool) "same windows" true (S.windows t_run = S.windows t_seq)
-
 let test_windows_account_for_everything () =
   let world = Lazy.force small_world in
   let t = mk_service world in
@@ -413,12 +327,7 @@ let test_windows_account_for_everything () =
     ws
 
 let suite =
-  [ Alcotest.test_case "bqueue block lossless" `Quick test_bqueue_block_lossless;
-    Alcotest.test_case "bqueue shed-oldest" `Quick test_bqueue_shed_oldest;
-    Alcotest.test_case "bqueue sample deterministic" `Quick test_bqueue_sample_deterministic;
-    Alcotest.test_case "bqueue close semantics" `Quick test_bqueue_close_semantics;
-    Alcotest.test_case "bqueue live policy switch" `Quick test_bqueue_set_policy_live;
-    Alcotest.test_case "journal round-trip" `Quick test_journal_roundtrip;
+  [ Alcotest.test_case "journal round-trip" `Quick test_journal_roundtrip;
     Alcotest.test_case "generator deterministic" `Quick test_generate_deterministic;
     Alcotest.test_case "differential (clean run)" `Quick test_differential_clean;
     QCheck_alcotest.to_alcotest qcheck_differential;
@@ -431,7 +340,5 @@ let suite =
     Alcotest.test_case "chaos deterministic" `Quick test_chaos_deterministic;
     Alcotest.test_case "chaos 1.0 degrades, never crashes" `Quick
       test_chaos_rate_one_degrades_never_crashes;
-    Alcotest.test_case "pipelined run == sequential feed" `Quick
-      test_run_matches_sequential_feed;
     Alcotest.test_case "windows account for everything" `Quick
       test_windows_account_for_everything ]
