@@ -83,8 +83,8 @@ let trace_sample_arg =
     & info [ "trace-sample" ] ~docv:"POLICY"
         ~doc:
           "Hop decision-trace sampling policy: $(b,all), $(b,off), or \
-           $(b,quota:N) (keep the first N records per verdict class per \
-           domain). Defaults to quota:64 when $(b,--trace) is given, off \
+           $(b,quota:N) (keep the first N records per verdict class). \
+           Defaults to quota:64 when $(b,--trace) is given, off \
            otherwise.")
 
 let stream_arg =
@@ -147,6 +147,10 @@ let snapshot_arg =
            parse (counted as snapshot.hits); a stale, truncated, or corrupt \
            file is ignored (snapshot.misses / snapshot.rejects) and \
            rewritten after the parse.")
+
+let read_file ~what path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error e -> failwith ("cannot read " ^ what ^ ": " ^ e)
 
 let write_file ~what path contents =
   try
@@ -755,14 +759,7 @@ let serve_cmd =
           match journal with
           | None -> []
           | Some path ->
-            let text =
-              try
-                let ic = open_in_bin path in
-                let text = really_input_string ic (in_channel_length ic) in
-                close_in ic;
-                text
-              with Sys_error e -> failwith ("cannot read journal: " ^ e)
-            in
+            let text = read_file ~what:"journal" path in
             let ops, errors = Rz_synthirr.Nrtm.parse text in
             List.iteri
               (fun i (line, reason) ->
@@ -1265,14 +1262,7 @@ let rpki_cmd =
         | Some path -> path
         | None -> Filename.concat dir "roas.csv"
       in
-      let text =
-        try
-          let ic = open_in_bin roa_path in
-          let text = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          text
-        with Sys_error e -> failwith ("cannot read ROAs: " ^ e)
-      in
+      let text = read_file ~what:"ROAs" roa_path in
       let text =
         if fault_rate > 0. then begin
           let plan = Rz_fault.Fault.plan ~seed:fault_seed ~rate:fault_rate () in
@@ -1329,14 +1319,7 @@ let rpki_cmd =
       (match golden with
        | None -> ()
        | Some path ->
-         let baseline_text =
-           try
-             let ic = open_in_bin path in
-             let text = really_input_string ic (in_channel_length ic) in
-             close_in ic;
-             text
-           with Sys_error e -> failwith ("cannot read golden file: " ^ e)
-         in
+         let baseline_text = read_file ~what:"golden file" path in
          match Rpslyzer.Json.of_string baseline_text with
          | Error e -> failwith (Printf.sprintf "golden file %s: %s" path e)
          | Ok baseline -> mismatches := C.diff_json ~baseline doc);
@@ -1399,8 +1382,8 @@ let rpki_cmd =
 (* ---------------- stream ---------------- *)
 
 let stream_cmd =
-  let run obs dir seed events window edit_rate chaos_rate chaos_seed
-      max_retries journal_out replay json_out golden =
+  let run obs dir seed events window edit_rate journal_out replay json_out
+      golden =
     guarded @@ fun () ->
     let module S = Rz_stream.Stream in
     let module E = Rz_routegen.Events in
@@ -1429,14 +1412,7 @@ let stream_cmd =
       let items =
         match replay with
         | Some path ->
-          let text =
-            try
-              let ic = open_in_bin path in
-              let text = really_input_string ic (in_channel_length ic) in
-              close_in ic;
-              text
-            with Sys_error e -> failwith ("cannot read journal: " ^ e)
-          in
+          let text = read_file ~what:"journal" path in
           let items, errors = E.parse text in
           List.iteri
             (fun i (line, reason) ->
@@ -1452,14 +1428,8 @@ let stream_cmd =
       (match journal_out with
        | Some path -> write_file ~what:"journal" path (E.render items)
        | None -> ());
-      let chaos =
-        if chaos_rate > 0. then
-          Some (Rz_fault.Fault.plan ~seed:chaos_seed ~rate:chaos_rate ())
-        else None
-      in
-      let config = { S.window; chaos; max_retries } in
       let t =
-        S.create ~config
+        S.create ~window
           ~ir:(Rz_irr.Db.ir world.Rpslyzer.Pipeline.db)
           ~rels:world.Rpslyzer.Pipeline.rels ()
       in
@@ -1475,10 +1445,8 @@ let stream_cmd =
       if json_out then print_endline (Rpslyzer.Json.to_string ~indent:2 doc)
       else begin
         Printf.printf "== stream ==\n";
-        Printf.printf
-          "events: %d processed, %d applied, %d abandoned, %d rejected\n"
-          stats.S.r_processed stats.S.r_applied stats.S.r_abandoned
-          stats.S.r_rejected;
+        Printf.printf "events: %d processed, %d applied, %d rejected\n"
+          stats.S.r_processed stats.S.r_applied stats.S.r_rejected;
         Printf.printf "engine: %d generations, %d invalidations\n"
           (S.generations t) (S.invalidated t);
         Printf.printf "\n== windows ==\n";
@@ -1502,14 +1470,7 @@ let stream_cmd =
       (match golden with
        | None -> ()
        | Some path ->
-         let baseline_text =
-           try
-             let ic = open_in_bin path in
-             let text = really_input_string ic (in_channel_length ic) in
-             close_in ic;
-             text
-           with Sys_error e -> failwith ("cannot read golden file: " ^ e)
-         in
+         let baseline_text = read_file ~what:"golden file" path in
          match Rpslyzer.Json.of_string baseline_text with
          | Error e -> failwith (Printf.sprintf "golden file %s: %s" path e)
          | Ok baseline ->
@@ -1552,23 +1513,6 @@ let stream_cmd =
       & info [ "edit-rate" ] ~docv:"P"
           ~doc:"Per-event probability of a policy-object edit.")
   in
-  let chaos_rate =
-    Arg.(
-      value & opt float 0.
-      & info [ "chaos" ] ~docv:"P"
-          ~doc:"Per-attempt probability that applying an event fails \
-                (seeded, replayable). Failed attempts are retried; \
-                budget exhaustion abandons the event and degrades the run.")
-  in
-  let chaos_seed =
-    Arg.(value & opt int 42 & info [ "chaos-seed" ] ~doc:"Chaos plan seed.")
-  in
-  let max_retries =
-    Arg.(
-      value & opt int 2
-      & info [ "max-retries" ] ~docv:"N"
-          ~doc:"Retries before an event is abandoned.")
-  in
   let journal_out =
     Arg.(
       value
@@ -1605,12 +1549,11 @@ let stream_cmd =
           through the incremental verification service, one event at a \
           time: churn-safe cache invalidation, windowed per-verdict \
           aggregates. Exits 0 when clean, 1 on golden mismatch or hard \
-          failure, 2 when the run degraded (abandoned or rejected \
-          events, or any recovery counter fired).")
+          failure, 2 when the run degraded (rejected events, or any \
+          recovery counter fired).")
     Term.(
       const run $ obs_opts_term $ dir $ seed $ events $ window $ edit_rate
-      $ chaos_rate $ chaos_seed $ max_retries $ journal_out $ replay
-      $ json_out $ golden)
+      $ journal_out $ replay $ json_out $ golden)
 
 (* ---------------- faultinject ---------------- *)
 

@@ -425,9 +425,7 @@ let recovery_counter_names =
     "flatten.truncated";
     "nfa.capped";
     "rpki.roas_rejected";
-    "stream.events_abandoned";
     "stream.journal_rejected";
-    "stream.retries";
     "serve.queries_rejected";
     "serve.sessions_rejected";
     "serve.sessions_dropped";

@@ -9,24 +9,12 @@ module Engine = Rz_verify.Engine
 module Report = Rz_verify.Report
 module Aggregate = Rz_verify.Aggregate
 module Events = Rz_routegen.Events
-module Fault = Rz_fault.Fault
 module Obs = Rz_obs.Obs
-module Splitmix = Rz_util.Splitmix
 module Json = Rz_json.Json
 
-let c_abandoned = Obs.Counter.make "stream.events_abandoned"
-let c_retries = Obs.Counter.make "stream.retries"
 let c_reverified = Obs.Counter.make "stream.reverified"
 let h_event_ns = Obs.Histogram.make "stream.event_ns"
 let h_patch_ns = Obs.Histogram.make "stream.patch_ns"
-
-type config = {
-  window : int;
-  chaos : Fault.plan option;
-  max_retries : int;
-}
-
-let default_config = { window = 64; chaos = None; max_retries = 2 }
 
 type window = {
   w_index : int;
@@ -36,7 +24,6 @@ type window = {
   w_announce : int;
   w_withdraw : int;
   w_edit : int;
-  w_abandoned : int;
   w_rejected : int;
   w_rib : int;
   w_routes : int;    (* RIB routes with a verification report *)
@@ -45,7 +32,7 @@ type window = {
 }
 
 type t = {
-  cfg : config;
+  window : int;  (* events per window *)
   ir : Ir.t;  (* owned: mutated in place on policy edits *)
   engine : Engine.t;
   rib : (Prefix.t * Asn.t, Route.t) Hashtbl.t;
@@ -53,54 +40,48 @@ type t = {
   peers : (Prefix.t, Asn.t list) Hashtbl.t;  (* RIB slots by prefix *)
   path_dep : (Prefix.t * Asn.t, unit) Hashtbl.t;
       (* slots whose last verify bypassed the hop memo somewhere *)
-  mutable processed : int;
   mutable applied : int;
-  mutable abandoned : int;
   mutable rejected : int;
   mutable generations : int;  (* policy edits applied (database patches) *)
   mutable invalidated : int;  (* hop memo entries invalidated, cumulative *)
   mutable windows_rev : window list;
-  (* current (open) window accumulators *)
-  mutable w_index : int;
-  mutable w_start_seq : int;
-  mutable w_end_seq : int;
-  mutable w_events : int;
-  mutable w_announce : int;
-  mutable w_withdraw : int;
-  mutable w_edit : int;
-  mutable w_abandoned : int;
-  mutable w_rejected : int;
+  mutable open_w : window;
+      (* the open window; its RIB and hop fields are filled at close *)
 }
 
-let create ?(config = default_config) ~ir ~rels () =
-  let ir = Ir.copy ir in
-  let db = Db.build ir in
-  let engine_config =
-    { Engine.default_config with memoize = true; track_deps = true }
-  in
-  { cfg = config;
-    ir;
-    engine = Engine.create ~config:engine_config db rels;
-    rib = Hashtbl.create 1024;
-    reports = Hashtbl.create 1024;
-    peers = Hashtbl.create 1024;
-    path_dep = Hashtbl.create 64;
-    processed = 0;
-    applied = 0;
-    abandoned = 0;
-    rejected = 0;
-    generations = 0;
-    invalidated = 0;
-    windows_rev = [];
-    w_index = 0;
+let empty_window index =
+  { w_index = index;
     w_start_seq = 0;
     w_end_seq = 0;
     w_events = 0;
     w_announce = 0;
     w_withdraw = 0;
     w_edit = 0;
-    w_abandoned = 0;
-    w_rejected = 0 }
+    w_rejected = 0;
+    w_rib = 0;
+    w_routes = 0;
+    w_excluded = 0;
+    w_hops = Aggregate.zero_counts () }
+
+let create ?(window = 64) ~ir ~rels () =
+  let ir = Ir.copy ir in
+  let db = Db.build ir in
+  let engine_config =
+    { Engine.default_config with memoize = true; track_deps = true }
+  in
+  { window;
+    ir;
+    engine = Engine.create ~config:engine_config db rels;
+    rib = Hashtbl.create 1024;
+    reports = Hashtbl.create 1024;
+    peers = Hashtbl.create 1024;
+    path_dep = Hashtbl.create 64;
+    applied = 0;
+    rejected = 0;
+    generations = 0;
+    invalidated = 0;
+    windows_rev = [];
+    open_w = empty_window 0 }
 
 let engine t = t.engine
 let db t = Engine.db t.engine
@@ -318,17 +299,6 @@ let apply_event t (ev : Events.event) : (unit, string) result =
           Ok ())
 
 (* ------------------------------------------------------------------ *)
-(* Chaos: seeded per-(event, attempt) fault injection                  *)
-(* ------------------------------------------------------------------ *)
-
-let chaos_fires plan ~seq ~attempt =
-  let rng =
-    Splitmix.create
-      (plan.Fault.seed lxor (seq * 1000003) lxor (attempt * 0x9E3779B9))
-  in
-  Splitmix.chance rng plan.Fault.rate
-
-(* ------------------------------------------------------------------ *)
 (* Windows                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -349,35 +319,19 @@ let snapshot_counts t =
 
 let close_window t =
   let counts, routes, excluded = snapshot_counts t in
-  let w =
-    { w_index = t.w_index;
-      w_start_seq = t.w_start_seq;
-      w_end_seq = t.w_end_seq;
-      w_events = t.w_events;
-      w_announce = t.w_announce;
-      w_withdraw = t.w_withdraw;
-      w_edit = t.w_edit;
-      w_abandoned = t.w_abandoned;
-      w_rejected = t.w_rejected;
+  let w = t.open_w in
+  t.windows_rev <-
+    { w with
       w_rib = Hashtbl.length t.rib;
       w_routes = routes;
       w_excluded = excluded;
       w_hops = counts }
-  in
-  t.windows_rev <- w :: t.windows_rev;
-  t.w_index <- t.w_index + 1;
-  t.w_start_seq <- 0;
-  t.w_end_seq <- 0;
-  t.w_events <- 0;
-  t.w_announce <- 0;
-  t.w_withdraw <- 0;
-  t.w_edit <- 0;
-  t.w_abandoned <- 0;
-  t.w_rejected <- 0
+    :: t.windows_rev;
+  t.open_w <- empty_window (w.w_index + 1)
 
 let windows t = List.rev t.windows_rev
 
-let flush t = if t.w_events > 0 then close_window t
+let flush t = if t.open_w.w_events > 0 then close_window t
 
 let window_to_json (w : window) =
   Json.Obj
@@ -388,7 +342,6 @@ let window_to_json (w : window) =
       ("announce", Json.Int w.w_announce);
       ("withdraw", Json.Int w.w_withdraw);
       ("edit", Json.Int w.w_edit);
-      ("abandoned", Json.Int w.w_abandoned);
       ("rejected", Json.Int w.w_rejected);
       ("rib", Json.Int w.w_rib);
       ("routes", Json.Int w.w_routes);
@@ -403,54 +356,33 @@ let window_to_json (w : window) =
 (* Feeding                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* [Abandoned] is never returned; see stream.mli. *)
 type feed_result = Applied | Abandoned | Rejected of string
 
 let tally t (item : Events.item) result =
-  t.processed <- t.processed + 1;
-  if t.w_events = 0 then t.w_start_seq <- item.Events.seq;
-  t.w_end_seq <- item.Events.seq;
-  t.w_events <- t.w_events + 1;
-  (match item.Events.ev with
-  | Events.Announce _ -> t.w_announce <- t.w_announce + 1
-  | Events.Withdraw _ -> t.w_withdraw <- t.w_withdraw + 1
-  | Events.Edit _ -> t.w_edit <- t.w_edit + 1);
-  (match result with
-  | Applied -> t.applied <- t.applied + 1
-  | Abandoned ->
-      t.abandoned <- t.abandoned + 1;
-      t.w_abandoned <- t.w_abandoned + 1;
-      Obs.Counter.incr c_abandoned
-  | Rejected _ ->
-      t.rejected <- t.rejected + 1;
-      t.w_rejected <- t.w_rejected + 1);
-  if t.w_events >= t.cfg.window then close_window t
+  let rejected = Result.is_error result in
+  if rejected then t.rejected <- t.rejected + 1 else t.applied <- t.applied + 1;
+  let seq = item.Events.seq and w = t.open_w in
+  let w =
+    { w with
+      w_start_seq = (if w.w_events = 0 then seq else w.w_start_seq);
+      w_end_seq = seq;
+      w_events = w.w_events + 1;
+      w_rejected = (if rejected then w.w_rejected + 1 else w.w_rejected) }
+  in
+  t.open_w <-
+    (match item.Events.ev with
+    | Events.Announce _ -> { w with w_announce = w.w_announce + 1 }
+    | Events.Withdraw _ -> { w with w_withdraw = w.w_withdraw + 1 }
+    | Events.Edit _ -> { w with w_edit = w.w_edit + 1 });
+  if t.open_w.w_events >= t.window then close_window t
 
 let feed t (item : Events.item) =
   let t0 = Obs.now_ns () in
-  let result =
-    match t.cfg.chaos with
-    | None -> (
-        match apply_event t item.Events.ev with
-        | Ok () -> Applied
-        | Error e -> Rejected e)
-    | Some plan ->
-        (* Attempt 1 plus up to [max_retries] retries; each attempt's
-           fate is a pure function of (plan seed, event seq, attempt),
-           so a chaos run replays bit-identically. *)
-        let rec attempt k =
-          if chaos_fires plan ~seq:item.Events.seq ~attempt:k then
-            if k > t.cfg.max_retries then Abandoned
-            else (Obs.Counter.incr c_retries; attempt (k + 1))
-          else
-            match apply_event t item.Events.ev with
-            | Ok () -> Applied
-            | Error e -> Rejected e
-        in
-        attempt 1
-  in
+  let result = apply_event t item.Events.ev in
   tally t item result;
   Obs.Histogram.observe h_event_ns (float_of_int (Obs.now_ns () - t0));
-  result
+  match result with Ok () -> Applied | Error e -> Rejected e
 
 (* ------------------------------------------------------------------ *)
 (* Run                                                                 *)
@@ -459,7 +391,6 @@ let feed t (item : Events.item) =
 type run_stats = {
   r_processed : int;
   r_applied : int;
-  r_abandoned : int;
   r_rejected : int;
   r_degraded : bool;
 }
@@ -467,11 +398,10 @@ type run_stats = {
 let run t items =
   List.iter (fun item -> ignore (feed t item)) items;
   flush t;
-  { r_processed = t.processed;
+  { r_processed = t.applied + t.rejected;
     r_applied = t.applied;
-    r_abandoned = t.abandoned;
     r_rejected = t.rejected;
-    r_degraded = t.abandoned > 0 || t.rejected > 0 }
+    r_degraded = t.rejected > 0 }
 
 (* ------------------------------------------------------------------ *)
 (* Views and summaries                                                 *)
@@ -500,7 +430,6 @@ let stats_to_json t (stats : run_stats) =
   Json.Obj
     [ ("processed", Json.Int stats.r_processed);
       ("applied", Json.Int stats.r_applied);
-      ("abandoned", Json.Int stats.r_abandoned);
       ("rejected", Json.Int stats.r_rejected);
       ("degraded", Json.Bool stats.r_degraded);
       ("generations", Json.Int t.generations);

@@ -15,29 +15,18 @@
     size ([stream.reverified], [stream.patch_ns]). The streaming
     differential test proves the incremental verdicts equal a
     from-scratch batch verify after every edit of any event sequence,
-    faults included.
+    malformed edits included.
 
     Events are fed one at a time on the caller's domain, in order, so a
-    run is deterministic end to end. Chaos-injected failures are retried
-    and abandoned after a budget ([stream.events_abandoned]); the
-    service degrades — it never crashes, even at chaos rate 1.0. *)
-
-type config = {
-  window : int;           (** events per aggregate window (count-based) *)
-  chaos : Rz_fault.Fault.plan option;
-      (** seeded fault injection: each event application fails with
-          probability [rate], deterministically per
-          (plan seed, event seq, attempt) *)
-  max_retries : int;      (** retries before an event is abandoned *)
-}
-
-val default_config : config
-(** window 64, no chaos, 2 retries. *)
+    run is deterministic end to end. An event whose content is unusable
+    (rule text that does not parse, an announce without a usable path
+    head) is rejected and leaves no state behind; the run goes on. *)
 
 type t
 
-val create : ?config:config -> ir:Rz_ir.Ir.t -> rels:Rz_asrel.Rel_db.t -> unit -> t
-(** The service copies [ir] ({!Rz_ir.Ir.copy}) and owns the copy; the
+val create : ?window:int -> ir:Rz_ir.Ir.t -> rels:Rz_asrel.Rel_db.t -> unit -> t
+(** [window] is the number of events per aggregate window (default 64).
+    The service copies [ir] ({!Rz_ir.Ir.copy}) and owns the copy; the
     caller's IR and any databases built from it stay valid. The engine
     runs memoized with dependency tracking. *)
 
@@ -60,13 +49,13 @@ val reports : t -> (Rz_bgp.Route.t * Rz_verify.Report.route_report option) list
     compares against a from-scratch batch verify. *)
 
 (** Outcome of feeding one event. [Rejected] means the event content was
-    unusable (e.g. unparsable rule text) — deterministic, unlike
-    [Abandoned], which is a chaos budget exhaustion. *)
+    unusable (e.g. unparsable rule text). [Abandoned] is never returned:
+    it is kept only because existing callers still match on it. *)
 type feed_result = Applied | Abandoned | Rejected of string
 
 val feed : t -> Rz_routegen.Events.item -> feed_result
-(** Apply one event synchronously (chaos and retries included).
-    Window accounting advances; a full window closes automatically. *)
+(** Apply one event synchronously. Window accounting advances; a full
+    window closes automatically. *)
 
 (** {1 Windowed aggregates} *)
 
@@ -78,7 +67,6 @@ type window = {
   w_announce : int;
   w_withdraw : int;
   w_edit : int;
-  w_abandoned : int;
   w_rejected : int;
   w_rib : int;
   w_routes : int;
@@ -97,10 +85,8 @@ val window_to_json : window -> Rz_json.Json.t
 type run_stats = {
   r_processed : int;
   r_applied : int;
-  r_abandoned : int;
   r_rejected : int;
-  r_degraded : bool;
-      (** an event was abandoned or rejected — the CLI's exit-2 signal *)
+  r_degraded : bool;  (** an event was rejected — the CLI's exit-2 signal *)
 }
 
 val run : t -> Rz_routegen.Events.item list -> run_stats

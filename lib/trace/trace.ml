@@ -8,7 +8,7 @@ module Obs = Rz_obs.Obs
 type sampling =
   | Off
   | All
-  | Per_status of int  (* per-domain, per-verdict-class record quota *)
+  | Per_status of int  (* per-verdict-class record quota *)
 
 let sampling_to_string = function
   | Off -> "off"
@@ -72,117 +72,77 @@ type record = {
 let default_capacity = 4096
 
 (* ------------------------------------------------------------------ *)
-(* Per-domain ring buffers                                             *)
+(* The ring buffer                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Each domain writes its own ring without synchronization; rings are
-   registered in a mutex-guarded global list at creation (rare) so
-   [records] can collect them after the workers join. [configure] bumps
-   a generation counter, orphaning every live ring: the next emission in
-   each domain lazily creates a fresh one, which is how both reset and
-   capacity changes propagate without locking the hot path. *)
+(* One ring and its quota ledger, both guarded by [ring_mutex]: hop
+   records come from the one domain that verifies, so the lock is
+   uncontended there, and it keeps any other emitter correct.
+   [configure] swaps in a fresh ring, which is how both reset and
+   capacity changes take effect. *)
 type ring = {
-  r_gen : int;
-  r_domain : int;
-  r_cap : int;
+  cap : int;
   buf : record option array;
-  mutable pos : int;          (* next write slot *)
-  mutable written : int;      (* records accepted into this ring *)
-  mutable overwritten : int;  (* records evicted by ring wrap-around *)
+  mutable written : int;  (* records accepted; the next record's seq *)
   quota : Quota.t;  (* per verdict_class admissions under [Per_status] *)
 }
 
+let new_ring cap =
+  { cap; buf = Array.make cap None; written = 0; quota = Quota.create () }
+
 let on = Atomic.make false
 let policy = Atomic.make Off
-let capacity = Atomic.make default_capacity
-let generation = Atomic.make 0
-let seq_ctr = Atomic.make 0
 
 let c_records = Obs.Counter.make "trace.records_total"
 let c_dropped = Obs.Counter.make "trace.dropped_total"
 
-let rings_mutex = Mutex.create ()
-let rings : ring list ref = ref []
+let ring_mutex = Mutex.create ()
+let ring = ref (new_ring default_capacity)
 
-let with_lock f =
-  Mutex.lock rings_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock rings_mutex) f
-
-let ring_key : ring option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
-
-let my_ring () =
-  let cell = Domain.DLS.get ring_key in
-  let gen = Atomic.get generation in
-  match !cell with
-  | Some r when r.r_gen = gen -> r
-  | _ ->
-    let cap = max 1 (Atomic.get capacity) in
-    let r =
-      { r_gen = gen; r_domain = (Domain.self () :> int); r_cap = cap;
-        buf = Array.make cap None; pos = 0; written = 0; overwritten = 0;
-        quota = Quota.create () }
-    in
-    with_lock (fun () -> rings := r :: !rings);
-    cell := Some r;
-    r
+let with_ring f = Mutex.protect ring_mutex (fun () -> f !ring)
 
 let configure ?cap sampling =
-  with_lock (fun () -> rings := []);
-  (match cap with Some c -> Atomic.set capacity (max 1 c) | None -> ());
+  Mutex.protect ring_mutex (fun () ->
+      ring := new_ring (match cap with Some c -> max 1 c | None -> !ring.cap));
   Atomic.set policy sampling;
-  Atomic.incr generation;  (* orphan live DLS rings *)
-  Atomic.set seq_ctr 0;
   Atomic.set on (sampling <> Off)
 
 let reset () = configure (Atomic.get policy)
 let enabled () = Atomic.get on
 let sampling () = Atomic.get policy
-let ring_capacity () = Atomic.get capacity
+let ring_capacity () = with_ring (fun r -> r.cap)
 
 (* The sampling decision, separated from [emit] so the producer can skip
    building the record (prefix rendering, item strings) when it will be
-   dropped anyway. Quotas are per domain: each worker keeps its first [q]
-   records of every verdict class. *)
+   dropped anyway. The run keeps its first [q] records of every verdict
+   class. *)
 let should_sample verdict_class =
-  Atomic.get on && Quota.admit (Atomic.get policy) (my_ring ()).quota verdict_class
-
-let next_seq () = Atomic.fetch_and_add seq_ctr 1
+  Atomic.get on
+  && with_ring (fun r -> Quota.admit (Atomic.get policy) r.quota verdict_class)
 
 let emit r0 =
-  if Atomic.get on then begin
-    let ring = my_ring () in
-    let r = { r0 with seq = next_seq () } in
-    (match ring.buf.(ring.pos) with
-     | Some _ ->
-       ring.overwritten <- ring.overwritten + 1;
-       Obs.Counter.incr c_dropped
-     | None -> ());
-    ring.buf.(ring.pos) <- Some r;
-    ring.pos <- (ring.pos + 1) mod ring.r_cap;
-    ring.written <- ring.written + 1;
-    Obs.Counter.incr c_records
-  end
+  if Atomic.get on then
+    with_ring (fun ring ->
+        let seq = ring.written in
+        (* past capacity, the oldest record is overwritten *)
+        if seq >= ring.cap then Obs.Counter.incr c_dropped;
+        ring.buf.(seq mod ring.cap) <- Some { r0 with seq };
+        ring.written <- seq + 1;
+        Obs.Counter.incr c_records)
 
 let records () =
-  let rs = with_lock (fun () -> !rings) in
-  List.concat_map
-    (fun ring -> Array.to_list ring.buf |> List.filter_map Fun.id)
-    rs
+  with_ring (fun r -> Array.to_list r.buf)
+  |> List.filter_map Fun.id
   |> List.sort (fun a b -> compare a.seq b.seq)
 
-let kept () =
-  let rs = with_lock (fun () -> !rings) in
-  List.fold_left (fun acc r -> acc + min r.written r.r_cap) 0 rs
+let kept () = with_ring (fun r -> min r.written r.cap)
+let dropped () = with_ring (fun r -> max 0 (r.written - r.cap))
 
-let dropped () =
-  let rs = with_lock (fun () -> !rings) in
-  List.fold_left (fun acc r -> acc + r.overwritten) 0 rs
-
-(* Force [sampling'] for the duration of [f] (fresh rings), restoring the
-   previous policy — and discarding the temporary rings — on the way out.
+(* Force [sampling'] for the duration of [f] (fresh ring), restoring the
+   previous policy — and discarding the temporary ring — on the way out.
    Collect {!records} inside [f]. *)
 let with_sampling ?cap sampling' f =
-  let prev_policy = Atomic.get policy and prev_cap = Atomic.get capacity in
+  let prev_policy = Atomic.get policy and prev_cap = ring_capacity () in
   configure ?cap sampling';
   Fun.protect f ~finally:(fun () -> configure ~cap:prev_cap prev_policy)
 

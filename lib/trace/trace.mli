@@ -4,28 +4,28 @@
     Each hop evaluation can emit one bounded provenance {!record} —
     subject aut-num, direction, rule consulted, filter kind, as-set
     expansion path, memo hit/miss, relaxation or safelist trigger, final
-    verdict — into a per-domain ring buffer. Design constraints mirror
+    verdict — into one ring buffer. Design constraints mirror
     {!Rz_obs.Obs}:
 
     - {b Near-zero cost when off.} Producers gate on {!enabled} (one
       [Atomic] read); {!emit} and {!should_sample} re-check it, so a
       disabled tracer never allocates.
-    - {b Bounded when on.} Rings hold at most the configured capacity
-      per domain (oldest records are overwritten, counted in
-      {!dropped}); [Per_status q] additionally keeps only the first [q]
-      records of each verdict class per domain.
-    - {b Lock-free writes.} A domain writes only its own
-      [Domain.DLS]-held ring; the global registry of rings is touched
-      (under a mutex) once per domain per {!configure} generation. *)
+    - {b Bounded when on.} The ring holds at most the configured
+      capacity (oldest records are overwritten, counted in {!dropped});
+      [Per_status q] additionally keeps only the first [q] records of
+      each verdict class.
+    - {b One ring.} Hop records come from the one domain that verifies;
+      the ring and its quota ledger sit behind a mutex, so concurrent
+      emitters stay correct. *)
 
 (** Sampling policy. [Per_status q] keeps the first [q] records of every
-    verdict class ("verified", "relaxed", ...) in each domain. *)
+    verdict class ("verified", "relaxed", ...). *)
 type sampling = Off | All | Per_status of int
 
 val sampling_to_string : sampling -> string
 
 (** The per-class quota ledger behind [Per_status]: shared by the trace
-    rings here and by the serve access log. *)
+    ring here and by the serve access log. *)
 module Quota : sig
   type t
 
@@ -65,12 +65,12 @@ type record = {
 }
 
 val default_capacity : int
-(** 4096 records per domain. *)
+(** 4096 records. *)
 
 val configure : ?cap:int -> sampling -> unit
-(** Set the sampling policy (and optionally the per-domain ring
-    capacity), discarding every already-collected record. Call between
-    runs, not while workers are emitting. *)
+(** Set the sampling policy (and optionally the ring capacity),
+    discarding every already-collected record. Call between runs, not
+    while records are being emitted. *)
 
 val reset : unit -> unit
 (** Discard collected records; policy and capacity are kept. *)
@@ -82,29 +82,26 @@ val sampling : unit -> sampling
 val ring_capacity : unit -> int
 
 val should_sample : string -> bool
-(** [should_sample verdict_class] — whether this domain's ring keeps a
-    record of this class; a [true] counts toward its [Per_status] quota
+(** [should_sample verdict_class] — whether the ring keeps a record of
+    this class; a [true] counts toward its [Per_status] quota
     ({!Quota.admit}), so call it once per record, before building it, to
     skip rendering work for drops. *)
 
 val emit : record -> unit
-(** Append to this domain's ring (lock-free; [seq] is overwritten with
-    the next global sequence number). No-op when disabled. *)
-
-val next_seq : unit -> int
+(** Append to the ring ([seq] is overwritten with the record's emission
+    number since the last {!configure}). No-op when disabled. *)
 
 val records : unit -> record list
-(** Every retained record across all domains, in emission order. Call
-    after worker domains have joined. *)
+(** Every retained record, in emission order. *)
 
 val kept : unit -> int
-(** Records currently retained across all rings. *)
+(** Records currently retained in the ring. *)
 
 val dropped : unit -> int
 (** Records evicted by ring wrap-around since the last {!configure}. *)
 
 val with_sampling : ?cap:int -> sampling -> (unit -> 'a) -> 'a
-(** Run [f] under a forced policy with fresh rings, restoring the
+(** Run [f] under a forced policy with a fresh ring, restoring the
     previous policy (and discarding the temporary records) afterwards —
     collect {!records} inside [f]. Used by [explain]. *)
 

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # --prom-file contract: the Prometheus text exposition every subcommand
 # can emit must validate under the library's strict parser (prom_check),
-# for both a clean verify run and a chaos-injected stream run, and must
-# carry the samples the run is known to produce (verify latency buckets,
-# stream chaos accounting, the meta comments).
+# for both a clean verify run and a stream replay of a journal with a
+# malformed line, and must carry the samples the run is known to produce
+# (verify latency buckets, stream rejection accounting, the meta
+# comments).
 set -eu
 CLI="$1"
 PROM_CHECK="$2"
@@ -30,15 +31,18 @@ grep -q '^# meta ' "$DIR/verify.prom" || fail "verify exposition lost meta comme
 grep -q '_bucket{le="+Inf"}' "$DIR/verify.prom" \
   || fail "verify exposition has no +Inf buckets"
 
-# --- stream --chaos: degraded-but-alive run still exposes cleanly ---
+# --- stream --replay of a corrupt journal: degraded-but-alive run still
+# exposes cleanly ---
+"$CLI" stream -d "$DIR/world" --events 64 --journal-out "$DIR/feed.journal" \
+  > /dev/null || fail "stream --journal-out failed"
+{ cat "$DIR/feed.journal"; printf 'garbage line\n'; } > "$DIR/corrupt.journal"
 status=0
-"$CLI" stream -d "$DIR/world" --chaos 0.05 --chaos-seed 7 \
+"$CLI" stream -d "$DIR/world" --replay "$DIR/corrupt.journal" \
   --prom-file "$DIR/stream.prom" > /dev/null 2>&1 || status=$?
-[ "$status" -eq 0 ] || [ "$status" -eq 2 ] \
-  || fail "stream --chaos exited $status, want 0 or 2"
+[ "$status" -eq 2 ] || fail "stream --replay exited $status, want 2"
 [ -s "$DIR/stream.prom" ] || fail "stream wrote no exposition"
 "$PROM_CHECK" \
-  --require stream_retries \
+  --require stream_journal_rejected \
   --require stream_event_ns_count \
   "$DIR/stream.prom" || fail "stream exposition invalid"
 
@@ -52,4 +56,4 @@ if "$PROM_CHECK" "$DIR/bad2.prom" 2>/dev/null; then
   fail "prom_check accepted a sample without a TYPE declaration"
 fi
 
-echo "prom smoke: verify + chaos-stream expositions strict-parse"
+echo "prom smoke: verify + corrupt-replay stream expositions strict-parse"

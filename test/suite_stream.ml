@@ -1,12 +1,11 @@
 (* Tests for the streaming verification engine (Rz_stream): the journal
-   round-trip, chaos determinism, and —
-   the load-bearing property — the differential between incremental
-   verification and a from-scratch batch re-verify after an arbitrary
-   event sequence, fault-injected runs included. *)
+   round-trip, window accounting, and — the load-bearing property — the
+   differential between incremental verification and a from-scratch
+   batch re-verify after an arbitrary event sequence, malformed policy
+   edits spliced in included. *)
 
 module S = Rz_stream.Stream
 module E = Rz_routegen.Events
-module Fault = Rz_fault.Fault
 module Engine = Rz_verify.Engine
 module Db = Rz_irr.Db
 module Obs = Rz_obs.Obs
@@ -21,10 +20,8 @@ let small_world =
 let base_routes (world : Rpslyzer.Pipeline.world) =
   List.concat_map (fun (d : Rz_bgp.Table_dump.t) -> d.routes) world.table_dumps
 
-let test_config = { S.default_config with window = 16 }
-
-let mk_service ?(config = test_config) (world : Rpslyzer.Pipeline.world) =
-  S.create ~config ~ir:(Rz_irr.Db.ir world.db) ~rels:world.rels ()
+let mk_service (world : Rpslyzer.Pipeline.world) =
+  S.create ~window:16 ~ir:(Rz_irr.Db.ir world.db) ~rels:world.rels ()
 
 let gen_items ?(n = 80) ?(edit_rate = 0.12) ~seed world =
   let view = S.view_of world.Rpslyzer.Pipeline.db (base_routes world) in
@@ -86,25 +83,61 @@ let test_differential_clean () =
   Alcotest.(check (option int)) "incremental == batch after every edit" None broke;
   Alcotest.(check bool) "incremental == batch at the end" true (differential_holds t world)
 
+(* Policy rule text that does not parse, in either direction. *)
+let malformed_rules =
+  [| "from AS1 accept"; "from AS1 accept {"; "from accept ANY"; "from AS1 accept <^AS1";
+     "to AS1 announce ANY AND" |]
+
+(* Splice Add_import/Add_export edits with malformed rule text in front
+   of about one item in ten, at seeded positions, and renumber the feed;
+   the seqs of the spliced edits come back beside it. *)
+let splice_rejects ~seed world items =
+  let rng = Random.State.make [| seed |] in
+  let autnums = Array.of_list (S.view_of world.Rpslyzer.Pipeline.db []).E.autnums in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  let bad () =
+    let asn = pick autnums and text = pick malformed_rules in
+    E.Edit (if Random.State.bool rng then E.Add_import (asn, text) else E.Add_export (asn, text))
+  in
+  let evs =
+    List.concat_map
+      (fun (item : E.item) ->
+        let good = (false, item.E.ev) in
+        if Random.State.int rng 10 = 0 then [ (true, bad ()); good ] else [ good ])
+      items
+  in
+  ( List.mapi (fun i (_, ev) -> { E.seq = i + 1; ev }) evs,
+    List.concat (List.mapi (fun i (spliced, _) -> if spliced then [ i + 1 ] else []) evs) )
+
 let qcheck_differential =
   QCheck.Test.make ~count:10 ~name:"incremental == batch after any event sequence"
     QCheck.(make ~print:Print.(pair int bool) Gen.(pair (int_bound 9999) bool))
-    (fun (seed, with_chaos) ->
+    (fun (seed, with_rejects) ->
       let world = Lazy.force small_world in
-      let chaos =
-        if with_chaos then Some (Fault.plan ~seed:(seed + 7) ~rate:0.3 ()) else None
-      in
-      let t = mk_service ~config:{ test_config with chaos } world in
+      let t = mk_service world in
       let items = gen_items ~n:80 ~seed world in
-      (match feed_checked t world items with
-       | Some seq ->
-         QCheck.Test.fail_reportf "differential broke after edit %d at seed %d (chaos %b)"
-           seq seed with_chaos
-       | None -> ());
+      let items, bad =
+        if with_rejects then splice_rejects ~seed world items else (items, [])
+      in
+      List.iter
+        (fun (item : E.item) ->
+          let spliced = List.mem item.E.seq bad in
+          match S.feed t item with
+          | S.Abandoned ->
+            QCheck.Test.fail_reportf "event %d abandoned at seed %d" item.E.seq seed
+          | S.Applied when spliced ->
+            QCheck.Test.fail_reportf "malformed edit %d applied at seed %d" item.E.seq seed
+          | S.Applied ->
+            if is_edit item && not (differential_holds t world) then
+              QCheck.Test.fail_reportf
+                "differential broke after edit %d at seed %d (rejects %b)" item.E.seq seed
+                with_rejects
+          | S.Rejected _ -> ())
+        items;
       S.flush t;
       if not (differential_holds t world) then
-        QCheck.Test.fail_reportf "differential broke at the end, seed %d (chaos %b)" seed
-          with_chaos;
+        QCheck.Test.fail_reportf "differential broke at the end, seed %d (rejects %b)" seed
+          with_rejects;
       true)
 
 (* ---- Db.patch == Db.build ---- *)
@@ -266,42 +299,6 @@ let test_invalidation_counters () =
   Alcotest.(check bool) "sweeps hit the hop memo" true (Obs.Counter.get memo_hits > 0);
   Alcotest.(check bool) "differential still holds" true (differential_holds t world)
 
-(* ---- chaos ---- *)
-
-let test_chaos_deterministic () =
-  let world = Lazy.force small_world in
-  let items = gen_items ~n:90 ~seed:61 world in
-  let outcomes () =
-    let chaos = Some (Fault.plan ~seed:13 ~rate:0.4 ()) in
-    let t = mk_service ~config:{ test_config with chaos } world in
-    let rs = feed_all t items in
-    S.flush t;
-    (rs, S.reports t)
-  in
-  let r1, rep1 = outcomes () in
-  let r2, rep2 = outcomes () in
-  Alcotest.(check bool) "same plan, same fates" true (r1 = r2);
-  Alcotest.(check bool) "same plan, same verdicts" true (rep1 = rep2);
-  Alcotest.(check bool) "some events abandoned at rate 0.4" true
-    (List.exists (fun r -> r = S.Abandoned) r1)
-
-let test_chaos_rate_one_degrades_never_crashes () =
-  Obs.reset ();
-  Obs.enable ();
-  Fun.protect ~finally:(fun () -> Obs.disable (); Obs.reset ()) @@ fun () ->
-  let abandoned = Obs.Counter.make "stream.events_abandoned" in
-  let world = Lazy.force small_world in
-  let chaos = Some (Fault.plan ~seed:3 ~rate:1.0 ()) in
-  let t = mk_service ~config:{ test_config with chaos } world in
-  let items = gen_items ~n:60 ~seed:71 world in
-  let results = feed_all t items in
-  S.flush t;
-  Alcotest.(check bool) "every event abandoned" true
-    (List.for_all (fun r -> r = S.Abandoned) results);
-  Alcotest.(check int) "abandonments counted" 60 (Obs.Counter.get abandoned);
-  Alcotest.(check int) "rib untouched" 0 (List.length (S.rib_routes t));
-  Alcotest.(check int) "no generation swaps" 0 (S.generations t)
-
 let test_windows_account_for_everything () =
   let world = Lazy.force small_world in
   let t = mk_service world in
@@ -337,8 +334,5 @@ let suite =
     Alcotest.test_case "path-dependent routes re-verified" `Quick
       test_path_dependent_reverified;
     Alcotest.test_case "invalidation counters" `Quick test_invalidation_counters;
-    Alcotest.test_case "chaos deterministic" `Quick test_chaos_deterministic;
-    Alcotest.test_case "chaos 1.0 degrades, never crashes" `Quick
-      test_chaos_rate_one_degrades_never_crashes;
     Alcotest.test_case "windows account for everything" `Quick
       test_windows_account_for_everything ]

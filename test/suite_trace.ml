@@ -83,23 +83,21 @@ let test_ring_bounds () =
   let seqs = List.map (fun r -> r.Trace.seq) (Trace.records ()) in
   Alcotest.(check (list int)) "newest survive" [ 12; 13; 14; 15; 16; 17; 18; 19 ] seqs
 
-let test_ring_bound_multi_domain () =
-  (* every domain gets its own ring: total memory stays within
-     cap * domains even under concurrent emission, and nothing is lost
-     below capacity *)
+let test_shared_ring_concurrent () =
+  (* concurrent emitters share the one ring: it stays within its
+     capacity, every overflow is counted, and the survivors carry
+     distinct sequence numbers in order *)
   let cap = 64 and domains = 4 and per_domain = 200 in
   Trace.configure ~cap Trace.All;
   let work () = for _ = 1 to per_domain do Trace.emit (dummy_record ()) done in
   List.iter Domain.join (List.init domains (fun _ -> Domain.spawn work));
-  Alcotest.(check int) "kept = cap * domains" (cap * domains) (Trace.kept ());
+  Alcotest.(check int) "kept = cap" cap (Trace.kept ());
   Alcotest.(check int) "dropped accounts for the rest"
-    ((domains * per_domain) - (cap * domains))
+    ((domains * per_domain) - cap)
     (Trace.dropped ());
-  let rs = Trace.records () in
-  Alcotest.(check int) "records match kept" (cap * domains) (List.length rs);
-  (* emission order is globally coherent *)
-  let sorted = List.sort (fun a b -> compare a.Trace.seq b.Trace.seq) rs in
-  Alcotest.(check bool) "sorted by seq" true (rs = sorted)
+  let seqs = List.map (fun r -> r.Trace.seq) (Trace.records ()) in
+  Alcotest.(check int) "records match kept" cap (List.length seqs);
+  Alcotest.(check (list int)) "sorted by distinct seq" (List.sort_uniq compare seqs) seqs
 
 let test_with_sampling_restores () =
   Trace.configure (Trace.Per_status 2);
@@ -346,8 +344,8 @@ let suite =
     Alcotest.test_case "disabled is inert" `Quick (with_trace test_disabled_is_inert);
     Alcotest.test_case "sampling all + quota" `Quick (with_trace test_sampling_all_and_quota);
     Alcotest.test_case "ring bounds" `Quick (with_trace test_ring_bounds);
-    Alcotest.test_case "ring bound across domains" `Quick
-      (with_trace test_ring_bound_multi_domain);
+    Alcotest.test_case "concurrent emitters share one bounded ring" `Quick
+      (with_trace test_shared_ring_concurrent);
     Alcotest.test_case "with_sampling restores" `Quick (with_trace test_with_sampling_restores);
     Alcotest.test_case "engine emits records" `Quick (with_trace test_engine_emits_records);
     Alcotest.test_case "untraced run emits nothing" `Quick
