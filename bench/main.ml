@@ -1,7 +1,7 @@
 (* Paper-evaluation report: regenerates every table and figure of the
-   paper's evaluation over the synthetic world, prints paper-vs-measured
-   values, and runs Bechamel micro-benchmarks (one per table/figure
-   pipeline stage, plus the ablations called out in DESIGN.md).
+   paper's evaluation over the synthetic world and prints
+   paper-vs-measured values. It times nothing: all timing is perfbench's
+   (perfbench/run.py).
 
    Run with: dune exec bench/main.exe -- [--quick | --big] [--csv DIR]
    [--metrics FILE]. The exact accounting of the verify, ingest, stream
@@ -63,23 +63,15 @@ let topo_params =
 let irr_config = Rz_synthirr.Config.default
 
 let world =
-  let t0 = Unix.gettimeofday () in
   let w = Rpslyzer.Pipeline.build_synthetic ~topo_params ~irr_config () in
-  Printf.printf "world: %d ASes, built in %.2fs\n" (Rz_topology.Gen.n_ases w.topo)
-    (Unix.gettimeofday () -. t0);
+  Printf.printf "world: %d ASes\n" (Rz_topology.Gen.n_ases w.topo);
   w
 
-let usage =
-  let t0 = Unix.gettimeofday () in
-  let u = Rpslyzer.Pipeline.usage world in
-  Printf.printf "usage stats computed in %.2fs\n" (Unix.gettimeofday () -. t0);
-  u
+let usage = Rpslyzer.Pipeline.usage world
 
 let agg, n_total_routes, n_excluded =
-  let t0 = Unix.gettimeofday () in
   let agg, `Total total, `Excluded excluded = Rpslyzer.Pipeline.verify world in
-  Printf.printf "verified %s routes in %.2fs\n" (Table.commas total)
-    (Unix.gettimeofday () -. t0);
+  Printf.printf "verified %s routes\n" (Table.commas total);
   (agg, total, excluded)
 
 (* The snapshot is captured (and the file written) right here, straight
@@ -389,39 +381,6 @@ let figure6 () =
       [ "any special case"; Table.commas b.ases_any_special ] ]
 
 (* ------------------------------------------------------------------ *)
-(* Performance (Section 3 / Section 5 "Performance" paragraphs)         *)
-(* ------------------------------------------------------------------ *)
-
-let performance () =
-  section "Performance (paper: 13 IRRs parsed < 5 min; 779M routes in 2h49m)";
-  (* parse throughput *)
-  let bytes =
-    List.fold_left (fun acc (_, text) -> acc + String.length text) 0 world.dumps
-  in
-  let t0 = Unix.gettimeofday () in
-  let reps = if quick then 3 else 10 in
-  for _ = 1 to reps do
-    ignore (Rz_irr.Db.of_dumps world.dumps)
-  done;
-  let parse_s = (Unix.gettimeofday () -. t0) /. fint reps in
-  Printf.printf "parse+index %s of RPSL: %.3fs (%.1f MiB/s)\n"
-    (Printf.sprintf "%.1f KiB" (fint bytes /. 1024.))
-    parse_s
-    (fint bytes /. 1048576. /. parse_s);
-  (* verification throughput *)
-  let routes =
-    List.concat_map (fun (d : Rz_bgp.Table_dump.t) -> d.routes) world.table_dumps
-  in
-  let engine = Rz_verify.Engine.create world.db world.rels in
-  let t0 = Unix.gettimeofday () in
-  List.iter (fun r -> ignore (Rz_verify.Engine.verify_route engine r)) routes;
-  let verify_s = Unix.gettimeofday () -. t0 in
-  Printf.printf "verify %s routes: %.3fs (%s routes/s, 1 core; the paper used 128)\n"
-    (Table.commas (List.length routes))
-    verify_s
-    (Table.commas (int_of_float (fint (List.length routes) /. verify_s)))
-
-(* ------------------------------------------------------------------ *)
 (* Security comparison: RPSL verification vs ROV vs ASPA                *)
 (* ------------------------------------------------------------------ *)
 
@@ -561,124 +520,6 @@ let evolution () =
   in
   pairwise snapshots
 
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks (incl. DESIGN.md ablations)                *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_benches () =
-  section "Bechamel micro-benchmarks";
-  let open Bechamel in
-  let ripe_text = List.assoc "RIPE" world.dumps in
-  let sample_routes =
-    let all =
-      List.concat_map (fun (d : Rz_bgp.Table_dump.t) -> d.routes) world.table_dumps
-    in
-    let arr = Array.of_list all in
-    Array.sub arr 0 (min 200 (Array.length arr))
-  in
-  let engine = Rz_verify.Engine.create world.db world.rels in
-  let regex =
-    match Rz_aspath.Regex_parse.parse "^AS1 [AS2 AS3]* AS4+ .? AS5$" with
-    | Ok ast -> ast
-    | Error e -> failwith e
-  in
-  let regex_path = [| 1; 2; 3; 2; 4; 4; 9; 5 |] in
-  (* a set with members for the flattening benches *)
-  let some_set =
-    let ir = Rz_irr.Db.ir world.db in
-    let best = ref None in
-    Hashtbl.iter
-      (fun _ (s : Rz_ir.Ir.as_set) ->
-        if s.member_sets <> [] then
-          match !best with
-          | None -> best := Some s.name
-          | Some _ -> ())
-      ir.as_sets;
-    Option.value ~default:"AS-DEEP-1-1" !best
-  in
-  (* naive (memo-less) flattening for the ablation *)
-  let naive_flatten name =
-    let ir = Rz_irr.Db.ir world.db in
-    let rec go name visiting acc =
-      let key = Rz_rpsl.Set_name.canonical name in
-      if List.mem key visiting then acc
-      else
-        match Hashtbl.find_opt ir.as_sets key with
-        | None -> acc
-        | Some set ->
-          let acc = List.fold_left (fun acc a -> a :: acc) acc set.member_asns in
-          List.fold_left (fun acc child -> go child (key :: visiting) acc) acc
-            set.member_sets
-    in
-    go name [] []
-  in
-  (* linear route scan for the trie ablation *)
-  let all_routes_list =
-    let ir = Rz_irr.Db.ir world.db in
-    List.rev (Rz_ir.Ir.fold_routes ir ~init:[] ~f:(fun acc r -> r :: acc))
-  in
-  let probe_prefix =
-    match all_routes_list with
-    | (r : Rz_ir.Ir.route_obj) :: _ -> r.prefix
-    | [] -> Rz_net.Prefix.of_string_exn "192.0.2.0/24"
-  in
-  let tests =
-    [ Test.make ~name:"table1:parse-ripe-dump"
-        (Staged.stage (fun () -> ignore (Rz_rpsl.Reader.parse_string ripe_text)));
-      Test.make ~name:"figure1:rules-ccdf"
-        (Staged.stage (fun () ->
-             ignore (Stats_util.ccdf_at (List.map snd usage.rules_per_aut_num) [ 1; 10; 100 ])));
-      Test.make ~name:"figures2-6:verify-200-routes"
-        (Staged.stage (fun () ->
-             Array.iter (fun r -> ignore (Rz_verify.Engine.verify_route engine r)) sample_routes));
-      Test.make ~name:"aspath:backtracking-matcher"
-        (Staged.stage (fun () -> ignore (Rz_aspath.Regex_match.matches regex regex_path)));
-      Test.make ~name:"ablation:cartesian-product-matcher"
-        (Staged.stage (fun () ->
-             ignore (Rz_aspath.Regex_match.matches_product ~limit:5_000_000 regex regex_path)));
-      (let compiled = Rz_aspath.Regex_nfa.compile regex in
-       Test.make ~name:"aspath:nfa-subset-simulation"
-         (Staged.stage (fun () -> ignore (Rz_aspath.Regex_nfa.matches compiled regex_path))));
-      Test.make ~name:"irr:flatten-as-set-memoized"
-        (Staged.stage (fun () -> ignore (Rz_irr.Db.flatten_as_set world.db some_set)));
-      Test.make ~name:"ablation:flatten-as-set-naive"
-        (Staged.stage (fun () -> ignore (naive_flatten some_set)));
-      Test.make ~name:"irr:trie-covering-lookup"
-        (Staged.stage (fun () -> ignore (Rz_irr.Db.covering_routes world.db probe_prefix)));
-      Test.make ~name:"ablation:linear-route-scan"
-        (Staged.stage (fun () ->
-             ignore
-               (List.filter
-                  (fun (r : Rz_ir.Ir.route_obj) -> Rz_net.Prefix.contains r.prefix probe_prefix)
-                  all_routes_list))) ]
-  in
-  let grouped = Test.make_grouped ~name:"rpslyzer" tests in
-  let quota = if quick then Time.second 0.05 else Time.second 0.5 in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols_result ->
-      let estimate =
-        match Analyze.OLS.estimates ols_result with
-        | Some (e :: _) -> e
-        | _ -> nan
-      in
-      let pretty =
-        if Float.is_nan estimate then "n/a"
-        else if estimate > 1e9 then Printf.sprintf "%.2f s" (estimate /. 1e9)
-        else if estimate > 1e6 then Printf.sprintf "%.2f ms" (estimate /. 1e6)
-        else if estimate > 1e3 then Printf.sprintf "%.2f us" (estimate /. 1e3)
-        else Printf.sprintf "%.0f ns" estimate
-      in
-      rows := [ name; pretty ] :: !rows)
-    results;
-  Table.print ~header:[ "benchmark"; "time/run" ] (List.sort compare !rows)
-
 let () =
   table1 ();
   table1_coverage ();
@@ -691,10 +532,8 @@ let () =
   figure4 ();
   figure5 ();
   figure6 ();
-  performance ();
   security_comparison ();
   future_work_analytics ();
   evolution ();
   metrics_section ();
-  bechamel_benches ();
   print_newline ()

@@ -77,8 +77,8 @@ let matches ?(env = default_env) regex path =
   from 0
 
 (* ------------------------------------------------------------------ *)
-(* The paper's explicit symbol-string construction, for differential    *)
-(* testing and the ablation bench.                                      *)
+(* The paper's explicit symbol-string construction, the oracle of the   *)
+(* differential tests.                                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Collect the distinct AS tokens of the regex; each becomes a symbol. *)

@@ -6,7 +6,7 @@
     whether the concrete ASN matches each AS token — equivalent
     accept/reject behaviour in polynomial time. {!matches_product}
     implements the paper's explicit product construction literally and is
-    kept for differential testing and the ablation benchmark. *)
+    kept as the oracle of the differential tests. *)
 
 type env = {
   asn_in_set : string -> Rz_net.Asn.t -> bool;
@@ -29,7 +29,7 @@ val matches_product : ?env:env -> ?limit:int -> Regex_ast.t -> Rz_net.Asn.t arra
     product of per-position symbol sets and test each against the symbolic
     regex. Exponential; [limit] (default [100_000]) caps the number of
     symbol strings, raising [Invalid_argument] beyond it. Only used by
-    tests and the ablation bench. *)
+    tests. *)
 
 val term_matches : env -> Regex_ast.term -> Rz_net.Asn.t -> bool
 (** Whether one AS token matches one concrete ASN. *)

@@ -10,15 +10,15 @@
     {!Rz_ir.Ir_snapshot}). *)
 
 val ingest_sequential : (string * string) list -> Rz_ir.Ir.t
-(** The sequential oracle: exactly [Db.of_dumps]'s lowering loop. The
-    bench's ablation baseline and the differential suite's ground
-    truth. *)
+(** The sequential oracle: exactly [Db.of_dumps]'s lowering loop, and
+    the differential suite's ground truth. *)
 
 val ingest : ?domains:int -> (string * string) list -> Rz_ir.Ir.t
 (** Ingest [(source, rpsl_text)] dumps given in priority order: each
     dump is parsed by {!Rz_rpsl.Reader.scan_string} (spanned as
-    ["parse"]) and lowered into one IR (spanned as ["lower"]) with the
-    memoized parsers of {!Fast_policy}.
+    ["parse"]) and lowered into one IR (spanned as ["lower"]), with
+    {!Rz_policy.Parser.parse_rule} and {!Rz_ir.Lower.split_names} memoized
+    per distinct text for the pass.
 
     [domains] is deprecated: ingestion runs on one domain, and any value
     other than 1 raises [Invalid_argument]. *)

@@ -13,8 +13,8 @@ type rule_parser =
   string ->
   (Rz_policy.Ast.rule, string) result
 (** The function that lowers one import/export attribute value. The
-    default is {!lower_rule}; [Rz_ingest.Ingest.ingest] substitutes a
-    memoized fast-path parser that is observationally identical. *)
+    default is {!lower_rule}; [Rz_ingest.Ingest.ingest] substitutes the
+    same parser memoized per (direction, multiprotocol, text). *)
 
 val add_objects :
   ?rule_parser:rule_parser ->

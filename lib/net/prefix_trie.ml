@@ -98,8 +98,6 @@ let remove t prefix matches =
     node.values <- kept;
     if kept = [] then node.prefix <- None
 
-let mem_exact t prefix = exact t prefix <> []
-
 let covering t prefix =
   let rec descend node depth acc =
     let acc = rev_pairs node acc in

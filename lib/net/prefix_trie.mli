@@ -32,7 +32,6 @@ val covering : 'a t -> Prefix.t -> (Prefix.t * 'a) list
 val covered_by : 'a t -> Prefix.t -> (Prefix.t * 'a) list
 (** All entries contained within the argument (including exact). *)
 
-val mem_exact : 'a t -> Prefix.t -> bool
 val length : 'a t -> int
 (** Number of (prefix, value) bindings. *)
 

@@ -138,7 +138,8 @@ let parse_peering_expr st =
 (* ---------------- Actions ---------------- *)
 
 let action_value_tokens st =
-  (* Consume tokens of an action RHS until ';' or a structural keyword. *)
+  (* Consume tokens of an action RHS until ';' or a structural keyword;
+     RFC 2622 requires a value, so an empty RHS is an error. *)
   let buf = ref [] in
   let rec go () =
     match peek st with
@@ -150,6 +151,7 @@ let action_value_tokens st =
       go ()
   in
   go ();
+  if !buf = [] then raise (Err "missing action value");
   String.concat " " (List.rev !buf)
 
 let parse_call_args st =

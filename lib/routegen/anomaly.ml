@@ -14,11 +14,6 @@ type event = {
   route : Rz_bgp.Route.t;
 }
 
-let kind_to_string = function
-  | Prefix_hijack -> "prefix-hijack"
-  | Forged_origin -> "forged-origin"
-  | Route_leak -> "route-leak"
-
 (* The observer's path towards a destination AS, wire order. *)
 let observer_path topo ~observer ~dest =
   let table = Propagate.best_routes topo ~dest in

@@ -20,8 +20,6 @@ type event = {
   route : Rz_bgp.Route.t;      (** as observed at a collector peer *)
 }
 
-val kind_to_string : kind -> string
-
 val inject :
   ?seed:int ->
   Rz_topology.Gen.t ->

@@ -351,7 +351,3 @@ let parse_file ?(limits = default_limits) path =
             reason = "read aborted: " ^ Printexc.to_string e });
      (try close_in ic with Sys_error _ -> ()));
   finish st
-
-let fold_file ?limits path ~init ~f =
-  let parsed = parse_file ?limits path in
-  (List.fold_left f init parsed.objects, parsed.errors)

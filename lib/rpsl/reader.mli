@@ -44,8 +44,3 @@ val parse_file : ?limits:limits -> string -> result_t
     one error record; a failure mid-file (truncation, I/O error) returns
     every object and error accumulated up to that point plus a synthetic
     trailing ["read aborted"] error. *)
-
-val fold_file :
-  ?limits:limits -> string -> init:'a -> f:('a -> Obj.t -> 'a) -> 'a * error list
-(** Stream objects from a file without materializing the whole list;
-    used for large dumps. Same partial-result semantics as {!parse_file}. *)

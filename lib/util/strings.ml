@@ -74,8 +74,3 @@ let chop_comment c s =
   match String.index_opt s c with
   | None -> s
   | Some i -> String.sub s 0 i
-
-let concat_map_lines f s =
-  String.split_on_char '\n' s
-  |> List.filter_map f
-  |> String.concat "\n"

@@ -28,6 +28,3 @@ val split_words : string -> string list
 val chop_comment : char -> string -> string
 (** [chop_comment '#' s] drops everything from the first occurrence of the
     comment character. *)
-
-val concat_map_lines : (string -> string option) -> string -> string
-(** Map over lines, dropping [None] results, rejoining with ['\n']. *)

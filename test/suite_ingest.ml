@@ -2,9 +2,10 @@
    the IR snapshot cache (Rz_ir.Ir_snapshot).
 
    The contract under test is byte-identity: for any input,
-   [Ingest.ingest] (scanner + memoized fast-path parsers) must produce
-   an IR whose Ir_json export equals the sequential oracle's ([Ingest.ingest_sequential], i.e. the
-   [Db.of_dumps] lowering loop) — including the error list and the
+   [Ingest.ingest] (scanner + memoized rule and member-list parsers)
+   must produce an IR whose Ir_json export equals the sequential
+   oracle's ([Ingest.ingest_sequential], i.e. the [Db.of_dumps] lowering
+   loop) — including the error list and the
    inter-IRR first-definition-wins winners. Snapshots must round-trip
    byte-stably and a valid-looking-but-stale snapshot must miss, never
    serve wrong data. The on-disk fixture corpus exercises the reader on
@@ -131,36 +132,40 @@ let scan_equals_parse =
           = result_fingerprint (Reader.parse_string corrupted))
         (Lazy.force world_dumps))
 
-(* ---- fast-path rule parser vs the reference lowering ---- *)
+(* ---- memoized rule lowering vs the reference lowering ---- *)
 
-let fast_parser_parity =
-  (* generated aut-nums spanning the fast parser's domain (simple
-     from/to + word filter, with and without afi) plus shapes it must
-     decline (actions, compound peerings, parenthesised filters): the
-     end-to-end IR must not depend on which parser ran *)
+let memo_parser_parity =
+  (* generated aut-nums with repeated rule texts (so the memo answers
+     most of them), action-bearing peerings and rules that must be
+     rejected, such as an action with no value: the end-to-end IR, error
+     list included, must not depend on the memo *)
   let gen_rule =
     Gen.map3
-      (fun dir peer (afi, filt) ->
-        let kw, kw2 = if dir then ("import", "accept") else ("export", "announce") in
-        Printf.sprintf "%s: %sfrom AS%d %s %s" kw afi peer kw2 filt)
+      (fun dir (peer, action) (afi, filt) ->
+        let attr, kw, verb =
+          if dir then ("import", "from", "accept") else ("export", "to", "announce")
+        in
+        Printf.sprintf "%s: %s%s AS%d %s%s %s" attr afi kw peer action verb filt)
       Gen.bool
-      (Gen.int_range 64500 64520)
+      (Gen.pair (Gen.int_range 64500 64505)
+         (Gen.oneofl
+            [ ""; ""; "action pref=100; "; "action community .= { 65000:1 }; ";
+              "action med=10; pref=20; "; "action pref=; " ]))
       (Gen.pair
          (Gen.oneofl [ ""; "afi ipv4.unicast "; "afi ipv6.unicast " ])
          (Gen.oneofl
             [ "ANY"; "AS-FIXTURE"; "AS64501"; "PeerAS"; "RS-TEST";
               "{ 192.0.2.0/24 }"; "AS64501 AND NOT AS64502"; "<^AS64501+$>" ]))
   in
-  QCheck.Test.make ~count:60 ~name:"fast rule parser = reference lowering"
+  QCheck.Test.make ~count:60 ~name:"memoized rule lowering = reference lowering"
     (QCheck.make (Gen.list_size (Gen.int_range 1 8) gen_rule))
     (fun rules ->
       let dump =
         "aut-num: AS64499\nas-name: GEN\n" ^ String.concat "\n" rules ^ "\n"
       in
       let dumps = [ ("GEN", dump) ] in
-      String.equal
-        (export (Ingest.ingest_sequential dumps))
-        (export (Ingest.ingest dumps)))
+      let seq = Ingest.ingest_sequential dumps and got = Ingest.ingest dumps in
+      got.errors = seq.errors && String.equal (export seq) (export got))
 
 (* ---- snapshot cache ---- *)
 
@@ -334,7 +339,7 @@ let suite =
     QCheck_alcotest.to_alcotest parity_under_corruption;
     Alcotest.test_case "merge priority winners" `Quick test_merge_priority_winners;
     QCheck_alcotest.to_alcotest scan_equals_parse;
-    QCheck_alcotest.to_alcotest fast_parser_parity;
+    QCheck_alcotest.to_alcotest memo_parser_parity;
     Alcotest.test_case "snapshot round-trip bytes" `Quick test_snapshot_roundtrip_bytes;
     Alcotest.test_case "snapshot hit/miss counters" `Quick test_snapshot_hit_miss_counters;
     Alcotest.test_case "fixture corpus table" `Quick test_fixture_corpus;

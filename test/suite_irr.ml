@@ -221,6 +221,72 @@ let flatten_memo_consistent =
       let second = asn_set_elems (Db.flatten_as_set db "AS-S0") in
       first = second && List.mem 100 first)
 
+(* The memo-free oracle for as-set flattening: a naive recursive
+   expansion with a visited set over canonical names, read off the
+   generated graph rather than the lowered IR. Graphs stay small (7
+   sets, so far fewer than [Db.max_flatten_work] visits on any path and
+   nesting far under [Db.max_flatten_depth]): past those bounds the
+   memoized answers depend on query order. *)
+let flatten_matches_naive =
+  QCheck.Test.make ~name:"flatten = naive recursive expansion" ~count:200
+    (QCheck.make ~print:string_of_int (QCheck.Gen.int_range 1 100000))
+    (fun seed ->
+      let rng = Rz_util.Splitmix.create seed in
+      let pick n = Rz_util.Splitmix.int rng n in
+      let n = 7 in
+      let name i = Printf.sprintf "AS-S%d" i in
+      (* referenced by a random-case spelling, self-loops allowed, plus
+         a dangling reference to a set that is never defined *)
+      let spell i =
+        if Rz_util.Splitmix.chance rng 0.3 then String.lowercase_ascii (name i) else name i
+      in
+      let graph =
+        List.init n (fun i ->
+            let asns = List.init (pick 3) (fun _ -> 100 + pick 20) in
+            let sets =
+              List.filter_map
+                (fun j -> if Rz_util.Splitmix.chance rng 0.3 then Some (spell j) else None)
+                (List.init n Fun.id)
+              @ if Rz_util.Splitmix.chance rng 0.1 then [ "AS-MISSING" ] else []
+            in
+            (name i, asns, sets))
+      in
+      let text =
+        String.concat ""
+          (List.map
+             (fun (nm, asns, sets) ->
+               Printf.sprintf "as-set: %s\nmembers: %s\n\n" nm
+                 (String.concat ", " (List.map (Printf.sprintf "AS%d") asns @ sets)))
+             graph)
+      in
+      let canon = Rz_rpsl.Set_name.canonical in
+      let defs = Hashtbl.create n in
+      List.iter (fun (nm, asns, sets) -> Hashtbl.replace defs (canon nm) (asns, sets)) graph;
+      let naive root =
+        let visited = Hashtbl.create n in
+        let rec go nm acc =
+          let key = canon nm in
+          if Hashtbl.mem visited key then acc
+          else begin
+            Hashtbl.add visited key ();
+            match Hashtbl.find_opt defs key with
+            | None -> acc
+            | Some (asns, sets) -> List.fold_left (fun acc c -> go c acc) (asns @ acc) sets
+          end
+        in
+        List.sort_uniq compare (go root [])
+      in
+      let db = db_of text in
+      (* a random query order, so later queries meet memoized children *)
+      let order =
+        List.map snd (List.sort compare (List.init n (fun i -> (pick 1000, name i))))
+      in
+      List.for_all
+        (fun nm ->
+          asn_set_elems (Db.flatten_as_set db nm) = naive nm
+          && not (Db.flatten_truncated db nm))
+        order)
+
 (* ---- in-place patching ---- *)
 
 (* Every answer [db] gives for these sets, origins and prefixes, the sets
@@ -541,4 +607,5 @@ let suite =
     Alcotest.test_case "patch below a reference cycle" `Quick test_patch_below_cycle;
     Alcotest.test_case "patch follows member-of" `Quick test_patch_member_of;
     Alcotest.test_case "patch past the flatten work bound" `Quick test_patch_past_work_cap;
-    QCheck_alcotest.to_alcotest patch_random_graphs ]
+    QCheck_alcotest.to_alcotest patch_random_graphs;
+    QCheck_alcotest.to_alcotest flatten_matches_naive ]

@@ -269,7 +269,11 @@ let test_rule_errors () =
   bad `Import "from AS1 announce ANY" (* wrong verb for imports *);
   bad `Export "to AS1 accept ANY";
   bad `Import "from AS1 accept";
-  bad `Import "from AS1 accept ANY trailing garbage"
+  bad `Import "from AS1 accept ANY trailing garbage";
+  (* RFC 2622: an assignment or append action carries a value *)
+  bad `Import "from AS1 action pref=; accept ANY";
+  bad `Import "from AS1 action community .= ; accept ANY";
+  bad `Import "from AS1 action pref=100; med=; accept ANY"
 
 let test_rule_roundtrip_reparse () =
   (* parse |> to_string |> parse is a fixpoint on the AST *)
@@ -287,6 +291,7 @@ let test_rule_roundtrip_reparse () =
       Alcotest.(check string) ("roundtrip " ^ text) rendered (Ast.rule_to_string r2))
     [ (`Export, false, "to AS4713 announce AS-HANABI");
       (`Import, false, "from AS1 action pref=10; accept { 10.0.0.0/8^16-24 }");
+      (`Import, false, "from AS1 action pref=100; community .= { 65000:1 }; accept ANY");
       (`Import, true, "afi ipv6.unicast from AS1 accept ANY AND NOT {::/0}");
       (`Import, false, "from AS1 accept ANY EXCEPT from AS2 accept AS2");
       (`Import, false, "from AS-ANY accept PeerAS AND <^PeerAS+$>") ]

@@ -370,17 +370,6 @@ let test_parse_file_agrees () =
       Alcotest.(check string) "same name" a.name b.name)
     from_string.objects from_file.objects
 
-let test_fold_file () =
-  let text = "aut-num: AS1\n\naut-num: AS2\n\naut-num: AS3\n" in
-  let path = Filename.temp_file "rpsl" ".db" in
-  let oc = open_out path in
-  output_string oc text;
-  close_out oc;
-  let count, errors = Rz_rpsl.Reader.fold_file path ~init:0 ~f:(fun acc _ -> acc + 1) in
-  Sys.remove path;
-  Alcotest.(check int) "three objects" 3 count;
-  Alcotest.(check int) "no errors" 0 (List.length errors)
-
 let test_world_save_load_roundtrip () =
   let world =
     Rpslyzer.Pipeline.build_synthetic
@@ -422,5 +411,4 @@ let suite =
     QCheck_alcotest.to_alcotest memo_parity_synthetic;
     QCheck_alcotest.to_alcotest memo_parity_path_regex;
     Alcotest.test_case "parse_file agrees with parse_string" `Quick test_parse_file_agrees;
-    Alcotest.test_case "fold_file" `Quick test_fold_file;
     Alcotest.test_case "world save/load roundtrip" `Quick test_world_save_load_roundtrip ]
