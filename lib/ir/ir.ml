@@ -160,7 +160,19 @@ let n_route_objs t = Arena.length t.routes
 let iter_routes t f = Arena.iter t.routes f
 let iter_routes_rev t f = Arena.iter_rev t.routes f
 let fold_routes t ~init ~f = Arena.fold t.routes ~init ~f
-let filter_routes t keep = Arena.filter_in_place t.routes keep
+
+(* The arena entries and the [route_seen] key go together, or a later
+   add of the same pair would be swallowed. *)
+let remove_route t ~prefix ~origin =
+  let removed = ref [] in
+  Arena.filter_in_place t.routes (fun r ->
+      if r.origin = origin && Rz_net.Prefix.equal r.prefix prefix then begin
+        removed := r :: !removed;
+        false
+      end
+      else true);
+  Hashtbl.remove t.route_seen (prefix, origin);
+  List.rev !removed
 
 let error_kind_to_string = function
   | Syntax_error msg -> "syntax error: " ^ msg

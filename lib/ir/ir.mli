@@ -162,6 +162,12 @@ val add_route :
     and append to the arena. Dedup gating (skip when already seen) is
     the caller's job, as it was with the list representation. *)
 
+val remove_route : t -> prefix:Rz_net.Prefix.t -> origin:Rz_net.Asn.t -> route_obj list
+(** Remove every [(prefix, origin)] route object and its [route_seen]
+    mark, so a later {!add_route} of the pair is not swallowed. The
+    others keep their relative order. Returns the removed objects,
+    oldest first. *)
+
 val n_route_objs : t -> int
 
 val iter_routes : t -> (route_obj -> unit) -> unit
@@ -174,10 +180,6 @@ val iter_routes_rev : t -> (route_obj -> unit) -> unit
 
 val fold_routes : t -> init:'a -> f:('a -> route_obj -> 'a) -> 'a
 (** In insertion order. *)
-
-val filter_routes : t -> (route_obj -> bool) -> unit
-(** Drop route objects failing the predicate, in place, preserving
-    relative order. Does not touch [route_seen]. *)
 
 val error_kind_to_string : error_kind -> string
 

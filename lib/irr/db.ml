@@ -42,9 +42,15 @@ type graph = {
   rs_asns : (string, Rz_net.Asn.t list) Hashtbl.t;  (* route-set [Rs_asn] members *)
   asn_readers : (Rz_net.Asn.t, string list) Hashtbl.t;  (* reverse of [rs_asns] *)
   rs_sets : (string, string list) Hashtbl.t;  (* route-set [Rs_set] members *)
-  mutable near_cycle : (string, unit) Hashtbl.t option;
-      (* sets that reach a reference cycle; [None] after the graph changed *)
 }
+
+(* What one walk resolves of an as-set: its transitive ASN members, its
+   nesting depth, and whether a reference cycle is reachable from it. *)
+type as_answer = { members : Asn_set.t; depth : int; loop : bool }
+
+(* A memo entry. A [shared] one is the same for every caller, so any walk
+   may reuse it; any other answers only a top-level query of its set. *)
+type 'a entry = { value : 'a; shared : bool }
 
 (* Aut-num [member-of] claims, both ways, as last indexed. *)
 type claims = {
@@ -59,11 +65,9 @@ type t = {
   (* Indirect members via member-of, grouped by target set (canonical). *)
   indirect_as_members : (string, Rz_net.Asn.t list) Hashtbl.t;
   indirect_route_members : (string, (Rz_net.Prefix.t * Rz_net.Range_op.t) list) Hashtbl.t;
-  (* Memo tables. *)
-  as_flat : (string, Asn_set.t) Hashtbl.t;
-  rs_flat : (string, (Rz_net.Prefix.t * Rz_net.Range_op.t) list) Hashtbl.t;
-  as_depth : (string, int) Hashtbl.t;
-  as_loop : (string, bool) Hashtbl.t;
+  (* Memo tables, keyed by canonical set name. *)
+  as_memo : (string, as_answer entry) Hashtbl.t;
+  rs_memo : (string, (Rz_net.Prefix.t * Rz_net.Range_op.t) list entry) Hashtbl.t;
   (* Canonical names of sets whose flattening hit a bound above. Written
      only while memo tables are being filled (i.e. before [warm_caches]
      completes) or by [patch] (single owner only), so reads after warming
@@ -156,10 +160,8 @@ let build (ir : Rz_ir.Ir.t) =
     by_origin;
     indirect_as_members;
     indirect_route_members;
-    as_flat = Hashtbl.create 256;
-    rs_flat = Hashtbl.create 64;
-    as_depth = Hashtbl.create 256;
-    as_loop = Hashtbl.create 256;
+    as_memo = Hashtbl.create 256;
+    rs_memo = Hashtbl.create 64;
     flatten_trunc = Hashtbl.create 16;
     graph = None;
     claims = None;
@@ -170,109 +172,102 @@ let of_dumps dumps =
   List.iter (fun (source, text) -> ignore (Rz_ir.Lower.add_dump ir ~source text)) dumps;
   build ir
 
-(* ---------------- as-set flattening ---------------- *)
+(* ---------------- set resolution ---------------- *)
+
+(* Position of [key] on a walk's [path] (innermost first), counted from
+   the root at 0; -1 when it is not on the path. *)
+let rec path_pos key = function
+  | [] -> -1
+  | k :: rest -> if String.equal k key then List.length rest else path_pos key rest
+
+(* The one recursive walk behind as-set and route-set resolution, rooted
+   at [top_key]. [expand key set go bound] computes a set's answer from
+   [go child] of its members; [bound ()] records a bound it hit. A member
+   already on the path is cut and answers [cut]; an unknown set, or one
+   past a bound, answers [empty].
+
+   Cuts are path-relative, so a set's answer inside a walk may differ
+   from its answer as a root. [low] tracks the shallowest path position
+   a cut reached, -1 once a bound is hit. A set whose walk left [low]
+   deeper than its own position cut back to neither itself nor an
+   ancestor and hit no bound: its answer is the same for every caller
+   and is stored [shared], for any walk to reuse. Every other answer is
+   stored only for the root, where it equals a fresh database's answer
+   to a query of that set first. *)
+let walk t memo sets ~empty ~cut expand top_key =
+  let work = ref 0 and low = ref max_int in
+  let bound () =
+    mark_truncated t top_key;
+    low := -1
+  in
+  let rec go key path depth =
+    match Hashtbl.find memo key with
+    | { shared = true; value } -> value
+    | { shared = false; _ } | (exception Not_found) ->
+      let pos = path_pos key path in
+      if depth > max_flatten_depth || !work > max_flatten_work then begin
+        (* stop descending; the partial answer of the ancestors stands *)
+        bound ();
+        empty
+      end
+      else if pos >= 0 then begin
+        low := min !low pos;
+        cut
+      end
+      else begin
+        incr work;
+        match Hashtbl.find_opt sets key with
+        | None -> empty
+        | Some set ->
+          let above = !low in
+          low := max_int;
+          let value = expand key set (fun child -> go child (key :: path) (depth + 1)) bound in
+          let shared = !low > depth in
+          low := min above !low;
+          if shared || depth = 0 then Hashtbl.replace memo key { value; shared };
+          value
+      end
+  in
+  go top_key [] 0
 
 let as_set_exists t name = Hashtbl.mem t.ir.as_sets (canon name)
 
+let as_empty = { members = Asn_set.empty; depth = 0; loop = false }
+let as_cut = { as_empty with loop = true }
+
+let as_walk t =
+  walk t t.as_memo t.ir.as_sets ~empty:as_empty ~cut:as_cut
+    (fun key (set : Rz_ir.Ir.as_set) go _ ->
+      let indirect = Option.value ~default:[] (Hashtbl.find_opt t.indirect_as_members key) in
+      List.fold_left
+        (fun acc child ->
+          let a = go (canon child) in
+          { members = Asn_set.union acc.members a.members;
+            depth = max acc.depth (1 + a.depth);
+            loop = acc.loop || a.loop })
+        { members = Asn_set.of_list (set.member_asns @ indirect); depth = 1; loop = false }
+        set.member_sets)
+
+let as_answer t key =
+  match Hashtbl.find t.as_memo key with
+  | e -> e.value
+  | exception Not_found -> as_walk t key
+
+(* The memo-hit path is one lookup and allocates nothing: verification
+   calls it for every as-set filter it evaluates. *)
 let flatten_as_set t name =
-  let top_key = canon name in
-  let work = ref 0 in
-  let rec go key visiting depth =
-    match Hashtbl.find_opt t.as_flat key with
-    | Some cached -> cached
-    | None ->
-      if depth > max_flatten_depth || !work > max_flatten_work then begin
-        (* Bound hit: stop descending; the partial union built by the
-           ancestors is still returned, marked truncated at the root. *)
-        mark_truncated t top_key;
-        Asn_set.empty
-      end
-      else if List.mem key visiting then Asn_set.empty (* cycle cut; no memo here *)
-      else begin
-        incr work;
-        match Hashtbl.find_opt t.ir.as_sets key with
-        | None -> Asn_set.empty
-        | Some set ->
-          let direct = Asn_set.of_list set.member_asns in
-          let indirect =
-            Asn_set.of_list
-              (Option.value ~default:[] (Hashtbl.find_opt t.indirect_as_members key))
-          in
-          let nested =
-            List.fold_left
-              (fun acc child ->
-                Asn_set.union acc (go (canon child) (key :: visiting) (depth + 1)))
-              Asn_set.empty set.member_sets
-          in
-          let result = Asn_set.union (Asn_set.union direct indirect) nested in
-          (* Only memoize at the top of the recursion stack; results under
-             a cycle cut can be partial for inner nodes. *)
-          if visiting = [] then Hashtbl.replace t.as_flat key result;
-          result
-      end
-  in
-  if Rz_obs.Obs.enabled () then
-    Rz_obs.Obs.Counter.incr
-      (if Hashtbl.mem t.as_flat top_key then c_as_flat_hits else c_as_flat_misses);
-  go top_key [] 0
+  let key = canon name in
+  match Hashtbl.find t.as_memo key with
+  | e ->
+    if Rz_obs.Obs.enabled () then Rz_obs.Obs.Counter.incr c_as_flat_hits;
+    e.value.members
+  | exception Not_found ->
+    if Rz_obs.Obs.enabled () then Rz_obs.Obs.Counter.incr c_as_flat_misses;
+    (as_walk t key).members
 
 let asn_in_as_set t name asn = Asn_set.mem asn (flatten_as_set t name)
-
-let as_set_depth t name =
-  let top_key = canon name in
-  let rec go key visiting depth =
-    match Hashtbl.find_opt t.as_depth key with
-    | Some cached -> cached
-    | None ->
-      if depth > max_flatten_depth then begin
-        (* Saturate: the reported depth tops out at the cap, which still
-           trips every depth >= k characterization threshold we use. *)
-        mark_truncated t top_key;
-        0
-      end
-      else if List.mem key visiting then 0
-      else begin
-        match Hashtbl.find_opt t.ir.as_sets key with
-        | None -> 0
-        | Some set ->
-          let child_depth =
-            List.fold_left
-              (fun acc child -> max acc (go (canon child) (key :: visiting) (depth + 1)))
-              0 set.member_sets
-          in
-          let result = 1 + child_depth in
-          if visiting = [] then Hashtbl.replace t.as_depth key result;
-          result
-      end
-  in
-  go top_key [] 0
-
-let as_set_has_loop t name =
-  let top_key = canon name in
-  let rec go key visiting depth =
-    match Hashtbl.find_opt t.as_loop key with
-    | Some cached -> cached
-    | None ->
-      if depth > max_flatten_depth then begin
-        (* Abstain past the cap: report no loop rather than guess. *)
-        mark_truncated t top_key;
-        false
-      end
-      else if List.mem key visiting then true
-      else begin
-        match Hashtbl.find_opt t.ir.as_sets key with
-        | None -> false
-        | Some set ->
-          let result =
-            List.exists
-              (fun child -> go (canon child) (key :: visiting) (depth + 1))
-              set.member_sets
-          in
-          if visiting = [] then Hashtbl.replace t.as_loop key result;
-          result
-      end
-  in
-  go top_key [] 0
+let as_set_depth t name = (as_answer t (canon name)).depth
+let as_set_has_loop t name = (as_answer t (canon name)).loop
 
 (* ---------------- route-object queries ---------------- *)
 
@@ -293,81 +288,56 @@ let take_at_most n lst =
   in
   loop [] n lst
 
-let flatten_route_set t name =
-  let top_key = canon name in
-  let work = ref 0 in
-  let rec go key visiting depth =
-    match Hashtbl.find_opt t.rs_flat key with
-    | Some cached -> cached
-    | None ->
-      if depth > max_flatten_depth || !work > max_flatten_work then begin
-        mark_truncated t top_key;
-        []
-      end
-      else if List.mem key visiting then []
-      else begin
-        incr work;
-        match Hashtbl.find_opt t.ir.route_sets key with
-        | None ->
-          (* A route-set member may also name an as-set (RFC 2622 allows
-             as-sets inside route-set members): handled by the caller via
-             Rs_set resolution below. *)
-          []
-        | Some set ->
-          let resolve = function
-            | Rz_ir.Ir.Rs_prefix (p, op) -> [ (p, op) ]
-            | Rz_ir.Ir.Rs_asn (asn, op) ->
-              List.map (fun p -> (p, op)) (origin_prefixes t asn)
-            | Rz_ir.Ir.Rs_set (child, op) ->
-              let child_key = canon child in
-              let base =
-                if Hashtbl.mem t.ir.route_sets child_key then
-                  go child_key (key :: visiting) (depth + 1)
-                else
-                  (* as-set member: prefixes of its flattened ASNs *)
-                  Asn_set.fold
-                    (fun asn acc ->
-                      List.rev_append
-                        (List.map (fun p -> (p, Rz_net.Range_op.None_)) (origin_prefixes t asn))
-                        acc)
-                    (flatten_as_set t child) []
-              in
-              List.map (fun (p, inner) -> (p, Rz_net.Range_op.compose op inner)) base
-          in
-          let direct = List.concat_map resolve set.members in
-          let indirect =
-            Option.value ~default:[] (Hashtbl.find_opt t.indirect_route_members key)
-          in
-          let result = direct @ indirect in
-          let result =
-            (* Member-count bound: duplication bombs (the same large set
-               referenced from many members) multiply the flattened list,
-               not the object count, so cap the materialized result. *)
-            if List.length result > max_route_set_members then begin
-              mark_truncated t top_key;
-              take_at_most max_route_set_members result
+let rs_walk t =
+  walk t t.rs_memo t.ir.route_sets ~empty:[] ~cut:[]
+    (fun key (set : Rz_ir.Ir.route_set) go bound ->
+      let resolve = function
+        | Rz_ir.Ir.Rs_prefix (p, op) -> [ (p, op) ]
+        | Rz_ir.Ir.Rs_asn (asn, op) -> List.map (fun p -> (p, op)) (origin_prefixes t asn)
+        | Rz_ir.Ir.Rs_set (child, op) ->
+          let child_key = canon child in
+          let base =
+            if Hashtbl.mem t.ir.route_sets child_key then go child_key
+            else begin
+              (* as-set member (RFC 2622 allows it): prefixes of its
+                 flattened ASNs; a truncated flattening flags this root *)
+              let asns = flatten_as_set t child_key in
+              if Hashtbl.mem t.flatten_trunc child_key then bound ();
+              Asn_set.fold
+                (fun asn acc ->
+                  List.rev_append
+                    (List.map (fun p -> (p, Rz_net.Range_op.None_)) (origin_prefixes t asn))
+                    acc)
+                asns []
             end
-            else result
           in
-          if visiting = [] then Hashtbl.replace t.rs_flat key result;
-          result
+          List.map (fun (p, inner) -> (p, Rz_net.Range_op.compose op inner)) base
+      in
+      let direct = List.concat_map resolve set.members in
+      let indirect = Option.value ~default:[] (Hashtbl.find_opt t.indirect_route_members key) in
+      let result = direct @ indirect in
+      (* Member-count bound: duplication bombs (the same large set
+         referenced from many members) multiply the flattened list, not
+         the object count, so cap the materialized result. *)
+      if List.length result > max_route_set_members then begin
+        bound ();
+        take_at_most max_route_set_members result
       end
-  in
-  if Rz_obs.Obs.enabled () then
-    Rz_obs.Obs.Counter.incr
-      (if Hashtbl.mem t.rs_flat top_key then c_rs_flat_hits else c_rs_flat_misses);
-  go top_key [] 0
+      else result)
+
+let flatten_route_set t name =
+  let key = canon name in
+  match Hashtbl.find t.rs_memo key with
+  | e ->
+    if Rz_obs.Obs.enabled () then Rz_obs.Obs.Counter.incr c_rs_flat_hits;
+    e.value
+  | exception Not_found ->
+    if Rz_obs.Obs.enabled () then Rz_obs.Obs.Counter.incr c_rs_flat_misses;
+    rs_walk t key
 
 let warm_caches t =
-  Hashtbl.iter
-    (fun _ (s : Rz_ir.Ir.as_set) ->
-      ignore (flatten_as_set t s.name);
-      ignore (as_set_depth t s.name);
-      ignore (as_set_has_loop t s.name))
-    t.ir.as_sets;
-  Hashtbl.iter
-    (fun _ (s : Rz_ir.Ir.route_set) -> ignore (flatten_route_set t s.name))
-    t.ir.route_sets
+  Hashtbl.iter (fun key _ -> ignore (flatten_as_set t key)) t.ir.as_sets;
+  Hashtbl.iter (fun key _ -> ignore (flatten_route_set t key)) t.ir.route_sets
 
 (* ---------------- set reference graph ---------------- *)
 
@@ -455,8 +425,7 @@ let index_set t g key =
   if refs <> old then begin
     List.iter (fun c -> pull g.parents c key) old;
     List.iter (fun c -> push g.parents c key) refs;
-    set_or_remove g.refs key refs;
-    g.near_cycle <- None
+    set_or_remove g.refs key refs
   end;
   let asns, sets =
     match Hashtbl.find_opt t.ir.route_sets key with
@@ -486,7 +455,7 @@ let graph t =
     let g =
       { refs = Hashtbl.create 256; parents = Hashtbl.create 256;
         rs_asns = Hashtbl.create 64; asn_readers = Hashtbl.create 256;
-        rs_sets = Hashtbl.create 16; near_cycle = None }
+        rs_sets = Hashtbl.create 16 }
     in
     (* a name shared by two set classes is indexed twice, harmlessly *)
     let index key _ = index_set t g key in
@@ -510,66 +479,18 @@ let ancestors g keys =
   go keys;
   Hashtbl.fold (fun k () acc -> k :: acc) seen []
 
-(* Sets that reach a reference cycle. A depth-first search finds a back
-   edge on every cycle; its target lies on the cycle, and the other
-   members of the cycle reach it. *)
-let near_cycle g =
-  match g.near_cycle with
-  | Some near -> near
-  | None ->
-    let color = Hashtbl.create 256 (* true: on the search path *) in
-    let on_cycle = ref [] in
-    let refs k = Option.value ~default:[] (Hashtbl.find_opt g.refs k) in
-    let rec search = function
-      | [] -> ()
-      | (u, []) :: rest ->
-        Hashtbl.replace color u false;
-        search rest
-      | (u, v :: vs) :: rest ->
-        let stack = (u, vs) :: rest in
-        (match Hashtbl.find_opt color v with
-         | Some true ->
-           on_cycle := v :: !on_cycle;
-           search stack
-         | Some false -> search stack
-         | None ->
-           Hashtbl.replace color v true;
-           search ((v, refs v) :: stack))
-    in
-    Hashtbl.iter
-      (fun k _ ->
-        if not (Hashtbl.mem color k) then begin
-          Hashtbl.replace color k true;
-          search [ (k, refs k) ]
-        end)
-      g.refs;
-    let near = Hashtbl.create 16 in
-    List.iter (fun k -> Hashtbl.replace near k ()) (ancestors g !on_cycle);
-    g.near_cycle <- Some near;
-    near
-
-(* Drop every memo entry of [keys] (closed upwards by the caller). Below
-   a reference cycle, a memo entry's value depends on which entries were
-   memoized when it was computed (cycle cuts are path-relative), so when
-   any of [keys] reaches a cycle, every set that does is dropped too:
-   entries are then refilled from the same state [build] starts from.
-   A flatten that hits a work or depth bound is order-dependent as well,
-   but its cut moves with every warm entry below it, so no such reset
-   restores [build]'s answer; db.mli states what holds there. *)
+(* Drop the memo entries of [keys] (closed upwards by the caller): an
+   entry is computed from the sets its walk reaches, and reuses only
+   shared entries, which are the same for every caller. A bound-hit
+   entry also depends on which entries were warm when it was computed;
+   db.mli states what holds there. *)
 let forget t keys =
-  let drop key =
-    Hashtbl.remove t.as_flat key;
-    Hashtbl.remove t.rs_flat key;
-    Hashtbl.remove t.as_depth key;
-    Hashtbl.remove t.as_loop key;
-    Hashtbl.remove t.flatten_trunc key
-  in
-  match keys with
-  | [] -> ()
-  | _ ->
-    let near = near_cycle (graph t) in
-    List.iter drop keys;
-    if List.exists (Hashtbl.mem near) keys then Hashtbl.iter (fun k () -> drop k) near
+  List.iter
+    (fun key ->
+      Hashtbl.remove t.as_memo key;
+      Hashtbl.remove t.rs_memo key;
+      Hashtbl.remove t.flatten_trunc key)
+    keys
 
 let set_claims c asn sets =
   let old = Option.value ~default:[] (Hashtbl.find_opt c.by_asn asn) in

@@ -30,9 +30,15 @@ val of_dumps : (string * string) list -> t
     visited), and materialized route-set members. A bound hit degrades to
     a partial result — never an exception or unbounded memory — records
     the root set in {!truncated_sets}, and increments the
-    [flatten.truncated] counter. Partial results are conservative for
-    verification: missing members can only push routes toward
-    Unverified. *)
+    [flatten.truncated] counter. A truncated answer is never reused
+    inside another set's resolution, and a route-set that reads a
+    truncated as-set is flagged too. Partial results are conservative
+    for verification: missing members can only push routes toward
+    Unverified.
+
+    Within the bounds, answers do not depend on query order: a set whose
+    resolution hits no bound answers as a fresh database asked for it
+    first does, whatever was asked before. *)
 
 val max_flatten_depth : int
 (** Nesting-depth cap (64); the paper flags real-world depth >= 5 as
@@ -63,8 +69,10 @@ val as_set_exists : t -> string -> bool
 val asn_in_as_set : t -> string -> Rz_net.Asn.t -> bool
 
 val as_set_depth : t -> string -> int
-(** Nesting depth: 1 for a flat set, 1 + max member depth otherwise;
-    members on a cycle do not add depth. 0 for unknown sets. *)
+(** Nesting depth, as a fresh database gives it: 1 for a flat set,
+    1 + max member depth otherwise, where a member that closes a cycle
+    back to a set on the way down from this one adds nothing. 0 for
+    unknown sets. *)
 
 val as_set_has_loop : t -> string -> bool
 (** Whether a cycle is reachable from this set (the set participates in or
@@ -138,16 +146,14 @@ val patch : t -> edit list -> unit
     together are listed in the order they were added. After it, every
     query answers as it would on [build] of the same IR, in the same
     element order, for every set whose flattening hits no resolution
-    bound when it is the first set a fresh [build] is asked for. (Below
-    a reference cycle an answer depends on the order sets are first
-    asked for, under [build] too, so compare in one order.)
+    bound when it is the first set a fresh [build] is asked for.
 
     Where a bound is hit, the cut falls where the work ran out, and that
     depends on which sets were already memoized, under [build] as much
     as here. There a patched database may answer with more members than
-    a fresh one asked in the same order, but never with a member the
-    set does not have, and it lists in {!truncated_sets} only sets that
-    hit a bound on a fresh [build]. *)
+    a fresh one, but never with a member the set does not have, and it
+    lists in {!truncated_sets} only sets that hit a bound on a fresh
+    [build]. *)
 
 val set_ancestors : t -> string -> string list
 (** The set with this name and every set that reaches it over

@@ -206,13 +206,15 @@ let parse_one_action st =
   | None -> raise (Err "truncated action")
 
 let parse_actions st =
-  (* action a1; a2; ... ; — terminated by accept/announce/from/to. *)
+  (* action a1; a2; ... aN; — RFC 2622 wants at least one action, each
+     ended by ';'; the list ends at a keyword or the end of the text. *)
   let rec go acc =
+    let acc = parse_one_action st :: acc in
+    expect st Lexer.Semicolon "expected ; after action";
     match peek st with
     | Some (Lexer.Word w) when is_keyword w -> List.rev acc
-    | Some Lexer.Semicolon -> advance st; go acc
     | None | Some Lexer.Rbrace -> List.rev acc
-    | Some _ -> go (parse_one_action st :: acc)
+    | Some _ -> go acc
   in
   go []
 

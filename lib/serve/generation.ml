@@ -39,9 +39,7 @@ let generation t = Atomic.get t.gen
 let last_serial t = t.serial
 
 (* Remove the IR entry a paragraph's primary key names, whichever table
-   it lives in. Route objects are keyed (prefix, origin): the arena entry
-   goes via [filter_routes] and the dedup index entry must go too, or a
-   later ADD of the same pair would be silently swallowed. *)
+   it lives in. Route objects are keyed (prefix, origin). *)
 let remove_obj (ir : Ir.t) (obj : Rz_rpsl.Obj.t) =
   let canon = Rz_rpsl.Set_name.canonical in
   match obj.cls with
@@ -63,11 +61,7 @@ let remove_obj (ir : Ir.t) (obj : Rz_rpsl.Obj.t) =
       | None -> Error "no origin"
     in
     match (Rz_net.Prefix.of_string obj.name, origin) with
-    | Ok prefix, Ok origin ->
-      Ir.filter_routes ir (fun r ->
-          not (Rz_net.Prefix.equal r.Ir.prefix prefix
-               && Rz_net.Asn.equal r.Ir.origin origin));
-      Hashtbl.remove ir.route_seen (prefix, origin)
+    | Ok prefix, Ok origin -> ignore (Ir.remove_route ir ~prefix ~origin)
     | _ -> ())
   | _ -> ()
 

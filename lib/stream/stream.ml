@@ -261,16 +261,10 @@ let apply_policy_edit t (edit : Events.policy_edit) :
   | Events.Route_del (p, o) ->
       if not (Hashtbl.mem t.ir.Ir.route_seen (p, o)) then Ok ([], [])
       else
-        let member_sets = ref [] in
-        Ir.filter_routes t.ir
-          (fun r ->
-            if Prefix.equal r.Ir.prefix p && r.Ir.origin = o then (
-              member_sets := Ir.route_member_of t.ir r @ !member_sets;
-              false)
-            else true);
-        Hashtbl.remove t.ir.Ir.route_seen (p, o);
         let set_edits =
-          List.sort_uniq compare !member_sets
+          Ir.remove_route t.ir ~prefix:p ~origin:o
+          |> List.concat_map (Ir.route_member_of t.ir)
+          |> List.sort_uniq compare
           |> List.map (fun s -> Engine.Edit_set (canon s))
         in
         Ok (Engine.Edit_route (p, o) :: set_edits, [])

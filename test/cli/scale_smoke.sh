@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end contract for the paper-scale path: gen --world-scale paper
-# streams a world to disk, an unknown preset is rejected, and verify
-# reports the same accounting and hop-status table whether the IR comes
-# from a fresh parse, a snapshot miss (parse + write) or a snapshot hit.
+# streams a world to disk, an unknown preset is rejected, verify reports
+# the same accounting and hop-status table, and stats the same report,
+# whether the IR comes from a fresh parse, a snapshot miss (parse +
+# write) or a snapshot hit.
 set -eu
 CLI="$1"
 DIR=$(mktemp -d)
@@ -42,6 +43,20 @@ for f in miss hit; do
     || fail "$f accounting differs: $(accounting "$DIR/$f.txt") vs $PLAIN"
   [ "$(statuses "$DIR/$f.txt")" = "$(statuses "$DIR/plain.txt")" ] \
     || fail "$f hop-status table differs"
+done
+
+# the same differential for stats, whose as-set line (loops, depth>=5)
+# reads the set resolution walk; its output carries no timing
+SNAP="$DIR/stats.snap"
+"$CLI" stats -d "$DIR/world" > "$DIR/stats-plain.txt" || fail "stats failed"
+grep -q '^== as-sets ==' "$DIR/stats-plain.txt" || fail "no as-set section in stats"
+"$CLI" stats -d "$DIR/world" --snapshot "$SNAP" > "$DIR/stats-miss.txt" \
+  || fail "stats --snapshot (miss) failed"
+[ -s "$SNAP" ] || fail "stats snapshot not written on a miss"
+"$CLI" stats -d "$DIR/world" --snapshot "$SNAP" > "$DIR/stats-hit.txt" \
+  || fail "stats --snapshot (hit) failed"
+for f in miss hit; do
+  cmp -s "$DIR/stats-$f.txt" "$DIR/stats-plain.txt" || fail "stats $f output differs"
 done
 
 echo "scale smoke: OK"

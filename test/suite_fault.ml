@@ -222,7 +222,12 @@ let test_deep_bomb_truncates () =
   (* the terminal member AS1 sits past the cap, so the flatten is partial *)
   Alcotest.(check bool) "partial result" true (not (Db.Asn_set.mem 1 flat));
   Alcotest.(check bool) "depth saturates, no overflow" true
-    (Db.as_set_depth db "AS-FAULT-DEEP-0-0" <= Db.max_flatten_depth + 1)
+    (Db.as_set_depth db "AS-FAULT-DEEP-0-0" <= Db.max_flatten_depth + 1);
+  (* a set deep in the chain whose own walk fits under the cap answers
+     in full: the root's truncated walk left it no partial memo entry *)
+  let inner = "AS-FAULT-DEEP-0-40" in
+  Alcotest.(check bool) "inner set complete" true (Db.asn_in_as_set db inner 1);
+  Alcotest.(check bool) "inner set not flagged" false (Db.flatten_truncated db inner)
 
 let test_deep_bomb_depth_relationship () =
   (* the bomb must actually overshoot the db cap, or the test above is

@@ -287,37 +287,98 @@ let flatten_matches_naive =
           && not (Db.flatten_truncated db nm))
         order)
 
+(* Random set graphs with cycles, self-references, range operators on
+   set references and as-sets inside route-sets. Every set's answers
+   must be those of a fresh database asked for that set first, however
+   the sets were asked before: in a shuffled order, or after
+   [warm_caches]. *)
+let answers_order_independent =
+  QCheck.Test.make ~name:"answers do not depend on query order" ~count:100
+    (QCheck.make ~print:string_of_int (QCheck.Gen.int_range 1 100000))
+    (fun seed ->
+      let rng = Rz_util.Splitmix.create seed in
+      let pick n = Rz_util.Splitmix.int rng n in
+      let n = 6 in
+      let op () = [| ""; ""; "^+"; "^-"; "^24"; "^20-28" |].(pick 6) in
+      let refs prefix =
+        List.filter_map
+          (fun j ->
+            if Rz_util.Splitmix.chance rng 0.3 then Some (Printf.sprintf "%s%d" prefix j)
+            else None)
+          (List.init n Fun.id)
+      in
+      let buf = Buffer.create 1024 in
+      for i = 0 to n - 1 do
+        Buffer.add_string buf
+          (Printf.sprintf "as-set: AS-S%d\nmembers: %s\n\n" i
+             (String.concat ", " (Printf.sprintf "AS%d" (100 + pick n) :: refs "AS-S")));
+        let members =
+          Printf.sprintf "10.%d.0.0/16%s" i (op ())
+          :: Printf.sprintf "AS%d%s" (100 + pick n) (op ())
+          :: List.map (fun s -> s ^ op ()) (refs "RS-R" @ refs "AS-S")
+        in
+        Buffer.add_string buf
+          (Printf.sprintf "route-set: RS-R%d\nmembers: %s\n\n" i (String.concat ", " members));
+        Buffer.add_string buf
+          (Printf.sprintf "route: 192.%d.0.0/16\norigin: AS%d\n\n" (pick 4) (100 + i))
+      done;
+      let text = Buffer.contents buf in
+      let sets = List.init n (Printf.sprintf "AS-S%d") @ List.init n (Printf.sprintf "RS-R%d") in
+      let answer db (name, kind) =
+        match kind with
+        | 0 -> `Asns (asn_set_elems (Db.flatten_as_set db name))
+        | 1 -> `Routes (List.sort_uniq compare (Db.flatten_route_set db name))
+        | 2 -> `Depth (Db.as_set_depth db name)
+        | _ -> `Loop (Db.as_set_has_loop db name)
+      in
+      let queries = List.concat_map (fun s -> List.init 4 (fun k -> (s, k))) sets in
+      let first = List.map (fun q -> (q, answer (db_of text) q)) queries in
+      let check label db =
+        let order = Array.of_list queries in
+        Rz_util.Splitmix.shuffle rng order;
+        Array.iter
+          (fun ((name, kind) as q) ->
+            if answer db q <> List.assoc q first then
+              QCheck.Test.fail_reportf "%s: answer %d of %s differs from a fresh database's"
+                label kind name)
+          order
+      in
+      check "shuffled" (db_of text);
+      let warm = db_of text in
+      Db.warm_caches warm;
+      check "warmed" warm;
+      true)
+
 (* ---- in-place patching ---- *)
 
 (* Every answer [db] gives for these sets, origins and prefixes, the sets
-   asked in list order: below a reference cycle, memoized flattening
-   depends on the order sets are first asked for, so a patched database
-   and a fresh one are compared under the same order. *)
+   asked in list order. *)
 let answers db ~sets ~origins ~prefixes =
-  ( List.map
-      (fun n ->
-        ( asn_set_elems (Db.flatten_as_set db n),
-          Db.flatten_route_set db n,
-          Db.as_set_depth db n,
-          Db.as_set_has_loop db n ))
-      sets,
+  ( List.sort compare
+      (List.map
+         (fun n ->
+           ( n,
+             asn_set_elems (Db.flatten_as_set db n),
+             Db.flatten_route_set db n,
+             Db.as_set_depth db n,
+             Db.as_set_has_loop db n ))
+         sets),
     Db.truncated_sets db,
     List.map (fun o -> (Db.origin_prefixes db o, Db.origin_has_routes db o)) origins,
     List.map (fun q -> (Db.covering_routes db q, Db.exact_origins db q)) prefixes )
 
 let same_as_build db ~sets ~origins ~prefixes =
   let patched = answers db ~sets ~origins ~prefixes in
-  patched = answers (Db.build (Rz_ir.Ir.copy (Db.ir db))) ~sets ~origins ~prefixes
+  (* memoized answers must not depend on the order sets are asked in *)
+  patched
+  = answers (Db.build (Rz_ir.Ir.copy (Db.ir db))) ~sets:(List.rev sets) ~origins ~prefixes
 
 let add_route db prefix origin =
   Rz_ir.Ir.add_route (Db.ir db) ~prefix ~origin ~member_of:[] ~mnt_by:[] ~source:"TEST";
   Db.patch db [ Db.Edit_route (prefix, origin) ]
 
 let del_route db prefix origin =
-  let ir = Db.ir db in
-  Rz_ir.Ir.filter_routes ir (fun r ->
-      not (Rz_net.Prefix.equal r.Rz_ir.Ir.prefix prefix && r.Rz_ir.Ir.origin = origin));
-  Hashtbl.remove ir.Rz_ir.Ir.route_seen (prefix, origin);
+  ignore (Rz_ir.Ir.remove_route (Db.ir db) ~prefix ~origin);
   Db.patch db [ Db.Edit_route (prefix, origin) ]
 
 let test_patch_route_order () =
@@ -347,8 +408,7 @@ let test_patch_route_order () =
   Alcotest.(check bool) "origin gone" false (Db.origin_has_routes db 1)
 
 let test_patch_below_cycle () =
-  (* AS-A and RS-A sort before the cycles they reach, so a fresh database
-     answers them before it memoizes any cycle member *)
+  (* AS-A and RS-A reach the cycles AS-X/AS-Y and RS-X/RS-Y *)
   let db =
     db_of
       "as-set: AS-A\nmembers: AS-Y\n\nas-set: AS-X\nmembers: AS1, AS-Y\n\n\
@@ -395,43 +455,43 @@ let test_patch_member_of () =
   Alcotest.(check (list int)) "claim restored, edits in either order" [ 10; 11 ]
     (asn_set_elems (Db.flatten_as_set db "AS-COOP"))
 
-(* A set DAG past the work bound: two sets a level, each naming both
-   sets of the next level, so a cold flatten from a root visits
-   2^14 - 1 sets while one from any other set stays under
-   [Db.max_flatten_work]. Where a bound is hit, the answer depends on
-   which sets are already memoized, under [build] too; a patched
-   database must agree with [build] on every other set, and on the
-   roots answer no member they lack and flag them only because a cold
-   flatten hits the bound. *)
+(* A root past the work bound: AS-ROOT names AS-MID (which names
+   AS-LEAF) and [Db.max_flatten_work] flat as-sets, so a cold flatten
+   from it reaches more distinct sets than the bound allows, while one
+   from any other set stays far under it; RS-ROOT is its route-set
+   twin, and RS-VIA reads AS-ROOT, so it is flagged with it. Where a
+   bound is hit, the answer depends on which sets are already memoized,
+   under [build] too; a patched database must agree with [build] on
+   every other set, and on the roots answer no member they lack and
+   flag them only because a cold flatten hits the bound. *)
 let test_patch_past_work_cap () =
-  let levels = 13 in
-  let set cls i side = Printf.sprintf "%s-L%d-%c" cls i side in
-  let buf = Buffer.create 4096 in
-  for i = 0 to levels - 1 do
-    List.iteri
-      (fun k side ->
-        let next cls =
-          if i + 1 < levels then [ set cls (i + 1) 'A'; set cls (i + 1) 'B' ] else []
-        in
-        Buffer.add_string buf
-          (Printf.sprintf "as-set: %s\nmembers: %s\n\nroute-set: %s\nmembers: %s\n\n"
-             (set "AS" i side)
-             (String.concat ", " (Printf.sprintf "AS%d" (1000 + (2 * i) + k) :: next "AS"))
-             (set "RS" i side)
-             (String.concat ", " (Printf.sprintf "10.%d.%d.0/24" i k :: next "RS"))))
-      [ 'A'; 'B' ]
-  done;
+  let flat = List.init Db.max_flatten_work Fun.id in
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun i ->
+      Buffer.add_string buf
+        (Printf.sprintf
+           "as-set: AS-F%d\nmembers: AS%d\n\nroute-set: RS-F%d\nmembers: 10.%d.%d.0/24\n\n" i
+           (1000 + i) i (i / 256) (i mod 256)))
+    flat;
+  (* one [members] line per set: a single line would pass the reader's
+     line-length bound *)
+  let root cls =
+    Printf.sprintf "%s-ROOT\nmembers: %s-MID\n%s\n" cls cls
+      (String.concat "" (List.map (Printf.sprintf "members: %s-F%d\n" cls) flat))
+  in
   Buffer.add_string buf
-    "as-set: AS-ROOT\nmembers: AS-L0-A, AS-L0-B\n\n\
-     route-set: RS-ROOT\nmembers: RS-L0-A, RS-L0-B\n";
+    ("as-set: " ^ root "AS" ^ "route-set: " ^ root "RS"
+     ^ "as-set: AS-MID\nmembers: AS1, AS-LEAF\n\nas-set: AS-LEAF\nmembers: AS2\n\n\
+        route-set: RS-MID\nmembers: 192.0.2.0/24, RS-LEAF\n\n\
+        route-set: RS-LEAF\nmembers: 198.51.100.0/24\n\n\
+        route-set: RS-VIA\nmembers: AS-ROOT\n");
   let db = db_of (Buffer.contents buf) in
   let ir = Db.ir db in
-  let roots = [ "AS-ROOT"; "RS-ROOT" ] in
+  let roots = [ "AS-ROOT"; "RS-ROOT"; "RS-VIA" ] in
   let sets =
-    roots
-    @ List.concat
-        (List.init levels (fun i ->
-             List.concat_map (fun side -> [ set "AS" i side; set "RS" i side ]) [ 'A'; 'B' ]))
+    roots @ [ "AS-MID"; "AS-LEAF"; "RS-MID"; "RS-LEAF" ]
+    @ List.concat_map (fun i -> [ Printf.sprintf "AS-F%d" i; Printf.sprintf "RS-F%d" i ]) flat
   in
   let answer db n =
     ( asn_set_elems (Db.flatten_as_set db n),
@@ -469,7 +529,11 @@ let test_patch_past_work_cap () =
     ignore (answer fresh n);
     Db.flatten_truncated fresh n
   in
-  let subset a b = List.for_all (fun x -> List.mem x b) a in
+  let subset a b =
+    let h = Hashtbl.create 64 in
+    List.iter (fun x -> Hashtbl.replace h x ()) b;
+    List.for_all (Hashtbl.mem h) a
+  in
   let check label =
     let fresh = Db.build (Rz_ir.Ir.copy ir) in
     List.iter
@@ -489,22 +553,23 @@ let test_patch_past_work_cap () =
     Alcotest.(check bool) (label ^ ": only roots flagged") true
       (subset (Db.truncated_sets db) roots)
   in
-  Alcotest.(check (list bool)) "only the roots hit the bound cold" [ true; true; false; false ]
-    (List.map capped_cold [ "AS-ROOT"; "RS-ROOT"; "AS-L0-A"; "RS-L0-A" ]);
+  Alcotest.(check (list bool)) "only the roots hit the bound cold"
+    [ true; true; true; false; false ]
+    (List.map capped_cold [ "AS-ROOT"; "RS-ROOT"; "RS-VIA"; "AS-MID"; "RS-MID" ]);
   check "as built";
-  let a = Option.get (Rz_ir.Ir.find_as_set ir "AS-L5-A") in
-  Hashtbl.replace ir.Rz_ir.Ir.as_sets "AS-L5-A" { a with member_asns = 7777 :: a.member_asns };
-  let r = Option.get (Rz_ir.Ir.find_route_set ir "RS-L5-A") in
-  Hashtbl.replace ir.Rz_ir.Ir.route_sets "RS-L5-A"
-    { r with members = Rz_ir.Ir.Rs_prefix (p "192.0.2.0/24", Rz_net.Range_op.None_) :: r.members };
-  Db.patch db [ Db.Edit_set "AS-L5-A"; Db.Edit_set "RS-L5-A" ];
+  let a = Option.get (Rz_ir.Ir.find_as_set ir "AS-LEAF") in
+  Hashtbl.replace ir.Rz_ir.Ir.as_sets "AS-LEAF" { a with member_asns = 7777 :: a.member_asns };
+  let r = Option.get (Rz_ir.Ir.find_route_set ir "RS-LEAF") in
+  Hashtbl.replace ir.Rz_ir.Ir.route_sets "RS-LEAF"
+    { r with members = Rz_ir.Ir.Rs_prefix (p "203.0.113.0/24", Rz_net.Range_op.None_) :: r.members };
+  Db.patch db [ Db.Edit_set "AS-LEAF"; Db.Edit_set "RS-LEAF" ];
   check "after edits below the roots";
   Alcotest.(check bool) "edit seen above it" true
-    (Db.asn_in_as_set db "AS-L0-B" 7777
-     && List.mem_assoc (p "192.0.2.0/24") (Db.flatten_route_set db "RS-L0-B"));
-  Hashtbl.replace ir.Rz_ir.Ir.as_sets "AS-L5-A" a;
-  Hashtbl.replace ir.Rz_ir.Ir.route_sets "RS-L5-A" r;
-  Db.patch db [ Db.Edit_set "RS-L5-A"; Db.Edit_set "AS-L5-A" ];
+    (Db.asn_in_as_set db "AS-MID" 7777
+     && List.mem_assoc (p "203.0.113.0/24") (Db.flatten_route_set db "RS-MID"));
+  Hashtbl.replace ir.Rz_ir.Ir.as_sets "AS-LEAF" a;
+  Hashtbl.replace ir.Rz_ir.Ir.route_sets "RS-LEAF" r;
+  Db.patch db [ Db.Edit_set "RS-LEAF"; Db.Edit_set "AS-LEAF" ];
   check "after reverting them"
 
 (* Random set graphs, cycles included, under random member, set-edge
@@ -608,4 +673,5 @@ let suite =
     Alcotest.test_case "patch follows member-of" `Quick test_patch_member_of;
     Alcotest.test_case "patch past the flatten work bound" `Quick test_patch_past_work_cap;
     QCheck_alcotest.to_alcotest patch_random_graphs;
-    QCheck_alcotest.to_alcotest flatten_matches_naive ]
+    QCheck_alcotest.to_alcotest flatten_matches_naive;
+    QCheck_alcotest.to_alcotest answers_order_independent ]

@@ -273,7 +273,12 @@ let test_rule_errors () =
   (* RFC 2622: an assignment or append action carries a value *)
   bad `Import "from AS1 action pref=; accept ANY";
   bad `Import "from AS1 action community .= ; accept ANY";
-  bad `Import "from AS1 action pref=100; med=; accept ANY"
+  bad `Import "from AS1 action pref=100; med=; accept ANY";
+  (* RFC 2622: at least one action, each ended by ';' *)
+  bad `Import "from AS2 action ; accept ANY";
+  bad `Import "from AS2 action accept ANY";
+  bad `Export "to AS2 action med=5 announce ANY";
+  bad `Export "to AS2 action med=5; pref=1 announce ANY"
 
 let test_rule_roundtrip_reparse () =
   (* parse |> to_string |> parse is a fixpoint on the AST *)

@@ -142,10 +142,10 @@ let qcheck_differential =
 
 (* ---- Db.patch == Db.build ---- *)
 
-(* Everything a query can see of a database, each set queried in one
-   fixed order: flattening memoizes, and below a reference cycle the
-   memoized answers depend on the order sets were first asked for. *)
-let db_view db ~origins ~prefixes =
+(* Everything a query can see of a database, the sets asked in sorted
+   order, or in reverse with [~rev:true]: memoized answers must not
+   depend on the order sets are asked in. *)
+let db_view ?(rev = false) db ~origins ~prefixes =
   let ir = Db.ir db in
   let names =
     List.sort_uniq compare
@@ -160,9 +160,9 @@ let db_view db ~origins ~prefixes =
           Db.flatten_route_set db name,
           Db.as_set_depth db name,
           Db.as_set_has_loop db name ))
-      names
+      (if rev then List.rev names else names)
   in
-  ( sets,
+  ( List.sort compare sets,
     Db.truncated_sets db,
     List.map (fun o -> (Db.origin_prefixes db o, Db.origin_has_routes db o)) origins,
     List.map (fun p -> (Db.covering_routes db p, Db.exact_origins db p)) prefixes )
@@ -192,13 +192,13 @@ let qcheck_db_patch =
           (List.map fst !route_objs
            @ List.map (fun (r : Rz_bgp.Route.t) -> r.prefix) (base_routes world))
       in
-      let view db = db_view db ~origins ~prefixes in
+      let view ?rev db = db_view ?rev db ~origins ~prefixes in
       ignore (view (S.db t));
       List.iter
         (fun (item : E.item) ->
           if S.feed t item = S.Applied && is_edit item then begin
             let patched = view (S.db t) in
-            let built = view (Db.build (Rz_ir.Ir.copy (Db.ir (S.db t)))) in
+            let built = view ~rev:true (Db.build (Rz_ir.Ir.copy (Db.ir (S.db t)))) in
             if patched <> built then
               QCheck.Test.fail_reportf "patched db differs after edit %d (seed %d)"
                 item.E.seq seed
