@@ -58,24 +58,25 @@ module Pipeline = struct
     let table_dumps = Rz_routegen.Propagate.collector_dumps topo ~n_collectors ~peers in
     { topo; synth; db; rels = topo.rels; dumps = synth.dumps; table_dumps }
 
-  (** Verify every route of every collector dump; returns the aggregates
-      behind Figures 2-6 plus the total number of routes examined and the
+  (** Every route of every collector dump, in dump order. *)
+  let rib world =
+    Array.concat
+      (List.map (fun (d : Rz_bgp.Table_dump.t) -> Array.of_list d.routes) world.table_dumps)
+
+  (** Verify every route of every collector dump, in prefix order
+      ({!Rz_verify.Engine.verify_rib}); returns the aggregates behind
+      Figures 2-6 plus the total number of routes examined and the
       number excluded (single-AS or AS_SET paths). *)
   let verify ?config world =
     Rz_obs.Obs.Span.with_ "verify" @@ fun () ->
     let engine = Rz_verify.Engine.create ?config world.db world.rels in
     let agg = Rz_verify.Aggregate.create () in
     let excluded = ref 0 and total = ref 0 in
-    List.iter
-      (fun (dump : Rz_bgp.Table_dump.t) ->
-        List.iter
-          (fun route ->
-            incr total;
-            match Rz_verify.Engine.verify_route engine route with
-            | Some report -> Rz_verify.Aggregate.add_route_report agg report
-            | None -> incr excluded)
-          dump.routes)
-      world.table_dumps;
+    Rz_verify.Engine.verify_rib engine (rib world) (fun _ report ->
+        incr total;
+        match report with
+        | Some report -> Rz_verify.Aggregate.add_route_report agg report
+        | None -> incr excluded);
     (agg, `Total !total, `Excluded !excluded)
 
   let c_cross_routes = Rz_obs.Obs.Counter.make "rpki.cross.routes_total"
@@ -95,26 +96,15 @@ module Pipeline = struct
     Rz_obs.Obs.Span.with_ "rpki-cross" @@ fun () ->
     let engine = Rz_verify.Engine.create ?config world.db world.rels in
     let matrix = Rz_stats.Rpki_cross.create () in
-    List.iter
-      (fun (dump : Rz_bgp.Table_dump.t) ->
-        List.iter
-          (fun route ->
-            Rz_obs.Obs.Counter.incr c_cross_routes;
-            match Rz_bgp.Route.origin route with
-            | None ->
-              Rz_stats.Rpki_cross.add_no_origin matrix;
-              Rz_obs.Obs.Counter.incr c_cross_no_origin
-            | Some origin ->
-              let state =
-                Rz_rpki.Roa.validate roa_table route.Rz_bgp.Route.prefix origin
-              in
-              let rpsl =
-                Rz_stats.Rpki_cross.route_class
-                  (Rz_verify.Engine.verify_route engine route)
-              in
-              Rz_stats.Rpki_cross.add matrix ~rpsl state)
-          dump.routes)
-      world.table_dumps;
+    Rz_verify.Engine.verify_rib engine (rib world) (fun route report ->
+        Rz_obs.Obs.Counter.incr c_cross_routes;
+        match Rz_bgp.Route.origin route with
+        | None ->
+          Rz_stats.Rpki_cross.add_no_origin matrix;
+          Rz_obs.Obs.Counter.incr c_cross_no_origin
+        | Some origin ->
+          let state = Rz_rpki.Roa.validate roa_table route.Rz_bgp.Route.prefix origin in
+          Rz_stats.Rpki_cross.add matrix ~rpsl:(Rz_stats.Rpki_cross.route_class report) state);
     Rz_obs.Obs.Counter.add c_cross_verified_invalid
       (Rz_stats.Rpki_cross.verified_but_rpki_invalid matrix);
     Rz_obs.Obs.Counter.add c_cross_unrecorded_valid

@@ -49,7 +49,9 @@ type t = {
   per_as_export : (Rz_net.Asn.t, counts) Hashtbl.t;
   per_pair_import : (Rz_net.Asn.t * Rz_net.Asn.t, counts) Hashtbl.t;
   per_pair_export : (Rz_net.Asn.t * Rz_net.Asn.t, counts) Hashtbl.t;
-  mutable per_route : counts list;
+  per_route : (counts, int) Hashtbl.t;
+      (* per-route count profile -> number of routes with it; a key is
+         never mutated once added *)
   unrec_by_as : (Rz_net.Asn.t, unrec_flags) Hashtbl.t;
   special_by_as : (Rz_net.Asn.t, special_flags) Hashtbl.t;
   total : counts;
@@ -63,7 +65,7 @@ let create () =
     per_as_export = Hashtbl.create 512;
     per_pair_import = Hashtbl.create 2048;
     per_pair_export = Hashtbl.create 2048;
-    per_route = [];
+    per_route = Hashtbl.create 64;
     unrec_by_as = Hashtbl.create 512;
     special_by_as = Hashtbl.create 512;
     total = zero_counts ();
@@ -149,7 +151,8 @@ let record_hop t (hop : Report.hop) route_counts =
 let add_route_report t (report : Report.route_report) =
   let route_counts = zero_counts () in
   List.iter (fun hop -> record_hop t hop route_counts) report.hops;
-  t.per_route <- route_counts :: t.per_route;
+  let m = Option.value ~default:0 (Hashtbl.find_opt t.per_route route_counts) in
+  Hashtbl.replace t.per_route route_counts (m + 1);
   t.n_routes <- t.n_routes + 1
 
 let n_routes t = t.n_routes
@@ -300,21 +303,22 @@ let per_route_summary (t : t) =
   else begin
     let singles = ref 0 and sv = ref 0 and su = ref 0 and sb = ref 0 in
     let twos = ref 0 and more = ref 0 in
-    List.iter
-      (fun c ->
+    Hashtbl.iter
+      (fun c m ->
+        let add r = r := !r + m in
         let nonzero =
           List.length (List.filter (fun (_, v) -> v > 0) (counts_classes c))
         in
         if nonzero <= 1 then begin
-          incr singles;
+          add singles;
           match pure c with
-          | Some `Verified -> incr sv
-          | Some `Unrecorded -> incr su
-          | Some `Unverified -> incr sb
+          | Some `Verified -> add sv
+          | Some `Unrecorded -> add su
+          | Some `Unverified -> add sb
           | _ -> ()
         end
-        else if nonzero = 2 then incr twos
-        else incr more)
+        else if nonzero = 2 then add twos
+        else add more)
       t.per_route;
     let f x = float_of_int x /. float_of_int n in
     { n_routes = n;
@@ -326,9 +330,17 @@ let per_route_summary (t : t) =
       three_plus = f !more }
   end
 
-(* ---------------- Figures 5 and 6 ---------------- *)
+(* The distinct profiles with their multiplicities, in sorted order. *)
+let per_route_profiles (t : t) =
+  List.sort compare (Hashtbl.fold (fun c m acc -> (c, m) :: acc) t.per_route [])
 
-let per_route_list (t : t) = List.rev t.per_route
+(* Each element is a fresh record, so a caller cannot mutate a key. *)
+let per_route_list (t : t) =
+  List.concat_map
+    (fun (c, m) -> List.init m (fun _ -> { c with verified = c.verified }))
+    (per_route_profiles t)
+
+(* ---------------- Figures 5 and 6 ---------------- *)
 
 type unrec_breakdown = {
   ases_no_aut_num : int;
@@ -374,11 +386,9 @@ let special_breakdown (t : t) =
 
 (* ---------------- canonical fingerprint ---------------- *)
 
-(* The only order-sensitive component of [t] is [per_route], the
-   profiles in add order. The fingerprint sorts them and every keyed
-   series, so it depends on the multiset of route reports only;
-   everything else in [t] is commutative sums and monotone flags,
-   independent of add order by construction. *)
+(* Every component of [t] is a commutative sum, a multiset or a
+   monotone flag, so it does not depend on add order; the fingerprint
+   renders each keyed series sorted. *)
 let fingerprint (t : t) =
   let b = Buffer.create 4096 in
   let counts c =
@@ -411,10 +421,12 @@ let fingerprint (t : t) =
     (per_pair_list t);
   Buffer.add_string b "\nper_route:";
   List.iter
-    (fun c ->
-      Buffer.add_string b "\n  ";
-      counts c)
-    (List.sort compare t.per_route);
+    (fun (c, m) ->
+      for _ = 1 to m do
+        Buffer.add_string b "\n  ";
+        counts c
+      done)
+    (per_route_profiles t);
   let u = unrec_breakdown t in
   Buffer.add_string b
     (Printf.sprintf "\nunrec=%d/%d/%d/%d" u.ases_no_aut_num u.ases_no_rules

@@ -89,8 +89,10 @@ type per_route_summary = {
 val per_route_summary : t -> per_route_summary
 
 val per_route_list : t -> counts list
-(** Per-route status counts in insertion order — the raw series behind
-    Figure 4. *)
+(** Per-route status counts, one per route, in sorted order — the raw
+    series behind Figure 4. [t] keeps them as a multiset (profile to
+    number of routes), so the list does not depend on the order routes
+    were added in. *)
 
 (** {1 Figure 5 — unrecorded breakdown (count of ASes with >= 1 case)} *)
 

@@ -151,7 +151,9 @@ let create ?(config = default_config) db rels =
     only_provider_memo = Hashtbl.create 64;
     regex_cache = Rz_aspath.Regex_nfa.Cache.create ();
     path_dep_memo = Hashtbl.create 64;
-    hop_memo = Hop_tbl.create 4096;
+    (* small, so that {!verify_rib}'s per-prefix [reset] is cheap; a
+       persistent memo grows by doubling *)
+    hop_memo = Hop_tbl.create 64;
     idx_subject = Hashtbl.create 64;
     idx_prefix = Hashtbl.create 256;
     idx_set = Hashtbl.create 64;
@@ -1059,3 +1061,33 @@ let verify_route t route =
      | None -> Obs.Counter.incr c_routes_excluded);
     result
   end
+
+(* Empty the hop memo, and under [track_deps] its reverse indexes. Each
+   table was created small and [reset] shrinks it back, so a clear costs
+   O(entries), not O(the largest memo so far); an empty memo is left
+   alone. *)
+let clear_hop_memo t =
+  if Hop_tbl.length t.hop_memo > 0 then begin
+    Hop_tbl.reset t.hop_memo;
+    if t.config.track_deps then begin
+      Hashtbl.reset t.idx_subject;
+      Hashtbl.reset t.idx_prefix;
+      Hashtbl.reset t.idx_set;
+      Hashtbl.reset t.idx_origin
+    end
+  end
+
+(* Every memo key holds the prefix, so in prefix order an entry can hit
+   only until the prefix changes: clearing there loses no hit and bounds
+   the memo by one prefix's hops instead of the whole RIB's. *)
+let verify_rib t routes f =
+  let by_prefix (a : Rz_bgp.Route.t) (b : Rz_bgp.Route.t) =
+    Rz_net.Prefix.compare a.prefix b.prefix
+  in
+  Array.stable_sort by_prefix routes;
+  clear_hop_memo t;
+  Array.iteri
+    (fun i route ->
+      if i > 0 && by_prefix routes.(i - 1) route <> 0 then clear_hop_memo t;
+      f route (verify_route t route))
+    routes

@@ -107,3 +107,15 @@ val verify_route : t -> Rz_bgp.Route.t -> Report.route_report option
     routes the paper excludes: single-AS paths (nothing to verify) and
     paths containing BGP AS_SETs. Prepending is removed first. *)
 
+val verify_rib :
+  t -> Rz_bgp.Route.t array -> (Rz_bgp.Route.t -> Report.route_report option -> unit) -> unit
+(** [verify_rib t routes f] verifies a whole RIB: [f route report] for
+    every route, with [report] as {!verify_route} returns it. It first
+    stable-sorts [routes] in place by {!Rz_net.Prefix.compare}, then
+    visits them in that order, emptying the hop memo (and, under
+    [track_deps], its reverse indexes) at the start and whenever the
+    prefix changes. Every memo key holds the prefix, so no hit is lost,
+    and the memo never holds more than one prefix's hop verdicts. The
+    NFA, path-freeness and only-provider caches are kept for the whole
+    engine. A streaming owner uses {!verify_route}, whose memo
+    persists. *)

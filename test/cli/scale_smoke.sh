@@ -3,7 +3,7 @@
 # streams a world to disk, an unknown preset is rejected, verify reports
 # the same accounting and hop-status table, and stats the same report,
 # whether the IR comes from a fresh parse, a snapshot miss (parse +
-# write) or a snapshot hit.
+# write) or a snapshot hit, and verify does not depend on RIB order.
 set -eu
 CLI="$1"
 DIR=$(mktemp -d)
@@ -44,6 +44,24 @@ for f in miss hit; do
   [ "$(statuses "$DIR/$f.txt")" = "$(statuses "$DIR/plain.txt")" ] \
     || fail "$f hop-status table differs"
 done
+
+# RIB order does not change the verdicts: a copy of the world with the
+# route lines of every collector dump reversed (header kept) must print
+# the same accounting, hop-status table and AS summary
+cp -r "$DIR/world" "$DIR/reversed"
+for f in "$DIR/reversed"/*.routes; do
+  { grep '^#' "$f" || true; grep -v '^#' "$f" | tac; } > "$f.tmp"
+  mv "$f.tmp" "$f"
+  if cmp -s "$f" "$DIR/world/$(basename "$f")"; then fail "$(basename "$f") not reordered"; fi
+done
+"$CLI" verify -v -d "$DIR/world" > "$DIR/forward.txt" || fail "verify -v failed"
+"$CLI" verify -v -d "$DIR/reversed" > "$DIR/reversed.txt" \
+  || fail "verify -v on the reversed RIB failed"
+grep -q '^ASes:' "$DIR/forward.txt" || fail "no AS summary in verify -v"
+[ "$(accounting "$DIR/reversed.txt")" = "$(accounting "$DIR/forward.txt")" ] \
+  || fail "reversed RIB accounting differs"
+[ "$(statuses "$DIR/reversed.txt")" = "$(statuses "$DIR/forward.txt")" ] \
+  || fail "reversed RIB hop-status table or AS summary differs"
 
 # the same differential for stats, whose as-set line (loops, depth>=5)
 # reads the set resolution walk; its output carries no timing

@@ -105,6 +105,89 @@ let test_verify_memo_off_oracle () =
   Alcotest.(check string) "fingerprint" (Aggregate.fingerprint agg_off)
     (Aggregate.fingerprint agg)
 
+(* The keys a hop memo can hold for one route: one per export and one
+   per import check, as [Engine] builds them (the export side also holds
+   the AS the route was received from). *)
+let hop_keys (route : Rz_bgp.Route.t) =
+  let path = Array.of_list (Rz_bgp.Route.dedup_path route) in
+  let n = Array.length path in
+  if Rz_bgp.Route.contains_as_set route || n < 2 then []
+  else
+    List.concat
+      (List.init (n - 1) (fun i ->
+           let exporter = path.(i + 1) and importer = path.(i) in
+           let second = if i + 2 < n then path.(i + 2) else -1 in
+           [ (true, exporter, importer, second, path.(n - 1));
+             (false, importer, exporter, -1, path.(n - 1)) ]))
+
+(* The batch verify visits the RIB in prefix order and keeps one
+   prefix's hop verdicts; a persistent memo over the same routes in
+   their (shuffled) file order keeps them all. Every memo key holds the
+   prefix, so the batch loses no hit, and it ends with no more entries
+   than the largest prefix group has keys. *)
+let test_verify_rib_prefix_memo () =
+  let w = Lazy.force world in
+  let rib, _, _ = Lazy.force verify_runs in
+  let routes = Array.of_list (routes_of rib) in
+  let rng = Random.State.make [| 7 |] in
+  for i = Array.length routes - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let r = routes.(i) in
+    routes.(i) <- routes.(j);
+    routes.(j) <- r
+  done;
+  let c_hits = Obs.Counter.make "verify.memo_hits"
+  and c_misses = Obs.Counter.make "verify.memo_misses" in
+  let memo () =
+    [ ("memo_hits", Obs.Counter.get c_hits); ("memo_misses", Obs.Counter.get c_misses) ]
+  in
+  let persistent = Engine.create w.db w.rels and agg_p = Aggregate.create () in
+  let memo_p =
+    metered (fun () ->
+        Array.iter
+          (fun route ->
+            Option.iter (Aggregate.add_route_report agg_p) (Engine.verify_route persistent route))
+          routes;
+        memo ())
+  in
+  let batch = Engine.create w.db w.rels and agg_b = Aggregate.create () in
+  let peak = ref 0 in
+  let memo_b =
+    metered (fun () ->
+        Engine.verify_rib batch routes (fun _ report ->
+            peak := max !peak (Engine.hop_memo_size batch);
+            Option.iter (Aggregate.add_route_report agg_b) report);
+        memo ())
+  in
+  check_counts "hop memo: batch = persistent" memo_p memo_b;
+  Alcotest.(check string) "fingerprint" (Aggregate.fingerprint agg_p)
+    (Aggregate.fingerprint agg_b);
+  let profiles agg = List.map Aggregate.counts_classes (Aggregate.per_route_list agg) in
+  Alcotest.(check (list (list (pair string int)))) "per_route_list" (profiles agg_p)
+    (profiles agg_b);
+  let groups = Hashtbl.create 1024 in
+  Array.iter
+    (fun (route : Rz_bgp.Route.t) ->
+      let keys =
+        match Hashtbl.find_opt groups route.prefix with
+        | Some keys -> keys
+        | None ->
+          let keys = Hashtbl.create 16 in
+          Hashtbl.replace groups route.prefix keys;
+          keys
+      in
+      List.iter (fun k -> Hashtbl.replace keys k ()) (hop_keys route))
+    routes;
+  let bound = Hashtbl.fold (fun _ keys acc -> max acc (Hashtbl.length keys)) groups 0 in
+  let within label size =
+    Alcotest.(check bool) (Printf.sprintf "%s %d <= %d keys" label size bound) true
+      (size <= bound)
+  in
+  within "memo after the batch" (Engine.hop_memo_size batch);
+  within "memo during the batch" !peak;
+  Alcotest.(check bool) "the persistent memo holds more than one prefix's keys" true
+    (Engine.hop_memo_size persistent > bound)
+
 (* ---- ingest ---- *)
 
 let test_ingest_accounting () =
@@ -284,4 +367,6 @@ let suite =
     Alcotest.test_case "serve accounting" `Quick test_serve_accounting;
     Alcotest.test_case "serve generations" `Quick test_serve_generations;
     Alcotest.test_case "chaos sweep table" `Quick test_chaos_table;
-    Alcotest.test_case "chaos sweep contract" `Quick test_chaos_contract ]
+    Alcotest.test_case "chaos sweep contract" `Quick test_chaos_contract;
+    Alcotest.test_case "prefix-order batch loses no memo hit" `Quick
+      test_verify_rib_prefix_memo ]
