@@ -32,10 +32,15 @@ type edit =
   | Edit_set of string
   | Edit_route of Rz_net.Prefix.t * Rz_net.Asn.t
 
+type changed =
+  | Aut_num of Rz_ir.Ir.aut_num
+  | Route of Rz_ir.Ir.route_obj
+  | Set of string
+
 (* What [patch] needs to find the memo entries an edit reaches: the set
    reference graph both ways, and which route-sets read which origins'
-   route objects. Built by the first [patch] from the IR as it then is,
-   and kept current by every later one. *)
+   route objects. Built by [index] or the first [patch] from the IR as
+   it then is, and kept current by every later one. *)
 type graph = {
   refs : (string, string list) Hashtbl.t;  (* [referenced_sets], per set *)
   parents : (string, string list) Hashtbl.t;  (* reverse of [refs] *)
@@ -73,8 +78,8 @@ type t = {
      completes) or by [patch] (single owner only), so reads after warming
      are safe across domains. *)
   flatten_trunc : (string, unit) Hashtbl.t;
-  (* Reverse indexes for [patch], each made on first use, so [build]
-     does no work for them. *)
+  (* Reverse indexes for [patch], each made by [index] or on first use,
+     so [build] does no work for them. *)
   mutable graph : graph option;
   mutable claims : claims option;
   mutable member_routes : Rz_ir.Ir.route_obj list option;
@@ -611,6 +616,42 @@ let direct_readers t asn =
     (Option.value ~default:[] (Hashtbl.find_opt g.asn_readers asn))
 
 let origin_readers t asn = ancestors (graph t) (direct_readers t asn)
+
+(* A set name is its edit in every class; an aut-num or route object
+   also names the sets it claims, which read its [member-of]/[mnt-by]. *)
+let edits_of ir = function
+  | Aut_num (an : Rz_ir.Ir.aut_num) ->
+    Edit_aut_num an.asn :: List.map (fun s -> Edit_set (canon s)) an.member_of
+  | Route (r : Rz_ir.Ir.route_obj) ->
+    Edit_route (r.prefix, r.origin)
+    :: List.map (fun s -> Edit_set (canon s)) (Rz_ir.Ir.route_member_of ir r)
+  | Set name -> [ Edit_set (canon name) ]
+
+let index t =
+  ignore (graph t);
+  ignore (claims t);
+  ignore (member_routes t)
+
+let copy_graph g =
+  { refs = Hashtbl.copy g.refs; parents = Hashtbl.copy g.parents;
+    rs_asns = Hashtbl.copy g.rs_asns; asn_readers = Hashtbl.copy g.asn_readers;
+    rs_sets = Hashtbl.copy g.rs_sets }
+
+(* Every table is copied; what they hold (lists, answers, IR records) is
+   immutable and shared. *)
+let copy t =
+  { ir = Rz_ir.Ir.copy t.ir;
+    route_trie = Rz_net.Prefix_trie.copy t.route_trie;
+    by_origin = Hashtbl.copy t.by_origin;
+    indirect_as_members = Hashtbl.copy t.indirect_as_members;
+    indirect_route_members = Hashtbl.copy t.indirect_route_members;
+    as_memo = Hashtbl.copy t.as_memo;
+    rs_memo = Hashtbl.copy t.rs_memo;
+    flatten_trunc = Hashtbl.copy t.flatten_trunc;
+    graph = Option.map copy_graph t.graph;
+    claims =
+      Option.map (fun c -> { by_asn = Hashtbl.copy c.by_asn; by_set = Hashtbl.copy c.by_set }) t.claims;
+    member_routes = t.member_routes }
 
 let patch t edits =
   Rz_obs.Obs.Span.with_ "db-patch" (fun () ->

@@ -123,9 +123,10 @@ val referenced_sets : t -> string -> string list
     changed. {!patch} updates the route-object indexes and the indirect
     members, and drops exactly the flattening memo entries the change
     reaches; every other entry stays warm. Only a single-owner database
-    may be patched (a database shared across domains must be rebuilt
-    and swapped). The reverse indexes this needs are built by the first
-    {!patch}, so {!build} pays nothing for them. *)
+    may be patched: a database shared across domains is {!copy}'d, and
+    the copy patched, warmed and swapped in. The reverse indexes this
+    needs are built by {!index} or else by the first {!patch}, so
+    {!build} pays nothing for them. *)
 
 (** A policy-object change, named by the object that changed.
     [Edit_aut_num] is a change to that aut-num; when its [member-of] or
@@ -139,6 +140,21 @@ type edit =
   | Edit_aut_num of Rz_net.Asn.t
   | Edit_set of string
   | Edit_route of Rz_net.Prefix.t * Rz_net.Asn.t
+
+(** One object on one side of a change: as it stood before, or as it
+    stands after. *)
+type changed =
+  | Aut_num of Rz_ir.Ir.aut_num
+  | Route of Rz_ir.Ir.route_obj
+  | Set of string  (** any set class, by name *)
+
+val edits_of : Rz_ir.Ir.t -> changed -> edit list
+(** The edits that report a change to this object, per {!edit}: an
+    aut-num gives [Edit_aut_num] and a route object [Edit_route], each
+    plus [Edit_set] for its [member-of] targets; a set gives [Edit_set].
+    A change reports the edits of the object before it and after it,
+    which covers the sets it leaves and those it joins. The IR resolves
+    a route object's interned fields. *)
 
 val patch : t -> edit list -> unit
 (** Bring the database up to date with its (already mutated) IR. The
@@ -154,6 +170,16 @@ val patch : t -> edit list -> unit
     a fresh one, but never with a member the set does not have, and it
     lists in {!truncated_sets} only sets that hit a bound on a fresh
     [build]. *)
+
+val index : t -> unit
+(** Build the reverse indexes {!patch} needs now rather than on the
+    first {!patch}. {!copy} copies them, so indexing a database before
+    it is published spares every patched copy of it that cost. *)
+
+val copy : t -> t
+(** A private copy: its own IR ({!Rz_ir.Ir.copy}), route trie, indexes,
+    memo tables and reverse indexes, sharing only immutable values with
+    the original. Patching either leaves the other as it was. *)
 
 val set_ancestors : t -> string -> string list
 (** The set with this name and every set that reaches it over

@@ -80,8 +80,7 @@ let exact t prefix =
   descend (root t prefix) 0
 
 (* Bind behind every existing binding: the place [add] would have given
-   the value had it been added before all of them. Emptied nodes stay in
-   the trie; lookups skip them. *)
+   the value had it been added before all of them. *)
 let add_last t prefix value =
   match find_node t prefix with
   | Some node when node.values <> [] ->
@@ -89,14 +88,39 @@ let add_last t prefix value =
     t.count <- t.count + 1
   | Some _ | None -> add t prefix value
 
+let is_dead node = node.values = [] && node.zero = None && node.one = None
+
+(* Unlink each node the removal leaves with no binding and no child, up
+   to the first that keeps one, so the trie holds no dead chains. *)
 let remove t prefix matches =
-  match find_node t prefix with
-  | None -> ()
-  | Some node ->
-    let kept = List.filter (fun v -> not (matches v)) node.values in
-    t.count <- t.count - (List.length node.values - List.length kept);
-    node.values <- kept;
-    if kept = [] then node.prefix <- None
+  let rec descend node depth =
+    if depth = prefix.Prefix.len then begin
+      let kept = List.filter (fun v -> not (matches v)) node.values in
+      t.count <- t.count - (List.length node.values - List.length kept);
+      node.values <- kept;
+      if kept = [] then node.prefix <- None
+    end
+    else if Prefix.bit prefix depth then
+      Option.iter
+        (fun c ->
+          descend c (depth + 1);
+          if is_dead c then node.one <- None)
+        node.one
+    else
+      Option.iter
+        (fun c ->
+          descend c (depth + 1);
+          if is_dead c then node.zero <- None)
+        node.zero
+  in
+  descend (root t prefix) 0
+
+let copy t =
+  let rec node n =
+    { zero = Option.map node n.zero; one = Option.map node n.one;
+      prefix = n.prefix; values = n.values }
+  in
+  { v4_root = node t.v4_root; v6_root = node t.v6_root; count = t.count }
 
 let covering t prefix =
   let rec descend node depth acc =

@@ -23,7 +23,13 @@ val add_last : 'a t -> Prefix.t -> 'a -> unit
 
 val remove : 'a t -> Prefix.t -> ('a -> bool) -> unit
 (** Drop every value bound at exactly this prefix that satisfies the
-    predicate; the order of the rest is kept. *)
+    predicate; the order of the rest is kept. Nodes left with no binding
+    below them are freed, so adding and then removing a prefix leaves
+    the trie as it was. *)
+
+val copy : 'a t -> 'a t
+(** A copy that shares no node with the original: adding to or removing
+    from either leaves the other as it was. The values are shared. *)
 
 val covering : 'a t -> Prefix.t -> (Prefix.t * 'a) list
 (** All (prefix, value) entries whose prefix contains the argument,

@@ -22,13 +22,11 @@ type store = {
   lock : Mutex.t;
 }
 
-let build_db ir =
-  let db = Db.build ir in
-  Db.warm_caches db;
-  db
-
 let init ir =
-  { current = Atomic.make (build_db (Ir.copy ir));
+  let db = Db.build (Ir.copy ir) in
+  Db.warm_caches db;
+  Db.index db;
+  { current = Atomic.make db;
     gen = Atomic.make 1;
     serial = 0;
     fp_cache = None;
@@ -38,44 +36,96 @@ let current t = Atomic.get t.current
 let generation t = Atomic.get t.gen
 let last_serial t = t.serial
 
+let canon = Rz_rpsl.Set_name.canonical
+
+let asn_key (obj : Rz_rpsl.Obj.t) = Result.to_option (Rz_net.Asn.of_string obj.name)
+
+(* Route objects are keyed (prefix, origin). *)
+let route_key (obj : Rz_rpsl.Obj.t) =
+  match Rz_rpsl.Obj.value obj "origin" with
+  | None -> None
+  | Some o -> (
+    match (Rz_net.Prefix.of_string obj.name, Rz_net.Asn.of_string o) with
+    | Ok prefix, Ok origin -> Some (prefix, origin)
+    | _ -> None)
+
 (* Remove the IR entry a paragraph's primary key names, whichever table
-   it lives in. Route objects are keyed (prefix, origin). *)
+   it lives in, and return what the database read of it. *)
 let remove_obj (ir : Ir.t) (obj : Rz_rpsl.Obj.t) =
-  let canon = Rz_rpsl.Set_name.canonical in
+  let set tbl =
+    let key = canon obj.name in
+    if Hashtbl.mem tbl key then begin
+      Hashtbl.remove tbl key;
+      [ Db.Set key ]
+    end
+    else []
+  in
   match obj.cls with
   | "aut-num" -> (
-    match Rz_net.Asn.of_string obj.name with
-    | Ok asn -> Hashtbl.remove ir.aut_nums asn
-    | Error _ -> ())
-  | "as-set" -> Hashtbl.remove ir.as_sets (canon obj.name)
-  | "route-set" -> Hashtbl.remove ir.route_sets (canon obj.name)
-  | "peering-set" -> Hashtbl.remove ir.peering_sets (canon obj.name)
-  | "filter-set" -> Hashtbl.remove ir.filter_sets (canon obj.name)
-  | "rtr-set" -> Hashtbl.remove ir.rtr_sets (canon obj.name)
-  | "mntner" -> Hashtbl.remove ir.mntners (Strings.uppercase obj.name)
-  | "inet-rtr" -> Hashtbl.remove ir.inet_rtrs (Strings.lowercase obj.name)
+    match Option.bind (asn_key obj) (Hashtbl.find_opt ir.aut_nums) with
+    | Some an ->
+      Hashtbl.remove ir.aut_nums an.asn;
+      [ Db.Aut_num an ]
+    | None -> [])
+  | "as-set" -> set ir.as_sets
+  | "route-set" -> set ir.route_sets
+  | "peering-set" -> set ir.peering_sets
+  | "filter-set" -> set ir.filter_sets
   | "route" | "route6" -> (
-    let origin =
-      match Rz_rpsl.Obj.value obj "origin" with
-      | Some o -> Rz_net.Asn.of_string o
-      | None -> Error "no origin"
-    in
-    match (Rz_net.Prefix.of_string obj.name, origin) with
-    | Ok prefix, Ok origin -> ignore (Ir.remove_route ir ~prefix ~origin)
-    | _ -> ())
-  | _ -> ()
+    match route_key obj with
+    | Some (prefix, origin) ->
+      List.map (fun r -> Db.Route r) (Ir.remove_route ir ~prefix ~origin)
+    | None -> [])
+  (* the database reads none of these *)
+  | "rtr-set" -> Hashtbl.remove ir.rtr_sets (canon obj.name); []
+  | "mntner" -> Hashtbl.remove ir.mntners (Strings.uppercase obj.name); []
+  | "inet-rtr" -> Hashtbl.remove ir.inet_rtrs (Strings.lowercase obj.name); []
+  | _ -> []
 
-let replay_op ir (op : Nrtm.op) =
+(* What lowering a paragraph left under its key, after [remove_obj]
+   cleared it: a route object lowering added is the IR's newest. *)
+let lowered (ir : Ir.t) (obj : Rz_rpsl.Obj.t) =
+  let set tbl =
+    let key = canon obj.name in
+    if Hashtbl.mem tbl key then [ Db.Set key ] else []
+  in
+  match obj.cls with
+  | "aut-num" ->
+    Option.to_list
+      (Option.map (fun an -> Db.Aut_num an)
+         (Option.bind (asn_key obj) (Hashtbl.find_opt ir.aut_nums)))
+  | "as-set" -> set ir.as_sets
+  | "route-set" -> set ir.route_sets
+  | "peering-set" -> set ir.peering_sets
+  | "filter-set" -> set ir.filter_sets
+  | "route" | "route6" -> (
+    match route_key obj with
+    | Some key when Hashtbl.mem ir.route_seen key ->
+      [ Db.Route (Ir.Arena.get ir.routes (Ir.n_route_objs ir - 1)) ]
+    | _ -> [])
+  | _ -> []
+
+let replay_op db (op : Nrtm.op) =
   match (Rz_rpsl.Reader.parse_string op.text).objects with
   | [] -> Obs.Counter.incr c_rejected
   | obj :: _ -> (
+    let ir = Db.ir db in
+    let patch changed =
+      match List.concat_map (Db.edits_of ir) changed with
+      | [] -> ()
+      | edits -> Db.patch db edits
+    in
     (* ADD replaces any existing same-key object (NRTM modify = DEL+ADD,
        but a replayed journal may also carry a bare replacing ADD), so
-       both actions clear the key first. *)
-    remove_obj ir obj;
+       both actions clear the key first. Patching the removal before the
+       add moves a replaced route object to the newest place, where
+       [Db.build] of the replayed IR puts it. *)
+    patch (remove_obj ir obj);
     match op.action with
     | Nrtm.Del -> ()
-    | Nrtm.Add -> Lower.add_objects ir ~source:op.source [ obj ])
+    | Nrtm.Add ->
+      Lower.add_objects ir ~source:op.source [ obj ];
+      patch (lowered ir obj))
 
 let apply t ops =
   Mutex.lock t.lock;
@@ -87,9 +137,9 @@ let apply t ops =
   if fresh = [] then Atomic.get t.gen
   else begin
     let t0 = Obs.now_ns () in
-    let ir = Ir.copy (Db.ir (Atomic.get t.current)) in
-    List.iter (replay_op ir) fresh;
-    let db = build_db ir in
+    let db = Db.copy (Atomic.get t.current) in
+    List.iter (replay_op db) fresh;
+    Db.warm_caches db;
     t.serial <-
       List.fold_left (fun acc (op : Nrtm.op) -> max acc op.serial) t.serial fresh;
     Atomic.set t.current db;

@@ -4,10 +4,12 @@
     warmed {!Rz_irr.Db.t} — behind an [Atomic.t]. Readers (worker domains
     answering IRRd queries) grab the pointer once per query and never see
     a database mutate underneath them: applying an NRTM journal batch
-    copies the current IR ({!Rz_ir.Ir.copy}), replays the ops onto the
-    copy, builds and warms a fresh database, and publishes it with one
-    atomic swap. Old generations stay valid for as long as some reader
-    still holds them; the GC reclaims them when the last reader moves on.
+    makes a private copy of the current database ({!Rz_irr.Db.copy}),
+    replays each op onto the copy's IR and patches the copy to match
+    ({!Rz_irr.Db.patch}), warms it, and publishes it with one atomic
+    swap. Nothing is rebuilt. Old generations stay valid for as long as
+    some reader still holds them; the GC reclaims them when the last
+    reader moves on.
 
     Warming ({!Rz_irr.Db.warm_caches}) before publication is what makes
     cross-domain sharing safe: it forces every memo table, so the
@@ -17,8 +19,10 @@ type store
 
 val init : Rz_ir.Ir.t -> store
 (** Build generation 1 from a copy of [ir] (the caller's IR stays
-    untouched and reusable). Builds the database and warms its caches, so
-    this is the expensive, once-per-server-start step. *)
+    untouched and reusable). Builds the database, warms its caches and
+    builds the reverse indexes patching needs ({!Rz_irr.Db.index}), so
+    this is the expensive, once-per-server-start step and no swap pays
+    for those indexes. *)
 
 val current : store -> Rz_irr.Db.t
 (** The live generation. One atomic read; answer a whole query against
@@ -35,7 +39,7 @@ val apply : store -> Rz_synthirr.Nrtm.op list -> int
     generation number. Ops whose serial is not beyond {!last_serial} are
     skipped (counted on [nrtm.ops_stale]); an op whose paragraph fails to
     re-parse is skipped on [nrtm.ops_rejected]. Applied ops count on
-    [nrtm.ops_applied]; the swap's wall-clock (copy + replay + build +
+    [nrtm.ops_applied]; the swap's wall-clock (copy + replay + patch +
     warm) lands in the [serve.swap_ns] histogram and [serve.generations]
     counts the publication. Serialized internally — concurrent [apply]
     calls queue on a mutex. An empty (or fully stale) batch publishes

@@ -261,13 +261,12 @@ let apply_policy_edit t (edit : Events.policy_edit) :
   | Events.Route_del (p, o) ->
       if not (Hashtbl.mem t.ir.Ir.route_seen (p, o)) then Ok ([], [])
       else
-        let set_edits =
+        let edits =
           Ir.remove_route t.ir ~prefix:p ~origin:o
-          |> List.concat_map (Ir.route_member_of t.ir)
+          |> List.concat_map (fun r -> Db.edits_of t.ir (Db.Route r))
           |> List.sort_uniq compare
-          |> List.map (fun s -> Engine.Edit_set (canon s))
         in
-        Ok (Engine.Edit_route (p, o) :: set_edits, [])
+        Ok (edits, [])
 
 let apply_event t (ev : Events.event) : (unit, string) result =
   match ev with

@@ -1024,9 +1024,10 @@ let verify_route_impl t (route : Rz_bgp.Route.t) : Report.route_report option =
     let n = Array.length path in
     if n < 2 then None
     else begin
-      (* Walk from the origin: path.(n-1) is the origin; hop i is
-         exporter path.(i+1 ... wait, collector order) — element i is
-         nearer the collector, element i+1 nearer the origin. *)
+      (* The path is in collector order: element i is nearer the
+         collector, element i+1 nearer the origin, and path.(n-1) is the
+         origin. Hop i is exporter path.(i+1) -> importer path.(i); the
+         hops are walked origin-side first. *)
       let hops = ref [] in
       for i = n - 2 downto 0 do
         let exporter = path.(i + 1) and importer = path.(i) in

@@ -455,6 +455,51 @@ let test_patch_member_of () =
   Alcotest.(check (list int)) "claim restored, edits in either order" [ 10; 11 ]
     (asn_set_elems (Db.flatten_as_set db "AS-COOP"))
 
+(* A copy shares no mutable state with its source. Each side is patched
+   with edits that would leave the other stale if they shared the set
+   graph, the member-of claims, the indirect members or a memo table. *)
+let test_copy_patches_independently () =
+  let original =
+    db_of
+      "as-set: AS-TOP\nmembers: AS-REF\n\n\
+       as-set: AS-REF\nmembers: AS1\nmbrs-by-ref: MNT-A\n\n\
+       aut-num: AS10\nmember-of: AS-REF\nmnt-by: MNT-A\n\n\
+       route-set: RS-TOP\nmembers: RS-REF\n\n\
+       route-set: RS-REF\nmembers: AS10\nmbrs-by-ref: ANY\n\n\
+       route: 10.0.0.0/8\norigin: AS10\nmember-of: RS-REF\n"
+  in
+  Db.index original;
+  Db.warm_caches original;
+  let copy = Db.copy original in
+  (* the copy: AS-TOP drops AS-REF, AS10 its claim, and the member-of
+     route object goes *)
+  let ir = Db.ir copy in
+  let top = Option.get (Rz_ir.Ir.find_as_set ir "AS-TOP") in
+  Hashtbl.replace ir.Rz_ir.Ir.as_sets "AS-TOP" { top with member_sets = [] };
+  let an = Option.get (Rz_ir.Ir.find_aut_num ir 10) in
+  Hashtbl.replace ir.Rz_ir.Ir.aut_nums 10 { an with member_of = [] };
+  let removed = Rz_ir.Ir.remove_route ir ~prefix:(p "10.0.0.0/8") ~origin:10 in
+  Db.patch copy
+    (List.concat_map (Db.edits_of ir)
+       (Db.Aut_num an :: Db.Set "AS-TOP" :: List.map (fun r -> Db.Route r) removed));
+  (* the original: AS-REF and RS-REF gain members *)
+  let ir = Db.ir original in
+  let as_ref = Option.get (Rz_ir.Ir.find_as_set ir "AS-REF") in
+  Hashtbl.replace ir.Rz_ir.Ir.as_sets "AS-REF" { as_ref with member_asns = [ 1; 2 ] };
+  let rs_ref = Option.get (Rz_ir.Ir.find_route_set ir "RS-REF") in
+  Hashtbl.replace ir.Rz_ir.Ir.route_sets "RS-REF"
+    { rs_ref with members = Rz_ir.Ir.Rs_prefix (p "192.0.2.0/24", Rz_net.Range_op.None_) :: rs_ref.members };
+  Db.patch original [ Db.Edit_set "AS-REF"; Db.Edit_set "RS-REF" ];
+  let check label db =
+    Alcotest.(check bool) label true
+      (same_as_build db ~sets:[ "AS-TOP"; "AS-REF"; "RS-TOP"; "RS-REF" ] ~origins:[ 10 ]
+         ~prefixes:[ p "10.0.0.0/8" ])
+  in
+  check "the copy answers as built" copy;
+  check "the original answers as built" original;
+  Alcotest.(check (list int)) "the original keeps its claim" [ 1; 2; 10 ]
+    (asn_set_elems (Db.flatten_as_set original "AS-TOP"))
+
 (* A root past the work bound: AS-ROOT names AS-MID (which names
    AS-LEAF) and [Db.max_flatten_work] flat as-sets, so a cold flatten
    from it reaches more distinct sets than the bound allows, while one
@@ -672,6 +717,8 @@ let suite =
     Alcotest.test_case "patch below a reference cycle" `Quick test_patch_below_cycle;
     Alcotest.test_case "patch follows member-of" `Quick test_patch_member_of;
     Alcotest.test_case "patch past the flatten work bound" `Quick test_patch_past_work_cap;
+    Alcotest.test_case "copy and source patch independently" `Quick
+      test_copy_patches_independently;
     QCheck_alcotest.to_alcotest patch_random_graphs;
     QCheck_alcotest.to_alcotest flatten_matches_naive;
     QCheck_alcotest.to_alcotest answers_order_independent ]

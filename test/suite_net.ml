@@ -205,6 +205,29 @@ let test_trie_length_iter_fold () =
   Alcotest.(check int) "iter" 2 !seen;
   Alcotest.(check int) "fold sum" 3 (Prefix_trie.fold (fun _ v acc -> v + acc) trie 0)
 
+(* Removal frees the nodes it empties: a trie that gains and then loses
+   fresh prefixes is back to its size, and a copy of it is untouched. *)
+let test_trie_remove_prunes () =
+  let trie = Prefix_trie.create () in
+  List.iter
+    (fun (q, v) -> Prefix_trie.add trie (p q) v)
+    [ ("10.0.0.0/8", 1); ("10.1.0.0/16", 2); ("2001:db8::/32", 3) ];
+  let words t = Obj.reachable_words (Obj.repr t) in
+  let size = words trie in
+  let copy = Prefix_trie.copy trie in
+  let fresh =
+    List.init 200 (fun i -> Prefix.v4 ((172 lsl 24) lor (i lsl 12)) 20)
+    @ List.map p [ "10.1.2.0/24"; "10.0.0.0/8"; "2001:db8:1::/48"; "2001:db8:2::/47" ]
+  in
+  List.iteri (fun i q -> Prefix_trie.add trie q (100 + i)) fresh;
+  Alcotest.(check bool) "the trie grew" true (words trie > size);
+  List.iter (fun q -> Prefix_trie.remove trie q (fun v -> v >= 100)) fresh;
+  Alcotest.(check int) "the trie is back to its size" size (words trie);
+  Alcotest.(check int) "bindings" 3 (Prefix_trie.length trie);
+  Alcotest.(check (list int)) "covering kept" [ 1; 2 ]
+    (List.map snd (Prefix_trie.covering trie (p "10.1.2.0/24")));
+  Alcotest.(check int) "the copy is untouched" size (words copy)
+
 let trie_covering_is_sound =
   QCheck.Test.make ~name:"trie covering = brute-force contains" ~count:100
     QCheck.(int_range 1 100000)
@@ -524,6 +547,7 @@ let suite =
     Alcotest.test_case "trie exact/covering" `Quick test_trie_exact_and_covering;
     Alcotest.test_case "trie covered_by" `Quick test_trie_covered_by;
     Alcotest.test_case "trie length/iter/fold" `Quick test_trie_length_iter_fold;
+    Alcotest.test_case "trie remove frees emptied nodes" `Quick test_trie_remove_prunes;
     QCheck_alcotest.to_alcotest trie_covering_is_sound;
     Alcotest.test_case "agg siblings" `Quick test_agg_siblings;
     Alcotest.test_case "agg containment" `Quick test_agg_containment;

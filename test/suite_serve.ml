@@ -415,6 +415,287 @@ let qcheck_incremental_equals_batch =
           (List.length ops) fp_incremental fp_batch;
       true)
 
+(* ---- patched generations == rebuilt generations ---- *)
+
+let canon = Rz_rpsl.Set_name.canonical
+
+(* A generation built from scratch out of a copy of the live IR. *)
+let rebuilt db =
+  let db = Db.build (Rz_ir.Ir.copy (Db.ir db)) in
+  Db.warm_caches db;
+  db
+
+(* The (prefix, origin) keys of a journal's route paragraphs, so the
+   comparison also asks about route objects the journal removed. *)
+let journal_routes ops =
+  List.concat_map
+    (fun (op : Nrtm.op) ->
+      List.filter_map
+        (fun (obj : Rz_rpsl.Obj.t) ->
+          match (obj.cls, Rz_rpsl.Obj.value obj "origin") with
+          | ("route" | "route6"), Some o -> (
+            match (Rz_net.Prefix.of_string obj.name, Rz_net.Asn.of_string o) with
+            | Ok p, Ok a -> Some (p, a)
+            | _ -> None)
+          | _ -> None)
+        (Rz_rpsl.Reader.parse_string op.text).objects)
+    ops
+
+(* What can be asked of a generation: every set name, origin and route
+   prefix of its IR, plus [extra] route keys. *)
+let universe db extra =
+  let ir = Db.ir db in
+  let names =
+    List.sort_uniq compare
+      (Hashtbl.fold (fun k _ acc -> k :: acc) ir.Rz_ir.Ir.as_sets []
+       @ Hashtbl.fold (fun k _ acc -> k :: acc) ir.Rz_ir.Ir.route_sets [])
+  in
+  let routes =
+    Rz_ir.Ir.fold_routes ir ~init:extra ~f:(fun acc r ->
+        (r.Rz_ir.Ir.prefix, r.Rz_ir.Ir.origin) :: acc)
+  in
+  let origins =
+    List.sort_uniq compare
+      (List.map snd routes @ Hashtbl.fold (fun a _ acc -> a :: acc) ir.Rz_ir.Ir.aut_nums [])
+  in
+  (names, origins, List.sort_uniq Rz_net.Prefix.compare (List.map fst routes))
+
+(* Everything a reader can ask of one set. *)
+let set_answer db name =
+  ( Db.Asn_set.elements (Db.flatten_as_set db name),
+    Db.flatten_route_set db name,
+    Db.as_set_depth db name,
+    Db.as_set_has_loop db name )
+
+(* Every query kind the service answers from a database. *)
+let probes (names, origins, prefixes) =
+  List.concat_map (fun n -> [ "!i" ^ n; "!i" ^ n ^ ",1"; "!a" ^ n; "!a6" ^ n ]) names
+  @ List.concat_map
+      (fun o -> let a = Rz_net.Asn.to_string o in [ "!g" ^ a; "!6" ^ a ])
+      origins
+  @ List.concat_map
+      (fun p ->
+        let s = Rz_net.Prefix.to_string p in
+        [ "!r" ^ s; "!r" ^ s ^ ",l"; "!r" ^ s ^ ",o" ])
+      prefixes
+
+(* Everything a reader holding a generation can see of it, digested. *)
+let view_digest db ((_, origins, prefixes) as u) =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string
+          (Suite_stream.db_view db ~origins ~prefixes, Serve.session_lines db (probes u))
+          [ Marshal.No_sharing ]))
+
+(* The ASNs an as-set has, resolved with no bound: direct members,
+   authorized [member-of] claims, and the members of nested as-sets. *)
+let unbounded_members (ir : Rz_ir.Ir.t) name =
+  let seen = Hashtbl.create 16 and acc = ref [] in
+  let rec go key =
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.replace seen key ();
+      match Hashtbl.find_opt ir.as_sets key with
+      | None -> ()
+      | Some s ->
+        acc := s.member_asns @ !acc;
+        Hashtbl.iter
+          (fun _ (an : Rz_ir.Ir.aut_num) ->
+            if
+              List.exists (fun m -> canon m = key) an.member_of
+              && List.exists
+                   (fun m ->
+                     Rz_util.Strings.equal_ci m "ANY"
+                     || List.exists (Rz_util.Strings.equal_ci m) an.mnt_by)
+                   s.mbrs_by_ref
+            then acc := an.asn :: !acc)
+          ir.aut_nums;
+        List.iter (fun c -> go (canon c)) s.member_sets
+    end
+  in
+  go (canon name);
+  List.sort_uniq compare !acc
+
+(* Whether a fresh build asked for [name] before any other set flags it. *)
+let fresh_flags ir name =
+  let db = Db.build (Rz_ir.Ir.copy ir) in
+  if Db.as_set_exists db name then ignore (Db.flatten_as_set db name)
+  else ignore (Db.flatten_route_set db name);
+  Db.flatten_truncated db name
+
+(* What keeps the live generation from answering as a rebuilt one
+   does. A set past a resolution bound keeps db.mli's contract instead:
+   where the work ran out depends on what was memoized, so its answers
+   may differ, but the patched generation lists no member the set lacks
+   and flags it only where a fresh build asked for it first flags it.
+   Every other set, and every query that reads no set past a bound,
+   must agree exactly. *)
+let generation_problems live extra =
+  let built = rebuilt live in
+  let names, origins, prefixes = universe live extra in
+  let ir = Db.ir live in
+  let flagged = List.sort_uniq compare (Db.truncated_sets live @ Db.truncated_sets built) in
+  let set_problem name =
+    if not (List.mem name flagged) then
+      if set_answer live name = set_answer built name then None
+      else Some (name ^ " answers differently")
+    else
+      let asns, _, _, _ = set_answer live name in
+      let has = unbounded_members ir name in
+      if not (List.for_all (fun a -> List.mem a has) asns) then
+        Some (name ^ " past a bound lists a member it lacks")
+      else if Db.flatten_truncated live name && not (fresh_flags ir name) then
+        Some (name ^ " is flagged where a fresh build does not flag it")
+      else None
+  in
+  let differ what f = if f live = f built then None else Some (what ^ " differ") in
+  let unflagged = List.filter (fun n -> not (List.mem n flagged)) names in
+  List.filter_map set_problem names
+  @ List.filter_map Fun.id
+      [ differ "origin prefixes" (fun db ->
+            List.map (fun o -> (Db.origin_prefixes db o, Db.origin_has_routes db o)) origins);
+        differ "covering routes" (fun db ->
+            List.map (fun p -> (Db.covering_routes db p, Db.exact_origins db p)) prefixes);
+        differ "query transcripts" (fun db ->
+            Serve.session_lines db (probes (unflagged, origins, prefixes))) ]
+
+let check_generation label store extra =
+  match generation_problems (Generation.current store) extra with
+  | [] -> ()
+  | problems -> Alcotest.failf "%s: %s" label (String.concat "; " problems)
+
+let qcheck_patched_equals_rebuilt =
+  QCheck.Test.make ~count:4 ~name:"nrtm journal: patched generation == rebuilt generation"
+    QCheck.(make ~print:Print.(pair int int) Gen.(pair (int_bound 9_999) (int_range 8 40)))
+    (fun (seed, n) ->
+      let world = Lazy.force small_world in
+      let ops = Nrtm.generate ~seed ~n world.Rpslyzer.Pipeline.dumps in
+      let extra = journal_routes ops in
+      let store = Generation.init (Db.ir (Lazy.force base_db)) in
+      List.iteri
+        (fun i batch ->
+          ignore (Generation.apply store batch);
+          match generation_problems (Generation.current store) extra with
+          | [] -> ()
+          | p :: _ -> QCheck.Test.fail_reportf "seed %d n %d batch %d: %s" seed n i p)
+        (chunk 4 ops);
+      true)
+
+(* A registry and journal for the op kinds [Nrtm.generate] never emits. *)
+let patch_fixture =
+  "mntner: MNT-A\nauth: NONE\n\n\
+   aut-num: AS65020\nas-name: TWENTY\nimport: from AS65021 accept ANY\nmnt-by: MNT-A\n\n\
+   aut-num: AS65021\nas-name: TWENTYONE\nmember-of: AS-REF\nmnt-by: MNT-B\n\n\
+   as-set: AS-REF\nmembers: AS65010\nmbrs-by-ref: MNT-A\n\n\
+   as-set: AS-TOP\nmembers: AS-REF, AS65011\n\n\
+   route-set: RS-REF\nmembers: 203.0.113.0/24\nmbrs-by-ref: ANY\n\n\
+   route-set: RS-TOP\nmembers: RS-REF, AS65020^+\n\n\
+   filter-set: FLTR-X\nfilter: AS-TOP\n\n\
+   peering-set: PRNG-X\npeering: AS-TOP\n\n\
+   route: 192.0.2.0/24\norigin: AS65020\nmnt-by: MNT-A\n\n\
+   route: 192.0.2.0/24\norigin: AS65021\n\n\
+   route: 198.51.100.0/24\norigin: AS65021\n"
+
+let chain_set i =
+  Printf.sprintf "as-set: AS-CHAIN%d\nmembers: %s" i
+    (if i = 69 then "AS65030" else Printf.sprintf "AS-CHAIN%d" (i + 1))
+
+(* Batches of (action, paragraph); serials are assigned in order. *)
+let patch_journal =
+  let aut_num ~member_of ~mnt =
+    Printf.sprintf "aut-num: %s\nas-name: X\nimport: from AS65021 accept ANY%s\nmnt-by: %s"
+      "AS65020" (if member_of then "\nmember-of: AS-REF" else "") mnt
+  in
+  let open Nrtm in
+  [ (* member-of gained into an as-set with mbrs-by-ref; a route's
+       member-of into a route-set; a bare replacing ADD *)
+    [ (Add, aut_num ~member_of:true ~mnt:"MNT-A");
+      (Add, "route: 198.51.100.0/24\norigin: AS65020\nmember-of: RS-REF\nmnt-by: MNT-A");
+      (Add, "route: 192.0.2.0/24\norigin: AS65020\nmnt-by: MNT-A") ];
+    (* route6; set classes created *)
+    [ (Add, "route6: 2001:db8:1::/48\norigin: AS65020");
+      (Add, "route-set: RS-NEW\nmembers: 10.0.0.0/8, RS-REF, AS-TOP");
+      (Add, "filter-set: FLTR-NEW\nfilter: RS-NEW");
+      (Add, "peering-set: PRNG-NEW\npeering: AS-REF") ];
+    (* set classes deleted; mntner ops *)
+    [ (Del, "filter-set: FLTR-X\nfilter: AS-TOP");
+      (Del, "peering-set: PRNG-X\npeering: AS-TOP");
+      (Del, "route-set: RS-NEW\nmembers: 10.0.0.0/8");
+      (Add, "mntner: MNT-C\nauth: NONE");
+      (Del, "mntner: MNT-A\nauth: NONE") ];
+    (* absent keys, an unparsable paragraph, member-of lost, a member-of
+       route deleted, a claim authorized by an mnt-by change *)
+    [ (Del, "aut-num: AS65099\nas-name: NONE");
+      (Del, "route: 203.0.113.0/24\norigin: AS65099");
+      (Add, "this paragraph is not rpsl");
+      (Add, aut_num ~member_of:false ~mnt:"MNT-A");
+      (Del, "route: 198.51.100.0/24\norigin: AS65020");
+      (Add, "aut-num: AS65021\nas-name: TWENTYONE\nmember-of: AS-REF\nmnt-by: MNT-A") ];
+    (* a chain deeper than the depth bound, and a loop *)
+    List.init 70 (fun i -> (Add, chain_set i))
+    @ [ (Add, "as-set: AS-LOOP1\nmembers: AS-LOOP2");
+        (Add, "as-set: AS-LOOP2\nmembers: AS-LOOP1, AS-REF") ];
+    (* the chain cut in two *)
+    [ (Del, chain_set 30) ] ]
+  |> List.fold_left_map
+       (fun serial batch ->
+         List.fold_left_map
+           (fun serial (action, text) ->
+             (serial + 1, { serial = serial + 1; source = "TEST"; action; text }))
+           serial batch)
+       0
+  |> snd
+
+let test_patched_hand_journal () =
+  Obs.enable ();
+  let base = Db.of_dumps [ ("TEST", patch_fixture) ] in
+  let extra = journal_routes (List.concat patch_journal) in
+  let store = Generation.init (Db.ir base) in
+  check_generation "generation 1" store extra;
+  let p = Rz_net.Prefix.of_string_exn in
+  List.iteri
+    (fun i batch ->
+      let rejected = counter "nrtm.ops_rejected" in
+      ignore (Generation.apply store batch);
+      let live = Generation.current store in
+      check_generation (Printf.sprintf "batch %d" i) store extra;
+      match i with
+      | 0 ->
+        Alcotest.(check bool) "member-of gained" true (Db.asn_in_as_set live "AS-TOP" 65020);
+        Alcotest.(check bool) "route member-of" true
+          (List.mem_assoc (p "198.51.100.0/24") (Db.flatten_route_set live "RS-TOP"));
+        Alcotest.(check (list int)) "replaced route object is the newest" [ 65021; 65020 ]
+          (Db.exact_origins live (p "192.0.2.0/24"))
+      | 3 ->
+        Alcotest.(check int) "unparsable paragraph rejected" (rejected + 1)
+          (counter "nrtm.ops_rejected");
+        Alcotest.(check (list int)) "member-of lost, unauthorized claim now authorized"
+          [ 65010; 65021 ] (Db.Asn_set.elements (Db.flatten_as_set live "AS-REF"))
+      | 4 ->
+        Alcotest.(check bool) "the chain root is past the depth bound" true
+          (fresh_flags (Db.ir live) "AS-CHAIN0")
+      | _ -> ())
+    patch_journal;
+  Alcotest.(check int) "one generation per batch" (1 + List.length patch_journal)
+    (Generation.generation store)
+
+(* A reader holding a generation sees it unchanged by later swaps: the
+   copy a swap patches shares no trie node, table or index with it. *)
+let test_generation_isolation () =
+  let world = Lazy.force small_world in
+  let ops = Nrtm.generate ~seed:21 ~n:30 world.Rpslyzer.Pipeline.dumps in
+  let extra = journal_routes ops in
+  let store = Generation.init (Db.ir (Lazy.force base_db)) in
+  List.iter
+    (fun batch ->
+      let held = Generation.current store in
+      let u = universe held extra in
+      let before = view_digest held u in
+      ignore (Generation.apply store batch);
+      Alcotest.(check string) "held generation unchanged" before (view_digest held u);
+      Alcotest.(check bool) "the new generation differs" true
+        (view_digest (Generation.current store) u <> before))
+    (chunk 3 ops)
+
 (* ---- live telemetry: !s scrapes, access-log differential ---- *)
 
 (* Unwrap a one-query Data reply: "A<len>\n<payload>..." -> payload. *)
@@ -711,4 +992,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_soak;
     Alcotest.test_case "bqueue block lossless" `Quick test_bqueue_block_lossless;
     Alcotest.test_case "bqueue close semantics" `Quick test_bqueue_close_semantics;
-    Alcotest.test_case "access log per-class quota" `Quick test_access_log_quota ]
+    Alcotest.test_case "access log per-class quota" `Quick test_access_log_quota;
+    QCheck_alcotest.to_alcotest qcheck_patched_equals_rebuilt;
+    Alcotest.test_case "hand journal: patched == rebuilt" `Quick test_patched_hand_journal;
+    Alcotest.test_case "copy-on-write isolation" `Quick test_generation_isolation ]
