@@ -95,7 +95,7 @@ let collect_terms regex =
   go regex;
   List.rev !acc
 
-let matches_product ?(env = default_env) ?(limit = 100_000) regex path =
+let matches_product regex path =
   let terms = Array.of_list (collect_terms regex) in
   let nsym = Array.length terms in
   (* N_j: the set of symbols ASN j can match, plus a sentinel symbol
@@ -106,7 +106,7 @@ let matches_product ?(env = default_env) ?(limit = 100_000) regex path =
       (fun asn ->
         let matching = ref [] in
         for s = nsym - 1 downto 0 do
-          if term_matches env terms.(s) asn then matching := s :: !matching
+          if term_matches default_env terms.(s) asn then matching := s :: !matching
         done;
         if !matching = [] then [ nsym ] else !matching)
       path
@@ -114,9 +114,9 @@ let matches_product ?(env = default_env) ?(limit = 100_000) regex path =
   let total =
     Array.fold_left (fun acc set -> acc * List.length set) 1 symbol_sets
   in
-  if total > limit then
+  if total > 100_000 then
     invalid_arg
-      (Printf.sprintf "matches_product: %d symbol strings exceed limit %d" total limit);
+      (Printf.sprintf "matches_product: %d symbol strings exceed limit 100000" total);
   (* Match one symbol string against the symbolic regex: identical matcher,
      but a term matches symbol s iff the term IS terms.(s). *)
   let n = Array.length path in

@@ -24,12 +24,11 @@ val matches : ?env:env -> Regex_ast.t -> Rz_net.Asn.t array -> bool
     match any substring of the path unless anchored with [^] / [$].
     [path] is in BGP order: receiving neighbor first, origin last. *)
 
-val matches_product : ?env:env -> ?limit:int -> Regex_ast.t -> Rz_net.Asn.t array -> bool
+val matches_product : Regex_ast.t -> Rz_net.Asn.t array -> bool
 (** The paper's formulation: build all symbol strings from the Cartesian
     product of per-position symbol sets and test each against the symbolic
-    regex. Exponential; [limit] (default [100_000]) caps the number of
-    symbol strings, raising [Invalid_argument] beyond it. Only used by
-    tests. *)
+    regex. Exponential: more than [100_000] symbol strings raise
+    [Invalid_argument]. Only used by tests. *)
 
 val term_matches : env -> Regex_ast.term -> Rz_net.Asn.t -> bool
 (** Whether one AS token matches one concrete ASN. *)

@@ -24,7 +24,7 @@ type t = {
    state count exceeds the cap are not compiled at all: the resulting
    matcher abstains (rejects everything), which keeps verification
    conservative — a capped filter can never produce Verified. *)
-let default_max_states = 10_000
+let max_states = 10_000
 
 let c_capped = Rz_obs.Obs.Counter.make "nfa.capped"
 
@@ -108,7 +108,7 @@ let compile_uncapped ast =
   List.iter (fun (state, edge) -> arr.(state) <- edge :: arr.(state)) !edges;
   { edges = arr; start; accept; capped = false }
 
-let compile ?(max_states = default_max_states) ast =
+let compile ast =
   if Regex_ast.state_estimate ast > max_states then begin
     Rz_obs.Obs.Counter.incr c_capped;
     { edges = [||]; start = 0; accept = -1; capped = true }
@@ -124,12 +124,11 @@ module Cache = struct
      matcher. The cap decision happens inside [compile] exactly once per
      distinct pattern, so [nfa.capped] records refusals per pattern, not
      per evaluation. *)
-  type cache = { tbl : (Regex_ast.t, t) Hashtbl.t; max_states : int }
+  type cache = { tbl : (Regex_ast.t, t) Hashtbl.t }
 
   let c_compile_hits = Rz_obs.Obs.Counter.make "nfa.compile_hits"
 
-  let create ?(max_states = default_max_states) () =
-    { tbl = Hashtbl.create 64; max_states }
+  let create () = { tbl = Hashtbl.create 64 }
 
   let get cache ast =
     match Hashtbl.find_opt cache.tbl ast with
@@ -137,7 +136,7 @@ module Cache = struct
       Rz_obs.Obs.Counter.incr c_compile_hits;
       nfa
     | None ->
-      let nfa = compile ~max_states:cache.max_states ast in
+      let nfa = compile ast in
       Hashtbl.replace cache.tbl ast nfa;
       nfa
 

@@ -13,13 +13,13 @@
 type t
 (** A compiled matcher. *)
 
-val default_max_states : int
-(** Default state budget ([10_000]) — far above any regex observed in real
+val max_states : int
+(** The state budget ([10_000]) — far above any regex observed in real
     IRR dumps, far below what a repetition bomb requests. *)
 
-val compile : ?max_states:int -> Regex_ast.t -> t
+val compile : Regex_ast.t -> t
 (** Compile, refusing patterns whose {!Regex_ast.state_estimate} exceeds
-    [max_states]. A refused pattern yields a {e capped} matcher that
+    {!max_states}. A refused pattern yields a {e capped} matcher that
     matches nothing (conservative abstain — it can never claim Verified)
     and increments the [nfa.capped] counter; no state is allocated, so a
     hostile [{m,n}] bomb costs O(pattern text), not O(expansion). *)
@@ -44,8 +44,7 @@ val state_count : t -> int
 module Cache : sig
   type cache
 
-  val create : ?max_states:int -> unit -> cache
-  (** [max_states] defaults to {!default_max_states}. *)
+  val create : unit -> cache
 
   val get : cache -> Regex_ast.t -> t
   (** Look up (incrementing [nfa.compile_hits]) or compile-and-memoize. *)

@@ -62,7 +62,7 @@ let tokenize input =
        let start = !i in
        while !i < n && is_name_char input.[!i] do incr i done;
        let word = String.sub input start (!i - start) in
-       (match int_of_string_opt word with
+       (match Rz_util.Strings.decimal word with
         | Some v -> push (T_int v)
         | None -> push (T_name word))
      | c -> raise (Err (Printf.sprintf "unexpected character %C in AS-path regex" c)));

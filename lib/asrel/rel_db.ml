@@ -77,23 +77,6 @@ let set_clique t clique = t.clique <- List.sort_uniq compare clique
 let clique t = t.clique
 let is_tier1 t asn = List.mem asn t.clique
 
-let infer_clique t =
-  let candidates =
-    List.filter (fun asn -> providers t asn = [] && is_transit t asn) (ases t)
-  in
-  let by_degree =
-    List.sort
-      (fun a b -> compare (List.length (neighbors t b)) (List.length (neighbors t a)))
-      candidates
-  in
-  (* Greedy: keep a candidate when it peers with every AS already kept. *)
-  List.fold_left
-    (fun kept asn ->
-      if List.for_all (fun other -> relationship t asn other = Peers) kept then
-        kept @ [ asn ]
-      else kept)
-    [] by_degree
-
 let customer_cone t asn =
   match Hashtbl.find_opt t.cone_memo asn with
   | Some cone -> cone
@@ -110,10 +93,6 @@ let customer_cone t asn =
     let cone = bfs [ asn ] (Asn_set.singleton asn) in
     Hashtbl.replace t.cone_memo asn cone;
     cone
-
-let in_customer_cone t ~of_ asn = Asn_set.mem asn (customer_cone t of_)
-
-let warm_cones t = List.iter (fun asn -> ignore (customer_cone t asn)) (ases t)
 
 let to_string t =
   let buf = Buffer.create 4096 in

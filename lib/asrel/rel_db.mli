@@ -34,22 +34,11 @@ val set_clique : t -> Rz_net.Asn.t list -> unit
 val clique : t -> Rz_net.Asn.t list
 val is_tier1 : t -> Rz_net.Asn.t -> bool
 
-val infer_clique : t -> Rz_net.Asn.t list
-(** Heuristic when no clique is declared: provider-free ASes with
-    customers, restricted to a maximal mutually-peering subset (greedy by
-    degree). *)
-
 module Asn_set : Set.S with type elt = Rz_net.Asn.t
 
 val customer_cone : t -> Rz_net.Asn.t -> Asn_set.t
 (** The AS itself plus everything reachable downward over provider →
     customer edges. Memoized per database. *)
-
-val in_customer_cone : t -> of_:Rz_net.Asn.t -> Rz_net.Asn.t -> bool
-
-val warm_cones : t -> unit
-(** Memoize every AS's customer cone up front, making subsequent cone
-    queries read-only (for sharing across domains). *)
 
 val to_string : t -> string
 (** Serialize to serial-1 format, with a [# input clique] header. *)

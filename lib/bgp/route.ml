@@ -25,8 +25,6 @@ let dedup_path t =
   in
   dedup plain
 
-let is_single_as t = match dedup_path t with [ _ ] -> true | _ -> false
-
 let segment_to_string = function
   | Seq a -> string_of_int a
   | Set asns -> "{" ^ String.concat "," (List.map string_of_int asns) ^ "}"

@@ -26,9 +26,6 @@ val dedup_path : t -> Rz_net.Asn.t list
     Only valid when {!contains_as_set} is false; AS_SET segments are
     skipped. *)
 
-val is_single_as : t -> bool
-(** Paths with one AS have no inter-AS link to verify. *)
-
 val to_line : t -> string
 (** Serialize as the collector dump line format:
     [prefix|asn asn asn|{asn,asn}] — AS_SETs in braces. *)

@@ -28,20 +28,6 @@ let of_string ~collector text =
   in
   go [] (lines text)
 
-let of_string_lossy ~collector text =
-  let dropped = ref 0 in
-  let routes =
-    List.filter_map
-      (fun line ->
-        match Route.of_line line with
-        | Ok r -> Some r
-        | Error _ ->
-          incr dropped;
-          None)
-      (lines text)
-  in
-  ({ collector; routes }, !dropped)
-
 let save t path =
   let oc = open_out path in
   output_string oc (to_string t);

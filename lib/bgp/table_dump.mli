@@ -11,8 +11,5 @@ val to_string : t -> string
 val of_string : collector:string -> string -> (t, string) result
 (** Fails on the first malformed line. *)
 
-val of_string_lossy : collector:string -> string -> t * int
-(** Skips malformed lines, returning how many were dropped. *)
-
 val save : t -> string -> unit
 val load : collector:string -> string -> (t, string) result

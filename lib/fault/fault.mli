@@ -28,15 +28,14 @@ type kind =
       (** append a member chain deeper than [Rz_irr.Db.max_flatten_depth] *)
   | Pathological_regex
       (** append an aut-num whose import filter is a repetition bomb past
-          [Rz_aspath.Regex_nfa.default_max_states] *)
+          [Rz_aspath.Regex_nfa.max_states] *)
 
 val all_kinds : kind list
 (** Every kind, in declaration order. *)
 
-val kind_name : kind -> string
-(** Stable kebab-case name, e.g. ["as-set-deep-bomb"]. *)
-
 val kind_of_name : string -> kind option
+(** A kind by its stable kebab-case name, e.g. ["as-set-deep-bomb"], as
+    {!report_lines} prints it. *)
 
 type plan = {
   seed : int;    (** splitmix seed; equal plans corrupt identically *)

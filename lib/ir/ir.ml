@@ -193,5 +193,3 @@ let find_route_set t name = Hashtbl.find_opt t.route_sets (canon name)
 let find_peering_set t name = Hashtbl.find_opt t.peering_sets (canon name)
 let find_filter_set t name = Hashtbl.find_opt t.filter_sets (canon name)
 let find_mntner t name = Hashtbl.find_opt t.mntners (Rz_util.Strings.uppercase name)
-let find_inet_rtr t name = Hashtbl.find_opt t.inet_rtrs (Rz_util.Strings.lowercase name)
-let find_rtr_set t name = Hashtbl.find_opt t.rtr_sets (Rz_util.Strings.uppercase name)

@@ -194,5 +194,3 @@ val find_route_set : t -> string -> route_set option
 val find_peering_set : t -> string -> peering_set option
 val find_filter_set : t -> string -> filter_set option
 val find_mntner : t -> string -> mntner option
-val find_inet_rtr : t -> string -> inet_rtr option
-val find_rtr_set : t -> string -> rtr_set option

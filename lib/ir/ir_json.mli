@@ -6,9 +6,5 @@
 val export : Ir.t -> Rz_json.Json.t
 (** Whole-IR document: aut-nums, sets, routes, and lowering errors. *)
 
-val rule_to_json : Rz_policy.Ast.rule -> Rz_json.Json.t
-val filter_to_json : Rz_policy.Ast.filter -> Rz_json.Json.t
-val peering_to_json : Rz_policy.Ast.peering -> Rz_json.Json.t
-
 val export_string : ?indent:int -> Ir.t -> string
 (** [export] composed with serialization. *)

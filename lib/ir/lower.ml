@@ -16,8 +16,6 @@ type rule_parser =
   string ->
   (Rz_policy.Ast.rule, string) result
 
-let lower_rule = Rz_policy.Parser.parse_rule
-
 (* Fold the newline continuations inside attribute values into spaces
    before feeding the policy parser; values without continuations (the
    vast majority) pass through without a copy. *)
@@ -281,7 +279,7 @@ let lower_rtr_set ~split ir (obj : Rz_rpsl.Obj.t) source =
         mbrs_by_ref = multi_names split obj "mbrs-by-ref";
         source }
 
-let add_objects ?(rule_parser = lower_rule) ?(split = split_names) ir ~source objects =
+let add_objects ?(rule_parser = Rz_policy.Parser.parse_rule) ?(split = split_names) ir ~source objects =
   Rz_obs.Obs.Span.with_ "lower" (fun () ->
       List.iter
         (fun (obj : Rz_rpsl.Obj.t) ->

@@ -13,8 +13,9 @@ type rule_parser =
   string ->
   (Rz_policy.Ast.rule, string) result
 (** The function that lowers one import/export attribute value. The
-    default is {!lower_rule}; [Rz_ingest.Ingest.ingest] substitutes the
-    same parser memoized per (direction, multiprotocol, text). *)
+    default is [Rz_policy.Parser.parse_rule]; [Rz_ingest.Ingest.ingest]
+    substitutes the same parser memoized per (direction, multiprotocol,
+    text). *)
 
 val add_objects :
   ?rule_parser:rule_parser ->
@@ -44,10 +45,3 @@ val add_reader_errors :
 (** Append reader-level errors to [ir.errors] as dump-class syntax
     errors, exactly as {!add_dump} does before lowering — the ingest
     calls this on dumps it parsed with the scanner. *)
-
-val lower_rule :
-  direction:[ `Import | `Export ] ->
-  multiprotocol:bool ->
-  string ->
-  (Rz_policy.Ast.rule, string) result
-(** Exposed for tests: lower one rule attribute value. *)

@@ -26,8 +26,8 @@ val of_dumps : (string * string) list -> t
 (** {1 Resolution bounds}
 
     Set flattening recurses over untrusted registry data, so it runs
-    under hard bounds: nesting depth, per-call work (distinct sets
-    visited), and materialized route-set members. A bound hit degrades to
+    under hard bounds: nesting depth, per-call work (set expansions, see
+    {!max_flatten_work}), and materialized route-set members. A bound hit degrades to
     a partial result — never an exception or unbounded memory — records
     the root set in {!truncated_sets}, and increments the
     [flatten.truncated] counter. A truncated answer is never reused
@@ -45,10 +45,12 @@ val max_flatten_depth : int
     anomalous, so legitimate data sits far below this. *)
 
 val max_flatten_work : int
-(** Distinct sets visited per top-level flatten (10_000). *)
-
-val max_route_set_members : int
-(** Materialized (prefix, op) pairs per flattened route-set (200_000). *)
+(** Set expansions per top-level flatten (10_000). An expansion is one
+    visit to a set name that is neither on the current path nor memoized
+    as a caller-independent answer; unknown names count too. These are
+    not distinct sets: a set reached along two paths in one walk, whose
+    answer depends on the path (a set in a cycle, say), is expanded and
+    counted once per path. *)
 
 val flatten_truncated : t -> string -> bool
 (** Whether flattening rooted at this set ever hit a bound. *)
@@ -106,15 +108,6 @@ val warm_caches : t -> unit
     sharing the database across domains (the [serve] workers). *)
 
 (** {1 Set reference graph} *)
-
-val referenced_sets : t -> string -> string list
-(** Canonical names of sets directly referenced by the set object(s) with
-    this (canonicalized) name, across every set class: as-set member
-    sets, route-set [Rs_set] members, set references inside a
-    filter-set's filter, peering-set peerings. Sorted, deduplicated;
-    empty for unknown names. Edges are a {e superset} of what evaluation
-    can read and ignore the flattening caps, so reachability over them
-    over-approximates: invalidation built on it can only widen. *)
 
 (** {1 In-place patching (streaming edits)}
 
@@ -182,8 +175,10 @@ val copy : t -> t
     the original. Patching either leaves the other as it was. *)
 
 val set_ancestors : t -> string -> string list
-(** The set with this name and every set that reaches it over
-    {!referenced_sets} edges, as of the last {!patch}. Cycle-safe. *)
+(** The set with this name and every set that reaches it over set
+    references (as-set member sets, route-set set members, set
+    references inside a filter-set's filter, peering-set peerings), as
+    of the last {!patch}. Cycle-safe. *)
 
 val origin_readers : t -> Rz_net.Asn.t -> string list
 (** Every set whose flattening reads the route objects this ASN

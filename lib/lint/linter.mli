@@ -43,8 +43,6 @@ type diagnostic = {
   message : string;      (** human-readable, includes the recommendation *)
 }
 
-val check_to_string : check -> string
-val severity_to_string : severity -> string
 val diagnostic_to_string : diagnostic -> string
 
 val lint :

@@ -3,8 +3,6 @@ type subfamily = Unicast | Multicast | Any_sub
 type t = { family : family; sub : subfamily }
 
 let any = { family = Any_family; sub = Any_sub }
-let ipv4_unicast = { family = Ipv4; sub = Unicast }
-let ipv6_unicast = { family = Ipv6; sub = Unicast }
 
 let parse s =
   let s = Rz_util.Strings.strip (Rz_util.Strings.lowercase s) in
@@ -30,18 +28,6 @@ let parse s =
     (match (family_of fam, sub_of sub) with
      | Ok family, Ok sub -> Ok { family; sub }
      | Error e, _ | _, Error e -> Error e)
-
-let parse_list s =
-  let parts = String.split_on_char ',' s |> List.map Rz_util.Strings.strip in
-  let parts = List.filter (fun p -> p <> "") parts in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | p :: rest ->
-      (match parse p with
-       | Ok afi -> go (afi :: acc) rest
-       | Error e -> Error e)
-  in
-  go [] parts
 
 let to_string { family; sub } =
   let f = match family with Ipv4 -> "ipv4" | Ipv6 -> "ipv6" | Any_family -> "any" in

@@ -10,25 +10,16 @@ type t = { family : family; sub : subfamily }
 val any : t
 (** [afi any] / unqualified rules: matches every route. *)
 
-val ipv4_unicast : t
-val ipv6_unicast : t
-
 val parse : string -> (t, string) result
 (** Parses ["ipv4"], ["ipv6.unicast"], ["any.unicast"], ["any"], ... *)
 
-val parse_list : string -> (t list, string) result
-(** Comma-separated afi list, as in [afi ipv4.unicast, ipv6.unicast]. *)
-
 val to_string : t -> string
-
-val matches_prefix : t -> Prefix.t -> bool
-(** Whether a (unicast) route with this prefix falls under the afi. BGP
-    table dumps carry unicast routes, so [Multicast]-only afis match no
-    observed route. *)
 
 val matches_any : t list -> Prefix.t -> bool
 (** [matches_any afis p] — true when the list is empty (no restriction) or
-    any element matches. *)
+    a (unicast) route with this prefix falls under any element. BGP table
+    dumps carry unicast routes, so [Multicast]-only afis match no
+    observed route. *)
 
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

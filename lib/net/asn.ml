@@ -17,12 +17,12 @@ let of_string s =
     match String.index_opt body '.' with
     | Some i ->
       let hi = String.sub body 0 i and lo = String.sub body (i + 1) (String.length body - i - 1) in
-      (match (int_of_string_opt hi, int_of_string_opt lo) with
+      (match (Rz_util.Strings.decimal hi, Rz_util.Strings.decimal lo) with
        | Some hi, Some lo when hi >= 0 && hi <= 65535 && lo >= 0 && lo <= 65535 ->
          Ok ((hi lsl 16) lor lo)
        | _ -> Error (Printf.sprintf "malformed asdot ASN %S" s))
     | None ->
-      (match int_of_string_opt body with
+      (match Rz_util.Strings.decimal body with
        | Some n when in_range n -> Ok n
        | Some _ -> Error (Printf.sprintf "ASN out of range %S" s)
        | None -> Error (Printf.sprintf "malformed ASN %S" s))
@@ -31,10 +31,6 @@ let of_string_exn s =
   match of_string s with Ok n -> n | Error msg -> invalid_arg msg
 
 let to_string n = "AS" ^ string_of_int n
-
-let to_asdot n =
-  if n > 65535 then Printf.sprintf "%d.%d" (n lsr 16) (n land 0xFFFF)
-  else string_of_int n
 
 let is_private n =
   (n >= 64512 && n <= 65534) || (n >= 4200000000 && n <= 4294967294)

@@ -6,20 +6,15 @@
 
 type t = int
 
-val min_value : t
-val max_value : t
-
 val of_string : string -> (t, string) result
-(** Parse ["AS65000"], ["65000"] or asdot ["1.5"] (case-insensitive). *)
+(** Parse ["AS65000"], ["65000"] or asdot ["1.5"] (case-insensitive).
+    The numbers are plain decimal digits: no sign, [_] or radix prefix. *)
 
 val of_string_exn : string -> t
 (** @raise Invalid_argument on malformed input. *)
 
 val to_string : t -> string
 (** Canonical ["AS65000"] form. *)
-
-val to_asdot : t -> string
-(** Asdot form ["1.5"] for 4-byte ASNs, plain decimal otherwise. *)
 
 val is_private : t -> bool
 (** True for the IANA private-use ranges 64512-65534 and

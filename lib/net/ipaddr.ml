@@ -6,8 +6,8 @@ module V4 = struct
     match parts with
     | [ a; b; c; d ] ->
       let byte x =
-        match int_of_string_opt x with
-        | Some v when v >= 0 && v <= 255 && x <> "" -> Some v
+        match Rz_util.Strings.decimal x with
+        | Some v when v <= 255 -> Some v
         | _ -> None
       in
       (match (byte a, byte b, byte c, byte d) with
@@ -34,7 +34,8 @@ module V6 = struct
     let s = Rz_util.Strings.strip s in
     let fail () = Error (Printf.sprintf "malformed IPv6 address %S" s) in
     let group g =
-      if g = "" || String.length g > 4 then None
+      let hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+      if g = "" || String.length g > 4 || not (String.for_all hex g) then None
       else
         match int_of_string_opt ("0x" ^ g) with
         | Some v when v >= 0 && v <= 0xFFFF -> Some v

@@ -2,12 +2,6 @@
     unroutable ("bogon") address space, per RFC 2622's fltr-martian object
     updated with the usual operator bogon lists. *)
 
-val v4_list : Prefix.t list
-(** IPv4 martian prefixes (each matched with inclusive more-specifics). *)
-
-val v6_list : Prefix.t list
-(** IPv6 martian prefixes. *)
-
 val is_martian : Prefix.t -> bool
 (** True when the prefix is equal to or more specific than a martian
     prefix, or is an overly-long announcement (IPv4 longer than /24, IPv6

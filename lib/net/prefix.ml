@@ -16,7 +16,7 @@ let of_string s =
   | Some i ->
     let addr_s = String.sub s 0 i in
     let len_s = String.sub s (i + 1) (String.length s - i - 1) in
-    (match int_of_string_opt len_s with
+    (match Rz_util.Strings.decimal len_s with
      | None -> Error (Printf.sprintf "bad prefix length in %S" s)
      | Some len ->
        if String.contains addr_s ':' then
@@ -80,6 +80,3 @@ let subnets t l =
         let i64 = Int64.of_int i in
         if l <= 64 then v6 (Int64.logor hi (Int64.shift_left i64 (64 - l)), lo) l
         else v6 (hi, Int64.logor lo (Int64.shift_left i64 (128 - l))) l)
-
-let default_v4 = v4 0 0
-let default_v6 = v6 (0L, 0L) 0

@@ -40,9 +40,3 @@ val subnets : t -> int -> t list
 (** [subnets p l] enumerates the [2^(l - len p)] subnets of [p] at length
     [l] (same family). Raises [Invalid_argument] when [l < len p] or the
     expansion exceeds 4096 prefixes (guards against absurd sweeps). *)
-
-val default_v4 : t
-(** [0.0.0.0/0] *)
-
-val default_v6 : t
-(** [::/0] *)

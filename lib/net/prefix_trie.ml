@@ -132,20 +132,6 @@ let covering t prefix =
   in
   List.rev (descend (root t prefix) 0 [])
 
-let covered_by t prefix =
-  let rec subtree node acc =
-    let acc = rev_pairs node acc in
-    let acc = match node.zero with None -> acc | Some c -> subtree c acc in
-    match node.one with None -> acc | Some c -> subtree c acc
-  in
-  let rec descend node depth =
-    if depth = prefix.Prefix.len then subtree node []
-    else
-      let child = if Prefix.bit prefix depth then node.one else node.zero in
-      match child with None -> [] | Some c -> descend c (depth + 1)
-  in
-  descend (root t prefix) 0
-
 let length t = t.count
 
 let iter f t =

@@ -35,9 +35,6 @@ val covering : 'a t -> Prefix.t -> (Prefix.t * 'a) list
 (** All (prefix, value) entries whose prefix contains the argument,
     including an exact match; shortest (least specific) first. *)
 
-val covered_by : 'a t -> Prefix.t -> (Prefix.t * 'a) list
-(** All entries contained within the argument (including exact). *)
-
 val length : 'a t -> int
 (** Number of (prefix, value) bindings. *)
 

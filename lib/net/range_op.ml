@@ -17,13 +17,13 @@ let parse s =
     | _ ->
       (match String.index_opt body '-' with
        | None ->
-         (match int_of_string_opt body with
+         (match Rz_util.Strings.decimal body with
           | Some n when n >= 0 && n <= 128 -> Ok (Exact n)
           | _ -> Error (Printf.sprintf "bad range operator %S" s))
        | Some i ->
          let lo = String.sub body 0 i
          and hi = String.sub body (i + 1) (String.length body - i - 1) in
-         (match (int_of_string_opt lo, int_of_string_opt hi) with
+         (match (Rz_util.Strings.decimal lo, Rz_util.Strings.decimal hi) with
           | Some lo, Some hi when lo >= 0 && hi >= lo && hi <= 128 -> Ok (Range (lo, hi))
           | _ -> Error (Printf.sprintf "bad range operator %S" s)))
 

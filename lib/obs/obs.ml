@@ -28,11 +28,14 @@ let rec atomic_max a v =
 (* ------------------------------------------------------------------ *)
 
 let n_buckets = 256
-let default_gamma = Float.pow 2.0 0.25
+
+(* The bucket growth factor: ~19% wide buckets, <= 9% quantile error. *)
+let gamma = Float.pow 2.0 0.25
+let log_gamma = Float.log gamma
 
 (* bucket 0: values < 1.0 (underflow); bucket i >= 1 covers
    [gamma^(i-1), gamma^i); the last bucket also absorbs overflow *)
-let bucket_of_value ~log_gamma v =
+let bucket_of_value v =
   if not (Float.is_finite v) || v < 1.0 then 0
   else
     let i = 1 + int_of_float (Float.log v /. log_gamma) in
@@ -40,13 +43,13 @@ let bucket_of_value ~log_gamma v =
 
 (* Geometric midpoint of bucket [i]: sqrt(lo * hi) = gamma^(i - 1/2).
    The underflow bucket reports 0.5 (its values lie in [0, 1)). *)
-let representative_of ~gamma i =
+let representative_of i =
   if i = 0 then 0.5 else Float.pow gamma (float_of_int i -. 0.5)
 
 (* Inclusive upper bound of bucket [i] for cumulative (Prometheus-style)
    encodings: bucket 0 is everything below 1.0, bucket i ends at
    gamma^i. The last bucket absorbs overflow, so its bound is +inf. *)
-let upper_bound_of ~gamma i =
+let upper_bound_of i =
   if i = 0 then 1.0
   else if i >= n_buckets - 1 then Float.infinity
   else Float.pow gamma (float_of_int i)
@@ -55,7 +58,7 @@ let upper_bound_of ~gamma i =
    count array. Total and cumulative ranks come from the same array, so
    a caller holding a snapshot can never see a torn (count, buckets)
    pair. *)
-let quantile_of_counts ~gamma counts q =
+let quantile_of_counts counts q =
   let total = Array.fold_left ( + ) 0 counts in
   if total = 0 then 0.0
   else begin
@@ -72,7 +75,7 @@ let quantile_of_counts ~gamma counts q =
          end
        done
      with Exit -> ());
-    representative_of ~gamma !found
+    representative_of !found
   end
 
 (* ------------------------------------------------------------------ *)
@@ -134,31 +137,25 @@ module Histogram = struct
 
   type t = {
     name : string;
-    gamma : float;
-    log_gamma : float;
     buckets : int Atomic.t array;
   }
 
   let table : (string, t) Hashtbl.t = Hashtbl.create 16
 
-  let make ?(gamma = default_gamma) name =
-    if gamma <= 1.0 then invalid_arg "Obs.Histogram.make: gamma must exceed 1.0";
+  let make name =
     with_lock (fun () ->
         match Hashtbl.find_opt table name with
         | Some h -> h
         | None ->
           let h =
-            { name; gamma; log_gamma = Float.log gamma;
-              buckets = Array.init n_buckets (fun _ -> Atomic.make 0) }
+            { name; buckets = Array.init n_buckets (fun _ -> Atomic.make 0) }
           in
           Hashtbl.replace table name h;
           h)
 
-  let bucket_of h v = bucket_of_value ~log_gamma:h.log_gamma v
-
   let observe h v =
     if Atomic.get enabled_flag then
-      ignore (Atomic.fetch_and_add h.buckets.(bucket_of h v) 1)
+      ignore (Atomic.fetch_and_add h.buckets.(bucket_of_value v) 1)
 
   (* One atomic read per bucket into a plain array: every derived figure
      (count, quantiles, cumulative encodings) must come from one such
@@ -167,9 +164,8 @@ module Histogram = struct
 
   let count h = Array.fold_left (fun acc b -> acc + Atomic.get b) 0 h.buckets
 
-  let quantile h q = quantile_of_counts ~gamma:h.gamma (counts h) q
+  let quantile h q = quantile_of_counts (counts h) q
 
-  let gamma h = h.gamma
   let name h = h.name
 
 end
@@ -187,37 +183,32 @@ module Window = struct
 
   type t = {
     name : string;
-    gamma : float;
-    log_gamma : float;
-    slot_ns : int;
-    n_slots : int;
     slots : slot array;
   }
 
+  (* 12 slots of 5s each: a 60-second rolling window *)
+  let n_slots = 12
+  let slot_ns = 5_000 * 1_000_000
+  let span_ns = n_slots * slot_ns
+
   let table : (string, t) Hashtbl.t = Hashtbl.create 8
 
-  let make ?(slots = 12) ?(slot_ms = 5000) ?(gamma = default_gamma) name =
-    if slots < 2 then invalid_arg "Obs.Window.make: need at least 2 slots";
-    if slot_ms < 1 then invalid_arg "Obs.Window.make: slot_ms must be positive";
-    if gamma <= 1.0 then invalid_arg "Obs.Window.make: gamma must exceed 1.0";
+  let make name =
     with_lock (fun () ->
         match Hashtbl.find_opt table name with
         | Some w -> w
         | None ->
           let w =
-            { name; gamma; log_gamma = Float.log gamma;
-              slot_ns = slot_ms * 1_000_000; n_slots = slots;
+            { name;
               slots =
-                Array.init slots (fun _ ->
+                Array.init n_slots (fun _ ->
                     { epoch = Atomic.make 0; count = Atomic.make 0;
                       buckets = Array.init n_buckets (fun _ -> Atomic.make 0) }) }
           in
           Hashtbl.replace table name w;
           w)
 
-  let span_ns w = w.n_slots * w.slot_ns
   let name w = w.name
-  let gamma w = w.gamma
 
   (* Advance a ring slot to [epoch], zeroing its contents. The CAS on
      the epoch elects one roller; observations racing the zeroing can
@@ -233,33 +224,33 @@ module Window = struct
     end
     else roll slot epoch
 
-  let slot_for w epoch = w.slots.(epoch mod w.n_slots)
+  let slot_for w epoch = w.slots.(epoch mod n_slots)
 
   let observe ?now_ns:at w v =
     if Atomic.get enabled_flag then begin
       let now = match at with Some t -> t | None -> now_ns () in
-      let epoch = now / w.slot_ns in
+      let epoch = now / slot_ns in
       let slot = slot_for w epoch in
       roll slot epoch;
       if Atomic.get slot.epoch = epoch then begin
         ignore (Atomic.fetch_and_add slot.count 1);
         ignore
-          (Atomic.fetch_and_add slot.buckets.(bucket_of_value ~log_gamma:w.log_gamma v) 1)
+          (Atomic.fetch_and_add slot.buckets.(bucket_of_value v) 1)
       end
     end
 
   (* A slot is inside the rolling window iff its epoch is one of the
      last [n_slots] epochs ending at the current one. *)
-  let in_window w ~now_epoch epoch =
-    epoch > 0 && epoch <= now_epoch && epoch > now_epoch - w.n_slots
+  let in_window ~now_epoch epoch =
+    epoch > 0 && epoch <= now_epoch && epoch > now_epoch - n_slots
 
   let fold_cells ?now_ns:at w f acc =
     let now = match at with Some t -> t | None -> now_ns () in
-    let now_epoch = now / w.slot_ns in
+    let now_epoch = now / slot_ns in
     Array.fold_left
       (fun acc slot ->
         let epoch = Atomic.get slot.epoch in
-        if in_window w ~now_epoch epoch then f acc slot epoch else acc)
+        if in_window ~now_epoch epoch then f acc slot epoch else acc)
       acc w.slots
 
   let total ?now_ns w =
@@ -269,7 +260,7 @@ module Window = struct
      its span under-reports the rate rather than dividing by the shorter
      elapsed time — the steady-state figure is what operators watch. *)
   let rate ?now_ns w =
-    float_of_int (total ?now_ns w) /. (float_of_int (span_ns w) /. 1e9)
+    float_of_int (total ?now_ns w) /. (float_of_int span_ns /. 1e9)
 
   let counts ?now_ns w =
     let acc = Array.make n_buckets 0 in
@@ -279,7 +270,7 @@ module Window = struct
       ();
     acc
 
-  let quantile ?now_ns w q = quantile_of_counts ~gamma:w.gamma (counts ?now_ns w) q
+  let quantile ?now_ns w q = quantile_of_counts (counts ?now_ns w) q
 end
 
 (* ------------------------------------------------------------------ *)
@@ -432,11 +423,6 @@ let recovery_counter_names =
     "nrtm.ops_rejected";
     "obs.accesslog_dropped" ]
 
-let recovery_suffixes = [ "rejected"; "dropped"; "truncated"; "capped" ]
-
-let looks_like_recovery name =
-  List.exists (fun suf -> Filename.check_suffix name suf) recovery_suffixes
-
 (* ------------------------------------------------------------------ *)
 (* Registry snapshots                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -447,7 +433,6 @@ module Registry = struct
     p50 : float;
     p90 : float;
     p99 : float;
-    h_gamma : float;
     h_counts : int array;  (* consistent copy backing every figure above *)
   }
 
@@ -456,7 +441,6 @@ module Registry = struct
     w_rate : float;
     w_p50 : float;
     w_p99 : float;
-    w_span_ns : int;
   }
 
   type snapshot = {
@@ -480,24 +464,20 @@ module Registry = struct
           histograms =
             sorted_bindings Histogram.table (fun h ->
                 let counts = Histogram.counts h in
-                let gamma = Histogram.gamma h in
                 { count = Array.fold_left ( + ) 0 counts;
-                  p50 = quantile_of_counts ~gamma counts 0.5;
-                  p90 = quantile_of_counts ~gamma counts 0.9;
-                  p99 = quantile_of_counts ~gamma counts 0.99;
-                  h_gamma = gamma;
+                  p50 = quantile_of_counts counts 0.5;
+                  p90 = quantile_of_counts counts 0.9;
+                  p99 = quantile_of_counts counts 0.99;
                   h_counts = counts });
           windows =
             sorted_bindings Window.table (fun w ->
                 let counts = Window.counts w in
-                let gamma = Window.gamma w in
                 { w_count = Array.fold_left ( + ) 0 counts;
                   w_rate =
                     float_of_int (Array.fold_left ( + ) 0 counts)
-                    /. (float_of_int (Window.span_ns w) /. 1e9);
-                  w_p50 = quantile_of_counts ~gamma counts 0.5;
-                  w_p99 = quantile_of_counts ~gamma counts 0.99;
-                  w_span_ns = Window.span_ns w });
+                    /. (float_of_int Window.span_ns /. 1e9);
+                  w_p50 = quantile_of_counts counts 0.5;
+                  w_p99 = quantile_of_counts counts 0.99 });
           spans =
             sorted_bindings Span.table (fun (s : Span.stat) ->
                 (Atomic.get s.count, Atomic.get s.total_ns, Atomic.get s.max_ns)) })
@@ -506,11 +486,6 @@ module Registry = struct
   let gauges s = s.gauges
   let spans s = List.map (fun (n, (c, t, _)) -> (n, (c, t))) s.spans
   let meta s = s.meta
-
-  let window_stats s =
-    List.map
-      (fun (n, w) -> (n, (w.w_count, w.w_rate, w.w_p50, w.w_p99)))
-      s.windows
 
   let to_json s =
     Json.Obj
@@ -538,7 +513,7 @@ module Registry = struct
                        ("rate", Json.Float w.w_rate);
                        ("p50", Json.Float w.w_p50);
                        ("p99", Json.Float w.w_p99);
-                       ("span_ns", Json.Int w.w_span_ns) ] ))
+                       ("span_ns", Json.Int Window.span_ns) ] ))
                s.windows) );
         ( "spans",
           Json.Obj
@@ -599,7 +574,7 @@ module Registry = struct
             (Printf.sprintf
                "  %-32s %8d in %3.0fs  %10.1f/s  p50 %10.1f  p99 %10.1f\n" n
                w.w_count
-               (float_of_int w.w_span_ns /. 1e9)
+               (float_of_int Window.span_ns /. 1e9)
                w.w_rate w.w_p50 w.w_p99))
         s.windows
     end;
@@ -654,8 +629,8 @@ let to_prometheus (s : Registry.snapshot) =
         (fun i c ->
           if c > 0 then begin
             cum := !cum + c;
-            approx_sum := !approx_sum +. (float_of_int c *. representative_of ~gamma:r.h_gamma i);
-            line "%s_bucket{le=\"%s\"} %d" n (prom_le (upper_bound_of ~gamma:r.h_gamma i)) !cum
+            approx_sum := !approx_sum +. (float_of_int c *. representative_of i);
+            line "%s_bucket{le=\"%s\"} %d" n (prom_le (upper_bound_of i)) !cum
           end)
         r.h_counts;
       line "%s_bucket{le=\"+Inf\"} %d" n r.count;
@@ -674,7 +649,7 @@ let to_prometheus (s : Registry.snapshot) =
       emit "_window_rate" (prom_float w.w_rate);
       emit "_window_p50" (prom_float w.w_p50);
       emit "_window_p99" (prom_float w.w_p99);
-      emit "_window_span_seconds" (prom_float (float_of_int w.w_span_ns /. 1e9)))
+      emit "_window_span_seconds" (prom_float (float_of_int Window.span_ns /. 1e9)))
     s.Registry.windows;
   List.iter
     (fun (n, (count, total_ns, max_ns)) ->

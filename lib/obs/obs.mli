@@ -72,17 +72,16 @@ end
 
 module Histogram : sig
   (** Log-bucketed histogram over non-negative values. Bucket [i >= 1]
-      covers [gamma^(i-1), gamma^i); values below [1.0] (and negatives)
-      land in the underflow bucket 0. Quantile extraction returns the
-      geometric midpoint of the selected bucket, so its relative error
-      is bounded by [sqrt gamma] < one bucket width. *)
+      covers [gamma^(i-1), gamma^i) for the growth factor
+      [gamma = 2^(1/4)] (~19% wide buckets); values below [1.0] (and
+      negatives) land in the underflow bucket 0. Quantile extraction
+      returns the geometric midpoint of the selected bucket, so its
+      relative error is bounded by [sqrt gamma] (<= 9%). *)
 
   type t
 
-  val make : ?gamma:float -> string -> t
-  (** [gamma] is the bucket growth factor, default [2^(1/4)] (~19% wide
-      buckets, <= 9% quantile error). Must exceed 1.0. Idempotent per
-      name; a differing [gamma] on a second [make] is ignored. *)
+  val make : string -> t
+  (** Idempotent per name. *)
 
   val observe : t -> float -> unit
   (** Record one value. No-op while disabled. *)
@@ -116,16 +115,15 @@ module Histogram : sig
       - values below 1.0 (and negatives, and non-finite values) share
         the underflow bucket, whose representative is [0.5]. *)
 
-  val gamma : t -> float
   val name : t -> string
 
 end
 
 module Window : sig
-  (** Rolling time windows: a ring of time-bucketed slots, each holding
-      an event count plus log-bucketed value histogram, giving rolling
-      rates (events/sec) and rolling quantiles over the last
-      [slots * slot_ms] milliseconds. Old slots are lazily recycled as
+  (** Rolling time windows: a ring of 12 time-bucketed slots of 5s each,
+      each holding an event count plus log-bucketed value histogram,
+      giving rolling rates (events/sec) and rolling quantiles over the
+      last 60 seconds. Old slots are lazily recycled as
       the clock advances; readers only aggregate slots whose epoch falls
       inside the current window.
 
@@ -135,10 +133,8 @@ module Window : sig
 
   type t
 
-  val make : ?slots:int -> ?slot_ms:int -> ?gamma:float -> string -> t
-  (** Default 12 slots of 5s each — a 60-second rolling window.
-      Idempotent per name (differing geometry on a second [make] is
-      ignored, like {!Histogram.make}). *)
+  val make : string -> t
+  (** Idempotent per name, like {!Histogram.make}. *)
 
   val observe : ?now_ns:int -> t -> float -> unit
   (** Record one event with a value (e.g. latency in ns). No-op while
@@ -159,8 +155,6 @@ module Window : sig
   (** Rolling quantile over the in-window value buckets; same rank
       selection and degenerate-case pins as {!Histogram.quantile}. *)
 
-  val span_ns : t -> int
-  val gamma : t -> float
   val name : t -> string
 
 end
@@ -212,13 +206,8 @@ val recovery_counter_names : string list
     exit-2 contract (faultinject / rpki / stream) sums exactly this
     list; enumerate new recovery counters here, nowhere else. Kept in
     sync with runtime registration by a suite_obs test: every registered
-    counter matching {!looks_like_recovery} must appear here. *)
-
-val looks_like_recovery : string -> bool
-(** Whether a counter name carries a recovery-ish suffix
-    ([rejected]/[dropped]/[truncated]/[capped], regardless of whether the
-    preceding separator is [.] or [_]) and therefore belongs in
-    {!recovery_counter_names}. *)
+    counter whose name ends in [rejected], [dropped], [truncated] or
+    [capped] must appear here. *)
 
 module Registry : sig
   (** A consistent-enough point-in-time view of every registered
@@ -237,10 +226,6 @@ module Registry : sig
 
   val gauges : snapshot -> (string * int) list
   (** Sorted by name. *)
-
-  val window_stats : snapshot -> (string * (int * float * float * float)) list
-  (** [(name, (in-window count, rate per sec, p50, p99))], sorted by
-      name. *)
 
   val spans : snapshot -> (string * (int * int)) list
   (** [(name, (count, total_ns))], sorted by name. *)

@@ -118,15 +118,3 @@ let apply actions attrs =
   List.fold_left
     (fun acc action -> Result.bind acc (fun attrs -> apply_one attrs action))
     (Ok attrs) actions
-
-let apply_rule_actions (rule : Ast.rule) attrs =
-  let actions =
-    List.concat_map
-      (fun (term : Ast.term) ->
-        List.concat_map
-          (fun (factor : Ast.factor) ->
-            List.concat_map (fun (pa : Ast.peering_action) -> pa.actions) factor.peerings)
-          term.factors)
-      (Ast.expr_terms rule.expr)
-  in
-  apply actions attrs

@@ -5,8 +5,8 @@
     is the {e complement} of BGP LocalPref — [LocalPref = 65535 - pref] —
     so {e lower} pref means more preferred, the opposite of LocalPref.
     Operators unaware of this inversion write rules that do the reverse of
-    what they intend; {!apply} implements the RFC faithfully and
-    {!pref_to_local_pref} makes the conversion explicit. *)
+    what they intend; {!apply} implements the RFC faithfully, clamping
+    the result to [0, 65535]. *)
 
 type community = int * int
 (** [(asn, value)] pair, e.g. [(65535, 666)] for BLACKHOLE. *)
@@ -21,24 +21,14 @@ type attrs = {
 
 val empty : attrs
 
-val pref_to_local_pref : int -> int
-(** [65535 - pref], clamped to [0, 65535]. *)
-
-val parse_community : string -> (community, string) result
-(** Accepts ["65000:120"] and the RFC 1997 well-known names
-    [NO_EXPORT], [NO_ADVERTISE], [NO_EXPORT_SUBCONFED], plus [BLACKHOLE]
-    (RFC 7999). *)
-
 val community_to_string : community -> string
 
 val apply : Ast.action list -> attrs -> (attrs, string) result
 (** Apply the actions left to right. Supported: [pref=], [med=] (numeric or
     the keyword [igp_cost], which clears the attribute), [dpa=],
-    [community=] / [community.={...}] (replace / append),
+    [community=] / [community.={...}] (replace / append; a community is
+    ["65000:120"] or one of the RFC 1997 well-known names [NO_EXPORT],
+    [NO_ADVERTISE], [NO_EXPORT_SUBCONFED], plus [BLACKHOLE] (RFC 7999)),
     [community.append(...)], [community.delete(...)],
     [aspath.prepend(...)]. Unknown attributes or methods are errors
     (callers typically surface them as RPSL mistakes). *)
-
-val apply_rule_actions : Ast.rule -> attrs -> (attrs, string) result
-(** Apply every action of every factor of a rule, in syntactic order —
-    a convenience for single-peering rules. *)

@@ -67,14 +67,6 @@ type rule = {
   expr : expr;
 }
 
-let pref_of_actions actions =
-  List.fold_left
-    (fun acc a ->
-      match a with
-      | Assign (key, v) when Rz_util.Strings.equal_ci key "pref" -> int_of_string_opt v
-      | _ -> acc)
-    None actions
-
 let rec as_expr_to_string = function
   | Asn n -> Rz_net.Asn.to_string n
   | As_set s -> s

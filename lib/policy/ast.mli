@@ -102,15 +102,8 @@ type rule = {
   expr : expr;
 }
 
-val pref_of_actions : action list -> int option
-(** The [pref] value assigned by the action list, when present and
-    numeric. *)
-
 val router_expr_to_string : router_expr -> string
 val filter_to_string : filter -> string
-val peering_to_string : peering -> string
-val as_expr_to_string : as_expr -> string
-val action_to_string : action -> string
 val default_rule_to_string : default_rule -> string
 val rule_to_string : rule -> string
 (** Render back to RPSL-ish text (canonical spacing); used by the JSON

@@ -423,7 +423,6 @@ let parse_default ~multiprotocol text =
 
 let parse_filter text = run text parse_filter_expr
 let parse_peering text = run text parse_peering_expr
-let parse_as_expr text = run text parse_as_expr_prec
 
 let parse_members text =
   (* Members lists are comma-separated; stray whitespace separation also

@@ -30,6 +30,3 @@ val parse_peering : string -> (Ast.peering, string) result
 val parse_members : string -> string list
 (** Split a [members:]/[mp-members:] value into member names (comma and/or
     whitespace separated — both appear in the wild). *)
-
-val parse_as_expr : string -> (Ast.as_expr, string) result
-(** Parse an AS expression, e.g. for tests. *)

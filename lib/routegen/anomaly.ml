@@ -30,8 +30,8 @@ let victim_prefix rng topo victim =
   | [] -> None
   | prefixes -> Some (List.nth prefixes (Rz_util.Splitmix.int rng (List.length prefixes)))
 
-let inject ?(seed = 1234) (topo : Gen.t) ~observer ~n kind =
-  let rng = Rz_util.Splitmix.create seed in
+let inject (topo : Gen.t) ~observer ~n kind =
+  let rng = Rz_util.Splitmix.create 1234 in
   let events = ref [] in
   let attempts = ref 0 in
   while List.length !events < n && !attempts < n * 20 do

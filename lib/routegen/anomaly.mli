@@ -21,7 +21,6 @@ type event = {
 }
 
 val inject :
-  ?seed:int ->
   Rz_topology.Gen.t ->
   observer:Rz_net.Asn.t ->
   n:int ->

@@ -67,6 +67,3 @@ val parse : string -> item list * (int * string) list
     unknown forms, NUL-containing lines, unparsable routes/prefixes/
     ASNs, sequence numbers not strictly above the last accepted one —
     increment [stream.journal_rejected] and never abort the parse. *)
-
-val event_to_string : event -> string
-(** Compact rendering (the journal form without the sequence number). *)

@@ -210,10 +210,14 @@ let c_routes = Rz_obs.Obs.Counter.make "routegen.routes_total"
 (* Streamed emission: every route of one collector's RIB, in generation
    order, pushed to [f] as it is produced — nothing retained. At paper
    scale (hundreds of millions of collector routes) materializing the
-   RIB as a list is the peak-RSS ceiling; [collector_dump] below is a
+   RIB as a list is the peak-RSS ceiling; [collector_dumps] below is a
    thin collect-to-list wrapper over this, so the list and streamed
-   paths share one generator (same RNG draws, same order, same dumps). *)
-let iter_collector_routes ?(prepend_prob = 0.05) (topo : Gen.t) ~peers f =
+   paths share one generator (same RNG draws, same order, same dumps).
+   [prepend_prob] is the chance a route's origin is prepended 1-2 extra
+   times. *)
+let prepend_prob = 0.05
+
+let iter_collector_routes (topo : Gen.t) ~peers f =
   Rz_obs.Obs.Span.with_ "routegen" @@ fun () ->
   let rng = Rz_util.Splitmix.create (topo.params.seed lxor 0x5eed) in
   let ws = workspace topo in
@@ -248,15 +252,10 @@ let iter_collector_routes ?(prepend_prob = 0.05) (topo : Gen.t) ~peers f =
     topo.ases;
   Rz_obs.Obs.Counter.add c_routes !n
 
-let collector_dump ?prepend_prob (topo : Gen.t) ~collector ~peers =
-  let routes = ref [] in
-  iter_collector_routes ?prepend_prob topo ~peers (fun r -> routes := r :: !routes);
-  { Rz_bgp.Table_dump.collector; routes = List.rev !routes }
-
 (* Round-robin split of the peers over [synth-rrc00..], identical to
    [collector_dumps]'s bucketing. [f ~collector run] is called once per
    collector; [run emit] generates that collector's routes into [emit]. *)
-let iter_collector_dumps ?prepend_prob (topo : Gen.t) ~n_collectors ~peers ~f =
+let iter_collector_dumps (topo : Gen.t) ~n_collectors ~peers ~f =
   let n = max 1 n_collectors in
   let buckets = Array.make n [] in
   List.iteri (fun i peer -> buckets.(i mod n) <- peer :: buckets.(i mod n)) peers;
@@ -265,12 +264,12 @@ let iter_collector_dumps ?prepend_prob (topo : Gen.t) ~n_collectors ~peers ~f =
       f
         ~collector:(Printf.sprintf "synth-rrc%02d" i)
         (fun emit ->
-          iter_collector_routes ?prepend_prob topo ~peers:(List.rev bucket) emit))
+          iter_collector_routes topo ~peers:(List.rev bucket) emit))
     buckets
 
-let collector_dumps ?prepend_prob (topo : Gen.t) ~n_collectors ~peers =
+let collector_dumps (topo : Gen.t) ~n_collectors ~peers =
   let dumps = ref [] in
-  iter_collector_dumps ?prepend_prob topo ~n_collectors ~peers
+  iter_collector_dumps topo ~n_collectors ~peers
     ~f:(fun ~collector run ->
       let routes = ref [] in
       run (fun r -> routes := r :: !routes);

@@ -19,38 +19,17 @@ val best_routes : Rz_topology.Gen.t -> dest:Rz_net.Asn.t -> (Rz_net.Asn.t, best)
 (** Best route of every AS that can reach [dest]; [dest] maps to
     [{cls = Own; length = 0; path = [dest]}]. *)
 
-val collector_dump :
-  ?prepend_prob:float ->
-  Rz_topology.Gen.t ->
-  collector:string ->
-  peers:Rz_net.Asn.t list ->
-  Rz_bgp.Table_dump.t
-(** Full RIB dump: for each collector peer and each (destination,
-    prefix), one route whose AS-path starts at the peer. This mirrors the
-    paper's RIPE RIS / RouteViews table dumps. [prepend_prob] (default
-    0.05) is the chance a route's origin is prepended 1-2 extra times —
-    the inbound traffic-engineering noise the paper strips before
-    verification. *)
-
-val iter_collector_routes :
-  ?prepend_prob:float ->
-  Rz_topology.Gen.t ->
-  peers:Rz_net.Asn.t list ->
-  (Rz_bgp.Route.t -> unit) ->
-  unit
-(** Streamed [collector_dump]: push every route of the RIB to the
-    callback in generation order without materializing the list — the
-    paper-scale emission path ([gen --world-scale]), where the full RIB
-    would be the peak-RSS ceiling. [collector_dump] is this plus a
-    collect-to-list, so both paths produce identical dumps. *)
-
 val collector_dumps :
-  ?prepend_prob:float ->
   Rz_topology.Gen.t ->
   n_collectors:int ->
   peers:Rz_net.Asn.t list ->
   Rz_bgp.Table_dump.t list
-(** Split the peers round-robin over [n_collectors] dumps named
+(** Full RIB dumps: for each collector peer and each (destination,
+    prefix), one route whose AS-path starts at the peer. This mirrors the
+    paper's RIPE RIS / RouteViews table dumps. A route's origin is
+    prepended 1-2 extra times with probability 0.05 — the inbound
+    traffic-engineering noise the paper strips before verification.
+    The peers are split round-robin over [n_collectors] dumps named
     [synth-rrc00], [synth-rrc01], ... — the multi-collector vantage mix of
     the paper's 60 RIPE RIS / RouteViews collectors. *)
 
@@ -59,7 +38,6 @@ val default_collector_peers : Rz_topology.Gen.t -> n:int -> Rz_net.Asn.t list
     collectors predominantly peer with large networks. *)
 
 val iter_collector_dumps :
-  ?prepend_prob:float ->
   Rz_topology.Gen.t ->
   n_collectors:int ->
   peers:Rz_net.Asn.t list ->

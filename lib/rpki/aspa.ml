@@ -11,7 +11,6 @@ let attest t ~customer ~providers =
   Hashtbl.replace t.attestations customer
     (List.fold_left (fun acc p -> Asn_set.add p acc) existing providers)
 
-let has_aspa t asn = Hashtbl.mem t.attestations asn
 let size t = Hashtbl.length t.attestations
 
 type auth =
@@ -28,11 +27,6 @@ type result =
   | Valid
   | Invalid
   | Unknown
-
-let result_to_string = function
-  | Valid -> "valid"
-  | Invalid -> "invalid"
-  | Unknown -> "unknown"
 
 (* Path verification over a(1..n) = origin .. collector peer.
 
@@ -95,8 +89,8 @@ let verify_path t path_wire =
     end
   end
 
-let of_topology ?(seed = 177) ~adoption (topo : Rz_topology.Gen.t) =
-  let rng = Rz_util.Splitmix.create seed in
+let of_topology ~adoption (topo : Rz_topology.Gen.t) =
+  let rng = Rz_util.Splitmix.create 177 in
   let t = create () in
   Array.iter
     (fun asn ->

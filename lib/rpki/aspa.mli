@@ -19,7 +19,6 @@ val create : unit -> t
 val attest : t -> customer:Rz_net.Asn.t -> providers:Rz_net.Asn.t list -> unit
 (** Register (or extend) the customer's provider attestation. *)
 
-val has_aspa : t -> Rz_net.Asn.t -> bool
 val size : t -> int
 
 (** Pairwise authorization evidence. *)
@@ -39,12 +38,6 @@ val verify_path : t -> Rz_net.Asn.t array -> result
 (** [verify_path t path] with [path] in wire order (collector peer first,
     origin last), prepending already removed. *)
 
-val result_to_string : result -> string
-
-val of_topology :
-  ?seed:int ->
-  adoption:float ->
-  Rz_topology.Gen.t ->
-  t
+val of_topology : adoption:float -> Rz_topology.Gen.t -> t
 (** Each AS with at least one provider publishes its (complete) ASPA with
     probability [adoption]. *)

@@ -29,13 +29,6 @@ let state_to_string = function
   | Invalid_length -> "invalid-length"
   | Not_found -> "not-found"
 
-let state_of_string = function
-  | "valid" -> Some Valid
-  | "invalid-origin" -> Some Invalid_origin
-  | "invalid-length" -> Some Invalid_length
-  | "not-found" -> Some Not_found
-  | _ -> None
-
 let coarse = function
   | Valid -> "valid"
   | Invalid_origin | Invalid_length -> "invalid"
@@ -188,13 +181,3 @@ let parse_string text =
     loaded = !loaded;
     n_rejected = !n_rejected;
     rejected = List.rev !rejected }
-
-let load_file path =
-  match
-    let ic = open_in_bin path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    text
-  with
-  | text -> Ok (parse_string text)
-  | exception Sys_error e -> Error e

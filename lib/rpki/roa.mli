@@ -48,8 +48,6 @@ val is_invalid : state -> bool
 val state_to_string : state -> string
 (** ["valid"], ["invalid-origin"], ["invalid-length"], ["not-found"]. *)
 
-val state_of_string : string -> state option
-
 val coarse : state -> string
 (** RFC 6811 three-state label: ["valid"], ["invalid"], ["not-found"]. *)
 
@@ -75,21 +73,14 @@ type parsed = {
   roas : roa list;            (** loaded entries in file order *)
   loaded : int;
   n_rejected : int;           (** every rejected line, beyond the recorded cap *)
-  rejected : parse_error list;  (** first {!max_recorded_errors} rejections *)
+  rejected : parse_error list;  (** first 64 rejections *)
 }
-
-val max_recorded_errors : int
 
 val parse_string : string -> parsed
 (** Never raises. A ROA whose [max_length] lies outside
     [[prefix length, address-family bits]] is rejected, as is an exact
     duplicate of an already-loaded entry. *)
 
-val load_file : string -> (parsed, string) result
-(** [Error] only when the file cannot be read. *)
-
 val render : roa list -> string
 (** Inverse of {!parse_string} for well-formed lists:
     [parse_string (render l)] loads exactly [l] (minus duplicates). *)
-
-val roa_to_line : roa -> string

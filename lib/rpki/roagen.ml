@@ -101,15 +101,14 @@ let generate ?(config = default) (topo : Gen.t) =
         n_stale = !n_stale;
         n_hostile = !n_hostile } }
 
-let table_of result = Roa.of_list result.roas
-
-let of_topology ?(seed = 99) ~adoption topo =
-  table_of
+let of_topology ~adoption topo =
+  Roa.of_list
     (generate
        ~config:
-         { seed;
+         { seed = 99;
            adoption;
            wrong_maxlen_prob = 0.;
            stale_origin_prob = 0.;
            hostile_covering_prob = 0. }
        topo)
+      .roas

@@ -42,8 +42,6 @@ type result = {
 
 val generate : ?config:config -> Rz_topology.Gen.t -> result
 
-val table_of : result -> Roa.t
-
-val of_topology : ?seed:int -> adoption:float -> Rz_topology.Gen.t -> Roa.t
+val of_topology : adoption:float -> Rz_topology.Gen.t -> Roa.t
 (** Clean partial deployment (no misconfigured or hostile ROAs): each
     adopting AS signs maxLength = announced length under its own ASN. *)

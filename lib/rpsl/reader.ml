@@ -161,7 +161,8 @@ let parse_string ?(limits = default_limits) text =
    final key/value strings. Output is identical to [parse_string] byte
    for byte (the ingest test suite holds the two equivalent under
    QCheck); keep the two in lockstep when touching either. *)
-let scan_string ?(limits = default_limits) text =
+let scan_string text =
+  let limits = default_limits in
   let n = String.length text in
   let objects_rev = ref [] and errors_rev = ref [] in
   let n_errors = ref 0 and suppressed = ref 0 in
@@ -327,8 +328,8 @@ let scan_string ?(limits = default_limits) text =
   count_result objects errors;
   { objects; errors }
 
-let parse_file ?(limits = default_limits) path =
-  let st = fresh_state limits in
+let parse_file path =
+  let st = fresh_state default_limits in
   (match open_in path with
    | exception Sys_error msg ->
      push_error st { line = 0; text = path; reason = "cannot open: " ^ msg }

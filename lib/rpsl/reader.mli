@@ -32,14 +32,14 @@ val default_limits : limits
 val parse_string : ?limits:limits -> string -> result_t
 (** Parse a whole dump held in memory. Never raises. *)
 
-val scan_string : ?limits:limits -> string -> result_t
+val scan_string : string -> result_t
 (** Single-pass fast scanner over a whole dump held in memory. Produces
     output identical to {!parse_string} (objects, errors, counters) while
     avoiding per-line string and per-attribute buffer allocations — the
-    parse step of [Rz_ingest.Ingest.ingest]. Never raises under
-    {!default_limits} (or any limits with [max_line_bytes >= 64]). *)
+    parse step of [Rz_ingest.Ingest.ingest]. Never raises; it applies
+    {!default_limits}. *)
 
-val parse_file : ?limits:limits -> string -> result_t
+val parse_file : string -> result_t
 (** Parse a dump file from disk. Never raises: an unopenable file yields
     one error record; a failure mid-file (truncation, I/O error) returns
     every object and error accumulated up to that point plus a synthetic

@@ -9,9 +9,6 @@
 
 type kind = As_set | Route_set | Peering_set | Filter_set
 
-val prefix_of : kind -> string
-(** The mandatory name prefix, e.g. ["AS-"] for {!As_set}. *)
-
 val is_valid : kind -> string -> bool
 (** Validity of a (possibly hierarchical) set name of the given kind. *)
 

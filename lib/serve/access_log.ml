@@ -6,9 +6,11 @@ module Trace = Rz_trace.Trace
 
 let c_dropped = Obs.Counter.make "obs.accesslog_dropped"
 
+(* in-flight records; [log] drops beyond this *)
+let capacity = 1024
+
 type t = {
   queue : string Bqueue.t;
-  capacity : int;
   sampling : Trace.sampling;
   (* per-response-class quota ledger under [Per_status]; the mutex also
      serializes [close] against late [log] calls racing the queue close *)
@@ -18,8 +20,7 @@ type t = {
   writer : unit Domain.t;
 }
 
-let create ?(capacity = 1024) ?(sampling = Trace.All) path =
-  let capacity = max 1 capacity in
+let create ?(sampling = Trace.All) path =
   (* [log] checks the length and pushes under [lock], dropping at
      [capacity], so a push never blocks on a full queue. *)
   let queue = Bqueue.create ~capacity in
@@ -40,7 +41,7 @@ let create ?(capacity = 1024) ?(sampling = Trace.All) path =
         in
         loop ())
   in
-  { queue; capacity; sampling; quota = Trace.Quota.create ();
+  { queue; sampling; quota = Trace.Quota.create ();
     lock = Mutex.create (); closed = false; writer }
 
 let should_keep t verdict =
@@ -66,7 +67,7 @@ let log t ~peer ~query ~verdict ?rejected ~latency_ns ~generation ~serial () =
     in
     let line = Json.to_string record in
     Mutex.lock t.lock;
-    let dropped = t.closed || Bqueue.length t.queue >= t.capacity in
+    let dropped = t.closed || Bqueue.length t.queue >= capacity in
     if not dropped then Bqueue.push t.queue line;
     Mutex.unlock t.lock;
     if dropped then Obs.Counter.incr c_dropped

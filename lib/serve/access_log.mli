@@ -23,10 +23,9 @@
 
 type t
 
-val create : ?capacity:int -> ?sampling:Rz_trace.Trace.sampling -> string -> t
+val create : ?sampling:Rz_trace.Trace.sampling -> string -> t
 (** Open [path] for writing (truncating) and spawn the writer domain.
-    [capacity] (default 1024) bounds the in-flight record queue;
-    [sampling] defaults to [All]. Spawns a domain, so a process that
+    At most 1024 records wait in flight; [sampling] defaults to [All]. Spawns a domain, so a process that
     must [Unix.fork] later cannot use this; only the serve path logs
     access. *)
 

@@ -88,12 +88,12 @@ let dispatch ?(config = default_config) ?stats ?sink db line =
     else finish ~latency_ns:dt resp
   end
 
-let session_lines ?config db lines =
+let session_lines db lines =
   let buf = Buffer.create 256 in
   let rec go = function
     | [] -> ()
     | line :: rest -> (
-      match dispatch ?config db line with
+      match dispatch db line with
       | Irrd_query.Quit -> ()
       | resp ->
         Buffer.add_string buf (Irrd_query.render resp);

@@ -62,8 +62,7 @@ val dispatch :
     measured latency (0 for guard-rejected queries), and the guard
     reason if rejected — the access-log hook. *)
 
-val session_lines :
-  ?config:config -> Rz_irr.Db.t -> string list -> string
+val session_lines : Rz_irr.Db.t -> string list -> string
 (** In-process session: {!dispatch} each line in order, stop at [!q],
     concatenate the rendered responses — {!Rz_irr.Irrd_query.session}
     with the service guards applied. *)

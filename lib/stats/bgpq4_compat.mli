@@ -3,7 +3,6 @@
     communities, Composite Policy Filters (AND/OR/NOT), and no Structured
     Policies (refine/except). *)
 
-val filter_compatible : Rz_policy.Ast.filter -> bool
 val rule_compatible : Rz_policy.Ast.rule -> bool
 
 val compatible_rules : Rz_ir.Ir.aut_num -> int

@@ -22,9 +22,6 @@ type profile = {
 
 val style_to_string : style -> string
 
-val classify_aut_num :
-  ?rels:Rz_asrel.Rel_db.t -> Rz_ir.Ir.aut_num -> profile
-
 val classify_all :
   ?rels:Rz_asrel.Rel_db.t ->
   observed:Rz_net.Asn.t list ->

@@ -10,16 +10,6 @@
       as a {e customer};
     - selective rules in both directions mark a {e peer}. *)
 
-type evidence = {
-  asn : Rz_net.Asn.t;              (** the declaring AS *)
-  neighbor : Rz_net.Asn.t;
-  accepts_any : bool;              (** import from the neighbor accepts ANY *)
-  announces_any : bool;            (** export to the neighbor announces ANY *)
-}
-
-val link_evidence : Rz_irr.Db.t -> evidence list
-(** One record per (declaring AS, neighbor ASN referenced in its rules). *)
-
 val infer : Rz_irr.Db.t -> Rz_asrel.Rel_db.t
 (** Build a relationship database from the evidence. A link present from
     both sides uses the stronger signal; conflicting one-sided evidence

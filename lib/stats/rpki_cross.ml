@@ -95,41 +95,6 @@ let to_json t =
       ("unrecorded_but_rpki_valid", Json.Int (unrecorded_but_rpki_valid t))
     ]
 
-let of_json json =
-  let ( let* ) r f = Result.bind r f in
-  let int_member key obj =
-    match Json.member key obj with
-    | Some (Json.Int n) -> Ok n
-    | _ -> Error (Printf.sprintf "missing integer field %S" key)
-  in
-  let t = create () in
-  let* matrix =
-    match Json.member "matrix" json with
-    | Some (Json.Obj _ as m) -> Ok m
-    | _ -> Error "missing object field \"matrix\""
-  in
-  let* () =
-    List.fold_left
-      (fun acc (i, cls) ->
-        let* () = acc in
-        match Json.member cls matrix with
-        | Some (Json.Obj _ as row) ->
-          List.fold_left
-            (fun acc (j, st) ->
-              let* () = acc in
-              let* n = int_member st row in
-              t.cells.(i).(j) <- n;
-              Ok ())
-            (Ok ())
-            (List.mapi (fun j st -> (j, st)) rpki_states)
-        | _ -> Error (Printf.sprintf "missing matrix row %S" cls))
-      (Ok ())
-      (List.mapi (fun i cls -> (i, cls)) rpsl_classes)
-  in
-  let* no_origin = int_member "no_origin" json in
-  t.no_origin <- no_origin;
-  Ok t
-
 (* Exact structural diff with dotted paths and no tolerances: the golden
    matrix is integer-only and deterministic, so any drift is a finding. *)
 let diff_json ~baseline current =

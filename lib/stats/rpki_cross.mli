@@ -13,10 +13,6 @@
 
 type t
 
-val rpsl_classes : string list
-(** Row labels: the six Section-5 classes in precedence order, then
-    ["excluded"]. *)
-
 val rpki_states : string list
 (** Column labels: ["valid"], ["invalid-origin"], ["invalid-length"],
     ["not-found"]. *)
@@ -60,8 +56,6 @@ val to_rows : t -> string list list
 val to_json : t -> Rz_json.Json.t
 (** Fully deterministic (integers only): matrix cells keyed by class and
     state, route totals, and the summary counts. *)
-
-val of_json : Rz_json.Json.t -> (t, string) result
 
 val diff_json : baseline:Rz_json.Json.t -> Rz_json.Json.t -> string list
 (** Generic exact structural diff (path-labelled): missing/extra keys,

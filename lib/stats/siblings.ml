@@ -67,8 +67,3 @@ let clusters db =
       end)
     members []
   |> List.sort (fun a b -> compare (List.length b.asns) (List.length a.asns))
-
-let siblings_of db asn =
-  match List.find_opt (fun c -> List.mem asn c.asns) (clusters db) with
-  | Some cluster -> List.filter (fun a -> a <> asn) cluster.asns
-  | None -> []

@@ -12,6 +12,3 @@ val clusters : Rz_irr.Db.t -> cluster list
 (** Connected components of the AS–maintainer bipartite graph with at
     least two ASes, sorted by descending size. ASes with no [mnt-by] are
     ignored. *)
-
-val siblings_of : Rz_irr.Db.t -> Rz_net.Asn.t -> Rz_net.Asn.t list
-(** Other ASes in the same cluster ([] when none). *)

@@ -88,12 +88,6 @@ let db t = Engine.db t.engine
 let generations t = t.generations
 let invalidated t = t.invalidated
 
-let rib_routes t =
-  Hashtbl.fold (fun _ r acc -> r :: acc) t.rib []
-  |> List.sort (fun a b ->
-         let c = Prefix.compare a.Route.prefix b.Route.prefix in
-         if c <> 0 then c else compare a.Route.path b.Route.path)
-
 let reports t =
   Hashtbl.fold
     (fun key route acc -> (route, Hashtbl.find t.reports key) :: acc)

@@ -40,11 +40,8 @@ val generations : t -> int
 val invalidated : t -> int
 (** Cumulative hop-memo invalidations across generations. *)
 
-val rib_routes : t -> Rz_bgp.Route.t list
-(** Current RIB contents in deterministic (prefix, path) order. *)
-
 val reports : t -> (Rz_bgp.Route.t * Rz_verify.Report.route_report option) list
-(** Current per-route verdicts, same order as {!rib_routes}; [None] for
+(** Current per-route verdicts in deterministic (prefix, path) order; [None] for
     routes the paper excludes. This is the surface the differential test
     compares against a from-scratch batch verify. *)
 
@@ -77,8 +74,6 @@ type window = {
 val windows : t -> window list
 val flush : t -> unit
 (** Close a partially filled trailing window, if any. *)
-
-val window_to_json : window -> Rz_json.Json.t
 
 (** {1 Run} *)
 

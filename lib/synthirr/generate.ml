@@ -519,5 +519,3 @@ let generate ?(config = Config.default) (topo : Gen.t) =
   Rz_obs.Obs.Counter.add c_bytes
     (List.fold_left (fun acc (_, text) -> acc + String.length text) 0 dumps);
   { topo; config; profiles; dumps }
-
-let profile_of world asn = Hashtbl.find world.profiles asn

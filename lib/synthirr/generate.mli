@@ -36,21 +36,10 @@ type world = {
       (** (IRR name, RPSL text) in the paper's priority order *)
 }
 
-val irr_names : string list
-(** The 13 IRR names in priority order (same as [Rz_irr.Db.priority_order];
-    duplicated here to keep this library independent of the parser). *)
-
 val generate : ?config:Config.t -> Rz_topology.Gen.t -> world
 
-val profile_of : world -> Rz_net.Asn.t -> profile
 val cone_set_name : Rz_net.Asn.t -> string
 (** The customer-cone as-set name an AS publishes, e.g. ["AS1000:AS-CUST"]. *)
-
-val route_set_name : Rz_net.Asn.t -> string
-(** e.g. ["AS1000:RS-ROUTES"]. *)
-
-val self_set_name : Rz_net.Asn.t -> string
-(** e.g. ["AS1000:AS-SELF"] — the singleton sets some stubs publish. *)
 
 val maintainer : Rz_net.Asn.t -> string
 (** e.g. ["MNT-AS1000"]. *)

@@ -69,7 +69,7 @@ type record = {
   items : string list;     (* diagnostic items of the hop report *)
 }
 
-let default_capacity = 4096
+let capacity = 4096
 
 (* ------------------------------------------------------------------ *)
 (* The ring buffer                                                     *)
@@ -78,17 +78,16 @@ let default_capacity = 4096
 (* One ring and its quota ledger, both guarded by [ring_mutex]: hop
    records come from the one domain that verifies, so the lock is
    uncontended there, and it keeps any other emitter correct.
-   [configure] swaps in a fresh ring, which is how both reset and
-   capacity changes take effect. *)
+   [configure] swaps in a fresh ring, which is how reset takes
+   effect. *)
 type ring = {
-  cap : int;
   buf : record option array;
   mutable written : int;  (* records accepted; the next record's seq *)
   quota : Quota.t;  (* per verdict_class admissions under [Per_status] *)
 }
 
-let new_ring cap =
-  { cap; buf = Array.make cap None; written = 0; quota = Quota.create () }
+let new_ring () =
+  { buf = Array.make capacity None; written = 0; quota = Quota.create () }
 
 let on = Atomic.make false
 let policy = Atomic.make Off
@@ -97,20 +96,18 @@ let c_records = Obs.Counter.make "trace.records_total"
 let c_dropped = Obs.Counter.make "trace.dropped_total"
 
 let ring_mutex = Mutex.create ()
-let ring = ref (new_ring default_capacity)
+let ring = ref (new_ring ())
 
 let with_ring f = Mutex.protect ring_mutex (fun () -> f !ring)
 
-let configure ?cap sampling =
-  Mutex.protect ring_mutex (fun () ->
-      ring := new_ring (match cap with Some c -> max 1 c | None -> !ring.cap));
+let configure sampling =
+  Mutex.protect ring_mutex (fun () -> ring := new_ring ());
   Atomic.set policy sampling;
   Atomic.set on (sampling <> Off)
 
 let reset () = configure (Atomic.get policy)
 let enabled () = Atomic.get on
 let sampling () = Atomic.get policy
-let ring_capacity () = with_ring (fun r -> r.cap)
 
 (* The sampling decision, separated from [emit] so the producer can skip
    building the record (prefix rendering, item strings) when it will be
@@ -125,8 +122,8 @@ let emit r0 =
     with_ring (fun ring ->
         let seq = ring.written in
         (* past capacity, the oldest record is overwritten *)
-        if seq >= ring.cap then Obs.Counter.incr c_dropped;
-        ring.buf.(seq mod ring.cap) <- Some { r0 with seq };
+        if seq >= capacity then Obs.Counter.incr c_dropped;
+        ring.buf.(seq mod capacity) <- Some { r0 with seq };
         ring.written <- seq + 1;
         Obs.Counter.incr c_records)
 
@@ -135,16 +132,16 @@ let records () =
   |> List.filter_map Fun.id
   |> List.sort (fun a b -> compare a.seq b.seq)
 
-let kept () = with_ring (fun r -> min r.written r.cap)
-let dropped () = with_ring (fun r -> max 0 (r.written - r.cap))
+let kept () = with_ring (fun r -> min r.written capacity)
+let dropped () = with_ring (fun r -> max 0 (r.written - capacity))
 
 (* Force [sampling'] for the duration of [f] (fresh ring), restoring the
    previous policy — and discarding the temporary ring — on the way out.
    Collect {!records} inside [f]. *)
-let with_sampling ?cap sampling' f =
-  let prev_policy = Atomic.get policy and prev_cap = ring_capacity () in
-  configure ?cap sampling';
-  Fun.protect f ~finally:(fun () -> configure ~cap:prev_cap prev_policy)
+let with_sampling sampling' f =
+  let prev_policy = Atomic.get policy in
+  configure sampling';
+  Fun.protect f ~finally:(fun () -> configure prev_policy)
 
 let opt_string = function None -> Json.Null | Some s -> Json.String s
 

@@ -10,8 +10,8 @@
     - {b Near-zero cost when off.} Producers gate on {!enabled} (one
       [Atomic] read); {!emit} and {!should_sample} re-check it, so a
       disabled tracer never allocates.
-    - {b Bounded when on.} The ring holds at most the configured
-      capacity (oldest records are overwritten, counted in {!dropped});
+    - {b Bounded when on.} The ring holds at most 4096 records (oldest
+      records are overwritten, counted in {!dropped});
       [Per_status q] additionally keeps only the first [q] records of
       each verdict class.
     - {b One ring.} Hop records come from the one domain that verifies;
@@ -64,22 +64,17 @@ type record = {
   items : string list;     (** diagnostic items of the hop report *)
 }
 
-val default_capacity : int
-(** 4096 records. *)
-
-val configure : ?cap:int -> sampling -> unit
-(** Set the sampling policy (and optionally the ring capacity),
-    discarding every already-collected record. Call between runs, not
+val configure : sampling -> unit
+(** Set the sampling policy, discarding every already-collected record. Call between runs, not
     while records are being emitted. *)
 
 val reset : unit -> unit
-(** Discard collected records; policy and capacity are kept. *)
+(** Discard collected records; the policy is kept. *)
 
 val enabled : unit -> bool
 (** [true] iff the policy is not [Off]. The producer-side fast gate. *)
 
 val sampling : unit -> sampling
-val ring_capacity : unit -> int
 
 val should_sample : string -> bool
 (** [should_sample verdict_class] — whether the ring keeps a record of
@@ -100,7 +95,7 @@ val kept : unit -> int
 val dropped : unit -> int
 (** Records evicted by ring wrap-around since the last {!configure}. *)
 
-val with_sampling : ?cap:int -> sampling -> (unit -> 'a) -> 'a
+val with_sampling : sampling -> (unit -> 'a) -> 'a
 (** Run [f] under a forced policy with a fresh ring, restoring the
     previous policy (and discarding the temporary records) afterwards —
     collect {!records} inside [f]. Used by [explain]. *)

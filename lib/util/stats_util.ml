@@ -53,15 +53,3 @@ let fraction pred l =
   | [] -> 0.0
   | _ ->
     float_of_int (List.length (List.filter pred l)) /. float_of_int (List.length l)
-
-let bucketize ~edges samples =
-  let rec label = function
-    | lo :: (hi :: _ as rest) ->
-      (Printf.sprintf "[%d,%d)" lo hi, fun v -> v >= lo && v < hi) :: label rest
-    | [ lo ] -> [ (Printf.sprintf "[%d,inf)" lo, fun v -> v >= lo) ]
-    | [] -> []
-  in
-  let buckets = label edges in
-  List.map
-    (fun (name, pred) -> (name, List.length (List.filter pred samples)))
-    buckets

@@ -18,7 +18,3 @@ val mean : int list -> float
 
 val fraction : ('a -> bool) -> 'a list -> float
 (** Fraction of elements satisfying the predicate (0 on empty input). *)
-
-val bucketize : edges:int list -> int list -> (string * int) list
-(** Histogram with right-open buckets labelled ["[lo,hi)"], final bucket
-    open-ended. *)

@@ -74,3 +74,15 @@ let chop_comment c s =
   match String.index_opt s c with
   | None -> s
   | Some i -> String.sub s 0 i
+
+(* Top level, so a call allocates nothing but the final [Some]. *)
+let rec decimal_from s n i acc =
+  if i = n then Some acc
+  else
+    match s.[i] with
+    | '0' .. '9' as c ->
+      let d = Char.code c - Char.code '0' in
+      if acc > (max_int - d) / 10 then None else decimal_from s n (i + 1) ((acc * 10) + d)
+    | _ -> None
+
+let decimal s = if s = "" then None else decimal_from s (String.length s) 0 0

@@ -28,3 +28,10 @@ val split_words : string -> string list
 val chop_comment : char -> string -> string
 (** [chop_comment '#' s] drops everything from the first occurrence of the
     comment character. *)
+
+val decimal : string -> int option
+(** [Some n] when the string is one or more ASCII digits [0-9] whose value
+    [n] fits in an [int]; [None] otherwise. Unlike [int_of_string_opt] it
+    takes no sign, no [_] separator and no [0x]/[0o]/[0b]/[0u] prefix, so
+    a number field of registry or routing data never reads as a
+    different number. *)

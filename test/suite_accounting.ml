@@ -58,7 +58,6 @@ let verify_runs =
            List.concat (List.init snapshots (fun _ -> w.table_dumps)) }
      in
      Db.warm_caches w.db;
-     Rz_asrel.Rel_db.warm_cones w.rels;
      let c_hits = Obs.Counter.make "verify.memo_hits"
      and c_misses = Obs.Counter.make "verify.memo_misses" in
      let shipped, memo =

@@ -41,12 +41,6 @@ let test_dedup_path () =
   let r = Route.make (p "10.0.0.0/8") [ 1; 2; 2; 2; 3; 3 ] in
   Alcotest.(check (list int)) "prepending removed" [ 1; 2; 3 ] (Route.dedup_path r)
 
-let test_single_as () =
-  Alcotest.(check bool) "single" true (Route.is_single_as (Route.make (p "10.0.0.0/8") [ 5 ]));
-  Alcotest.(check bool) "prepended single" true
-    (Route.is_single_as (Route.make (p "10.0.0.0/8") [ 5; 5; 5 ]));
-  Alcotest.(check bool) "multi" false (Route.is_single_as (Route.make (p "10.0.0.0/8") [ 5; 6 ]))
-
 let test_table_dump_roundtrip () =
   let dump =
     { Table_dump.collector = "rrc00";
@@ -63,17 +57,13 @@ let test_table_dump_roundtrip () =
 
 let test_table_dump_comments_blanks () =
   let text = "# header\n\n192.0.2.0/24|1 2\n   \n# trailing\n" in
-  match Table_dump.of_string ~collector:"x" text with
-  | Ok parsed -> Alcotest.(check int) "one route" 1 (List.length parsed.routes)
-  | Error e -> Alcotest.fail e
-
-let test_table_dump_strict_vs_lossy () =
-  let text = "192.0.2.0/24|1 2\nbroken line\n198.51.100.0/24|3\n" in
+  (match Table_dump.of_string ~collector:"x" text with
+   | Ok parsed -> Alcotest.(check int) "one route" 1 (List.length parsed.routes)
+   | Error e -> Alcotest.fail e);
+  (* a malformed line fails the whole dump *)
   Alcotest.(check bool) "strict fails" true
-    (Result.is_error (Table_dump.of_string ~collector:"x" text));
-  let dump, dropped = Table_dump.of_string_lossy ~collector:"x" text in
-  Alcotest.(check int) "lossy keeps 2" 2 (List.length dump.routes);
-  Alcotest.(check int) "lossy drops 1" 1 dropped
+    (Result.is_error
+       (Table_dump.of_string ~collector:"x" "192.0.2.0/24|1 2\nbroken line\n198.51.100.0/24|3\n"))
 
 let test_table_dump_save_load () =
   let dump =
@@ -104,9 +94,7 @@ let suite =
     Alcotest.test_case "as_set detection" `Quick test_as_set_detection;
     Alcotest.test_case "origin" `Quick test_origin;
     Alcotest.test_case "dedup path" `Quick test_dedup_path;
-    Alcotest.test_case "single as" `Quick test_single_as;
     Alcotest.test_case "table dump roundtrip" `Quick test_table_dump_roundtrip;
     Alcotest.test_case "table dump comments" `Quick test_table_dump_comments_blanks;
-    Alcotest.test_case "strict vs lossy" `Quick test_table_dump_strict_vs_lossy;
     Alcotest.test_case "table dump save/load" `Quick test_table_dump_save_load;
     QCheck_alcotest.to_alcotest route_line_roundtrip ]

@@ -42,22 +42,32 @@ let test_rate_zero_identity () =
   Alcotest.(check string) "byte-identical" sample_dump out;
   Alcotest.(check int) "no faults" 0 (Fault.total_faults report)
 
+(* The name [report_lines] prints for kind [k]: the one per-kind row of
+   a single-kind run at rate 1. *)
+let printed_name k =
+  let _, report = Fault.corrupt_dump (plan ~kinds:[ k ] ~rate:1.0 ()) sample_dump in
+  match List.filteri (fun i _ -> i >= 2) (Fault.report_lines report) with
+  | [ row ] -> List.hd (String.split_on_char ' ' (String.trim row))
+  | rows -> Alcotest.failf "expected one per-kind row, got %d" (List.length rows)
+
 let test_kind_names_roundtrip () =
+  (* every name the CLI report prints is one [--kinds] accepts *)
   List.iter
     (fun k ->
-      match Fault.kind_of_name (Fault.kind_name k) with
-      | Some k' -> Alcotest.(check bool) (Fault.kind_name k) true (k = k')
-      | None -> Alcotest.failf "kind %s does not roundtrip" (Fault.kind_name k))
+      let name = printed_name k in
+      match Fault.kind_of_name name with
+      | Some k' -> Alcotest.(check bool) name true (k = k')
+      | None -> Alcotest.failf "kind %s does not roundtrip" name)
     Fault.all_kinds;
   Alcotest.(check bool) "unknown name" true (Fault.kind_of_name "no-such-kind" = None)
 
 let test_every_kind_applies () =
-  List.iter
-    (fun k ->
+  List.iteri
+    (fun i k ->
       let p = plan ~kinds:[ k ] ~rate:1.0 () in
       let _, report = Fault.corrupt_dump p sample_dump in
       let n = Option.value ~default:0 (List.assoc_opt k report.faults) in
-      Alcotest.(check bool) (Fault.kind_name k ^ " fires at rate 1") true (n > 0))
+      Alcotest.(check bool) (Printf.sprintf "kind %d fires at rate 1" i) true (n > 0))
     Fault.all_kinds
 
 (* ---- reader robustness ---- *)
@@ -114,6 +124,11 @@ let fixture_dir =
 
 let fixture path = Filename.concat (Lazy.force fixture_dir) path
 
+let slurp path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  really_input_string ic (in_channel_length ic)
+
 (* the hostile ROA corpus: (file, loaded, rejected). Every file must parse
    without raising, load exactly the well-formed entries, and count every
    rejection on rpki.roas_rejected. *)
@@ -130,22 +145,21 @@ let test_hostile_roa_fixtures () =
   Fun.protect ~finally:(fun () -> Obs.disable (); Obs.reset ()) @@ fun () ->
   List.iter
     (fun (file, exp_loaded, exp_rejected) ->
-      match Rz_rpki.Roa.load_file (fixture file) with
-      | Error e -> Alcotest.failf "%s: cannot read: %s" file e
-      | Ok parsed ->
-        Alcotest.(check int) (file ^ " loaded") exp_loaded parsed.loaded;
-        Alcotest.(check int) (file ^ " rejected") exp_rejected parsed.n_rejected;
-        Alcotest.(check int)
-          (file ^ " every rejection recorded")
-          parsed.n_rejected
-          (List.length parsed.rejected);
-        List.iter
-          (fun (e : Rz_rpki.Roa.parse_error) ->
-            Alcotest.(check bool)
-              (Printf.sprintf "%s line %d text sanitized" file e.line)
-              false
-              (String.exists (fun ch -> Char.code ch < 0x20) e.text))
-          parsed.rejected)
+      (* read the bytes as the CLI does, then decode them *)
+      let parsed = Rz_rpki.Roa.parse_string (slurp (fixture file)) in
+      Alcotest.(check int) (file ^ " loaded") exp_loaded parsed.loaded;
+      Alcotest.(check int) (file ^ " rejected") exp_rejected parsed.n_rejected;
+      Alcotest.(check int)
+        (file ^ " every rejection recorded")
+        parsed.n_rejected
+        (List.length parsed.rejected);
+      List.iter
+        (fun (e : Rz_rpki.Roa.parse_error) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s line %d text sanitized" file e.line)
+            false
+            (String.exists (fun ch -> Char.code ch < 0x20) e.text))
+        parsed.rejected)
     roa_fixture_expectations;
   let total_rejected =
     List.fold_left (fun acc (_, _, r) -> acc + r) 0 roa_fixture_expectations
@@ -261,7 +275,7 @@ let test_regex_bomb_capped () =
   | Error e -> Alcotest.fail e
   | Ok ast ->
     Alcotest.(check bool) "estimate over budget" true
-      (Rz_aspath.Regex_ast.state_estimate ast > Rz_aspath.Regex_nfa.default_max_states);
+      (Rz_aspath.Regex_ast.state_estimate ast > Rz_aspath.Regex_nfa.max_states);
     let nfa = Rz_aspath.Regex_nfa.compile ast in
     Obs.disable ();
     Alcotest.(check bool) "capped" true (Rz_aspath.Regex_nfa.is_capped nfa);
@@ -474,11 +488,6 @@ let test_journal_parser_table () =
   Obs.disable ()
 
 (* ---- hostile query corpus through the service dispatch ---- *)
-
-let slurp path =
-  let ic = open_in_bin path in
-  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-  really_input_string ic (in_channel_length ic)
 
 let query_corpus_files =
   [ "query_truncated.txt"; "query_pipelined_garbage.txt"; "query_slowloris.txt" ]

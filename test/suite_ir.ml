@@ -165,7 +165,8 @@ let test_lower_inet_rtr () =
        peer: BGP4 192.0.2.2 asno(AS65002)\npeer: BGP4 192.0.2.6 asno(AS65003)\n\
        member-of: RTRS-BACKBONE\n"
   in
-  match Ir.find_inet_rtr ir "rtr1.example.net" with
+  (* the table is keyed by the lowercase name *)
+  match Hashtbl.find_opt ir.Ir.inet_rtrs "rtr1.example.net" with
   | Some rtr ->
     Alcotest.(check (option int)) "local-as" (Some 65001) rtr.local_as;
     Alcotest.(check int) "ifaddrs" 1 (List.length rtr.ifaddrs);
@@ -173,11 +174,11 @@ let test_lower_inet_rtr () =
       [ ("192.0.2.2", 65002); ("192.0.2.6", 65003) ]
       rtr.bgp_peers;
     Alcotest.(check (list string)) "member-of" [ "RTRS-BACKBONE" ] rtr.rtr_member_of
-  | None -> Alcotest.fail "inet-rtr missing (case-insensitive lookup)"
+  | None -> Alcotest.fail "inet-rtr missing under its lowercase name"
 
 let test_lower_rtr_set () =
   let ir = lower "rtr-set: RTRS-BACKBONE\nmembers: rtr1.example.net, RTRS-EDGE\n" in
-  match Ir.find_rtr_set ir "rtrs-backbone" with
+  match Hashtbl.find_opt ir.Ir.rtr_sets "RTRS-BACKBONE" with
   | Some s -> Alcotest.(check int) "two members" 2 (List.length s.members)
   | None -> Alcotest.fail "rtr-set missing"
 
@@ -204,15 +205,17 @@ let test_json_export_roundtrip () =
       (Rz_json.Json.member "inet_rtrs" doc <> None)
 
 let test_json_rule_structure () =
-  let rule =
-    match
-      Rz_policy.Parser.parse_rule ~direction:`Import ~multiprotocol:false
-        "from AS1 action pref=10; accept AS-FOO^+"
-    with
-    | Ok r -> r
-    | Error e -> Alcotest.fail e
+  let ir = lower "aut-num: AS65001\nimport: from AS1 action pref=10; accept AS-FOO^+\n" in
+  let doc =
+    let ( >>= ) = Option.bind in
+    Rz_json.Json.member "aut_nums" (Rz_ir.Ir_json.export ir) >>= function
+    | Rz_json.Json.List [ an ] -> (
+      Rz_json.Json.member "imports" an >>= function
+      | Rz_json.Json.List [ rule ] -> Some rule
+      | _ -> None)
+    | _ -> None
   in
-  let doc = Rz_ir.Ir_json.rule_to_json rule in
+  let doc = match doc with Some d -> d | None -> Alcotest.fail "one exported import rule" in
   Alcotest.(check bool) "direction field" true
     (Rz_json.Json.member "direction" doc = Some (Rz_json.Json.String "import"));
   Alcotest.(check bool) "has text field" true (Rz_json.Json.member "text" doc <> None)

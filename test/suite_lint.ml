@@ -148,8 +148,7 @@ let test_severity_ordering () =
   match Linter.lint db with
   | [] -> Alcotest.fail "expected diagnostics"
   | first :: _ ->
-    Alcotest.(check string) "errors first" "error"
-      (Linter.severity_to_string first.severity)
+    Alcotest.(check bool) "errors first" true (first.severity = Linter.Error)
 
 let test_dangling_maintainer () =
   (* only flagged when the dumps contain mntner objects at all *)

@@ -25,9 +25,7 @@ let test_asn_parse_errors () =
   bad "1.70000"
 
 let test_asn_print () =
-  Alcotest.(check string) "to_string" "AS65000" (Asn.to_string 65000);
-  Alcotest.(check string) "asdot small" "65000" (Asn.to_asdot 65000);
-  Alcotest.(check string) "asdot large" "1.5" (Asn.to_asdot ((1 lsl 16) lor 5))
+  Alcotest.(check string) "to_string" "AS65000" (Asn.to_string 65000)
 
 let test_asn_classes () =
   Alcotest.(check bool) "64512 private" true (Asn.is_private 64512);
@@ -185,15 +183,6 @@ let test_trie_exact_and_covering () =
   Alcotest.(check int) "3 covering entries" 3 (List.length covering);
   Alcotest.check prefix "least specific first" (p "10.0.0.0/8") (fst (List.hd covering));
   Alcotest.(check int) "v6 isolated" 1 (List.length (Prefix_trie.covering trie (p "2001:db8:1::/48")))
-
-let test_trie_covered_by () =
-  let trie = Prefix_trie.create () in
-  Prefix_trie.add trie (p "10.0.0.0/8") 1;
-  Prefix_trie.add trie (p "10.1.0.0/16") 2;
-  Prefix_trie.add trie (p "11.0.0.0/8") 3;
-  let covered = Prefix_trie.covered_by trie (p "10.0.0.0/8") in
-  Alcotest.(check int) "two inside /8" 2 (List.length covered);
-  Alcotest.(check int) "all under /0" 3 (List.length (Prefix_trie.covered_by trie (p "0.0.0.0/0")))
 
 let test_trie_length_iter_fold () =
   let trie = Prefix_trie.create () in
@@ -493,24 +482,29 @@ let test_afi_parse () =
   Alcotest.(check bool) "bad sub" true (Result.is_error (Afi.parse "ipv4.anycast"))
 
 let test_afi_parse_list () =
-  match Afi.parse_list "ipv4.unicast, ipv6.unicast" with
-  | Ok [ a; b ] ->
+  (* the comma-separated afi list of an mp-import term *)
+  match
+    Rz_policy.Parser.parse_rule ~direction:`Import ~multiprotocol:true
+      "afi ipv4.unicast, ipv6.unicast from AS1 accept ANY"
+  with
+  | Ok { expr = Rz_policy.Ast.Term_e { afi = [ a; b ]; _ }; _ } ->
     Alcotest.(check string) "first" "ipv4.unicast" (Afi.to_string a);
     Alcotest.(check string) "second" "ipv6.unicast" (Afi.to_string b)
   | _ -> Alcotest.fail "expected two afis"
 
 let test_afi_matching () =
-  Alcotest.(check bool) "any matches v4" true (Afi.matches_prefix Afi.any (p "10.0.0.0/8"));
-  Alcotest.(check bool) "any matches v6" true (Afi.matches_prefix Afi.any (p "2001:db8::/32"));
+  let matches a prefix = Afi.matches_any [ a ] prefix in
+  Alcotest.(check bool) "any matches v4" true (matches Afi.any (p "10.0.0.0/8"));
+  Alcotest.(check bool) "any matches v6" true (matches Afi.any (p "2001:db8::/32"));
   Alcotest.(check bool) "v4 rejects v6" false
-    (Afi.matches_prefix Afi.ipv4_unicast (p "2001:db8::/32"));
+    (matches (afi "ipv4.unicast") (p "2001:db8::/32"));
   Alcotest.(check bool) "v6 accepts v6" true
-    (Afi.matches_prefix Afi.ipv6_unicast (p "2001:db8::/32"));
+    (matches (afi "ipv6.unicast") (p "2001:db8::/32"));
   Alcotest.(check bool) "multicast rejects unicast routes" false
-    (Afi.matches_prefix (afi "ipv4.multicast") (p "10.0.0.0/8"));
+    (matches (afi "ipv4.multicast") (p "10.0.0.0/8"));
   Alcotest.(check bool) "empty list = no restriction" true (Afi.matches_any [] (p "10.0.0.0/8"));
   Alcotest.(check bool) "list any-of" true
-    (Afi.matches_any [ Afi.ipv6_unicast; Afi.ipv4_unicast ] (p "10.0.0.0/8"))
+    (Afi.matches_any [ afi "ipv6.unicast"; afi "ipv4.unicast" ] (p "10.0.0.0/8"))
 
 (* ---------------- martians ---------------- *)
 
@@ -522,6 +516,36 @@ let test_martians () =
   Alcotest.(check bool) "doc v6" true (Martian.is_martian (p "2001:db8::/32"));
   Alcotest.(check bool) "long v6" true (Martian.is_martian (p "2a00::/64"));
   Alcotest.(check bool) "public v6 fine" false (Martian.is_martian (p "2a00::/32"))
+
+(* ---------------- number fields are decimal ---------------- *)
+
+(* OCaml's int_of_string also takes a sign, [_] separators and the
+   0x/0o/0b/0u prefixes. A number field must not: each [bad] input reads
+   as a different number under those rules, and must be rejected while
+   its decimal form [good] still parses. *)
+let test_number_fields_decimal () =
+  let asn s = Result.is_ok (Asn.of_string s)
+  and pfx s = Result.is_ok (Prefix.of_string s)
+  and range s = Result.is_ok (Range_op.parse s)
+  and regex s = Result.is_ok (Rz_aspath.Regex_parse.parse s) in
+  List.iter
+    (fun (parse, bad, good) ->
+      Alcotest.(check bool) (bad ^ " rejected") false (parse bad);
+      Alcotest.(check bool) (good ^ " accepted") true (parse good))
+    [ (asn, "AS0x10", "AS16");
+      (asn, "AS1_000", "AS1000");
+      (asn, "AS+5", "AS5");
+      (asn, "0o1.5", "1.5");
+      (asn, "1.0b1", "1.1");
+      (pfx, "10.0.0.0/0x18", "10.0.0.0/24");
+      (pfx, "0x0a.0.0.0/8", "10.0.0.0/8");
+      (pfx, "10.0.0.0/+8", "10.0.0.0/8");
+      (pfx, "2001:db8::1_/128", "2001:db8::1/128");
+      (pfx, "2001:db8::/0u32", "2001:db8::/32");
+      (range, "^0x18", "^24");
+      (range, "^+5", "^5");
+      (range, "^1_6-24", "^16-24");
+      (regex, "^AS1{0x2,3}$", "^AS1{2,3}$") ]
 
 let suite =
   [ Alcotest.test_case "asn parse" `Quick test_asn_parse;
@@ -545,7 +569,6 @@ let suite =
     Alcotest.test_case "range op compose" `Quick test_range_op_compose;
     Alcotest.test_case "range op strings" `Quick test_range_op_strings;
     Alcotest.test_case "trie exact/covering" `Quick test_trie_exact_and_covering;
-    Alcotest.test_case "trie covered_by" `Quick test_trie_covered_by;
     Alcotest.test_case "trie length/iter/fold" `Quick test_trie_length_iter_fold;
     Alcotest.test_case "trie remove frees emptied nodes" `Quick test_trie_remove_prunes;
     QCheck_alcotest.to_alcotest trie_covering_is_sound;
@@ -562,4 +585,5 @@ let suite =
     Alcotest.test_case "afi parse" `Quick test_afi_parse;
     Alcotest.test_case "afi parse list" `Quick test_afi_parse_list;
     Alcotest.test_case "afi matching" `Quick test_afi_matching;
-    Alcotest.test_case "martians" `Quick test_martians ]
+    Alcotest.test_case "martians" `Quick test_martians;
+    Alcotest.test_case "number fields are decimal" `Quick test_number_fields_decimal ]

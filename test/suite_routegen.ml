@@ -134,7 +134,7 @@ let test_collector_dump () =
   let t = Lazy.force topo in
   let peers = Propagate.default_collector_peers t ~n:3 in
   Alcotest.(check bool) "peers include tier1s" true (List.length peers >= 3);
-  let dump = Propagate.collector_dump t ~collector:"test-rrc" ~peers in
+  let dump = List.hd (Propagate.collector_dumps t ~n_collectors:1 ~peers) in
   Alcotest.(check bool) "has routes" true (List.length dump.routes > 0);
   (* every route's path starts at a collector peer and ends at the AS
      originating the prefix *)
@@ -150,8 +150,8 @@ let test_collector_dump () =
 let test_collector_dump_deterministic () =
   let t = Lazy.force topo in
   let peers = Propagate.default_collector_peers t ~n:2 in
-  let d1 = Propagate.collector_dump t ~collector:"x" ~peers in
-  let d2 = Propagate.collector_dump t ~collector:"x" ~peers in
+  let d1 = List.hd (Propagate.collector_dumps t ~n_collectors:1 ~peers) in
+  let d2 = List.hd (Propagate.collector_dumps t ~n_collectors:1 ~peers) in
   Alcotest.(check string) "same dump" (Rz_bgp.Table_dump.to_string d1)
     (Rz_bgp.Table_dump.to_string d2)
 

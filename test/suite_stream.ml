@@ -79,7 +79,7 @@ let test_differential_clean () =
   let broke = feed_checked t world items in
   S.flush t;
   Alcotest.(check bool) "policy edits happened" true (S.generations t > 0);
-  Alcotest.(check bool) "rib populated" true (S.rib_routes t <> []);
+  Alcotest.(check bool) "rib populated" true (S.reports t <> []);
   Alcotest.(check (option int)) "incremental == batch after every edit" None broke;
   Alcotest.(check bool) "incremental == batch at the end" true (differential_holds t world)
 
@@ -316,12 +316,16 @@ let test_windows_account_for_everything () =
         w.S.w_events
         (w.S.w_announce + w.S.w_withdraw + w.S.w_edit))
     ws;
-  (* window JSON is reparseable, like every other surface *)
-  List.iter
-    (fun w ->
-      let s = Rz_json.Json.to_string (S.window_to_json w) in
-      ignore (Rz_json.Json.of_string s))
-    ws
+  (* the run summary's window JSON is reparseable, like every other
+     surface, and lists every window *)
+  let stats = { S.r_processed = 100; r_applied = 100; r_rejected = 0; r_degraded = false } in
+  match Rz_json.Json.of_string (Rz_json.Json.to_string (S.stats_to_json t stats)) with
+  | Ok doc -> (
+    match Rz_json.Json.member "windows" doc with
+    | Some (Rz_json.Json.List l) ->
+      Alcotest.(check int) "every window in the JSON" (List.length ws) (List.length l)
+    | _ -> Alcotest.fail "windows list missing")
+  | Error e -> Alcotest.failf "summary JSON: %s" e
 
 let suite =
   [ Alcotest.test_case "journal round-trip" `Quick test_journal_roundtrip;

@@ -12,7 +12,7 @@ let db = lazy (Db.of_dumps (Lazy.force world).dumps)
 
 let test_thirteen_dumps_in_order () =
   let w = Lazy.force world in
-  Alcotest.(check (list string)) "names and order" Generate.irr_names (List.map fst w.dumps)
+  Alcotest.(check (list string)) "names and order" Db.priority_order (List.map fst w.dumps)
 
 let test_dumps_parse () =
   let w = Lazy.force world in
@@ -154,7 +154,7 @@ let test_route_objects_mostly_present () =
   let total = ref 0 and covered = ref 0 in
   Array.iter
     (fun asn ->
-      if (Generate.profile_of w asn).persona <> Generate.No_aut_num then
+      if (Hashtbl.find w.profiles asn).persona <> Generate.No_aut_num then
         List.iter
           (fun prefix ->
             incr total;

@@ -17,9 +17,7 @@ let with_trace f () =
   Obs.reset ();
   Obs.enable ();
   Fun.protect f ~finally:(fun () ->
-      (* capacity is sticky across configure calls; restore the default
-         so tests stay order-independent *)
-      Trace.configure ~cap:Trace.default_capacity Trace.Off;
+      Trace.configure Trace.Off;
       Obs.disable ();
       Obs.reset ())
 
@@ -73,22 +71,24 @@ let test_sampling_all_and_quota () =
   let seqs = List.map (fun r -> r.Trace.seq) (Trace.records ()) in
   Alcotest.(check (list int)) "seq order" [ 0; 1; 2; 3; 4 ] seqs
 
+(* The ring's fixed capacity, as trace.mli states it. *)
+let ring_capacity = 4096
+
 let test_ring_bounds () =
-  Trace.configure ~cap:8 Trace.All;
-  Alcotest.(check int) "capacity taken" 8 (Trace.ring_capacity ());
-  for _ = 1 to 20 do Trace.emit (dummy_record ()) done;
-  Alcotest.(check int) "kept bounded by capacity" 8 (Trace.kept ());
+  Trace.configure Trace.All;
+  for _ = 1 to ring_capacity + 12 do Trace.emit (dummy_record ()) done;
+  Alcotest.(check int) "kept bounded by capacity" ring_capacity (Trace.kept ());
   Alcotest.(check int) "overflow counted as dropped" 12 (Trace.dropped ());
   (* the ring keeps the newest records *)
   let seqs = List.map (fun r -> r.Trace.seq) (Trace.records ()) in
-  Alcotest.(check (list int)) "newest survive" [ 12; 13; 14; 15; 16; 17; 18; 19 ] seqs
+  Alcotest.(check (list int)) "newest survive" (List.init ring_capacity (fun i -> 12 + i)) seqs
 
 let test_shared_ring_concurrent () =
   (* concurrent emitters share the one ring: it stays within its
      capacity, every overflow is counted, and the survivors carry
      distinct sequence numbers in order *)
-  let cap = 64 and domains = 4 and per_domain = 200 in
-  Trace.configure ~cap Trace.All;
+  let cap = ring_capacity and domains = 4 and per_domain = 2000 in
+  Trace.configure Trace.All;
   let work () = for _ = 1 to per_domain do Trace.emit (dummy_record ()) done in
   List.iter Domain.join (List.init domains (fun _ -> Domain.spawn work));
   Alcotest.(check int) "kept = cap" cap (Trace.kept ());

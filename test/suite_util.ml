@@ -97,12 +97,6 @@ let test_mean () =
 let test_fraction () =
   Alcotest.(check (float 1e-9)) "half" 0.5 (Stats_util.fraction (fun x -> x > 2) [ 1; 2; 3; 4 ])
 
-let test_bucketize () =
-  let buckets = Stats_util.bucketize ~edges:[ 0; 10; 100 ] [ 5; 50; 500; 7 ] in
-  Alcotest.(check int) "[0,10)" 2 (List.assoc "[0,10)" buckets);
-  Alcotest.(check int) "[10,100)" 1 (List.assoc "[10,100)" buckets);
-  Alcotest.(check int) "[100,inf)" 1 (List.assoc "[100,inf)" buckets)
-
 let test_table_render () =
   let text = Table.render ~header:[ "a"; "b" ] [ [ "xx"; "1" ]; [ "y"; "22" ] ] in
   Alcotest.(check bool) "has rule line" true (String.length text > 0);
@@ -161,7 +155,6 @@ let suite =
     Alcotest.test_case "percentile" `Quick test_percentile;
     Alcotest.test_case "mean" `Quick test_mean;
     Alcotest.test_case "fraction" `Quick test_fraction;
-    Alcotest.test_case "bucketize" `Quick test_bucketize;
     Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "pct / commas" `Quick test_pct_and_commas;
     Alcotest.test_case "strings strip" `Quick test_strings_strip;

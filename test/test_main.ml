@@ -33,4 +33,5 @@ let () =
       ("stream", Suite_stream.suite);
       ("serve", Suite_serve.suite);
       ("ingest", Suite_ingest.suite);
-      ("accounting", Suite_accounting.suite) ]
+      ("accounting", Suite_accounting.suite);
+      ("surface", Suite_surface.suite) ]
