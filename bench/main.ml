@@ -141,7 +141,7 @@ let table1_coverage () =
   print_endline
     "(the paper's priority merge means lower-priority registries are\n\
      \ shadowed; this shows who actually supplies each object after dedup)";
-  let c = Rz_stats.Coverage.compute ~dumps:world.dumps world.db in
+  let c = Rz_stats.Coverage.compute ~table1:usage.table1 world.db in
   Table.print
     ~header:[ "IRR"; "aut-num"; "as-set"; "route-set"; "route pairs" ]
     (List.map
@@ -493,10 +493,7 @@ let evolution () =
         p_no_aut_num = irr_config.Rz_synthirr.Config.p_no_aut_num -. (0.04 *. fint quarter);
         p_no_rules = irr_config.Rz_synthirr.Config.p_no_rules -. (0.02 *. fint quarter) }
     in
-    let w = Rz_synthirr.Generate.generate ~config topo in
-    let ir = Rz_ir.Ir.create () in
-    List.iter (fun (src, text) -> ignore (Rz_ir.Lower.add_dump ir ~source:src text)) w.dumps;
-    ir
+    Rz_ingest.Ingest.ingest (Rz_synthirr.Generate.generate ~config topo).dumps
   in
   let snapshots = List.map snapshot [ 0; 1; 2 ] in
   List.iteri

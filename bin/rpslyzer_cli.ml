@@ -1209,13 +1209,7 @@ let classify_cmd =
 let diff_cmd =
   let run before_dir after_dir =
     guarded @@ fun () ->
-    let load dir =
-      let ir = Rz_ir.Ir.create () in
-      List.iter
-        (fun (src, text) -> ignore (Rz_ir.Lower.add_dump ir ~source:src text))
-        (Rpslyzer.Pipeline.load_dumps dir);
-      ir
-    in
+    let load dir = Rz_ingest.Ingest.ingest (Rpslyzer.Pipeline.load_dumps dir) in
     let d = Rz_stats.Evolution.diff ~before:(load before_dir) ~after:(load after_dir) in
     print_endline (Rz_stats.Evolution.summary d);
     List.iter
@@ -1623,7 +1617,7 @@ let faultinject_cmd =
     in
     let plan = Rz_fault.Fault.plan ~kinds ~seed ~rate () in
     let corrupted, report = Rz_fault.Fault.corrupt_dumps plan base.dumps in
-    let db = Rz_irr.Db.of_dumps corrupted in
+    let db = Rz_ingest.Ingest.db_of_dumps corrupted in
     let world = { base with Rpslyzer.Pipeline.db; dumps = corrupted } in
     let n_regexes = nfa_audit (Rz_irr.Db.ir db) in
     (* The same audit for sets: verification flattens only the sets its

@@ -81,7 +81,7 @@ let relationships () =
   rels
 
 let () =
-  let db = Rz_irr.Db.of_dumps [ ("MIXED", rpsl) ] in
+  let db = Rpslyzer.db_of_rpsl ~source:"MIXED" rpsl in
   let engine = Rz_verify.Engine.create db (relationships ()) in
   let route =
     Rz_bgp.Route.make

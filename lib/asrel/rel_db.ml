@@ -124,14 +124,14 @@ let of_string text =
           let rest =
             String.map (fun c -> if c = ':' then ' ' else c) rest
           in
-          let asns = List.filter_map int_of_string_opt (Rz_util.Strings.split_words rest) in
+          let asns = List.filter_map Rz_net.Asn.of_decimal (Rz_util.Strings.split_words rest) in
           if asns <> [] then set_clique t asns
         | _ -> ()
       end
       else
         match String.split_on_char '|' line with
         | [ a; b; rel ] | a :: b :: rel :: _ ->
-          (match (int_of_string_opt a, int_of_string_opt b, Rz_util.Strings.strip rel) with
+          (match (Rz_net.Asn.of_decimal a, Rz_net.Asn.of_decimal b, Rz_util.Strings.strip rel) with
            | Some a, Some b, "-1" -> add_p2c t ~provider:a ~customer:b
            | Some a, Some b, "0" -> add_p2p t a b
            | _ ->

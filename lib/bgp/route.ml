@@ -38,11 +38,11 @@ let parse_segment word =
   if String.length word >= 2 && word.[0] = '{' && word.[String.length word - 1] = '}' then
     let inner = String.sub word 1 (String.length word - 2) in
     let parts = String.split_on_char ',' inner |> List.filter (fun s -> s <> "") in
-    let asns = List.map int_of_string_opt parts in
+    let asns = List.map Rz_net.Asn.of_decimal parts in
     if List.for_all Option.is_some asns then Some (Set (List.map Option.get asns))
     else None
   else
-    match int_of_string_opt word with Some a -> Some (Seq a) | None -> None
+    Option.map (fun a -> Seq a) (Rz_net.Asn.of_decimal word)
 
 let of_line line =
   match String.index_opt line '|' with

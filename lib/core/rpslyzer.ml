@@ -289,13 +289,10 @@ end
 (** {1 Convenience one-shots} *)
 
 (** Parse RPSL text into the IR (single unnamed source). *)
-let parse_rpsl ?(source = "INLINE") text =
-  let ir = Rz_ir.Ir.create () in
-  ignore (Rz_ir.Lower.add_dump ir ~source text);
-  ir
+let parse_rpsl ?(source = "INLINE") text = Rz_ingest.Ingest.ingest [ (source, text) ]
 
 (** Parse RPSL text and build a queryable database. *)
-let db_of_rpsl ?(source = "INLINE") text = Rz_irr.Db.of_dumps [ (source, text) ]
+let db_of_rpsl ?(source = "INLINE") text = Rz_ingest.Ingest.db_of_dumps [ (source, text) ]
 
 (** Export an IR as JSON text. *)
 let ir_to_json = Rz_ir.Ir_json.export_string

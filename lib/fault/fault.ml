@@ -125,7 +125,7 @@ let regex_bomb idx =
 
 (* ---------------- per-object faults ---------------- *)
 
-let oversized_payload_len = 70_000 (* > Reader.default_limits.max_line_bytes *)
+let oversized_payload_len = 70_000 (* > Reader.max_line_bytes *)
 
 let splice_bytes rng s =
   if String.length s = 0 then s

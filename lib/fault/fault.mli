@@ -20,7 +20,7 @@ type kind =
   | Crlf_line            (** give every line of the object a CR ending *)
   | Nul_line             (** insert a line of NUL-laced binary garbage *)
   | Oversized_line
-      (** insert a line longer than [Rz_rpsl.Reader.default_limits.max_line_bytes] *)
+      (** insert a line longer than [Rz_rpsl.Reader.max_line_bytes] *)
   | Duplicate_object     (** emit the object twice *)
   | Interleave_objects   (** riffle the object's lines with the next object's *)
   | As_set_cycle_bomb    (** append a 3-cycle of as-sets referencing each other *)

@@ -37,8 +37,10 @@ val split_names : string -> string list
     splitting via {!Rz_policy.Parser.parse_members}. Pure. *)
 
 val add_dump : Ir.t -> source:string -> string -> Rz_rpsl.Reader.error list
-(** Parse RPSL text and lower it; returns the reader-level errors (also
-    appended to [ir.errors] as syntax errors). *)
+(** Parse RPSL text with the reference {!Rz_rpsl.Reader.parse_string}
+    and lower it; returns the reader-level errors (also appended to
+    [ir.errors] as syntax errors). A step of the line-based reference
+    chain; the product ingests through [Rz_ingest.Ingest]. *)
 
 val add_reader_errors :
   Ir.t -> source:string -> Rz_rpsl.Reader.error list -> unit

@@ -20,8 +20,10 @@ val priority_order : string list
 
 val of_dumps : (string * string) list -> t
 (** [of_dumps [(source, rpsl_text); ...]] lowers the dumps in the given
-    order (which should be priority order — see {!priority_order}) and
-    builds the database. *)
+    order (which should be priority order — see {!priority_order}) with
+    {!Rz_ir.Lower.add_dump} and builds the database. The line-based
+    reference that the tests hold [Rz_ingest.Ingest.db_of_dumps] to;
+    product paths call that instead. *)
 
 (** {1 Resolution bounds}
 

@@ -24,7 +24,6 @@ type check =
   | Undeclared_neighbor
   | Private_asn_leak
   | Dangling_maintainer
-  | Template_violation
 
 type diagnostic = {
   check : check;
@@ -53,7 +52,6 @@ let check_to_string = function
   | Undeclared_neighbor -> "undeclared-neighbor"
   | Private_asn_leak -> "private-asn-leak"
   | Dangling_maintainer -> "dangling-maintainer"
-  | Template_violation -> "template-violation"
 
 let severity_to_string = function
   | Error -> "error"
@@ -376,26 +374,6 @@ let lint ?rels db =
           :: !out)
     ir.route_sets;
   sort_diags !out
-
-let lint_objects objects =
-  List.concat_map
-    (fun (obj : Rz_rpsl.Obj.t) ->
-      match Rz_rpsl.Template.check obj with
-      | None -> []
-      | Some problems ->
-        List.map
-          (fun problem ->
-            let severity =
-              match problem with
-              | Rz_rpsl.Template.Repeated_single _ -> Error
-              | Rz_rpsl.Template.Missing_mandatory _ -> Warning
-              | Rz_rpsl.Template.Unknown_attribute _ -> Suggestion
-            in
-            diag Template_violation severity obj.cls obj.name "%s"
-              (Rz_rpsl.Template.problem_to_string problem))
-          problems)
-    objects
-  |> sort_diags
 
 let lint_object db ~cls ~name =
   let ir = Db.ir db in

@@ -31,9 +31,6 @@ type check =
   | Dangling_maintainer         (** mnt-by references a mntner object absent from
                                     every IRR (only checked when the database
                                     contains mntner objects at all) *)
-  | Template_violation          (** object violates its RFC 2622 class template
-                                    (missing mandatory attribute, repeated
-                                    single-valued attribute, unknown attribute) *)
 
 type diagnostic = {
   check : check;
@@ -52,10 +49,6 @@ val lint :
 (** Run every check over the database. Relationship-dependent checks
     (export-self, import-customer, undeclared-neighbor) only fire when
     [rels] is given. Diagnostics are sorted by severity, then object. *)
-
-val lint_objects : Rz_rpsl.Obj.t list -> diagnostic list
-(** Template validation over raw parsed objects (run before lowering,
-    like an IRR server checking a submission). *)
 
 val lint_object : Rz_irr.Db.t -> cls:string -> name:string -> diagnostic list
 (** Diagnostics restricted to one object (relationship-free checks only). *)

@@ -27,6 +27,9 @@ let of_string s =
        | Some _ -> Error (Printf.sprintf "ASN out of range %S" s)
        | None -> Error (Printf.sprintf "malformed ASN %S" s))
 
+let of_decimal s =
+  match Rz_util.Strings.decimal s with Some n when in_range n -> Some n | _ -> None
+
 let of_string_exn s =
   match of_string s with Ok n -> n | Error msg -> invalid_arg msg
 

@@ -10,6 +10,11 @@ val of_string : string -> (t, string) result
 (** Parse ["AS65000"], ["65000"] or asdot ["1.5"] (case-insensitive).
     The numbers are plain decimal digits: no sign, [_] or radix prefix. *)
 
+val of_decimal : string -> t option
+(** A bare decimal ASN, the form of table-dump AS paths, relationship
+    files and stream journals: [Some n] when the string is ASCII digits
+    whose value is in [0, 4294967295]. No [AS] prefix or asdot. *)
+
 val of_string_exn : string -> t
 (** @raise Invalid_argument on malformed input. *)
 

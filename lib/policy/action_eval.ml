@@ -27,8 +27,8 @@ let parse_community text =
      | Some i ->
        let hi = String.sub text 0 i
        and lo = String.sub text (i + 1) (String.length text - i - 1) in
-       (match (int_of_string_opt hi, int_of_string_opt lo) with
-        | Some hi, Some lo when hi >= 0 && hi <= 65535 && lo >= 0 && lo <= 65535 ->
+       (match (Rz_util.Strings.decimal hi, Rz_util.Strings.decimal lo) with
+        | Some hi, Some lo when hi <= 65535 && lo <= 65535 ->
           Ok (hi, lo)
         | _ -> Error (Printf.sprintf "malformed community %S" text))
      | None -> Error (Printf.sprintf "malformed community %S" text))
@@ -61,7 +61,7 @@ let delete_communities attrs values =
     Ok { attrs with communities = List.filter (fun c -> not (List.mem c to_delete)) attrs.communities }
 
 let int_value attr text =
-  match int_of_string_opt (Rz_util.Strings.strip text) with
+  match Rz_util.Strings.decimal (Rz_util.Strings.strip text) with
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "%s expects an integer, got %S" attr text)
 

@@ -226,8 +226,8 @@ let parse_edit rest =
               else if verb = "add-import" then Ok (Add_import (a, tail))
               else Ok (Add_export (a, tail))
           | "drop-import" | "drop-export" -> (
-              match int_of_string_opt tail with
-              | Some i when i >= 0 ->
+              match Rz_util.Strings.decimal tail with
+              | Some i ->
                   if verb = "drop-import" then Ok (Drop_import (a, i))
                   else Ok (Drop_export (a, i))
               | _ -> Error "bad rule index")
@@ -294,7 +294,7 @@ let parse text =
         match take_tokens 2 line with
         | None -> reject lineno "truncated line"
         | Some ([ seq_s; kind ], rest) -> (
-            match int_of_string_opt seq_s with
+            match Rz_util.Strings.decimal seq_s with
             | None -> reject lineno "bad sequence number"
             | Some seq when seq <= !last_seq ->
                 reject lineno

@@ -120,7 +120,7 @@ let parse_line line =
       (match Rz_net.Prefix.of_string (Rz_util.Strings.strip prefix_s) with
        | Error e -> Error e
        | Ok prefix ->
-         (match int_of_string_opt (Rz_util.Strings.strip maxlen_s) with
+         (match Rz_util.Strings.decimal (Rz_util.Strings.strip maxlen_s) with
           | None -> Error "maxLength is not an integer"
           | Some max_length ->
             if

@@ -13,11 +13,6 @@ let values t key =
 
 let value t key = match values t key with [] -> None | v :: _ -> Some v
 
-let routing_classes =
-  [ "aut-num"; "as-set"; "route-set"; "peering-set"; "filter-set"; "route"; "route6" ]
-
-let is_routing_class cls = List.mem (Rz_util.Strings.lowercase cls) routing_classes
-
 let pp fmt t =
   List.iter (fun (a : Attr.t) -> Format.fprintf fmt "%s:%s%s@." a.key
                 (if a.value = "" then "" else " ") a.value)

@@ -14,9 +14,5 @@ val values : t -> string -> string list
 val value : t -> string -> string option
 (** First value of the attribute, if present. *)
 
-val is_routing_class : string -> bool
-(** The classes RPSLyzer interprets: aut-num, as-set, route-set,
-    peering-set, filter-set, route, route6. *)
-
 val pp : Format.formatter -> t -> unit
 (** Re-render as RPSL text. *)

@@ -24,12 +24,8 @@ type result_t = {
    Table 1 finds syntax errors in every registry): a single unbounded
    line or an error-per-line bomb must not balloon memory. Both caps
    degrade to recorded errors, never to an exception. *)
-type limits = {
-  max_line_bytes : int;  (** longer lines are dropped, with one error record *)
-  max_errors : int;      (** further errors are counted but not accumulated *)
-}
-
-let default_limits = { max_line_bytes = 65_536; max_errors = 100_000 }
+let max_line_bytes = 65_536
+let max_errors = 100_000
 
 (* A '#' begins a comment anywhere on a line. Values never contain '#'
    meaningfully in the routing-related attributes we interpret. *)
@@ -40,7 +36,6 @@ let is_continuation line =
 
 (* Paragraph accumulator: turns a stream of lines into objects. *)
 type state = {
-  limits : limits;
   mutable current : (string * Buffer.t) list; (* reversed (key, value) list *)
   mutable start_line : int;
   mutable objects_rev : Obj.t list;
@@ -49,12 +44,8 @@ type state = {
   mutable suppressed : int;  (* errors past the budget, counted not stored *)
 }
 
-let fresh_state limits =
-  { limits; current = []; start_line = 0; objects_rev = []; errors_rev = [];
-    n_errors = 0; suppressed = 0 }
-
 let push_error st err =
-  if st.n_errors < st.limits.max_errors then begin
+  if st.n_errors < max_errors then begin
     st.errors_rev <- err :: st.errors_rev;
     st.n_errors <- st.n_errors + 1
   end
@@ -86,14 +77,14 @@ let valid_key key =
        key
 
 let feed_line st lineno raw =
-  if String.length raw > st.limits.max_line_bytes then begin
+  if String.length raw > max_line_bytes then begin
     Rz_obs.Obs.Counter.incr c_lines_dropped;
     push_error st
       { line = lineno;
         text = String.sub raw 0 64;
         reason =
           Printf.sprintf "line exceeds %d bytes (%d); dropped"
-            st.limits.max_line_bytes (String.length raw) }
+            max_line_bytes (String.length raw) }
   end
   else begin
     let line = strip_comment raw in
@@ -144,30 +135,32 @@ let finish st =
       { line = 0; text = "";
         reason =
           Printf.sprintf "error budget (%d) exhausted; %d further errors suppressed"
-            st.limits.max_errors st.suppressed }
+            max_errors st.suppressed }
       :: st.errors_rev;
   let objects = List.rev st.objects_rev and errors = List.rev st.errors_rev in
   count_result objects errors;
   { objects; errors }
 
-let parse_string ?(limits = default_limits) text =
-  let st = fresh_state limits in
+let parse_string text =
+  let st =
+    { current = []; start_line = 0; objects_rev = []; errors_rev = [];
+      n_errors = 0; suppressed = 0 }
+  in
   List.iteri (fun i line -> feed_line st (i + 1) line) (String.split_on_char '\n' text);
   finish st
 
-(* Single-pass scanner over a whole in-memory dump: the fast path of
-   [parse_string]. It walks the text once with index arithmetic — no
-   per-line string, no Buffer per attribute — and materializes only the
-   final key/value strings. Output is identical to [parse_string] byte
+(* Single-pass scanner over a whole in-memory dump: the product reader,
+   with [parse_string] as its line-based reference. It walks the text
+   once with index arithmetic — no per-line string, no Buffer per
+   attribute — and materializes only the final key/value strings. Output is identical to [parse_string] byte
    for byte (the ingest test suite holds the two equivalent under
    QCheck); keep the two in lockstep when touching either. *)
 let scan_string text =
-  let limits = default_limits in
   let n = String.length text in
   let objects_rev = ref [] and errors_rev = ref [] in
   let n_errors = ref 0 and suppressed = ref 0 in
   let push_error err =
-    if !n_errors < limits.max_errors then begin
+    if !n_errors < max_errors then begin
       errors_rev := err :: !errors_rev;
       incr n_errors
     end
@@ -235,14 +228,14 @@ let scan_string text =
         !ok)
   in
   let line lineno s e =
-    if e - s > limits.max_line_bytes then begin
+    if e - s > max_line_bytes then begin
       Rz_obs.Obs.Counter.incr c_lines_dropped;
       push_error
         { line = lineno;
           text = String.sub text s (min 64 (e - s));
           reason =
             Printf.sprintf "line exceeds %d bytes (%d); dropped"
-              limits.max_line_bytes (e - s) }
+              max_line_bytes (e - s) }
     end
     else begin
       (* end-of-line comment: '#' anywhere truncates the line *)
@@ -322,33 +315,8 @@ let scan_string text =
       { line = 0; text = "";
         reason =
           Printf.sprintf "error budget (%d) exhausted; %d further errors suppressed"
-            limits.max_errors !suppressed }
+            max_errors !suppressed }
       :: !errors_rev;
   let objects = List.rev !objects_rev and errors = List.rev !errors_rev in
   count_result objects errors;
   { objects; errors }
-
-let parse_file path =
-  let st = fresh_state default_limits in
-  (match open_in path with
-   | exception Sys_error msg ->
-     push_error st { line = 0; text = path; reason = "cannot open: " ^ msg }
-   | ic ->
-     let lineno = ref 0 in
-     (* Any mid-file failure (truncated dump, I/O error, interrupt while
-        reading an NFS-mounted registry mirror) keeps everything parsed so
-        far and becomes a synthetic trailing error — a 3 GiB dump cut off
-        at 99% must not discard 99% of its objects. *)
-     (try
-        while true do
-          incr lineno;
-          feed_line st !lineno (input_line ic)
-        done
-      with
-      | End_of_file -> ()
-      | e ->
-        push_error st
-          { line = !lineno; text = path;
-            reason = "read aborted: " ^ Printexc.to_string e });
-     (try close_in ic with Sys_error _ -> ()));
-  finish st

@@ -4,9 +4,10 @@
     malformed lines as errors without aborting the surrounding object.
 
     The reader is total on hostile input: no entry point raises. Truncated
-    files, NUL bytes, CRLF endings, over-long lines, and error-per-line
-    bombs all degrade to recorded {!error} values under the {!limits}
-    bounds, with drops counted on the [reader.lines_dropped] metric. *)
+    text, NUL bytes, CRLF endings, over-long lines, and error-per-line
+    bombs all degrade to recorded {!error} values under the
+    {!max_line_bytes} and {!max_errors} bounds, with drops counted on the
+    [reader.lines_dropped] metric. *)
 
 type error = { line : int; text : string; reason : string }
 
@@ -15,32 +16,23 @@ type result_t = {
   errors : error list;
 }
 
-type limits = {
-  max_line_bytes : int;
-      (** Lines longer than this are dropped (one error record each) —
-          bounds per-line memory against unterminated-line bombs. *)
-  max_errors : int;
-      (** Error records accumulated at most; further errors are counted
-          into one synthetic summary record and the
-          [reader.lines_dropped] counter. *)
-}
+val max_line_bytes : int
+(** [65_536]: a longer line is dropped, with one error record, which
+    bounds per-line memory against unterminated-line bombs. Far above any
+    line of a real registry dump. *)
 
-val default_limits : limits
-(** [{ max_line_bytes = 65_536; max_errors = 100_000 }] — far above
-    anything in real registry dumps, far below a memory-exhaustion bomb. *)
-
-val parse_string : ?limits:limits -> string -> result_t
-(** Parse a whole dump held in memory. Never raises. *)
+val max_errors : int
+(** [100_000]: error records kept at most; further errors are counted
+    into one synthetic summary record and the [reader.lines_dropped]
+    counter. *)
 
 val scan_string : string -> result_t
-(** Single-pass fast scanner over a whole dump held in memory. Produces
-    output identical to {!parse_string} (objects, errors, counters) while
-    avoiding per-line string and per-attribute buffer allocations — the
-    parse step of [Rz_ingest.Ingest.ingest]. Never raises; it applies
-    {!default_limits}. *)
+(** Parse a whole dump held in memory in a single pass, without per-line
+    string or per-attribute buffer allocations. This is the reader of
+    every product path ([Rz_ingest.Ingest.ingest] and what builds on it).
+    Never raises. *)
 
-val parse_file : string -> result_t
-(** Parse a dump file from disk. Never raises: an unopenable file yields
-    one error record; a failure mid-file (truncation, I/O error) returns
-    every object and error accumulated up to that point plus a synthetic
-    trailing ["read aborted"] error. *)
+val parse_string : string -> result_t
+(** The line-based reference reader: output identical to {!scan_string}
+    (objects, errors, counters), written for clarity rather than speed.
+    The tests hold the two equal; no product path calls it. *)

@@ -106,7 +106,7 @@ let lowered (ir : Ir.t) (obj : Rz_rpsl.Obj.t) =
   | _ -> []
 
 let replay_op db (op : Nrtm.op) =
-  match (Rz_rpsl.Reader.parse_string op.text).objects with
+  match (Rz_rpsl.Reader.scan_string op.text).objects with
   | [] -> Obs.Counter.incr c_rejected
   | obj :: _ -> (
     let ir = Db.ir db in

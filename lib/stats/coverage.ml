@@ -13,7 +13,7 @@ type t = {
   shadowed_routes : int;
 }
 
-let compute ~dumps db =
+let compute ~table1 db =
   let ir = Rz_irr.Db.ir db in
   let counts : (string, row) Hashtbl.t = Hashtbl.create 13 in
   let get irr =
@@ -44,17 +44,9 @@ let compute ~dumps db =
       let source = Ir.route_source ir r in
       let row = get source in
       Hashtbl.replace counts source { row with routes = row.routes + 1 });
-  (* raw route-object count across the dumps, to size the shadowing *)
+  (* Table 1's raw route objects against those the merge kept *)
   let raw_routes =
-    List.fold_left
-      (fun acc (_, text) ->
-        let parsed = Rz_rpsl.Reader.parse_string text in
-        acc
-        + List.length
-            (List.filter
-               (fun (o : Rz_rpsl.Obj.t) -> o.cls = "route" || o.cls = "route6")
-               parsed.objects))
-      0 dumps
+    List.fold_left (fun acc (r : Usage.table1_row) -> acc + r.n_route) 0 table1
   in
   let owned_routes = Ir.n_route_objs ir in
   let extra_sources =

@@ -19,4 +19,7 @@ type t = {
   shadowed_routes : int;        (** raw route objects dropped by dedup *)
 }
 
-val compute : dumps:(string * string) list -> Rz_irr.Db.t -> t
+val compute : table1:Usage.table1_row list -> Rz_irr.Db.t -> t
+(** [table1] is {!Usage.t}'s [table1] for the dumps [db] was built
+    from: their raw route objects, less those [db] keeps, are the
+    shadowed ones. *)

@@ -70,29 +70,6 @@ type t = {
   error_stats : error_stats;
 }
 
-(* ---------------- Table 1 (raw dumps) ---------------- *)
-
-let table1_of_dumps dumps =
-  List.map
-    (fun (irr, text) ->
-      let parsed = Rz_rpsl.Reader.parse_string text in
-      let count pred = List.length (List.filter pred parsed.objects) in
-      let attr_count keys =
-        List.fold_left
-          (fun acc (o : Rz_rpsl.Obj.t) ->
-            acc
-            + List.length
-                (List.filter (fun (a : Rz_rpsl.Attr.t) -> List.mem a.key keys) o.attrs))
-          0 parsed.objects
-      in
-      { irr;
-        size_bytes = String.length text;
-        n_aut_num = count (fun o -> o.Rz_rpsl.Obj.cls = "aut-num");
-        n_route = count (fun o -> o.Rz_rpsl.Obj.cls = "route" || o.cls = "route6");
-        n_import = attr_count [ "import"; "mp-import" ];
-        n_export = attr_count [ "export"; "mp-export" ] })
-    dumps
-
 (* ---------------- reference walking ---------------- *)
 
 type refs = {
@@ -187,34 +164,57 @@ let peering_is_simple = function
     true
   | _ -> false
 
-(* ---------------- route-object stats (raw dumps) ---------------- *)
+(* ---------------- Table 1 and route-object stats (raw dumps) ---------------- *)
 
-let route_stats_of_dumps dumps =
+(* One scan of each dump fills both its Table 1 row and the pre-dedup
+   route-object tallies, which span every dump. *)
+let raw_dump_stats dumps =
   let by_prefix : (string, (Rz_net.Asn.t * string) list) Hashtbl.t = Hashtbl.create 4096 in
   let pairs = Hashtbl.create 4096 in
   let n_objects = ref 0 in
-  List.iter
-    (fun (_, text) ->
-      let parsed = Rz_rpsl.Reader.parse_string text in
-      List.iter
-        (fun (o : Rz_rpsl.Obj.t) ->
-          if o.cls = "route" || o.cls = "route6" then begin
-            match
-              ( Rz_net.Prefix.of_string o.name,
-                Option.bind (Rz_rpsl.Obj.value o "origin") (fun s ->
-                    Result.to_option (Rz_net.Asn.of_string s)) )
-            with
-            | Ok prefix, Some origin ->
-              incr n_objects;
-              let key = Rz_net.Prefix.to_string prefix in
-              let mnt = Option.value ~default:"" (Rz_rpsl.Obj.value o "mnt-by") in
-              let existing = Option.value ~default:[] (Hashtbl.find_opt by_prefix key) in
-              Hashtbl.replace by_prefix key ((origin, mnt) :: existing);
-              Hashtbl.replace pairs (key, origin) ()
-            | _ -> ()
-          end)
-        parsed.objects)
-    dumps;
+  let add_route (o : Rz_rpsl.Obj.t) =
+    match
+      ( Rz_net.Prefix.of_string o.name,
+        Option.bind (Rz_rpsl.Obj.value o "origin") (fun s ->
+            Result.to_option (Rz_net.Asn.of_string s)) )
+    with
+    | Ok prefix, Some origin ->
+      incr n_objects;
+      let key = Rz_net.Prefix.to_string prefix in
+      let mnt = Option.value ~default:"" (Rz_rpsl.Obj.value o "mnt-by") in
+      let existing = Option.value ~default:[] (Hashtbl.find_opt by_prefix key) in
+      Hashtbl.replace by_prefix key ((origin, mnt) :: existing);
+      Hashtbl.replace pairs (key, origin) ()
+    | _ -> ()
+  in
+  let table1 =
+    List.map
+      (fun (irr, text) ->
+        let n_aut_num = ref 0 and n_route = ref 0 in
+        let n_import = ref 0 and n_export = ref 0 in
+        List.iter
+          (fun (o : Rz_rpsl.Obj.t) ->
+            if o.cls = "aut-num" then incr n_aut_num
+            else if o.cls = "route" || o.cls = "route6" then begin
+              incr n_route;
+              add_route o
+            end;
+            List.iter
+              (fun (a : Rz_rpsl.Attr.t) ->
+                match a.key with
+                | "import" | "mp-import" -> incr n_import
+                | "export" | "mp-export" -> incr n_export
+                | _ -> ())
+              o.attrs)
+          (Rz_rpsl.Reader.scan_string text).objects;
+        { irr;
+          size_bytes = String.length text;
+          n_aut_num = !n_aut_num;
+          n_route = !n_route;
+          n_import = !n_import;
+          n_export = !n_export })
+      dumps
+  in
   let n_prefixes = Hashtbl.length by_prefix in
   let multi_object = ref 0 and multi_origin = ref 0 and multi_mnt = ref 0 in
   Hashtbl.iter
@@ -227,12 +227,13 @@ let route_stats_of_dumps dumps =
         if List.length mnts > 1 then incr multi_mnt
       end)
     by_prefix;
-  { n_objects = !n_objects;
-    n_prefix_origin = Hashtbl.length pairs;
-    n_prefixes;
-    multi_object_prefixes = !multi_object;
-    multi_origin_prefixes = !multi_origin;
-    multi_maintainer_prefixes = !multi_mnt }
+  ( table1,
+    { n_objects = !n_objects;
+      n_prefix_origin = Hashtbl.length pairs;
+      n_prefixes;
+      multi_object_prefixes = !multi_object;
+      multi_origin_prefixes = !multi_origin;
+      multi_maintainer_prefixes = !multi_mnt } )
 
 (* ---------------- as-set stats ---------------- *)
 
@@ -353,7 +354,8 @@ let compute ~dumps db =
       ref_filter_route_set = Hashtbl.length in_filter.route_sets;
       ref_filter_filter_set = Hashtbl.length in_filter.filter_sets }
   in
-  { table1 = table1_of_dumps dumps;
+  let table1, route_stats = raw_dump_stats dumps in
+  { table1;
     rules_per_aut_num;
     bgpq4_rules_per_aut_num;
     peering_simple_fraction =
@@ -363,7 +365,7 @@ let compute ~dumps db =
     filter_kind_histogram =
       Hashtbl.fold (fun k v acc -> (k, v) :: acc) kinds [] |> List.sort compare;
     table2;
-    route_stats = route_stats_of_dumps dumps;
+    route_stats;
     as_set_stats = as_set_stats_of db;
     error_stats = error_stats_of db }
 

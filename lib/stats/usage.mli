@@ -79,9 +79,10 @@ type t = {
 }
 
 val compute : dumps:(string * string) list -> Rz_irr.Db.t -> t
-(** [dumps] are the raw (IRR name, RPSL text) pairs — needed for Table 1
-    sizes and the pre-dedup route-object statistics; [db] is the already
-    merged database for everything else. *)
+(** [dumps] are the raw (IRR name, RPSL text) pairs, each read once by
+    {!Rz_rpsl.Reader.scan_string} for Table 1 and the pre-dedup
+    route-object statistics; [db] is the already merged database for
+    everything else. *)
 
 val ccdf_rules : (Rz_net.Asn.t * int) list -> (int * float) list
 (** Figure 1's CCDF over rule counts. *)

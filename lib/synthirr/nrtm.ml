@@ -295,7 +295,7 @@ let parse text =
             | "DEL" -> Some Del
             | _ -> None
           in
-          match (action, int_of_string_opt serial) with
+          match (action, Strings.decimal serial) with
           | Some action, Some serial when serial > !last_serial ->
             Some (action, serial, source)
           | Some _, Some _ -> None

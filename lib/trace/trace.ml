@@ -37,7 +37,7 @@ let sampling_of_string s =
   | "off" -> Some Off
   | "all" -> Some All
   | s when String.length s > 6 && String.sub s 0 6 = "quota:" ->
-    (match int_of_string_opt (String.sub s 6 (String.length s - 6)) with
+    (match Rz_util.Strings.decimal (String.sub s 6 (String.length s - 6)) with
      | Some q when q > 0 -> Some (Per_status q)
      | _ -> None)
   | _ -> None

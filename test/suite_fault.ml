@@ -79,34 +79,52 @@ let test_parse_corrupted_never_raises () =
     (fun seed ->
       let p = Fault.plan ~seed ~rate:1.0 () in
       let corrupted, _ = Fault.corrupt_dump p sample_dump in
-      let r = Reader.parse_string corrupted in
+      let r = Reader.scan_string corrupted in
       Alcotest.(check bool) "some objects survive or errors recorded" true
         (r.objects <> [] || r.errors <> []))
     [ 1; 2; 3; 4; 5 ]
 
-let test_reader_oversized_line_dropped () =
+(* Both bounds are driven at their real values, through the product
+   reader, with the reference reader held equal. *)
+let metered_scan text =
   Obs.enable ();
   Obs.reset ();
-  let c = Obs.Counter.make "reader.lines_dropped" in
-  let text = "aut-num: AS1\nremarks: " ^ String.make 70_000 'x' ^ "\nas-name: X\n" in
-  let r = Reader.parse_string text in
+  let r = Reader.scan_string text in
+  let dropped = Obs.Counter.get (Obs.Counter.make "reader.lines_dropped") in
   Obs.disable ();
+  Alcotest.(check bool) "scan_string = parse_string" true (r = Reader.parse_string text);
+  (r, dropped)
+
+let test_reader_oversized_line_dropped () =
+  let remarks n = "remarks: " ^ String.make (n - String.length "remarks: ") 'x' in
+  let text n = "aut-num: AS1\n" ^ remarks n ^ "\nas-name: X\n" in
+  let r, dropped = metered_scan (text Reader.max_line_bytes) in
+  Alcotest.(check int) "a line at the bound is kept" 3
+    (List.length (List.hd r.objects).Rz_rpsl.Obj.attrs);
+  Alcotest.(check int) "no error at the bound" 0 (List.length r.errors);
+  Alcotest.(check int) "nothing dropped at the bound" 0 dropped;
+  let r, dropped = metered_scan (text (Reader.max_line_bytes + 1)) in
   Alcotest.(check int) "object survives" 1 (List.length r.objects);
   Alcotest.(check int) "one error" 1 (List.length r.errors);
-  Alcotest.(check bool) "lines_dropped counted" true (Obs.Counter.get c > 0);
+  Alcotest.(check int) "lines_dropped counted" 1 dropped;
   (* the surviving object keeps the attrs around the dropped line *)
   let obj = List.hd r.objects in
   Alcotest.(check int) "two attrs kept" 2 (List.length obj.Rz_rpsl.Obj.attrs)
 
 let test_reader_error_budget () =
-  let limits = { Reader.default_limits with max_errors = 5 } in
-  let garbage = String.concat "\n" (List.init 50 (fun i -> Printf.sprintf "junk %d" i)) in
-  let r = Reader.parse_string ~limits garbage in
-  (* 5 recorded + 1 synthetic summary *)
-  Alcotest.(check int) "budget + summary" 6 (List.length r.errors);
+  let over = 5 in
+  let garbage =
+    String.concat "\n" (List.init (Reader.max_errors + over) (Printf.sprintf "junk %d"))
+  in
+  let r, dropped = metered_scan garbage in
+  (* the budget's records + 1 synthetic summary *)
+  Alcotest.(check int) "budget + summary" (Reader.max_errors + 1) (List.length r.errors);
+  Alcotest.(check int) "lines past the budget dropped" over dropped;
   let summary = List.nth r.errors (List.length r.errors - 1) in
-  Alcotest.(check bool) "summary mentions suppression" true
-    (Rz_util.Strings.split_on_string ~sep:"suppressed" summary.reason |> List.length > 1)
+  Alcotest.(check string) "summary counts the suppressed"
+    (Printf.sprintf "error budget (%d) exhausted; %d further errors suppressed"
+       Reader.max_errors over)
+    summary.reason
 
 (* ---- hostile ROA input ---- *)
 
@@ -199,21 +217,6 @@ let test_roa_corruption_recovery () =
     [ 1; 2; 3; 4; 5 ];
   Alcotest.(check bool) "fault.injected fired" true (Obs.Counter.get c_injected > 0);
   Alcotest.(check bool) "rpki.roas_rejected fired" true (Obs.Counter.get c_rejected > 0)
-
-let test_parse_file_missing () =
-  let r = Reader.parse_file "/nonexistent/rpslyzer-fault-test.db" in
-  Alcotest.(check int) "no objects" 0 (List.length r.objects);
-  Alcotest.(check int) "one synthetic error" 1 (List.length r.errors)
-
-let test_parse_file_partial () =
-  let path = Filename.temp_file "rz_fault" ".db" in
-  let oc = open_out path in
-  output_string oc sample_dump;
-  close_out oc;
-  let r = Reader.parse_file path in
-  Sys.remove path;
-  Alcotest.(check int) "all four objects" 4 (List.length r.objects);
-  Alcotest.(check int) "no errors" 0 (List.length r.errors)
 
 (* ---- flattening bombs ---- *)
 
@@ -541,8 +544,6 @@ let suite =
     Alcotest.test_case "error budget" `Quick test_reader_error_budget;
     Alcotest.test_case "hostile roa fixtures" `Quick test_hostile_roa_fixtures;
     Alcotest.test_case "roa corruption recovery" `Quick test_roa_corruption_recovery;
-    Alcotest.test_case "parse_file missing" `Quick test_parse_file_missing;
-    Alcotest.test_case "parse_file clean" `Quick test_parse_file_partial;
     Alcotest.test_case "deep bomb truncates" `Quick test_deep_bomb_truncates;
     Alcotest.test_case "deep bomb overshoots cap" `Quick test_deep_bomb_depth_relationship;
     Alcotest.test_case "cycle bomb detected" `Quick test_cycle_bomb_detected;

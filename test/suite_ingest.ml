@@ -255,10 +255,16 @@ let fixture_table =
     ("09_continuations.rpsl", 1, 0, "aut-num");
     ("10_syntax_error.rpsl", 1, 2, "aut-num") ]
 
+let read_fixture file =
+  let ic = open_in_bin (fixture file) in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
 let test_fixture_corpus () =
   List.iter
     (fun (file, n_objects, n_errors, cls) ->
-      let r = Reader.parse_file (fixture file) in
+      let r = Reader.scan_string (read_fixture file) in
       Alcotest.(check int) (file ^ ": object count") n_objects (List.length r.objects);
       Alcotest.(check int) (file ^ ": error count") n_errors (List.length r.errors);
       match r.objects with
@@ -266,27 +272,19 @@ let test_fixture_corpus () =
       | (o : Rz_rpsl.Obj.t) :: _ -> Alcotest.(check string) (file ^ ": class") cls o.cls)
     fixture_table
 
-let read_fixture file =
-  let ic = open_in_bin (fixture file) in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
 let test_fixture_file_equals_string () =
-  (* parse_file, parse_string and scan_string agree on every fixture —
-     including the CRLF one, whose \r must vanish in both paths *)
+  (* scan_string and parse_string agree on every fixture file — including
+     the CRLF one, whose \r must vanish in both *)
   List.iter
     (fun (file, _, _, _) ->
       let text = read_fixture file in
-      let from_file = result_fingerprint (Reader.parse_file (fixture file)) in
-      Alcotest.(check bool) (file ^ ": parse_file = parse_string") true
-        (from_file = result_fingerprint (Reader.parse_string text));
-      Alcotest.(check bool) (file ^ ": parse_file = scan_string") true
-        (from_file = result_fingerprint (Reader.scan_string text)))
+      Alcotest.(check bool) (file ^ ": scan_string = parse_string") true
+        (result_fingerprint (Reader.scan_string text)
+         = result_fingerprint (Reader.parse_string text)))
     fixture_table
 
 let test_fixture_crlf_values_clean () =
-  let r = Reader.parse_file (fixture "03_as_set_crlf.rpsl") in
+  let r = Reader.scan_string (read_fixture "03_as_set_crlf.rpsl") in
   List.iter
     (fun (o : Rz_rpsl.Obj.t) ->
       List.iter
@@ -318,19 +316,13 @@ let test_truncated_file_keeps_partial () =
     | Some i -> String.sub text 0 (i + 5) (* ends mid-line *)
     | None -> Alcotest.fail "fixture too small to truncate"
   in
-  let path = Filename.temp_file "rz_truncated" ".rpsl" in
-  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
-  let oc = open_out_bin path in
-  output_string oc cut;
-  close_out oc;
-  let r = Reader.parse_file path in
+  let r = Reader.scan_string cut in
   Alcotest.(check int) "partial object flushed" 1 (List.length r.objects);
   let o = List.hd r.objects in
   Alcotest.(check string) "still the aut-num" "aut-num" o.Rz_rpsl.Obj.cls;
   Alcotest.(check bool) "keeps the attrs before the cut" true
     (List.length o.Rz_rpsl.Obj.attrs >= 4);
-  (* and the file path agrees with parsing the truncated bytes directly *)
-  Alcotest.(check bool) "truncated file = truncated string" true
+  Alcotest.(check bool) "scan_string = parse_string on the cut" true
     (result_fingerprint r = result_fingerprint (Reader.parse_string cut))
 
 let suite =

@@ -164,21 +164,6 @@ let test_dangling_maintainer () =
   Alcotest.(check bool) "valid not flagged" false
     (has_for Linter.Dangling_maintainer "AS2" diags)
 
-let test_lint_objects_templates () =
-  let parsed =
-    Rz_rpsl.Reader.parse_string
-      "route: 10.0.0.0/8\norigin: AS1\norigin: AS2\nmnt-by: M\nsource: T\n\n\
-       aut-num: AS9\nas-name: X\nmnt-by: M\nsource: T\n"
-  in
-  let diags = Linter.lint_objects parsed.objects in
-  Alcotest.(check bool) "repeated origin is an error" true
-    (List.exists
-       (fun (d : Linter.diagnostic) ->
-         d.check = Linter.Template_violation && d.severity = Linter.Error)
-       diags);
-  Alcotest.(check bool) "clean aut-num silent" false
-    (List.exists (fun (d : Linter.diagnostic) -> d.obj = "AS9") diags)
-
 let test_synthetic_world_lints () =
   (* the generated world's injected anomalies surface as diagnostics *)
   let topo =
@@ -263,7 +248,6 @@ let suite =
     Alcotest.test_case "lint_object scoped" `Quick test_lint_object_scoped;
     Alcotest.test_case "severity ordering" `Quick test_severity_ordering;
     Alcotest.test_case "dangling maintainer" `Quick test_dangling_maintainer;
-    Alcotest.test_case "template violations" `Quick test_lint_objects_templates;
     Alcotest.test_case "synthetic world lints" `Quick test_synthetic_world_lints;
     Alcotest.test_case "rewrite export-self" `Quick test_rewrite_export_self;
     Alcotest.test_case "rewrite import-customer" `Quick test_rewrite_import_customer;

@@ -522,12 +522,40 @@ let test_martians () =
 (* OCaml's int_of_string also takes a sign, [_] separators and the
    0x/0o/0b/0u prefixes. A number field must not: each [bad] input reads
    as a different number under those rules, and must be rejected while
-   its decimal form [good] still parses. *)
+   its decimal form [good] still parses. Where the number is an ASN, one
+   past the 32-bit range is rejected too. *)
 let test_number_fields_decimal () =
   let asn s = Result.is_ok (Asn.of_string s)
   and pfx s = Result.is_ok (Prefix.of_string s)
   and range s = Result.is_ok (Range_op.parse s)
-  and regex s = Result.is_ok (Rz_aspath.Regex_parse.parse s) in
+  and regex s = Result.is_ok (Rz_aspath.Regex_parse.parse s)
+  (* a collector table-dump line *)
+  and route s = Result.is_ok (Rz_bgp.Route.of_line s)
+  (* a ROA list line: prefix,maxLength,origin *)
+  and roa s = (Rz_rpki.Roa.parse_string s).loaded = 1
+  (* a CAIDA serial-1 relationship file *)
+  and rels s = Result.is_ok (Rz_asrel.Rel_db.of_string s)
+  (* the clique comment line, whose ASNs are read leniently *)
+  and clique s =
+    match Rz_asrel.Rel_db.of_string s with
+    | Ok db -> Rz_asrel.Rel_db.clique db = [ 1; 2 ]
+    | Error _ -> false
+  (* a rule action: [attr = value] or [community .= { hi:lo }] *)
+  and action s =
+    let a =
+      match String.index_opt s '=' with
+      | Some i when i > 0 && s.[i - 1] = '.' ->
+        Rz_policy.Ast.Append_op
+          (String.sub s 0 (i - 1), [ String.sub s (i + 1) (String.length s - i - 1) ])
+      | Some i -> Rz_policy.Ast.Assign (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
+      | None -> Alcotest.failf "action %S has no =" s
+    in
+    Result.is_ok (Rz_policy.Action_eval.apply [ a ] Rz_policy.Action_eval.empty)
+  (* one stream-journal event *)
+  and event s = snd (Rz_routegen.Events.parse s) = []
+  (* one NRTM operation *)
+  and nrtm s = snd (Rz_synthirr.Nrtm.parse (s ^ "\n\nroute: 192.0.2.0/24\norigin: AS1\n")) = []
+  and sampling s = Rz_trace.Trace.sampling_of_string s <> None in
   List.iter
     (fun (parse, bad, good) ->
       Alcotest.(check bool) (bad ^ " rejected") false (parse bad);
@@ -545,7 +573,26 @@ let test_number_fields_decimal () =
       (range, "^0x18", "^24");
       (range, "^+5", "^5");
       (range, "^1_6-24", "^16-24");
-      (regex, "^AS1{0x2,3}$", "^AS1{2,3}$") ]
+      (regex, "^AS1{0x2,3}$", "^AS1{2,3}$");
+      (route, "10.0.0.0/8|1 0x10", "10.0.0.0/8|1 16");
+      (route, "10.0.0.0/8|1 {2,+3}", "10.0.0.0/8|1 {2,3}");
+      (route, "10.0.0.0/8|1 4294967296", "10.0.0.0/8|1 4294967295");
+      (roa, "10.0.0.0/8,0x10,AS1", "10.0.0.0/8,16,AS1");
+      (roa, "10.0.0.0/8,+16,AS1", "10.0.0.0/8,16,AS1");
+      (rels, "0x1|2|-1", "1|2|-1");
+      (rels, "1|2_0|0", "1|20|0");
+      (rels, "1|4294967296|0", "1|4294967295|0");
+      (clique, "# input clique: 0x1 2", "# input clique: 1 2");
+      (action, "pref=0x10", "pref=16");
+      (action, "med=-5", "med=5");
+      (action, "dpa=1_0", "dpa=10");
+      (action, "community.=0x1:2", "community.=1:2");
+      (action, "community.=1:+2", "community.=1:2");
+      (event, "0x1 W 10.0.0.0/8|1", "1 W 10.0.0.0/8|1");
+      (event, "1 E autnum AS1 drop-import +0", "1 E autnum AS1 drop-import 0");
+      (nrtm, "ADD 0x10 RADB", "ADD 16 RADB");
+      (sampling, "quota:0x10", "quota:16");
+      (sampling, "quota:+5", "quota:5") ]
 
 let suite =
   [ Alcotest.test_case "asn parse" `Quick test_asn_parse;

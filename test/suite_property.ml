@@ -352,24 +352,6 @@ let memo_parity_path_regex =
       let memo2 = Rz_verify.Engine.verify_route memo_engine route in
       plain = memo1 && plain = memo2)
 
-(* ---------------- file IO agreement ---------------- *)
-
-let test_parse_file_agrees () =
-  let text = "aut-num: AS1\nimport: from AS2 accept ANY\n\nroute: 192.0.2.0/24\norigin: AS1\n" in
-  let path = Filename.temp_file "rpsl" ".db" in
-  let oc = open_out path in
-  output_string oc text;
-  close_out oc;
-  let from_file = Rz_rpsl.Reader.parse_file path in
-  let from_string = Rz_rpsl.Reader.parse_string text in
-  Sys.remove path;
-  Alcotest.(check int) "same object count" (List.length from_string.objects)
-    (List.length from_file.objects);
-  List.iter2
-    (fun (a : Rz_rpsl.Obj.t) (b : Rz_rpsl.Obj.t) ->
-      Alcotest.(check string) "same name" a.name b.name)
-    from_string.objects from_file.objects
-
 let test_world_save_load_roundtrip () =
   let world =
     Rpslyzer.Pipeline.build_synthetic
@@ -410,5 +392,4 @@ let suite =
     QCheck_alcotest.to_alcotest fault_hops_accounting;
     QCheck_alcotest.to_alcotest memo_parity_synthetic;
     QCheck_alcotest.to_alcotest memo_parity_path_regex;
-    Alcotest.test_case "parse_file agrees with parse_string" `Quick test_parse_file_agrees;
     Alcotest.test_case "world save/load roundtrip" `Quick test_world_save_load_roundtrip ]

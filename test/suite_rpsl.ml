@@ -77,11 +77,6 @@ let test_keys_lowercased () =
   Alcotest.(check string) "class lower" "aut-num" obj.Obj.cls;
   Alcotest.(check (option string)) "lookup by any case" (Some "X") (Obj.value obj "As-Name")
 
-let test_routing_class_detection () =
-  Alcotest.(check bool) "aut-num" true (Obj.is_routing_class "aut-num");
-  Alcotest.(check bool) "route6" true (Obj.is_routing_class "ROUTE6");
-  Alcotest.(check bool) "person" false (Obj.is_routing_class "person")
-
 let test_crlf_line_endings () =
   let r = parse "aut-num: AS1\r\nas-name: X\r\n\r\nroute: 10.0.0.0/8\r\norigin: AS1\r\n" in
   Alcotest.(check int) "two objects" 2 (List.length r.objects);
@@ -128,53 +123,6 @@ let test_attr_make () =
   Alcotest.(check string) "key lower+strip" "import" a.Attr.key;
   Alcotest.(check string) "value strip" "from AS1 accept ANY" a.value
 
-(* ---------------- templates ---------------- *)
-
-let check_obj text =
-  match (Reader.parse_string text).objects with
-  | [ obj ] -> Template.check obj
-  | _ -> Alcotest.fail "expected one object"
-
-let test_template_clean_object () =
-  match check_obj "aut-num: AS1\nas-name: X\nimport: from AS2 accept ANY\nmnt-by: M\nsource: TEST\n" with
-  | Some [] -> ()
-  | Some problems ->
-    Alcotest.failf "unexpected problems: %s"
-      (String.concat "; " (List.map Template.problem_to_string problems))
-  | None -> Alcotest.fail "aut-num has a template"
-
-let test_template_missing_mandatory () =
-  match check_obj "aut-num: AS1\nimport: from AS2 accept ANY\n" with
-  | Some problems ->
-    let missing = List.filter_map (function Template.Missing_mandatory k -> Some k | _ -> None) problems in
-    Alcotest.(check (list string)) "missing" [ "as-name"; "mnt-by"; "source" ] missing
-  | None -> Alcotest.fail "template expected"
-
-let test_template_repeated_single () =
-  match check_obj "route: 10.0.0.0/8\norigin: AS1\norigin: AS2\nmnt-by: M\nsource: T\n" with
-  | Some problems ->
-    Alcotest.(check bool) "repeated origin" true
-      (List.mem (Template.Repeated_single "origin") problems)
-  | None -> Alcotest.fail "template expected"
-
-let test_template_unknown_attribute () =
-  match check_obj "as-set: AS-X\nmembers: AS1\nfrobnicate: yes\nmnt-by: M\nsource: T\n" with
-  | Some problems ->
-    Alcotest.(check bool) "unknown attr" true
-      (List.mem (Template.Unknown_attribute "frobnicate") problems)
-  | None -> Alcotest.fail "template expected"
-
-let test_template_unmodelled_class () =
-  Alcotest.(check bool) "person has no template" true
-    (check_obj "person: John Doe\nnic-hdl: JD1\n" = None)
-
-let test_template_mntner () =
-  match check_obj "mntner: MNT-X\nmnt-by: MNT-X\nsource: T\n" with
-  | Some problems ->
-    Alcotest.(check bool) "auth mandatory" true
-      (List.mem (Template.Missing_mandatory "auth") problems)
-  | None -> Alcotest.fail "template expected"
-
 let reader_never_raises =
   QCheck.Test.make ~name:"reader never raises on arbitrary text" ~count:300
     (QCheck.make QCheck.Gen.(string_size ~gen:printable (int_range 0 200)))
@@ -196,16 +144,9 @@ let suite =
     Alcotest.test_case "line numbers" `Quick test_line_numbers;
     Alcotest.test_case "keys lowercased" `Quick test_keys_lowercased;
     Alcotest.test_case "CRLF line endings" `Quick test_crlf_line_endings;
-    Alcotest.test_case "routing classes" `Quick test_routing_class_detection;
     Alcotest.test_case "set names valid" `Quick test_set_name_valid;
     Alcotest.test_case "set names invalid" `Quick test_set_name_invalid;
     Alcotest.test_case "set name classify" `Quick test_set_name_classify;
     Alcotest.test_case "set name canonical" `Quick test_set_name_canonical;
     Alcotest.test_case "attr make" `Quick test_attr_make;
-    Alcotest.test_case "template clean" `Quick test_template_clean_object;
-    Alcotest.test_case "template missing" `Quick test_template_missing_mandatory;
-    Alcotest.test_case "template repeated" `Quick test_template_repeated_single;
-    Alcotest.test_case "template unknown attr" `Quick test_template_unknown_attribute;
-    Alcotest.test_case "template unmodelled class" `Quick test_template_unmodelled_class;
-    Alcotest.test_case "template mntner" `Quick test_template_mntner;
     QCheck_alcotest.to_alcotest reader_never_raises ]

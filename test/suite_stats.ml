@@ -140,7 +140,8 @@ let test_coverage () =
       ("LOW",
        "aut-num: AS1\n\nroute: 192.0.2.0/24\norigin: AS1\n\nroute: 198.51.100.0/24\norigin: AS2\n") ]
   in
-  let c = Rz_stats.Coverage.compute ~dumps (Db.of_dumps dumps) in
+  let db = Db.of_dumps dumps in
+  let c = Rz_stats.Coverage.compute ~table1:(Usage.compute ~dumps db).table1 db in
   (* dedup drops LOW's duplicates: 3 raw routes, 2 owned *)
   Alcotest.(check int) "shadowed" 1 c.shadowed_routes;
   let find irr = List.find_opt (fun (r : Rz_stats.Coverage.row) -> r.irr = irr) c.rows in
@@ -150,6 +151,97 @@ let test_coverage () =
      Alcotest.(check int) "HIGH owns its route" 1 r.routes
    | None -> Alcotest.fail "HIGH row missing... (not in priority order)");
   ignore (find "LOW")
+
+(* ---- Section 4 differential: one scan against the reference reader ---- *)
+
+(* Table 1 rows, route-object stats and the shadowed count, recounted the
+   long way from [Reader.parse_string]'s objects and the reference
+   [Db.of_dumps] chain. *)
+let reference_section4 dumps =
+  let is_route (o : Rz_rpsl.Obj.t) = o.cls = "route" || o.cls = "route6" in
+  let parsed =
+    List.map (fun (irr, text) -> (irr, text, (Rz_rpsl.Reader.parse_string text).objects)) dumps
+  in
+  let table1 =
+    List.map
+      (fun (irr, text, objects) ->
+        let count pred = List.length (List.filter pred objects) in
+        let attrs keys =
+          List.length
+            (List.filter
+               (fun (a : Rz_rpsl.Attr.t) -> List.mem a.key keys)
+               (List.concat_map (fun (o : Rz_rpsl.Obj.t) -> o.attrs) objects))
+        in
+        (irr, String.length text, count (fun o -> o.cls = "aut-num"), count is_route,
+         attrs [ "import"; "mp-import" ], attrs [ "export"; "mp-export" ]))
+      parsed
+  in
+  let all = List.concat_map (fun (_, _, objects) -> objects) parsed in
+  (* (prefix, origin, mnt-by) of every well-formed raw route object *)
+  let routes =
+    List.filter_map
+      (fun (o : Rz_rpsl.Obj.t) ->
+        match (Rz_net.Prefix.of_string o.name, Rz_rpsl.Obj.value o "origin") with
+        | Ok prefix, Some origin when is_route o ->
+          Result.to_option (Rz_net.Asn.of_string origin)
+          |> Option.map (fun origin ->
+                 ( Rz_net.Prefix.to_string prefix,
+                   origin,
+                   Option.value ~default:"" (Rz_rpsl.Obj.value o "mnt-by") ))
+        | _ -> None)
+      all
+  in
+  let uniq l = List.length (List.sort_uniq compare l) in
+  let prefixes = List.sort_uniq compare (List.map (fun (p, _, _) -> p) routes) in
+  let groups = List.map (fun p -> List.filter (fun (q, _, _) -> q = p) routes) prefixes in
+  let multi f = List.length (List.filter (fun g -> uniq (List.map f g) > 1) groups) in
+  let route_stats =
+    [ List.length routes;
+      uniq (List.map (fun (p, o, _) -> (p, o)) routes);
+      List.length prefixes;
+      List.length (List.filter (fun g -> List.length g > 1) groups);
+      multi (fun (_, o, _) -> o);
+      multi (fun (_, _, m) -> m) ]
+  in
+  let shadowed =
+    List.length (List.filter is_route all) - Rz_ir.Ir.n_route_objs (Db.ir (Db.of_dumps dumps))
+  in
+  (table1, route_stats, shadowed)
+
+let product_section4 dumps =
+  let db = Rz_ingest.Ingest.db_of_dumps dumps in
+  let u = Usage.compute ~dumps db in
+  let rs = u.route_stats in
+  ( List.map
+      (fun (r : Usage.table1_row) ->
+        (r.irr, r.size_bytes, r.n_aut_num, r.n_route, r.n_import, r.n_export))
+      u.table1,
+    [ rs.n_objects; rs.n_prefix_origin; rs.n_prefixes; rs.multi_object_prefixes;
+      rs.multi_origin_prefixes; rs.multi_maintainer_prefixes ],
+    (Rz_stats.Coverage.compute ~table1:u.table1 db).shadowed_routes )
+
+let test_section4_differential () =
+  let quick =
+    (Rpslyzer.Pipeline.build_synthetic
+       ~topo_params:
+         { Rz_topology.Gen.default_params with n_tier1 = 4; n_mid = 40; n_stub = 160 }
+       ())
+      .dumps
+  in
+  let corrupted, report =
+    Rz_fault.Fault.corrupt_dumps (Rz_fault.Fault.plan ~seed:7 ~rate:0.1 ()) quick
+  in
+  Alcotest.(check bool) "faults injected" true (Rz_fault.Fault.total_faults report > 0);
+  let row = Alcotest.(pair string (pair int (pair int (pair int (pair int int))))) in
+  let nest (irr, size, aut, route, imp, exp) = (irr, (size, (aut, (route, (imp, exp))))) in
+  List.iter
+    (fun (label, dumps) ->
+      let ref_t1, ref_rs, ref_shadowed = reference_section4 dumps in
+      let t1, rs, shadowed = product_section4 dumps in
+      Alcotest.(check (list row)) (label ^ ": Table 1") (List.map nest ref_t1) (List.map nest t1);
+      Alcotest.(check (list int)) (label ^ ": route stats") ref_rs rs;
+      Alcotest.(check int) (label ^ ": shadowed routes") ref_shadowed shadowed)
+    [ ("quick world", quick); ("corrupted", corrupted) ]
 
 let suite =
   [ Alcotest.test_case "bgpq4 compatible" `Quick test_bgpq4_compatible;
@@ -163,4 +255,5 @@ let suite =
     Alcotest.test_case "error stats" `Quick test_error_stats;
     Alcotest.test_case "ccdf rules" `Quick test_ccdf_rules;
     Alcotest.test_case "loop and depth stats" `Quick test_loop_and_depth_stats;
-    Alcotest.test_case "coverage" `Quick test_coverage ]
+    Alcotest.test_case "coverage" `Quick test_coverage;
+    Alcotest.test_case "section 4 differential" `Quick test_section4_differential ]

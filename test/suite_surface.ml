@@ -89,6 +89,60 @@ let test_every_val_is_named_outside_its_module () =
     Alcotest.failf "values no file outside their module names:\n%s"
       (String.concat "\n" unnamed)
 
+(* The files under [dirs] whose text contains one of [needles] as a whole
+   word (a needle may be module-qualified), less the [allowed] files. *)
+let files_naming ~dirs ~allowed needles =
+  let has_word text needle =
+    let n = String.length needle and len = String.length text in
+    let bounded k = k < 0 || k >= len || not (is_word_char text.[k]) in
+    let rec at j k = k = n || (text.[j + k] = needle.[k] && at j (k + 1)) in
+    let rec from j = j + n <= len && ((at j 0 && bounded (j - 1) && bounded (j + n)) || from (j + 1)) in
+    from 0
+  in
+  List.concat_map (fun d -> sources (Filename.concat root d)) dirs
+  |> List.filter (fun f ->
+         (not (List.mem f (List.map (Filename.concat root) allowed)))
+         && List.exists (has_word (read f)) needles)
+
+(* One RPSL front end in the product: the line-based reference chain
+   ([Reader.parse_string] -> [Lower.add_dump] -> [Db.of_dumps] /
+   [Ingest.ingest_sequential]) is for the tests to compare [scan_string]
+   and [Ingest] against. Outside the chain's own definitions no product
+   file names it. *)
+let test_product_reads_rpsl_only_by_scanner () =
+  let offenders =
+    files_naming
+      ~dirs:[ "lib"; "bin"; "bench"; "examples" ]
+      ~allowed:
+        [ "lib/rpsl/reader.ml"; "lib/rpsl/reader.mli"; "lib/ir/lower.ml"; "lib/ir/lower.mli";
+          "lib/irr/db.ml"; "lib/irr/db.mli"; "lib/ingest/ingest.ml"; "lib/ingest/ingest.mli" ]
+      [ "Reader.parse_string"; "add_dump"; "of_dumps"; "ingest_sequential" ]
+  in
+  if offenders <> [] then
+    Alcotest.failf "product files reach the reference RPSL reader (use Ingest or \
+                    Reader.scan_string):\n%s"
+      (String.concat "\n" offenders)
+
+(* Number fields of files and rules are read with [Strings.decimal], which
+   takes no sign, [_] or radix prefix. Two reads stay on int_of_string:
+   the JSON number token, and IPv6 hex groups already checked to be 1-4
+   hex digits. *)
+let test_lib_reads_numbers_by_decimal () =
+  let offenders =
+    files_naming ~dirs:[ "lib" ]
+      ~allowed:
+        [ "lib/util/strings.ml"; "lib/util/strings.mli"; "lib/json/json.ml"; "lib/net/ipaddr.ml" ]
+      [ "int_of_string"; "int_of_string_opt" ]
+  in
+  if offenders <> [] then
+    Alcotest.failf "lib files read numbers with int_of_string (use \
+                    Rz_util.Strings.decimal):\n%s"
+      (String.concat "\n" offenders)
+
 let suite =
   [ Alcotest.test_case "every val is named outside its module" `Quick
-      test_every_val_is_named_outside_its_module ]
+      test_every_val_is_named_outside_its_module;
+    Alcotest.test_case "product reads RPSL only by the scanner" `Quick
+      test_product_reads_rpsl_only_by_scanner;
+    Alcotest.test_case "lib reads numbers by decimal" `Quick
+      test_lib_reads_numbers_by_decimal ]
