@@ -1,13 +1,28 @@
-(* RPSLyzer command-line interface.
+(* RPSLyzer command-line interface. Each subcommand names the paper
+   section it reproduces or the test that drives it (test/cli/).
 
-   Subcommands:
-     gen      generate a synthetic world directory (IRR dumps, AS
-              relationships, collector table dumps)
-     parse    parse RPSL dumps and export the IR as JSON
-     stats    Section-4 characterization report
-     verify   verify collector routes against the RPSL, print aggregates
-     explain  verify one route and print the per-hop report
-     whois    look up one object in the parsed database *)
+     gen          write a synthetic world directory: IRR dumps, AS
+                  relationships, collector table dumps, ROAs (every
+                  smoke test; the benchmark world)
+     parse        export the IR as JSON (Section 3)
+     stats        Section-4 characterization report
+     verify       Section-5 verification of the collector routes
+     explain      one route's per-hop report with provenance (Appendix C)
+     query        IRRd-protocol queries and plain whois lookups
+                  (Appendix A transcripts)
+     serve        the IRRd query service over live NRTM generations
+                  (serve_smoke.sh)
+     peval        materialize a filter to its prefix set, like
+                  IRRToolSet's peval (cli_test.sh)
+     lint         RPSL misuse diagnostics (Section 7 future work)
+     classify     per-AS RPSL usage styles (Section 7 future work)
+     diff         policy evolution of two snapshots (Section 7 future
+                  work)
+     rpki         RPSL verdicts against RPKI origin validation
+                  (Section 6; rpki_diff.sh)
+     stream       incremental verification of an update feed
+                  (stream_smoke.sh)
+     faultinject  the pipeline on corrupted dumps (chaos_smoke.sh) *)
 
 open Cmdliner
 
@@ -224,6 +239,54 @@ let with_obs ~cmd ?seed opts body =
         if dest = "-" then print_endline json
         else write_file ~what:"metrics" dest json)
 
+(* ---------------- shared plumbing ---------------- *)
+
+(* The exit-2 policy of serve, rpki, stream and faultinject: the
+   recovery counters ([Obs.recovery_counter_names]) and their values. *)
+let recovery_counts () =
+  let counters = Rpslyzer.Obs.Registry.(counters (snapshot ())) in
+  List.map
+    (fun name -> (name, Option.value ~default:0 (List.assoc_opt name counters)))
+    Rpslyzer.Obs.recovery_counter_names
+
+let recovered () = List.exists (fun (_, n) -> n > 0) (recovery_counts ())
+
+(* The world of serve, stream and faultinject: DIR when given, otherwise
+   a small in-memory world, deterministic in [seed]. *)
+let load_or_synthesize ~seed ~snapshot = function
+  | Some dir -> Rpslyzer.Pipeline.load_world ?snapshot dir
+  | None ->
+    let topo_params =
+      { Rz_topology.Gen.default_params with seed; n_tier1 = 3; n_mid = 40; n_stub = 150 }
+    in
+    let irr_config = { Rz_synthirr.Config.default with seed = seed + 1 } in
+    Rpslyzer.Pipeline.build_synthetic ~topo_params ~irr_config ()
+
+(* The first five rejected lines of a journal, on stderr. *)
+let warn_rejected ~cmd errors =
+  List.iteri
+    (fun i (line, reason) ->
+      if i < 5 then Printf.eprintf "%s: journal line %d rejected: %s\n%!" cmd line reason)
+    errors
+
+(* --golden FILE of rpki and stream: the differences of [doc] from the
+   baseline document in FILE. [exit_on_golden] reports them once the
+   command's output is written, and exits 1 on any. *)
+let golden_diff golden doc =
+  match golden with
+  | None -> []
+  | Some path -> (
+    match Rpslyzer.Json.of_string (read_file ~what:"golden file" path) with
+    | Error e -> failwith (Printf.sprintf "golden file %s: %s" path e)
+    | Ok baseline -> Rpslyzer.Json.diff ~baseline doc)
+
+let exit_on_golden golden = function
+  | [] -> if golden <> None then print_endline "golden: MATCH"
+  | diffs ->
+    Printf.eprintf "golden: MISMATCH (%d differences)\n" (List.length diffs);
+    List.iter (fun d -> Printf.eprintf "  %s\n" d) diffs;
+    exit 1
+
 (* ---------------- gen ---------------- *)
 
 (* Populations of the paper preset at --scale 1.0, shrunk linearly by
@@ -246,69 +309,29 @@ let gen_cmd =
     guarded @@ fun () ->
     with_obs ~cmd:"gen" ~seed obs @@ fun () ->
     let irr_config = { Rz_synthirr.Config.default with seed = seed + 1 } in
-    let topo =
+    (* The options pick only a population; one writer streams the world. *)
+    let (n_tier1, n_mid, n_stub, n_collectors, n_collector_mids), note =
       match world_scale with
       | None ->
-        let topo_params =
-          { Rz_topology.Gen.default_params with seed; n_tier1; n_mid; n_stub }
-        in
-        let world =
-          Rpslyzer.Pipeline.build_synthetic ~topo_params ~irr_config ()
-        in
-        Rpslyzer.Pipeline.save_world world out;
-        let n_routes =
-          List.fold_left
-            (fun acc (d : Rz_bgp.Table_dump.t) -> acc + List.length d.routes)
-            0 world.table_dumps
-        in
-        Printf.printf
-          "wrote %d IRR dumps, as-rel.txt, %d collector routes to %s\n"
-          (List.length world.dumps) n_routes out;
-        world.topo
-      | Some preset ->
-        if preset <> "paper" then
-          failwith (Printf.sprintf "unknown --world-scale preset %S" preset);
-        (* Paper-scale path: same generators, but the collector RIBs are
-           streamed to disk one route at a time instead of being
-           materialized — at full scale the in-memory RIB, not the
-           topology, is the peak-RSS ceiling. The dumps are not parsed
-           back here; that is verify's job (and its snapshot cache's). *)
-        let n_tier1, n_mid, n_stub, n_collectors, n_peer_mids =
-          paper_preset ~scale
-        in
-        let topo_params =
-          { Rz_topology.Gen.default_params with seed; n_tier1; n_mid; n_stub }
-        in
-        let topo = Rz_topology.Gen.generate topo_params in
-        let synth = Rz_synthirr.Generate.generate ~config:irr_config topo in
-        if not (Sys.file_exists out) then Sys.mkdir out 0o755;
-        List.iter
-          (fun (irr, text) ->
-            let oc = open_out (Filename.concat out (irr ^ ".db")) in
-            output_string oc text;
-            close_out oc)
-          synth.Rz_synthirr.Generate.dumps;
-        Rz_asrel.Rel_db.save topo.rels (Filename.concat out "as-rel.txt");
-        let peers =
-          Rz_routegen.Propagate.default_collector_peers topo ~n:n_peer_mids
-        in
-        let total = ref 0 in
-        Rz_routegen.Propagate.iter_collector_dumps topo ~n_collectors ~peers
-          ~f:(fun ~collector run ->
-            let oc = open_out (Filename.concat out (collector ^ ".routes")) in
-            Printf.fprintf oc "# collector: %s\n" collector;
-            run (fun route ->
-                output_string oc (Rz_bgp.Route.to_line route);
-                output_char oc '\n';
-                incr total);
-            close_out oc);
-        Printf.printf
-          "wrote %d IRR dumps, as-rel.txt, %d collector routes to %s (paper \
-           preset at scale %g, %d collectors, streamed)\n"
-          (List.length synth.Rz_synthirr.Generate.dumps)
-          !total out scale n_collectors;
-        topo
+        ( ( n_tier1, n_mid, n_stub,
+            Rpslyzer.Pipeline.n_collectors, Rpslyzer.Pipeline.n_collector_mids ),
+          "" )
+      | Some "paper" ->
+        let (_, _, _, n_collectors, _) as population = paper_preset ~scale in
+        ( population,
+          Printf.sprintf " (paper preset at scale %g, %d collectors, streamed)" scale
+            n_collectors )
+      | Some preset -> failwith (Printf.sprintf "unknown --world-scale preset %S" preset)
     in
+    let topo_params =
+      { Rz_topology.Gen.default_params with seed; n_tier1; n_mid; n_stub }
+    in
+    let synth, n_routes =
+      Rpslyzer.Pipeline.write_world ~topo_params ~irr_config ~n_collectors
+        ~n_collector_mids out
+    in
+    Printf.printf "wrote %d IRR dumps, as-rel.txt, %d collector routes to %s%s\n"
+      (List.length synth.dumps) n_routes out note;
     let roagen =
       Rz_rpki.Roagen.generate
         ~config:
@@ -317,7 +340,7 @@ let gen_cmd =
             wrong_maxlen_prob = roa_wrong;
             stale_origin_prob = roa_stale;
             hostile_covering_prob = roa_hostile }
-        topo
+        synth.topo
     in
     let roa_path = Filename.concat out "roas.csv" in
     write_file ~what:"roas.csv" roa_path
@@ -331,8 +354,7 @@ let gen_cmd =
     if journal_ops > 0 then begin
       (* NRTM-style churn journal over the dumps just written, for the
          serve subcommand's live generation swaps (!u). *)
-      let dumps = Rpslyzer.Pipeline.load_dumps out in
-      let ops = Rz_synthirr.Nrtm.generate ~seed:(seed + 3) ~n:journal_ops dumps in
+      let ops = Rz_synthirr.Nrtm.generate ~seed:(seed + 3) ~n:journal_ops synth.dumps in
       let path =
         match journal_out with
         | Some path -> path
@@ -386,9 +408,7 @@ let gen_cmd =
           ~doc:
             "Population preset; the only value is $(b,paper) (the paper's \
              run shape: ~75k ASes and 60 collectors at $(b,--scale) 1.0). \
-             Collector RIBs are then streamed to disk one route at a time \
-             instead of being built in memory, and $(b,--tier1/--mid/--stub) \
-             are ignored.")
+             $(b,--tier1/--mid/--stub) are then ignored.")
   in
   let scale =
     Arg.(
@@ -608,69 +628,6 @@ let explain_cmd =
           per-hop report (Appendix C) with each hop's provenance.")
     Term.(const run $ dir_arg $ json_out $ prefix $ path)
 
-(* ---------------- whois ---------------- *)
-
-let whois_cmd =
-  let run dir name =
-    guarded @@ fun () ->
-    let world = Rpslyzer.Pipeline.load_world dir in
-    let db = world.db in
-    let ir = Rz_irr.Db.ir db in
-    let found = ref false in
-    (match Rz_net.Asn.of_string name with
-     | Ok asn when Rz_util.Strings.starts_with_ci ~prefix:"AS" name ->
-       (match Rz_ir.Ir.find_aut_num ir asn with
-        | Some an ->
-          found := true;
-          Printf.printf "aut-num: %s (source %s)\n" (Rz_net.Asn.to_string an.asn) an.source;
-          List.iter
-            (fun r -> Printf.printf "  %s\n" (Rz_policy.Ast.rule_to_string r))
-            (an.imports @ an.exports)
-        | None -> ())
-     | _ -> ());
-    (match Rz_ir.Ir.find_as_set ir name with
-     | Some s ->
-       found := true;
-       Printf.printf "as-set: %s (source %s)\n" s.name s.source;
-       Printf.printf "  direct: %s\n"
-         (String.concat ", "
-            (List.map Rz_net.Asn.to_string s.member_asns @ s.member_sets));
-       let flat = Rz_irr.Db.flatten_as_set db s.name in
-       Printf.printf "  flattened: %d ASNs (depth %d%s)\n"
-         (Rz_irr.Db.Asn_set.cardinal flat)
-         (Rz_irr.Db.as_set_depth db s.name)
-         (if Rz_irr.Db.as_set_has_loop db s.name then ", loops" else "")
-     | None -> ());
-    (match Rz_ir.Ir.find_route_set ir name with
-     | Some s ->
-       found := true;
-       Printf.printf "route-set: %s (source %s), %d flattened prefixes\n" s.name s.source
-         (List.length (Rz_irr.Db.flatten_route_set db s.name))
-     | None -> ());
-    (match Rz_net.Prefix.of_string name with
-     | Ok pfx ->
-       let origins = Rz_irr.Db.exact_origins db pfx in
-       if origins <> [] then begin
-         found := true;
-         List.iter
-           (fun o ->
-             Printf.printf "route: %s origin %s\n" (Rz_net.Prefix.to_string pfx)
-               (Rz_net.Asn.to_string o))
-           origins
-       end
-     | Error _ -> ());
-    if not !found then begin
-      Printf.printf "%% no entries found for %s\n" name;
-      exit 1
-    end
-  in
-  let name_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"NAME" ~doc:"ASN, set name, or prefix.")
-  in
-  Cmd.v
-    (Cmd.info "whois" ~doc:"Look up an object in the parsed database.")
-    Term.(const run $ dir_arg $ name_arg)
-
 (* ---------------- query (IRRd protocol) ---------------- *)
 
 let query_cmd =
@@ -698,28 +655,17 @@ let query_cmd =
   in
   let queries =
     Arg.(value & pos_all string [] & info [] ~docv:"QUERY"
-           ~doc:"IRRd-style queries, e.g. '!gAS65000' or '!iAS-FOO,1'. \
-                 Reads stdin when none are given.")
+           ~doc:"IRRd-style queries, e.g. '!gAS65000' or '!iAS-FOO,1', or \
+                 plain whois lookups of an ASN, set name or prefix. Reads \
+                 stdin when none are given.")
   in
   Cmd.v
-    (Cmd.info "query" ~doc:"Answer IRRd-protocol queries against the parsed database.")
+    (Cmd.info "query"
+       ~doc:"Answer IRRd-protocol queries and plain whois lookups against the \
+             parsed database.")
     Term.(const run $ dir_arg $ queries)
 
 (* ---------------- serve (persistent IRRd query service) ---------------- *)
-
-(* Connect-target syntax: a bare port number or "host:port" dials the
-   loopback TCP listener (the host part is accepted for familiarity but
-   always resolves to 127.0.0.1); anything else is a Unix socket path. *)
-let serve_address_of_string s =
-  match int_of_string_opt s with
-  | Some p -> Rz_serve.Serve.Port p
-  | None -> (
-    match String.rindex_opt s ':' with
-    | Some i -> (
-      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-      | Some p -> Rz_serve.Serve.Port p
-      | None -> Rz_serve.Serve.Socket s)
-    | None -> Rz_serve.Serve.Socket s)
 
 let serve_cmd =
   let run obs dir seed snapshot port socket workers max_inflight
@@ -730,7 +676,7 @@ let serve_cmd =
     | Some target ->
       (* loopback client mode: send the queries, print the raw reply *)
       let reply =
-        try Rz_serve.Serve.client (serve_address_of_string target) queries
+        try Rz_serve.Serve.client (Rz_serve.Serve.address_of_string target) queries
         with Unix.Unix_error (e, _, _) ->
           failwith
             (Printf.sprintf "cannot connect to %s: %s" target
@@ -744,29 +690,14 @@ let serve_cmd =
       Rpslyzer.Obs.enable ();
       let degraded =
         with_obs ~cmd:"serve" ~seed obs @@ fun () ->
-        let world =
-          match dir with
-          | Some dir -> Rpslyzer.Pipeline.load_world ?snapshot dir
-          | None ->
-            let topo_params =
-              { Rz_topology.Gen.default_params with
-                seed; n_tier1 = 3; n_mid = 40; n_stub = 150 }
-            in
-            let irr_config = { Rz_synthirr.Config.default with seed = seed + 1 } in
-            Rpslyzer.Pipeline.build_synthetic ~topo_params ~irr_config ()
-        in
+        let world = load_or_synthesize ~seed ~snapshot dir in
         let journal_batches =
           match journal with
           | None -> []
           | Some path ->
             let text = read_file ~what:"journal" path in
             let ops, errors = Rz_synthirr.Nrtm.parse text in
-            List.iteri
-              (fun i (line, reason) ->
-                if i < 5 then
-                  Printf.eprintf "serve: journal line %d rejected: %s\n%!" line
-                    reason)
-              errors;
+            warn_rejected ~cmd:"serve" errors;
             (* chunk into batches of --journal-batch ops; each !u applies one *)
             let rec chunk acc cur n = function
               | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
@@ -826,12 +757,7 @@ let serve_cmd =
         Printf.printf "stopped at generation %d (serial %d)\n%!"
           (Rz_serve.Generation.generation store)
           (Rz_serve.Generation.last_serial store);
-        let snapshot = Rpslyzer.Obs.Registry.snapshot () in
-        let counters = Rpslyzer.Obs.Registry.counters snapshot in
-        let value name = Option.value ~default:0 (List.assoc_opt name counters) in
-        List.exists
-          (fun name -> value name > 0)
-          Rpslyzer.Obs.recovery_counter_names
+        recovered ()
       in
       if degraded then exit 2
   in
@@ -952,149 +878,6 @@ let serve_cmd =
       $ port $ socket $ workers $ max_inflight $ query_timeout_ms
       $ read_timeout_ms $ journal $ journal_batch $ access_log
       $ access_log_sample $ connect $ queries)
-
-(* ---------------- top ---------------- *)
-
-(* Unframe one "A<len>\n<payload>\nC\n" IRRd protocol reply. *)
-let unframe_data reply =
-  if String.length reply < 2 || reply.[0] <> 'A' then None
-  else
-    match String.index_opt reply '\n' with
-    | None -> None
-    | Some i -> (
-      match int_of_string_opt (String.sub reply 1 (i - 1)) with
-      | Some len when String.length reply >= i + 1 + len ->
-        Some (String.sub reply (i + 1) len)
-      | _ -> None)
-
-(* "# meta <key> <json>" comment lines in the !s exposition. *)
-let meta_of_exposition payload key =
-  let prefix = Printf.sprintf "# meta %s " key in
-  List.find_map
-    (fun line ->
-      if String.length line > String.length prefix
-         && String.sub line 0 (String.length prefix) = prefix
-      then begin
-        let v =
-          String.sub line (String.length prefix)
-            (String.length line - String.length prefix)
-        in
-        match Rpslyzer.Json.of_string v with
-        | Ok (Rpslyzer.Json.String s) -> Some s
-        | Ok j -> Some (Rpslyzer.Json.to_string j)
-        | Error _ -> Some v
-      end
-      else None)
-    (String.split_on_char '\n' payload)
-
-let top_cmd =
-  let run connect interval once =
-    guarded @@ fun () ->
-    let addr = serve_address_of_string connect in
-    let fetch () =
-      let reply =
-        try Rz_serve.Serve.client addr [ "!s" ]
-        with Unix.Unix_error (e, _, _) ->
-          failwith
-            (Printf.sprintf "cannot connect to %s: %s" connect
-               (Unix.error_message e))
-      in
-      match unframe_data reply with
-      | None ->
-        failwith
-          "server did not answer !s with a data frame (not a telemetry-capable \
-           server?)"
-      | Some payload -> (
-        match Rpslyzer.Obs.parse_prometheus payload with
-        | Error e -> failwith ("!s exposition does not parse: " ^ e)
-        | Ok samples -> (payload, samples))
-    in
-    let render () =
-      let payload, samples = fetch () in
-      let v name =
-        List.find_map
-          (fun (s : Rpslyzer.Obs.prom_sample) ->
-            if s.p_name = name && s.p_labels = [] then Some s.p_value else None)
-          samples
-      in
-      let num name = Option.value ~default:0.0 (v name) in
-      let ms ns = ns /. 1e6 in
-      let b = Buffer.create 1024 in
-      let line fmt = Printf.ksprintf (fun l -> Buffer.add_string b (l ^ "\n")) fmt in
-      let fingerprint =
-        Option.value ~default:"-" (meta_of_exposition payload "generation_fingerprint")
-      in
-      let stopping = meta_of_exposition payload "stopping" = Some "true" in
-      line "rpslyzer top — %s%s" connect (if stopping then "  [STOPPING]" else "");
-      line "generation %.0f (serial %.0f)  fingerprint %s"
-        (num "serve_generation") (num "serve_serial") fingerprint;
-      line "";
-      line "  qps (window)      %10.2f   rejects/s        %10.2f"
-        (num "serve_query_window_window_rate")
-        (num "serve_reject_window_window_rate");
-      line "  query p50         %8.3f ms   query p99      %10.3f ms"
-        (ms (num "serve_query_window_window_p50"))
-        (ms (num "serve_query_window_window_p99"));
-      line "  sessions active   %10.0f   queue depth      %10.0f"
-        (num "serve_sessions_active") (num "serve_queue_depth");
-      line "  queries total     %10.0f   rejected         %10.0f"
-        (num "serve_queries_total") (num "serve_queries_rejected");
-      line "  query timeouts    %10.0f   sessions dropped %10.0f"
-        (num "serve_query_timeouts") (num "serve_sessions_dropped");
-      line "  accesslog dropped %10.0f" (num "obs_accesslog_dropped");
-      Buffer.contents b
-    in
-    if once then print_string (render ())
-    else begin
-      let stop_requested = Atomic.make false in
-      let handler = Sys.Signal_handle (fun _ -> Atomic.set stop_requested true) in
-      Sys.set_signal Sys.sigint handler;
-      Sys.set_signal Sys.sigterm handler;
-      while not (Atomic.get stop_requested) do
-        let screen = render () in
-        (* clear + home, then one coherent frame *)
-        print_string "\027[2J\027[H";
-        print_string screen;
-        flush stdout;
-        let rec nap left =
-          if left > 0. && not (Atomic.get stop_requested) then begin
-            Unix.sleepf (Float.min 0.2 left);
-            nap (left -. 0.2)
-          end
-        in
-        nap interval
-      done
-    end
-  in
-  let connect =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "connect" ] ~docv:"ADDR"
-          ~doc:"Server to poll (a port number, host:port, or Unix socket \
-                path).")
-  in
-  let interval =
-    Arg.(
-      value & opt float 2.0
-      & info [ "interval" ] ~docv:"SECONDS"
-          ~doc:"Refresh interval (default 2.0).")
-  in
-  let once =
-    Arg.(
-      value & flag
-      & info [ "once" ]
-          ~doc:"Render a single frame to stdout and exit (no screen \
-                clearing) — the scriptable mode the smoke tests drive.")
-  in
-  Cmd.v
-    (Cmd.info "top"
-       ~doc:
-         "Live one-screen health view of a running serve process: polls \
-          the $(b,!s) telemetry scrape and renders windowed qps, rolling \
-          p50/p99 latency, in-flight sessions, rejects, and the live \
-          generation/serial/fingerprint.")
-    Term.(const run $ connect $ interval $ once)
 
 (* ---------------- peval ---------------- *)
 
@@ -1234,11 +1017,6 @@ let diff_cmd =
     (Cmd.info "diff" ~doc:"Diff two IRR snapshots (policy evolution).")
     Term.(const run $ before_dir $ after_dir)
 
-(* The recovery counters the exit-2 policy keys on. The list itself lives
-   in rz_obs ([Obs.recovery_counter_names]) — the single source of truth
-   shared by this CLI, DESIGN.md, and the suite_obs drift test. *)
-let recovery_counter_names = Rpslyzer.Obs.recovery_counter_names
-
 (* ---------------- rpki ---------------- *)
 
 let rpki_cmd =
@@ -1310,25 +1088,10 @@ let rpki_cmd =
         Printf.printf "RPSL-unrecorded but RPKI-valid: %d\n"
           (C.unrecorded_but_rpki_valid matrix)
       end;
-      (match golden with
-       | None -> ()
-       | Some path ->
-         let baseline_text = read_file ~what:"golden file" path in
-         match Rpslyzer.Json.of_string baseline_text with
-         | Error e -> failwith (Printf.sprintf "golden file %s: %s" path e)
-         | Ok baseline -> mismatches := C.diff_json ~baseline doc);
-      let snapshot = Rpslyzer.Obs.Registry.snapshot () in
-      let counters = Rpslyzer.Obs.Registry.counters snapshot in
-      let value name = Option.value ~default:0 (List.assoc_opt name counters) in
-      List.exists (fun name -> value name > 0) recovery_counter_names
+      mismatches := golden_diff golden doc;
+      recovered ()
     in
-    (match !mismatches with
-     | [] ->
-       if golden <> None then print_endline "golden: MATCH"
-     | diffs ->
-       Printf.eprintf "golden: MISMATCH (%d differences)\n" (List.length diffs);
-       List.iter (fun d -> Printf.eprintf "  %s\n" d) diffs;
-       exit 1);
+    exit_on_golden golden !mismatches;
     if degraded then exit 2
   in
   let roa_file =
@@ -1387,17 +1150,7 @@ let stream_cmd =
     let mismatches = ref [] in
     let degraded =
       with_obs ~cmd:"stream" ~seed obs @@ fun () ->
-      let world =
-        match dir with
-        | Some dir -> Rpslyzer.Pipeline.load_world dir
-        | None ->
-          let topo_params =
-            { Rz_topology.Gen.default_params with
-              seed; n_tier1 = 3; n_mid = 40; n_stub = 150 }
-          in
-          let irr_config = { Rz_synthirr.Config.default with seed = seed + 1 } in
-          Rpslyzer.Pipeline.build_synthetic ~topo_params ~irr_config ()
-      in
+      let world = load_or_synthesize ~seed ~snapshot:None dir in
       let base_routes =
         List.concat_map
           (fun (d : Rz_bgp.Table_dump.t) -> d.routes)
@@ -1408,12 +1161,7 @@ let stream_cmd =
         | Some path ->
           let text = read_file ~what:"journal" path in
           let items, errors = E.parse text in
-          List.iteri
-            (fun i (line, reason) ->
-              if i < 5 then
-                Printf.eprintf "stream: journal line %d rejected: %s\n%!" line
-                  reason)
-            errors;
+          warn_rejected ~cmd:"stream" errors;
           items
         | None ->
           let view = S.view_of world.Rpslyzer.Pipeline.db base_routes in
@@ -1429,13 +1177,7 @@ let stream_cmd =
       in
       let stats = S.run t items in
       let doc = S.stats_to_json t stats in
-      let snapshot = Rpslyzer.Obs.Registry.snapshot () in
-      let counters = Rpslyzer.Obs.Registry.counters snapshot in
-      let value name = Option.value ~default:0 (List.assoc_opt name counters) in
-      let degraded =
-        stats.S.r_degraded
-        || List.exists (fun name -> value name > 0) recovery_counter_names
-      in
+      let degraded = stats.S.r_degraded || recovered () in
       if json_out then print_endline (Rpslyzer.Json.to_string ~indent:2 doc)
       else begin
         Printf.printf "== stream ==\n";
@@ -1461,22 +1203,10 @@ let stream_cmd =
           print_endline "\nresult: DEGRADED (recovery paths fired; exit 2)"
         else print_endline "\nresult: CLEAN (exit 0)"
       end;
-      (match golden with
-       | None -> ()
-       | Some path ->
-         let baseline_text = read_file ~what:"golden file" path in
-         match Rpslyzer.Json.of_string baseline_text with
-         | Error e -> failwith (Printf.sprintf "golden file %s: %s" path e)
-         | Ok baseline ->
-           mismatches := Rz_stats.Rpki_cross.diff_json ~baseline doc);
+      mismatches := golden_diff golden doc;
       degraded
     in
-    (match !mismatches with
-     | [] -> if golden <> None then print_endline "golden: MATCH"
-     | diffs ->
-       Printf.eprintf "golden: MISMATCH (%d differences)\n" (List.length diffs);
-       List.iter (fun d -> Printf.eprintf "  %s\n" d) diffs;
-       exit 1);
+    exit_on_golden golden !mismatches;
     if degraded then exit 2
   in
   let dir =
@@ -1593,58 +1323,44 @@ let faultinject_cmd =
     let degraded =
       with_obs ~cmd:"faultinject" ~seed obs @@ fun () ->
       let kinds =
-      match kinds with
-      | [] -> Rz_fault.Fault.all_kinds
-      | names ->
-        List.map
-          (fun n ->
-            match Rz_fault.Fault.kind_of_name n with
-            | Some k -> k
-            | None -> failwith (Printf.sprintf "unknown fault kind %S" n))
-          names
-    in
-    let base =
-      match dir with
-      | Some dir -> Rpslyzer.Pipeline.load_world dir
-      | None ->
-        (* Self-contained mode: a small in-memory world, deterministic in
-           the same seed that drives the corruption. *)
-        let topo_params =
-          { Rz_topology.Gen.default_params with seed; n_tier1 = 3; n_mid = 40; n_stub = 150 }
-        in
-        let irr_config = { Rz_synthirr.Config.default with seed = seed + 1 } in
-        Rpslyzer.Pipeline.build_synthetic ~topo_params ~irr_config ()
-    in
-    let plan = Rz_fault.Fault.plan ~kinds ~seed ~rate () in
-    let corrupted, report = Rz_fault.Fault.corrupt_dumps plan base.dumps in
-    let db = Rz_ingest.Ingest.db_of_dumps corrupted in
-    let world = { base with Rpslyzer.Pipeline.db; dumps = corrupted } in
-    let n_regexes = nfa_audit (Rz_irr.Db.ir db) in
-    (* The same audit for sets: verification flattens only the sets its
-       routes reach, so flatten every one up front and let a set bomb
-       nothing routes through still hit the bounds. *)
-    Rz_irr.Db.warm_caches db;
-    let agg, `Total total, `Excluded excluded = Rpslyzer.Pipeline.verify world in
-    print_endline "== fault injection ==";
-    List.iter print_endline (Rz_fault.Fault.report_lines report);
-    Printf.printf "parse errors recorded: %d\n"
-      (List.length (Rz_irr.Db.ir db).Rz_ir.Ir.errors);
-    Printf.printf "regexes audited: %d\n" n_regexes;
-    (match Rz_irr.Db.truncated_sets db with
-     | [] -> ()
-     | sets ->
-       Printf.printf "truncated flattens: %s\n" (String.concat ", " sets));
-    Printf.printf "\n== verify under corruption ==\n";
-    Printf.printf "routes: %d total, %d excluded, %d hops\n" total excluded
-      (Rz_verify.Aggregate.n_hops agg);
-    let snapshot = Rpslyzer.Obs.Registry.snapshot () in
-    let counters = Rpslyzer.Obs.Registry.counters snapshot in
-    let value name = Option.value ~default:0 (List.assoc_opt name counters) in
-    print_endline "\n== recovery counters ==";
-    List.iter
-      (fun name -> Printf.printf "  %-22s %d\n" name (value name))
-      recovery_counter_names;
-      let degraded = List.exists (fun name -> value name > 0) recovery_counter_names in
+        match kinds with
+        | [] -> Rz_fault.Fault.all_kinds
+        | names ->
+          List.map
+            (fun n ->
+              match Rz_fault.Fault.kind_of_name n with
+              | Some k -> k
+              | None -> failwith (Printf.sprintf "unknown fault kind %S" n))
+            names
+      in
+      (* without DIR, the small world shares the corruption's seed *)
+      let base = load_or_synthesize ~seed ~snapshot:None dir in
+      let plan = Rz_fault.Fault.plan ~kinds ~seed ~rate () in
+      let corrupted, report = Rz_fault.Fault.corrupt_dumps plan base.dumps in
+      let db = Rz_ingest.Ingest.db_of_dumps corrupted in
+      let world = { base with Rpslyzer.Pipeline.db; dumps = corrupted } in
+      let n_regexes = nfa_audit (Rz_irr.Db.ir db) in
+      (* The same audit for sets: verification flattens only the sets its
+         routes reach, so flatten every one up front and let a set bomb
+         nothing routes through still hit the bounds. *)
+      Rz_irr.Db.warm_caches db;
+      let agg, `Total total, `Excluded excluded = Rpslyzer.Pipeline.verify world in
+      print_endline "== fault injection ==";
+      List.iter print_endline (Rz_fault.Fault.report_lines report);
+      Printf.printf "parse errors recorded: %d\n"
+        (List.length (Rz_irr.Db.ir db).Rz_ir.Ir.errors);
+      Printf.printf "regexes audited: %d\n" n_regexes;
+      (match Rz_irr.Db.truncated_sets db with
+       | [] -> ()
+       | sets ->
+         Printf.printf "truncated flattens: %s\n" (String.concat ", " sets));
+      Printf.printf "\n== verify under corruption ==\n";
+      Printf.printf "routes: %d total, %d excluded, %d hops\n" total excluded
+        (Rz_verify.Aggregate.n_hops agg);
+      let counts = recovery_counts () in
+      print_endline "\n== recovery counters ==";
+      List.iter (fun (name, n) -> Printf.printf "  %-22s %d\n" name n) counts;
+      let degraded = List.exists (fun (_, n) -> n > 0) counts in
       if degraded then
         print_endline "\nresult: DEGRADED (recovery paths fired; exit 2)"
       else print_endline "\nresult: CLEAN (exit 0)";
@@ -1692,6 +1408,6 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group info
-          [ gen_cmd; parse_cmd; stats_cmd; verify_cmd; explain_cmd; whois_cmd;
-            query_cmd; serve_cmd; top_cmd; peval_cmd; lint_cmd; classify_cmd;
-            diff_cmd; rpki_cmd; stream_cmd; faultinject_cmd ]))
+          [ gen_cmd; parse_cmd; stats_cmd; verify_cmd; explain_cmd; query_cmd;
+            serve_cmd; peval_cmd; lint_cmd; classify_cmd; diff_cmd; rpki_cmd;
+            stream_cmd; faultinject_cmd ]))

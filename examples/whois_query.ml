@@ -1,71 +1,12 @@
 (* An in-memory whois-style query loop over a generated IRR — the query
    interface operators use against real IRRs (Appendix A shows whois
-   transcripts). Reads object names from argv (or a default set) and
-   prints the resolved objects.
+   transcripts). Each argument is answered by [Irrd_query.answer], the
+   handler behind the [query] subcommand and the live server: a plain
+   name (ASN, set name or prefix) is a RIPE-style lookup, and a
+   [!]-query speaks the IRRd protocol, e.g. [!iAS1000:AS-CUST,1] for an
+   as-set's flattened members or [!gAS1000] for an AS's prefixes.
 
-   Run with: dune exec examples/whois_query.exe -- AS1000 AS1007:AS-CUST *)
-
-let print_aut_num db (an : Rz_ir.Ir.aut_num) =
-  Printf.printf "aut-num:     %s\n" (Rz_net.Asn.to_string an.asn);
-  Printf.printf "as-name:     %s\n" an.as_name;
-  List.iter
-    (fun rule ->
-      let text = Rz_policy.Ast.rule_to_string rule in
-      match String.index_opt text ':' with
-      | Some i ->
-        Printf.printf "%-12s %s\n"
-          (String.sub text 0 (i + 1))
-          (String.sub text (i + 2) (String.length text - i - 2))
-      | None -> print_endline text)
-    (an.imports @ an.exports);
-  Printf.printf "source:      %s\n" an.source;
-  ignore db
-
-let print_as_set db (s : Rz_ir.Ir.as_set) =
-  Printf.printf "as-set:      %s\n" s.name;
-  Printf.printf "members:     %s\n"
-    (String.concat ", " (List.map Rz_net.Asn.to_string s.member_asns @ s.member_sets));
-  let flat = Rz_irr.Db.flatten_as_set db s.name in
-  Printf.printf "remarks:     flattens to %d ASNs, depth %d%s\n"
-    (Rz_irr.Db.Asn_set.cardinal flat)
-    (Rz_irr.Db.as_set_depth db s.name)
-    (if Rz_irr.Db.as_set_has_loop db s.name then " (contains a loop!)" else "");
-  Printf.printf "source:      %s\n" s.source
-
-let query db name =
-  Printf.printf "%% query %s\n" name;
-  let ir = Rz_irr.Db.ir db in
-  let hits = ref 0 in
-  (match Rz_net.Asn.of_string name with
-   | Ok asn when Rz_util.Strings.starts_with_ci ~prefix:"AS" name ->
-     (match Rz_ir.Ir.find_aut_num ir asn with
-      | Some an -> incr hits; print_aut_num db an
-      | None -> ());
-     (* also list the routes the AS originates *)
-     let prefixes = Rz_irr.Db.origin_prefixes db asn in
-     if prefixes <> [] then begin
-       incr hits;
-       List.iter
-         (fun pfx ->
-           Printf.printf "route:       %s\norigin:      %s\n"
-             (Rz_net.Prefix.to_string pfx) (Rz_net.Asn.to_string asn))
-         prefixes
-     end
-   | _ -> ());
-  (match Rz_ir.Ir.find_as_set ir name with
-   | Some s -> incr hits; print_as_set db s
-   | None -> ());
-  (match Rz_net.Prefix.of_string name with
-   | Ok pfx ->
-     List.iter
-       (fun origin ->
-         incr hits;
-         Printf.printf "route:       %s\norigin:      %s\n"
-           (Rz_net.Prefix.to_string pfx) (Rz_net.Asn.to_string origin))
-       (Rz_irr.Db.exact_origins db pfx)
-   | Error _ -> ());
-  if !hits = 0 then Printf.printf "%%  no entries found\n";
-  print_newline ()
+   Run with: dune exec examples/whois_query.exe -- AS1007 '!iAS1007:AS-CUST,1' *)
 
 let () =
   let world =
@@ -73,17 +14,29 @@ let () =
       ~topo_params:{ Rz_topology.Gen.default_params with n_mid = 40; n_stub = 150 }
       ()
   in
-  let names =
+  let queries =
     match Array.to_list Sys.argv with
     | _ :: (_ :: _ as args) -> args
     | _ ->
-      (* default queries: the first Tier-1, its cone set, one of its
+      (* default queries: the first AS that publishes its customer-cone
+         set, its prefixes, the set direct and flattened, and one of its
          prefixes *)
-      let tier1 = world.topo.ases.(0) in
-      [ Rz_net.Asn.to_string tier1;
-        Rz_synthirr.Generate.cone_set_name tier1;
-        (match Rz_topology.Gen.prefixes_of world.topo tier1 with
-         | p :: _ -> Rz_net.Prefix.to_string p
-         | [] -> "AS-COOPERATIVE") ]
+      let ir = Rz_irr.Db.ir world.db in
+      let owner =
+        List.find
+          (fun a ->
+            Rz_ir.Ir.find_as_set ir (Rz_synthirr.Generate.cone_set_name a) <> None)
+          (Array.to_list world.topo.ases)
+      in
+      let asn = Rz_net.Asn.to_string owner in
+      let cone = Rz_synthirr.Generate.cone_set_name owner in
+      [ asn; "!g" ^ asn; cone; "!i" ^ cone ^ ",1" ]
+      @ (match Rz_topology.Gen.prefixes_of world.topo owner with
+         | p :: _ -> [ Rz_net.Prefix.to_string p ]
+         | [] -> [])
   in
-  List.iter (query world.db) names
+  List.iter
+    (fun query ->
+      Printf.printf "%% query %s\n%s\n" query
+        (Rz_irr.Irrd_query.render (Rz_irr.Irrd_query.answer world.db query)))
+    queries

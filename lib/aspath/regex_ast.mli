@@ -31,8 +31,6 @@ type t =
 val to_string : t -> string
 (** Render back to RPSL syntax (without the surrounding [< >]). *)
 
-val term_to_string : term -> string
-
 val state_estimate : t -> int
 (** Saturating upper bound on the number of NFA states {!Regex_nfa.compile}
     would build for this AST. Cheap (proportional to the written regex, not

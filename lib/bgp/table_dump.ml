@@ -3,14 +3,15 @@ type t = {
   routes : Route.t list;
 }
 
+let render add ~collector run =
+  add ("# collector: " ^ collector ^ "\n");
+  run (fun r -> add (Route.to_line r); add "\n")
+
+let write oc ~collector run = render (output_string oc) ~collector run
+
 let to_string t =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "# collector: %s\n" t.collector);
-  List.iter
-    (fun r ->
-      Buffer.add_string buf (Route.to_line r);
-      Buffer.add_char buf '\n')
-    t.routes;
+  render (Buffer.add_string buf) ~collector:t.collector (fun emit -> List.iter emit t.routes);
   Buffer.contents buf
 
 let lines text =
@@ -27,11 +28,6 @@ let of_string ~collector text =
        | Error e -> Error e)
   in
   go [] (lines text)
-
-let save t path =
-  let oc = open_out path in
-  output_string oc (to_string t);
-  close_out oc
 
 let load ~collector path =
   let ic = open_in path in

@@ -8,8 +8,12 @@ type t = {
 }
 
 val to_string : t -> string
+
+val write : out_channel -> collector:string -> ((Route.t -> unit) -> unit) -> unit
+(** [write oc ~collector run] streams the text {!to_string} renders:
+    [run emit] emits the routes in order, one in memory at a time. *)
+
 val of_string : collector:string -> string -> (t, string) result
 (** Fails on the first malformed line. *)
 
-val save : t -> string -> unit
 val load : collector:string -> string -> (t, string) result

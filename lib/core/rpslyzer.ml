@@ -45,12 +45,16 @@ module Pipeline = struct
     table_dumps : Rz_bgp.Table_dump.t list;
   }
 
+  (** The collector population of a default world: 2 collectors peering
+      with every Tier-1 and the 10 best-connected mids. *)
+  let n_collectors = 2
+  let n_collector_mids = 10
+
   (** Build a synthetic world end-to-end: generate the topology, render it
       to RPSL across 13 IRRs, parse + merge those dumps back through the
       real parsing pipeline, and propagate BGP routes to collectors. *)
   let build_synthetic ?(topo_params = Rz_topology.Gen.default_params)
-      ?(irr_config = Rz_synthirr.Config.default) ?(n_collector_mids = 10)
-      ?(n_collectors = 2) () =
+      ?(irr_config = Rz_synthirr.Config.default) () =
     let topo = Rz_topology.Gen.generate topo_params in
     let synth = Rz_synthirr.Generate.generate ~config:irr_config topo in
     let db = Rz_ingest.Ingest.db_of_dumps synth.dumps in
@@ -113,12 +117,6 @@ module Pipeline = struct
 
   (** Section-4 characterization of the world's RPSL. *)
   let usage world = Rz_stats.Usage.compute ~dumps:world.dumps world.db
-
-  (** Verify one route and render the Appendix-C style report. *)
-  let explain_route ?config world route =
-    let engine = Rz_verify.Engine.create ?config world.db world.rels in
-    Option.map Rz_verify.Report.route_report_to_string
-      (Rz_verify.Engine.verify_route engine route)
 
   (** {2 Traced explanation}
 
@@ -221,25 +219,30 @@ module Pipeline = struct
       after {!Rz_irr.Db.priority_order}), [as-rel.txt] (CAIDA serial-1),
       and [<collector>.routes] table dumps. *)
 
-  let save_world world dir =
+  (** Generate a world from [topo_params] into [dir]: the RPSL dumps,
+      [as-rel.txt], and [n_collectors] collector RIBs peering with every
+      Tier-1 and the [n_collector_mids] best-connected mids, each streamed
+      to disk one route at a time (at paper scale an in-memory RIB would
+      be the peak-RSS ceiling). Nothing is parsed back. Returns the RPSL
+      world and the number of collector routes written. *)
+  let write_world ~topo_params ~irr_config ~n_collectors ~n_collector_mids dir =
+    let topo = Rz_topology.Gen.generate topo_params in
+    let synth = Rz_synthirr.Generate.generate ~config:irr_config topo in
     if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
     List.iter
       (fun (irr, text) ->
-        let oc = open_out (Filename.concat dir (irr ^ ".db")) in
-        output_string oc text;
-        close_out oc)
-      world.dumps;
-    Rz_asrel.Rel_db.save world.rels (Filename.concat dir "as-rel.txt");
-    List.iter
-      (fun (dump : Rz_bgp.Table_dump.t) ->
-        Rz_bgp.Table_dump.save dump (Filename.concat dir (dump.collector ^ ".routes")))
-      world.table_dumps
-
-  let read_file path =
-    let ic = open_in path in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    text
+        Out_channel.with_open_bin (Filename.concat dir (irr ^ ".db")) (fun oc ->
+            output_string oc text))
+      synth.dumps;
+    Rz_asrel.Rel_db.save topo.rels (Filename.concat dir "as-rel.txt");
+    let peers = Rz_routegen.Propagate.default_collector_peers topo ~n:n_collector_mids in
+    let total = ref 0 in
+    Rz_routegen.Propagate.iter_collector_dumps topo ~n_collectors ~peers
+      ~f:(fun ~collector run ->
+        Out_channel.with_open_bin (Filename.concat dir (collector ^ ".routes")) (fun oc ->
+            Rz_bgp.Table_dump.write oc ~collector (fun emit ->
+                run (fun route -> incr total; emit route))));
+    (synth, !total)
 
   (** Load the RPSL dumps of a world directory, in priority order,
       skipping IRRs whose file is absent. *)
@@ -247,7 +250,9 @@ module Pipeline = struct
     List.filter_map
       (fun irr ->
         let path = Filename.concat dir (irr ^ ".db") in
-        if Sys.file_exists path then Some (irr, read_file path) else None)
+        if Sys.file_exists path then
+          Some (irr, In_channel.with_open_bin path In_channel.input_all)
+        else None)
       Rz_irr.Db.priority_order
 
   (** Load a previously saved world directory. Topology/persona ground

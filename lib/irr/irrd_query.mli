@@ -40,5 +40,4 @@ val render : response -> string
 
 val session : Db.t -> string list -> string
 (** Run a whole query session: evaluate each line in order, stopping at
-    [!q], concatenating rendered responses — handy for tests and the
-    example tool. *)
+    [!q], concatenating rendered responses. *)

@@ -106,6 +106,16 @@ let session_lines db lines =
 
 type address = Port of int | Socket of string
 
+let address_of_string s =
+  let port =
+    match String.rindex_opt s ':' with
+    | Some i -> String.sub s (i + 1) (String.length s - i - 1)
+    | None -> s
+  in
+  match Rz_util.Strings.decimal port with
+  | Some p when p <= 65535 -> Port p
+  | _ -> Socket s
+
 type t = {
   config : config;
   store : Generation.store;

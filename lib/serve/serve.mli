@@ -72,6 +72,12 @@ val session_lines : Rz_irr.Db.t -> string list -> string
     path. *)
 type address = Port of int | Socket of string
 
+val address_of_string : string -> address
+(** A connect target: a decimal port in [0, 65535], bare or as
+    ["host:port"], dials the loopback TCP listener (the host part is
+    accepted for familiarity but always resolves to 127.0.0.1); anything
+    else, such as ["0x1F90"] or ["host:-1"], is a Unix socket path. *)
+
 type t
 
 val start :

@@ -95,50 +95,6 @@ let to_json t =
       ("unrecorded_but_rpki_valid", Json.Int (unrecorded_but_rpki_valid t))
     ]
 
-(* Exact structural diff with dotted paths and no tolerances: the golden
-   matrix is integer-only and deterministic, so any drift is a finding. *)
-let diff_json ~baseline current =
-  let out = ref [] in
-  let emit path msg = out := Printf.sprintf "%s: %s" path msg :: !out in
-  let leaf = function
-    | Json.Null -> "null"
-    | Json.Bool b -> string_of_bool b
-    | Json.Int n -> string_of_int n
-    | Json.Float f -> string_of_float f
-    | Json.String s -> Printf.sprintf "%S" s
-    | Json.List _ -> "<list>"
-    | Json.Obj _ -> "<object>"
-  in
-  let rec walk path a b =
-    match (a, b) with
-    | Json.Obj fa, Json.Obj fb ->
-      List.iter
-        (fun (k, va) ->
-          let p = if path = "" then k else path ^ "." ^ k in
-          match List.assoc_opt k fb with
-          | None -> emit p "missing in current"
-          | Some vb -> walk p va vb)
-        fa;
-      List.iter
-        (fun (k, _) ->
-          if not (List.mem_assoc k fa) then
-            emit (if path = "" then k else path ^ "." ^ k) "not in baseline")
-        fb
-    | Json.List la, Json.List lb ->
-      let na = List.length la and nb = List.length lb in
-      if na <> nb then
-        emit path (Printf.sprintf "length %d, baseline %d" nb na)
-      else
-        List.iteri
-          (fun i (va, vb) -> walk (Printf.sprintf "%s[%d]" path i) va vb)
-          (List.combine la lb)
-    | _ ->
-      if not (Json.equal a b) then
-        emit path (Printf.sprintf "%s, baseline %s" (leaf b) (leaf a))
-  in
-  walk "" baseline current;
-  List.rev !out
-
 let route_class = function
   | None -> "excluded"
   | Some (report : Report.route_report) ->

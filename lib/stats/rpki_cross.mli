@@ -57,12 +57,6 @@ val to_json : t -> Rz_json.Json.t
 (** Fully deterministic (integers only): matrix cells keyed by class and
     state, route totals, and the summary counts. *)
 
-val diff_json : baseline:Rz_json.Json.t -> Rz_json.Json.t -> string list
-(** Generic exact structural diff (path-labelled): missing/extra keys,
-    length mismatches, and unequal leaves, in document order. Empty when
-    the documents are structurally identical. Used by the [rpki
-    --golden] gate. *)
-
 val route_class : Rz_verify.Report.route_report option -> string
 (** Row label of one verification outcome: the worst hop status class
     under the Section-5 precedence, ["excluded"] for [None]. *)

@@ -40,6 +40,3 @@ val generate : ?config:Config.t -> Rz_topology.Gen.t -> world
 
 val cone_set_name : Rz_net.Asn.t -> string
 (** The customer-cone as-set name an AS publishes, e.g. ["AS1000:AS-CUST"]. *)
-
-val maintainer : Rz_net.Asn.t -> string
-(** e.g. ["MNT-AS1000"]. *)

@@ -78,8 +78,7 @@ let capacity = 4096
 (* One ring and its quota ledger, both guarded by [ring_mutex]: hop
    records come from the one domain that verifies, so the lock is
    uncontended there, and it keeps any other emitter correct.
-   [configure] swaps in a fresh ring, which is how reset takes
-   effect. *)
+   [configure] swaps in a fresh ring, discarding every record. *)
 type ring = {
   buf : record option array;
   mutable written : int;  (* records accepted; the next record's seq *)
@@ -105,7 +104,6 @@ let configure sampling =
   Atomic.set policy sampling;
   Atomic.set on (sampling <> Off)
 
-let reset () = configure (Atomic.get policy)
 let enabled () = Atomic.get on
 let sampling () = Atomic.get policy
 

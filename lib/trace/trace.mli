@@ -68,9 +68,6 @@ val configure : sampling -> unit
 (** Set the sampling policy, discarding every already-collected record. Call between runs, not
     while records are being emitted. *)
 
-val reset : unit -> unit
-(** Discard collected records; the policy is kept. *)
-
 val enabled : unit -> bool
 (** [true] iff the policy is not [Off]. The producer-side fast gate. *)
 
@@ -117,8 +114,6 @@ module Chrome : sig
       registry too. *)
 
   val uninstall : unit -> unit
-
-  val reset : unit -> unit
 
   val export : ?records:record list -> unit -> Rz_json.Json.t
   (** The trace-event JSON array: process/thread-name metadata ("M")

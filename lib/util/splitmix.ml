@@ -26,7 +26,6 @@ let float t =
   let raw = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   raw /. 9007199254740992.0 (* 2^53 *)
 
-let bool t = Int64.logand (next t) 1L = 1L
 let chance t p = float t < p
 let choose t arr = arr.(int t (Array.length arr))
 

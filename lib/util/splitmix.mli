@@ -28,8 +28,6 @@ val int_in : t -> int -> int -> int
 val float : t -> float
 (** Uniform in [\[0, 1)]. *)
 
-val bool : t -> bool
-
 val chance : t -> float -> bool
 (** [chance t p] is true with probability [p]. *)
 

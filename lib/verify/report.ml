@@ -68,8 +68,3 @@ let hop_to_string hop =
       (match parts with [] -> "" | parts -> ", attrs: " ^ String.concat " " parts)
   in
   Printf.sprintf "%s { from: %d, to: %d%s%s }" (verb_of hop) hop.from_as hop.to_as items attrs
-
-let route_report_to_string r =
-  String.concat "\n"
-    (Printf.sprintf "route %s" (Rz_bgp.Route.to_line r.route)
-     :: List.map hop_to_string r.hops)

@@ -45,4 +45,3 @@ val verb_of : hop -> string
 val hop_to_string : hop -> string
 (** E.g. [MehImport { from: 1299, to: 3257, items: [MatchRemoteAsNum(AS12), SpecTier1Pair] }]. *)
 
-val route_report_to_string : route_report -> string

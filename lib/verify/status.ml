@@ -35,8 +35,6 @@ let rank = function
   | Safelisted _ -> 4
   | Unverified -> 5
 
-let best a b = if rank b < rank a then b else a
-
 let class_label = function
   | Verified -> "verified"
   | Skipped _ -> "skipped"

@@ -37,9 +37,6 @@ type t =
 val rank : t -> int
 (** Precedence: Verified = 0 (best) … Unverified = 5. *)
 
-val best : t -> t -> t
-(** Lower rank wins; ties keep the first argument. *)
-
 val class_label : t -> string
 (** One of ["verified"], ["skipped"], ["unrecorded"], ["relaxed"],
     ["safelisted"], ["unverified"] — the coarse classes of Figures 2-4. *)

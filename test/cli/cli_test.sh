@@ -13,6 +13,12 @@ expect() { # expect <label> <pattern> <file>
   grep -q "$2" "$3" || fail "$1"
 }
 
+# the subcommands, exactly
+"$CLI" --help=plain | awk '/^COMMANDS/ { f = 1; next } /^[A-Z]/ { f = 0 }
+  f && /^       [a-z]/ { print $1 }' > "$DIR/commands.txt"
+[ "$(tr '\n' ' ' < "$DIR/commands.txt")" = "classify diff explain faultinject gen lint parse peval query rpki serve stats stream verify " ] \
+  || fail "subcommands: $(tr '\n' ' ' < "$DIR/commands.txt")"
+
 "$CLI" gen --seed 5 --tier1 3 --mid 15 --stub 40 -o "$DIR/world" > "$DIR/gen.txt"
 expect gen 'wrote 13 IRR dumps' "$DIR/gen.txt"
 test -f "$DIR/world/RIPE.db" || fail "RIPE dump missing"
@@ -38,8 +44,18 @@ PFX=${ROUTE%%|*}; PATH_ASNS=${ROUTE#*|}
 "$CLI" explain -d "$DIR/world" "$PFX" $PATH_ASNS > "$DIR/explain.txt"
 grep -qE '(Ok|Meh|Bad|Unrec|Skip)(Import|Export)' "$DIR/explain.txt" || fail "explain"
 
-"$CLI" whois -d "$DIR/world" AS1000 > "$DIR/whois.txt"
-expect whois 'aut-num' "$DIR/whois.txt"
+# plain whois lookups go through query: an aut-num, an as-set (and its
+# flattened members), a registered route prefix
+"$CLI" query -d "$DIR/world" AS1000 > "$DIR/plain_aut_num.txt"
+expect plain-aut-num '^aut-num: *AS1000$' "$DIR/plain_aut_num.txt"
+SET=$(awk '/^as-set:/ { print $2; exit }' "$DIR"/world/*.db)
+"$CLI" query -d "$DIR/world" "$SET" "!i$SET,1" > "$DIR/plain_as_set.txt"
+expect plain-as-set "^as-set: *$SET\$" "$DIR/plain_as_set.txt"
+[ "$(grep -c '^A[0-9]' "$DIR/plain_as_set.txt")" -eq 2 ] || fail "as-set flattened members"
+ROUTE_PFX=$(awk '/^route:/ { print $2; exit }' "$DIR"/world/*.db)
+"$CLI" query -d "$DIR/world" "$ROUTE_PFX" > "$DIR/plain_route.txt"
+expect plain-route "^route: *$ROUTE_PFX\$" "$DIR/plain_route.txt"
+expect plain-route-origin '^origin: *AS[0-9]' "$DIR/plain_route.txt"
 
 "$CLI" query -d "$DIR/world" '!gAS1000' > "$DIR/query.txt"
 grep -qE '^A[0-9]+' "$DIR/query.txt" || fail "query !g"

@@ -3,7 +3,7 @@
 # Unix socket answers scripted client queries against a generated world,
 # a !u control query applies the generated NRTM journal as a live
 # copy-on-write generation swap (visible in the very next answer), the
-# !s scrape and `rpslyzer top --once` report the live generation, the
+# !s scrape reports the live generation, serial and fingerprint, the
 # structured access log records every query with the generation it ran
 # against, a SIGTERM shutdown is clean (exit 0, "stopped at generation"
 # line), and the --metrics snapshot re-parses with the library's own
@@ -84,13 +84,6 @@ grep -q '^serve_serial 24$' "$DIR/scrape.prom" \
   || fail "!s does not report the post-swap serial"
 grep -q '^# meta generation_fingerprint "' "$DIR/scrape.prom" \
   || fail "!s carries no generation fingerprint"
-
-# top --once renders the one-screen health view off the same scrape
-"$CLI" top --connect "$SOCK" --once > "$DIR/top.txt" || fail "top --once failed"
-grep -q 'generation 2 (serial 24)' "$DIR/top.txt" \
-  || fail "top does not show the live generation: $(cat "$DIR/top.txt")"
-grep -q 'qps (window)' "$DIR/top.txt" || fail "top missing qps line"
-grep -q 'query p99' "$DIR/top.txt" || fail "top missing latency line"
 
 # clean SIGTERM shutdown: exit 0, final generation line, metrics written
 kill -TERM "$SERVER"

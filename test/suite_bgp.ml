@@ -70,7 +70,7 @@ let test_table_dump_save_load () =
     { Table_dump.collector = "rrc01"; routes = [ Route.make (p "10.0.0.0/8") [ 9; 8 ] ] }
   in
   let path = Filename.temp_file "dump" ".txt" in
-  Table_dump.save dump path;
+  Out_channel.with_open_bin path (fun oc -> output_string oc (Table_dump.to_string dump));
   (match Table_dump.load ~collector:"rrc01" path with
    | Ok loaded -> Alcotest.(check int) "loaded" 1 (List.length loaded.routes)
    | Error e -> Alcotest.fail e);

@@ -58,6 +58,29 @@ let test_parse_unicode_escape () =
   | Ok (Json.String s) -> Alcotest.(check string) "utf8" "A\xc3\xa9" s
   | _ -> Alcotest.fail "expected string"
 
+(* A \u escape is exactly four hex digits; anything else is refused with
+   its own message, never read as another code point. *)
+let test_unicode_escape_strict () =
+  List.iter
+    (fun (text, want) ->
+      match (Json.of_string text, want) with
+      | Ok (Json.String got), Ok s -> Alcotest.(check string) text s got
+      | Error e, Error prefix ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S starts with %S" text e prefix)
+          true
+          (String.starts_with ~prefix e)
+      | Ok j, _ -> Alcotest.failf "%s: parsed as %s" text (Json.to_string j)
+      | Error e, Ok _ -> Alcotest.failf "%s: rejected: %s" text e)
+    [ ({|"\u0041"|}, Ok "A");
+      ({|"\u00E9"|}, Ok "\xc3\xa9");
+      ({|"\uFFFF"|}, Ok "\xef\xbf\xbf");
+      ({|"\u0_41"|}, Error "bad \\u escape");
+      ({|"\u00zz"|}, Error "bad \\u escape");
+      ({|"\u+041"|}, Error "bad \\u escape");
+      ({|"\u 041"|}, Error "bad \\u escape");
+      ({|"\u004"|}, Error "bad \\u escape") ]
+
 let test_parse_errors () =
   let is_error s = Result.is_error (Json.of_string s) in
   Alcotest.(check bool) "trailing garbage" true (is_error "1 2");
@@ -117,6 +140,7 @@ let suite =
     Alcotest.test_case "parse basics" `Quick test_parse_basics;
     Alcotest.test_case "parse nested" `Quick test_parse_nested_objects;
     Alcotest.test_case "unicode escape" `Quick test_parse_unicode_escape;
+    Alcotest.test_case "unicode escape is four hex digits" `Quick test_unicode_escape_strict;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "member / to_list" `Quick test_member_and_to_list;
     Alcotest.test_case "int/float equality" `Quick test_int_float_equal;

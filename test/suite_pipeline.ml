@@ -116,8 +116,9 @@ let test_explain_route () =
   let route =
     List.find (fun r -> List.length (Rz_bgp.Route.dedup_path r) >= 3) dump.routes
   in
-  match Rpslyzer.Pipeline.explain_route w route with
-  | Some text ->
+  match Rpslyzer.Pipeline.explain_route_traced w route with
+  | Some e ->
+    let text = Rpslyzer.Pipeline.explanation_to_text e in
     Alcotest.(check bool) "report mentions the route" true
       (Rz_util.Strings.split_on_string ~sep:"route " text |> List.length > 1);
     Alcotest.(check bool) "reports Export and Import lines" true

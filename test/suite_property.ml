@@ -353,15 +353,16 @@ let memo_parity_path_regex =
       plain = memo1 && plain = memo2)
 
 let test_world_save_load_roundtrip () =
-  let world =
-    Rpslyzer.Pipeline.build_synthetic
-      ~topo_params:{ Rz_topology.Gen.default_params with n_tier1 = 2; n_mid = 8; n_stub = 20 }
-      ()
-  in
+  let module P = Rpslyzer.Pipeline in
+  let topo_params = { Rz_topology.Gen.default_params with n_tier1 = 2; n_mid = 8; n_stub = 20 } in
+  let world = P.build_synthetic ~topo_params () in
   let dir = Filename.temp_file "world" "" in
   Sys.remove dir;
-  Rpslyzer.Pipeline.save_world world dir;
-  let loaded = Rpslyzer.Pipeline.load_world dir in
+  let _, n_written =
+    P.write_world ~topo_params ~irr_config:Rz_synthirr.Config.default
+      ~n_collectors:P.n_collectors ~n_collector_mids:P.n_collector_mids dir
+  in
+  let loaded = P.load_world dir in
   let ir_a = Rz_irr.Db.ir world.db and ir_b = Rz_irr.Db.ir loaded.db in
   Alcotest.(check int) "same aut-num count" (Hashtbl.length ir_a.Rz_ir.Ir.aut_nums)
     (Hashtbl.length ir_b.Rz_ir.Ir.aut_nums);
@@ -372,6 +373,7 @@ let test_world_save_load_roundtrip () =
   Alcotest.(check int) "same collector routes"
     (List.length (routes world.table_dumps))
     (List.length (routes loaded.table_dumps));
+  Alcotest.(check int) "route count returned" n_written (List.length (routes loaded.table_dumps));
   (* verification produces identical aggregates on the reloaded world *)
   let agg_a, _, _ = Rpslyzer.Pipeline.verify world in
   let agg_b, _, _ = Rpslyzer.Pipeline.verify loaded in

@@ -155,6 +155,33 @@ let test_collector_dump_deterministic () =
   Alcotest.(check string) "same dump" (Rz_bgp.Table_dump.to_string d1)
     (Rz_bgp.Table_dump.to_string d2)
 
+(* The world writer streams each collector RIB to disk one route at a
+   time; its files must be byte for byte the in-memory dumps rendered. *)
+let test_streamed_writer_matches_dumps () =
+  let module P = Rpslyzer.Pipeline in
+  let dir = Filename.temp_file "world" "" in
+  Sys.remove dir;
+  let n_collectors = 3 and n_collector_mids = 4 in
+  let _, n_written =
+    P.write_world ~topo_params:params ~irr_config:Rz_synthirr.Config.default ~n_collectors
+      ~n_collector_mids dir
+  in
+  let t = Lazy.force topo in
+  let peers = Propagate.default_collector_peers t ~n:n_collector_mids in
+  let dumps = Propagate.collector_dumps t ~n_collectors ~peers in
+  Alcotest.(check int) "one file per collector" n_collectors (List.length dumps);
+  List.iter
+    (fun (d : Rz_bgp.Table_dump.t) ->
+      let path = Filename.concat dir (d.collector ^ ".routes") in
+      Alcotest.(check string) d.collector (Rz_bgp.Table_dump.to_string d)
+        (In_channel.with_open_bin path In_channel.input_all))
+    dumps;
+  Alcotest.(check int) "route count"
+    (List.fold_left (fun n (d : Rz_bgp.Table_dump.t) -> n + List.length d.routes) 0 dumps)
+    n_written;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 let suite =
   [ Alcotest.test_case "dest own route" `Quick test_dest_has_own_route;
     Alcotest.test_case "full reachability" `Quick test_full_reachability;
@@ -164,4 +191,6 @@ let suite =
     Alcotest.test_case "no loops" `Quick test_no_loops_in_paths;
     Alcotest.test_case "class consistency" `Quick test_customer_route_preferred;
     Alcotest.test_case "collector dump" `Quick test_collector_dump;
-    Alcotest.test_case "collector dump deterministic" `Quick test_collector_dump_deterministic ]
+    Alcotest.test_case "collector dump deterministic" `Quick test_collector_dump_deterministic;
+    Alcotest.test_case "streamed writer == rendered dumps" `Quick
+      test_streamed_writer_matches_dumps ]

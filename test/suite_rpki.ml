@@ -244,14 +244,14 @@ let test_cross_json_round_trip () =
    | Error e -> Alcotest.failf "re-parse: %s" e
    | Ok back -> Alcotest.(check bool) "round trip" true (Json.equal json back));
   Alcotest.(check (list string)) "self-diff is empty" []
-    (Cross.diff_json ~baseline:json json)
+    (Json.diff ~baseline:json json)
 
 let test_cross_diff_localizes () =
   let m = Cross.create () in
   Cross.add m ~rpsl:"verified" Roa.Valid;
   let baseline = Cross.to_json m in
   Cross.add m ~rpsl:"verified" Roa.Valid;
-  let diffs = Cross.diff_json ~baseline (Cross.to_json m) in
+  let diffs = Json.diff ~baseline (Cross.to_json m) in
   Alcotest.(check bool) "perturbation detected" true (diffs <> []);
   Alcotest.(check bool) "diff names the moved cell" true
     (List.exists

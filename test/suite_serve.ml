@@ -968,6 +968,27 @@ let test_access_log_quota () =
   Alcotest.(check (list string)) "one line per class, first come"
     [ "data"; "no_data"; "not_found"; "error" ] classes
 
+(* --connect targets: a decimal port in range, bare or after "host:",
+   dials TCP; anything else (a radix prefix, a sign, a path) is a Unix
+   socket path, never a different port. *)
+let test_address_of_string () =
+  let show = function
+    | Serve.Port p -> Printf.sprintf "port %d" p
+    | Serve.Socket path -> Printf.sprintf "socket %s" path
+  in
+  List.iter
+    (fun (text, want) ->
+      Alcotest.(check string) text (show want) (show (Serve.address_of_string text)))
+    [ ("8080", Serve.Port 8080);
+      ("host:8080", Serve.Port 8080);
+      ("0", Serve.Port 0);
+      ("65535", Serve.Port 65535);
+      ("65536", Serve.Socket "65536");
+      ("0x1F90", Serve.Socket "0x1F90");
+      ("host:-1", Serve.Socket "host:-1");
+      ("+8080", Serve.Socket "+8080");
+      ("/tmp/s", Serve.Socket "/tmp/s") ]
+
 let suite =
   [ Alcotest.test_case "dispatch conformance pins" `Quick test_dispatch_conformance;
     Alcotest.test_case "dispatch == answer on clean queries" `Quick
@@ -995,4 +1016,5 @@ let suite =
     Alcotest.test_case "access log per-class quota" `Quick test_access_log_quota;
     QCheck_alcotest.to_alcotest qcheck_patched_equals_rebuilt;
     Alcotest.test_case "hand journal: patched == rebuilt" `Quick test_patched_hand_journal;
-    Alcotest.test_case "copy-on-write isolation" `Quick test_generation_isolation ]
+    Alcotest.test_case "copy-on-write isolation" `Quick test_generation_isolation;
+    Alcotest.test_case "connect address parse" `Quick test_address_of_string ]
