@@ -78,7 +78,7 @@ let agg, n_total_routes, n_excluded =
    after the headline generate -> parse -> lower -> db-build -> routegen
    -> verify pipeline: the later report sections re-run engine pieces ad
    hoc, which would detach verify.hops_total from the aggregate's hop
-   count. The text rendering is printed as its own section at the end. *)
+   count. The cross-check against that count is printed at the end. *)
 let metrics_snapshot =
   match metrics_path with
   | None -> None
@@ -97,10 +97,9 @@ let metrics_section () =
   | None -> ()
   | Some snap ->
     section "Metrics (Rz_obs snapshot after the headline verification)";
-    Printf.printf "verify.hops_total vs aggregate hops: %d / %d\n\n"
+    Printf.printf "verify.hops_total vs aggregate hops: %d / %d\n"
       (List.assoc "verify.hops_total" (Rpslyzer.Obs.Registry.counters snap))
-      (Aggregate.n_hops agg);
-    print_string (Rpslyzer.Obs.Registry.to_text snap)
+      (Aggregate.n_hops agg)
 
 (* ------------------------------------------------------------------ *)
 (* Table 1                                                              *)

@@ -633,7 +633,7 @@ let explain_cmd =
 let query_cmd =
   let run dir queries =
     guarded @@ fun () ->
-    let world = Rpslyzer.Pipeline.load_world dir in
+    let db = Rz_ingest.Ingest.db_of_dumps (Rpslyzer.Pipeline.load_dumps dir) in
     (* Both modes route through the service's shared dispatch, so the
        one-shot command applies exactly the admission guards the server
        does. *)
@@ -643,7 +643,7 @@ let query_cmd =
       try
         while true do
           let line = input_line stdin in
-          match Rz_serve.Serve.dispatch world.db line with
+          match Rz_serve.Serve.dispatch db line with
           | Rz_irr.Irrd_query.Quit -> raise Exit
           | resp ->
             print_string (Rz_irr.Irrd_query.render resp);
@@ -651,7 +651,7 @@ let query_cmd =
         done
       with End_of_file | Exit -> ()
     end
-    else print_string (Rz_serve.Serve.session_lines world.db queries)
+    else print_string (Rz_serve.Serve.session_lines db queries)
   in
   let queries =
     Arg.(value & pos_all string [] & info [] ~docv:"QUERY"
@@ -884,8 +884,8 @@ let serve_cmd =
 let peval_cmd =
   let run dir expr aggregate =
     guarded @@ fun () ->
-    let world = Rpslyzer.Pipeline.load_world dir in
-    match Rz_irr.Filter_eval.eval_string world.db expr with
+    let db = Rz_ingest.Ingest.db_of_dumps (Rpslyzer.Pipeline.load_dumps dir) in
+    match Rz_irr.Filter_eval.eval_string db expr with
     | Error e -> prerr_endline e; exit 1
     | Ok result ->
       if aggregate then

@@ -135,6 +135,13 @@ let render_as_set (s : Ir.as_set) =
         else [ Printf.sprintf "mbrs-by-ref:    %s" (String.concat ", " s.mbrs_by_ref) ])
      @ [ Printf.sprintf "source:         %s" s.source ])
 
+(* One route object: class [route] for an IPv4 prefix, [route6] for
+   IPv6, as the registry stores them. *)
+let render_route prefix origin =
+  Printf.sprintf "%-16s%s\norigin:         %s"
+    (if Rz_net.Prefix.is_v4 prefix then "route:" else "route6:")
+    (Rz_net.Prefix.to_string prefix) (Rz_net.Asn.to_string origin)
+
 let render_route_set (s : Ir.route_set) =
   let member = function
     | Ir.Rs_prefix (p, op) -> Rz_net.Prefix.to_string p ^ Rz_net.Range_op.to_string op
@@ -176,16 +183,7 @@ let object_query db text =
           (match Db.exact_origins db prefix with
            | [] -> Not_found_key
            | origins ->
-             Data
-               (String.concat "\n\n"
-                  (List.map
-                     (fun o ->
-                       Printf.sprintf "%s:%s%s\norigin:         %s"
-                         (if Rz_net.Prefix.is_v4 prefix then "route" else "route6")
-                         (if Rz_net.Prefix.is_v4 prefix then "          " else "         ")
-                         (Rz_net.Prefix.to_string prefix)
-                         (Rz_net.Asn.to_string o))
-                     origins)))
+             Data (String.concat "\n\n" (List.map (render_route prefix) origins)))
         | Error e -> Error_resp e)
      | other -> Error_resp (Printf.sprintf "unsupported object class %S" other))
   | _ -> Error_resp "expected !mTYPE,KEY"
@@ -241,11 +239,7 @@ let plain_query db text =
   (match Rz_net.Prefix.of_string text with
    | Ok prefix ->
      List.iter
-       (fun o ->
-         sections :=
-           Printf.sprintf "route:          %s\norigin:         %s"
-             (Rz_net.Prefix.to_string prefix) (Rz_net.Asn.to_string o)
-           :: !sections)
+       (fun o -> sections := render_route prefix o :: !sections)
        (Db.exact_origins db prefix)
    | Error _ -> ());
   match List.rev !sections with
@@ -281,17 +275,3 @@ let answer db line =
   with e ->
     Rz_obs.Obs.Counter.incr c_query_errors;
     Error_resp ("internal error: " ^ Printexc.to_string e)
-
-let session db lines =
-  let buf = Buffer.create 256 in
-  let rec go = function
-    | [] -> ()
-    | line :: rest ->
-      (match answer db line with
-       | Quit -> ()
-       | resp ->
-         Buffer.add_string buf (render resp);
-         go rest)
-  in
-  go lines;
-  Buffer.contents buf

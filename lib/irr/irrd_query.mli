@@ -37,7 +37,3 @@ val answer : Db.t -> string -> response
 
 val render : response -> string
 (** Wire encoding of a response (empty string for [Quit]). *)
-
-val session : Db.t -> string list -> string
-(** Run a whole query session: evaluate each line in order, stopping at
-    [!q], concatenating rendered responses. *)

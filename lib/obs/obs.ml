@@ -24,7 +24,7 @@ let rec atomic_max a v =
   if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
 
 (* ------------------------------------------------------------------ *)
-(* Log-bucket math (shared by Histogram and Window)                    *)
+(* Log-bucket math                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let n_buckets = 256
@@ -107,7 +107,7 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Gauge = struct
-  type t = { name : string; v : int Atomic.t }
+  type t = int Atomic.t
 
   let table : (string, t) Hashtbl.t = Hashtbl.create 16
 
@@ -116,16 +116,14 @@ module Gauge = struct
         match Hashtbl.find_opt table name with
         | Some g -> g
         | None ->
-          let g = { name; v = Atomic.make 0 } in
+          let g = Atomic.make 0 in
           Hashtbl.replace table name g;
           g)
 
-  let set g n = if Atomic.get enabled_flag then Atomic.set g.v n
-  let add g n = if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add g.v n)
+  let set g n = if Atomic.get enabled_flag then Atomic.set g n
+  let add g n = if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add g n)
   let incr g = add g 1
   let decr g = add g (-1)
-  let get g = Atomic.get g.v
-  let name g = g.name
 end
 
 (* ------------------------------------------------------------------ *)
@@ -133,12 +131,7 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Histogram = struct
-  let n_buckets = n_buckets
-
-  type t = {
-    name : string;
-    buckets : int Atomic.t array;
-  }
+  type t = int Atomic.t array
 
   let table : (string, t) Hashtbl.t = Hashtbl.create 16
 
@@ -147,130 +140,22 @@ module Histogram = struct
         match Hashtbl.find_opt table name with
         | Some h -> h
         | None ->
-          let h =
-            { name; buckets = Array.init n_buckets (fun _ -> Atomic.make 0) }
-          in
+          let h = Array.init n_buckets (fun _ -> Atomic.make 0) in
           Hashtbl.replace table name h;
           h)
 
   let observe h v =
     if Atomic.get enabled_flag then
-      ignore (Atomic.fetch_and_add h.buckets.(bucket_of_value v) 1)
+      ignore (Atomic.fetch_and_add h.(bucket_of_value v) 1)
 
   (* One atomic read per bucket into a plain array: every derived figure
      (count, quantiles, cumulative encodings) must come from one such
      copy so concurrent observers can never tear the view. *)
-  let counts h = Array.map Atomic.get h.buckets
+  let counts h = Array.map Atomic.get h
 
-  let count h = Array.fold_left (fun acc b -> acc + Atomic.get b) 0 h.buckets
+  let count h = Array.fold_left (fun acc b -> acc + Atomic.get b) 0 h
 
   let quantile h q = quantile_of_counts (counts h) q
-
-  let name h = h.name
-
-end
-
-(* ------------------------------------------------------------------ *)
-(* Windows: rings of time buckets                                     *)
-(* ------------------------------------------------------------------ *)
-
-module Window = struct
-  type slot = {
-    epoch : int Atomic.t;  (* now_ns / slot_ns when the slot was last live *)
-    count : int Atomic.t;
-    buckets : int Atomic.t array;
-  }
-
-  type t = {
-    name : string;
-    slots : slot array;
-  }
-
-  (* 12 slots of 5s each: a 60-second rolling window *)
-  let n_slots = 12
-  let slot_ns = 5_000 * 1_000_000
-  let span_ns = n_slots * slot_ns
-
-  let table : (string, t) Hashtbl.t = Hashtbl.create 8
-
-  let make name =
-    with_lock (fun () ->
-        match Hashtbl.find_opt table name with
-        | Some w -> w
-        | None ->
-          let w =
-            { name;
-              slots =
-                Array.init n_slots (fun _ ->
-                    { epoch = Atomic.make 0; count = Atomic.make 0;
-                      buckets = Array.init n_buckets (fun _ -> Atomic.make 0) }) }
-          in
-          Hashtbl.replace table name w;
-          w)
-
-  let name w = w.name
-
-  (* Advance a ring slot to [epoch], zeroing its contents. The CAS on
-     the epoch elects one roller; observations racing the zeroing can
-     land in a partially-cleared slot and be miscounted by a handful —
-     acceptable for rolling rates, and tests drive [?now_ns] explicitly
-     so the property checks are deterministic. *)
-  let rec roll slot epoch =
-    let cur = Atomic.get slot.epoch in
-    if cur >= epoch then ()
-    else if Atomic.compare_and_set slot.epoch cur epoch then begin
-      Atomic.set slot.count 0;
-      Array.iter (fun b -> Atomic.set b 0) slot.buckets
-    end
-    else roll slot epoch
-
-  let slot_for w epoch = w.slots.(epoch mod n_slots)
-
-  let observe ?now_ns:at w v =
-    if Atomic.get enabled_flag then begin
-      let now = match at with Some t -> t | None -> now_ns () in
-      let epoch = now / slot_ns in
-      let slot = slot_for w epoch in
-      roll slot epoch;
-      if Atomic.get slot.epoch = epoch then begin
-        ignore (Atomic.fetch_and_add slot.count 1);
-        ignore
-          (Atomic.fetch_and_add slot.buckets.(bucket_of_value v) 1)
-      end
-    end
-
-  (* A slot is inside the rolling window iff its epoch is one of the
-     last [n_slots] epochs ending at the current one. *)
-  let in_window ~now_epoch epoch =
-    epoch > 0 && epoch <= now_epoch && epoch > now_epoch - n_slots
-
-  let fold_cells ?now_ns:at w f acc =
-    let now = match at with Some t -> t | None -> now_ns () in
-    let now_epoch = now / slot_ns in
-    Array.fold_left
-      (fun acc slot ->
-        let epoch = Atomic.get slot.epoch in
-        if in_window ~now_epoch epoch then f acc slot epoch else acc)
-      acc w.slots
-
-  let total ?now_ns w =
-    fold_cells ?now_ns w (fun acc slot _ -> acc + Atomic.get slot.count) 0
-
-  (* Events per second over the full window span. A window younger than
-     its span under-reports the rate rather than dividing by the shorter
-     elapsed time — the steady-state figure is what operators watch. *)
-  let rate ?now_ns w =
-    float_of_int (total ?now_ns w) /. (float_of_int span_ns /. 1e9)
-
-  let counts ?now_ns w =
-    let acc = Array.make n_buckets 0 in
-    fold_cells ?now_ns w
-      (fun () slot _ ->
-        Array.iteri (fun i b -> acc.(i) <- acc.(i) + Atomic.get b) slot.buckets)
-      ();
-    acc
-
-  let quantile ?now_ns w q = quantile_of_counts (counts ?now_ns w) q
 end
 
 (* ------------------------------------------------------------------ *)
@@ -298,11 +183,6 @@ module Span = struct
             Hashtbl.replace table name s;
             s)
 
-  (* Nesting is tracked per domain; only the aggregate is shared. *)
-  let stack_key : string list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
-
-  let depth () = List.length !(Domain.DLS.get stack_key)
-
   let record name elapsed_ns =
     let s = stat_of name in
     ignore (Atomic.fetch_and_add s.count 1);
@@ -320,12 +200,9 @@ module Span = struct
   let with_ name f =
     if not (Atomic.get enabled_flag) then f ()
     else begin
-      let stack = Domain.DLS.get stack_key in
-      stack := name :: !stack;
       let t0 = Monotonic_clock.now () in
       let finish () =
         let elapsed = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) in
-        (match !stack with [] -> () | _ :: rest -> stack := rest);
         record name (max 0 elapsed);
         match Atomic.get sink with
         | None -> ()
@@ -365,12 +242,6 @@ module Meta = struct
   let table : (string, Json.t) Hashtbl.t = Hashtbl.create 8
 
   let set key value = with_lock (fun () -> Hashtbl.replace table key value)
-  let clear () = with_lock (fun () -> Hashtbl.reset table)
-
-  let list () =
-    with_lock (fun () ->
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) table []
-        |> List.sort (fun (a, _) (b, _) -> compare a b))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -381,19 +252,8 @@ let reset () =
   with_lock (fun () ->
       Hashtbl.reset Meta.table;
       Hashtbl.iter (fun _ (c : Counter.t) -> Atomic.set c.v 0) Counter.table;
-      Hashtbl.iter (fun _ (g : Gauge.t) -> Atomic.set g.v 0) Gauge.table;
-      Hashtbl.iter
-        (fun _ (h : Histogram.t) -> Array.iter (fun b -> Atomic.set b 0) h.buckets)
-        Histogram.table;
-      Hashtbl.iter
-        (fun _ (w : Window.t) ->
-          Array.iter
-            (fun (s : Window.slot) ->
-              Atomic.set s.epoch 0;
-              Atomic.set s.count 0;
-              Array.iter (fun b -> Atomic.set b 0) s.buckets)
-            w.slots)
-        Window.table;
+      Hashtbl.iter (fun _ g -> Atomic.set g 0) Gauge.table;
+      Hashtbl.iter (fun _ h -> Array.iter (fun b -> Atomic.set b 0) h) Histogram.table;
       Hashtbl.iter
         (fun _ (s : Span.stat) ->
           Atomic.set s.count 0;
@@ -436,19 +296,11 @@ module Registry = struct
     h_counts : int array;  (* consistent copy backing every figure above *)
   }
 
-  type win_row = {
-    w_count : int;
-    w_rate : float;
-    w_p50 : float;
-    w_p99 : float;
-  }
-
   type snapshot = {
     meta : (string * Json.t) list;
     counters : (string * int) list;
     gauges : (string * int) list;
     histograms : (string * hist_row) list;
-    windows : (string * win_row) list;
     spans : (string * (int * int * int)) list;  (* count, total_ns, max_ns *)
   }
 
@@ -460,7 +312,7 @@ module Registry = struct
     with_lock (fun () ->
         { meta = sorted_bindings Meta.table Fun.id;
           counters = sorted_bindings Counter.table (fun c -> Atomic.get c.Counter.v);
-          gauges = sorted_bindings Gauge.table (fun g -> Atomic.get g.Gauge.v);
+          gauges = sorted_bindings Gauge.table Atomic.get;
           histograms =
             sorted_bindings Histogram.table (fun h ->
                 let counts = Histogram.counts h in
@@ -469,15 +321,6 @@ module Registry = struct
                   p90 = quantile_of_counts counts 0.9;
                   p99 = quantile_of_counts counts 0.99;
                   h_counts = counts });
-          windows =
-            sorted_bindings Window.table (fun w ->
-                let counts = Window.counts w in
-                { w_count = Array.fold_left ( + ) 0 counts;
-                  w_rate =
-                    float_of_int (Array.fold_left ( + ) 0 counts)
-                    /. (float_of_int Window.span_ns /. 1e9);
-                  w_p50 = quantile_of_counts counts 0.5;
-                  w_p99 = quantile_of_counts counts 0.99 });
           spans =
             sorted_bindings Span.table (fun (s : Span.stat) ->
                 (Atomic.get s.count, Atomic.get s.total_ns, Atomic.get s.max_ns)) })
@@ -503,18 +346,6 @@ module Registry = struct
                        ("p90", Json.Float r.p90);
                        ("p99", Json.Float r.p99) ] ))
                s.histograms) );
-        ( "windows",
-          Json.Obj
-            (List.map
-               (fun (n, (w : win_row)) ->
-                 ( n,
-                   Json.Obj
-                     [ ("count", Json.Int w.w_count);
-                       ("rate", Json.Float w.w_rate);
-                       ("p50", Json.Float w.w_p50);
-                       ("p99", Json.Float w.w_p99);
-                       ("span_ns", Json.Int Window.span_ns) ] ))
-               s.windows) );
         ( "spans",
           Json.Obj
             (List.map
@@ -525,60 +356,6 @@ module Registry = struct
                        ("total_ns", Json.Int total_ns);
                        ("max_ns", Json.Int max_ns) ] ))
                s.spans) ) ]
-
-  let to_text s =
-    let b = Buffer.create 1024 in
-    let ms ns = float_of_int ns /. 1e6 in
-    if s.meta <> [] then begin
-      Buffer.add_string b "meta:\n";
-      List.iter
-        (fun (n, v) ->
-          Buffer.add_string b (Printf.sprintf "  %-32s %s\n" n (Json.to_string v)))
-        s.meta
-    end;
-    if s.spans <> [] then begin
-      Buffer.add_string b "spans:\n";
-      List.iter
-        (fun (n, (count, total_ns, max_ns)) ->
-          Buffer.add_string b
-            (Printf.sprintf "  %-32s %8d runs %12.3f ms total %10.3f ms max\n" n count
-               (ms total_ns) (ms max_ns)))
-        s.spans
-    end;
-    if s.counters <> [] then begin
-      Buffer.add_string b "counters:\n";
-      List.iter
-        (fun (n, v) -> Buffer.add_string b (Printf.sprintf "  %-32s %12d\n" n v))
-        s.counters
-    end;
-    if s.gauges <> [] then begin
-      Buffer.add_string b "gauges:\n";
-      List.iter
-        (fun (n, v) -> Buffer.add_string b (Printf.sprintf "  %-32s %12d\n" n v))
-        s.gauges
-    end;
-    if s.histograms <> [] then begin
-      Buffer.add_string b "histograms:\n";
-      List.iter
-        (fun (n, (r : hist_row)) ->
-          Buffer.add_string b
-            (Printf.sprintf "  %-32s %8d obs  p50 %10.1f  p90 %10.1f  p99 %10.1f\n" n
-               r.count r.p50 r.p90 r.p99))
-        s.histograms
-    end;
-    if s.windows <> [] then begin
-      Buffer.add_string b "windows:\n";
-      List.iter
-        (fun (n, (w : win_row)) ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "  %-32s %8d in %3.0fs  %10.1f/s  p50 %10.1f  p99 %10.1f\n" n
-               w.w_count
-               (float_of_int Window.span_ns /. 1e9)
-               w.w_rate w.w_p50 w.w_p99))
-        s.windows
-    end;
-    Buffer.contents b
 end
 
 (* ------------------------------------------------------------------ *)
@@ -638,20 +415,6 @@ let to_prometheus (s : Registry.snapshot) =
       line "%s_count %d" n r.count)
     s.Registry.histograms;
   List.iter
-    (fun (n, (w : Registry.win_row)) ->
-      let n = prom_name n in
-      let emit suffix value =
-        let full = n ^ suffix in
-        line "# TYPE %s gauge" full;
-        line "%s %s" full value
-      in
-      emit "_window_count" (string_of_int w.w_count);
-      emit "_window_rate" (prom_float w.w_rate);
-      emit "_window_p50" (prom_float w.w_p50);
-      emit "_window_p99" (prom_float w.w_p99);
-      emit "_window_span_seconds" (prom_float (float_of_int Window.span_ns /. 1e9)))
-    s.Registry.windows;
-  List.iter
     (fun (n, (count, total_ns, max_ns)) ->
       let n = prom_name n ^ "_span" in
       line "# TYPE %s_count counter" n;
@@ -664,7 +427,7 @@ let to_prometheus (s : Registry.snapshot) =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* Strict exposition parser (prom_check, tests, `top`)                 *)
+(* Strict exposition parser (prom_check, tests)                        *)
 (* ------------------------------------------------------------------ *)
 
 type prom_sample = {

@@ -1,7 +1,7 @@
 (** Pipeline observability: domain-safe counters, gauges, log-bucketed
-    latency histograms, rolling time windows, and monotonic-clock phase
-    spans, collected in a global registry that renders to human-readable
-    text, JSON, and the Prometheus text exposition format.
+    latency histograms and monotonic-clock phase spans, collected in a
+    global registry that renders to JSON and to the Prometheus text
+    exposition format.
 
     Design constraints (see DESIGN.md, "Observability"):
 
@@ -9,11 +9,10 @@
       reads one [Atomic] flag and returns immediately when the registry
       is disabled (the default). Instrumented libraries can therefore
       create metrics unconditionally at module-init time.
-    - {b Domain safety.} Counters, gauges, histogram buckets, and window
-      slots are [Atomic]-backed, so concurrent increments from worker
-      domains (the [serve] query workers, the [stream] pipeline stages)
-      are never lost. Span nesting state is domain-local
-      ([Domain.DLS]); the accumulated per-name statistics are atomics.
+    - {b Domain safety.} Counters, gauges, histogram buckets and the
+      per-name span statistics are [Atomic]-backed, so concurrent
+      increments from worker domains (the [serve] query workers) are
+      never lost.
     - {b Naming.} Metric names follow [subsystem.metric_name], e.g.
       [verify.hops_total], [irr.as_flat.hits]. Counters that only ever
       grow end in [_total] or a [.hits]/[.misses] pair. *)
@@ -26,7 +25,7 @@ val disable : unit -> unit
 val enabled : unit -> bool
 
 val reset : unit -> unit
-(** Zero every registered counter, gauge, histogram, window, and span
+(** Zero every registered counter, gauge, histogram and span
     accumulator, and clear the {!Meta} table. Registration survives;
     used by tests and long-running servers. *)
 
@@ -61,13 +60,9 @@ module Gauge : sig
   (** Idempotent per name, like {!Counter.make}. *)
 
   val set : t -> int -> unit
-  val add : t -> int -> unit
   val incr : t -> unit
   val decr : t -> unit
   (** No-ops while the registry is disabled. *)
-
-  val get : t -> int
-  val name : t -> string
 end
 
 module Histogram : sig
@@ -88,13 +83,6 @@ module Histogram : sig
 
   val count : t -> int
 
-  val counts : t -> int array
-  (** A consistent single-pass copy of the bucket counts. All derived
-      statistics (count + rank selection) must come from one such copy;
-      {!quantile} does this internally, so a scrape racing concurrent
-      [observe] calls can never pair a count with bucket contents from a
-      different moment (the torn-read bug pinned in suite_obs). *)
-
   val quantile : t -> float -> float
   (** [quantile h q] selects the bucket holding the observation of rank
       [max 1 (ceil (q * count))] (1-based, cumulative from the lowest
@@ -113,64 +101,22 @@ module Histogram : sig
       - {b q outside [0, 1]} (including NaN): clamped into [0, 1], so
         [q < 0] behaves as 0 and [q > 1] as 1;
       - values below 1.0 (and negatives, and non-finite values) share
-        the underflow bucket, whose representative is [0.5]. *)
+        the underflow bucket, whose representative is [0.5].
 
-  val name : t -> string
-
-end
-
-module Window : sig
-  (** Rolling time windows: a ring of 12 time-bucketed slots of 5s each,
-      each holding an event count plus log-bucketed value histogram,
-      giving rolling rates (events/sec) and rolling quantiles over the
-      last 60 seconds. Old slots are lazily recycled as
-      the clock advances; readers only aggregate slots whose epoch falls
-      inside the current window.
-
-      All reads and writes accept an explicit [?now_ns] so tests drive
-      virtual time deterministically; production callers omit it and get
-      the monotonic clock. *)
-
-  type t
-
-  val make : string -> t
-  (** Idempotent per name, like {!Histogram.make}. *)
-
-  val observe : ?now_ns:int -> t -> float -> unit
-  (** Record one event with a value (e.g. latency in ns). No-op while
-      disabled. *)
-
-  val total : ?now_ns:int -> t -> int
-  (** Events observed inside the rolling window. *)
-
-  val rate : ?now_ns:int -> t -> float
-  (** Events per second: {!total} divided by the full window span. A
-      window younger than its span under-reports rather than dividing
-      by elapsed time. *)
-
-  val counts : ?now_ns:int -> t -> int array
-  (** Summed value buckets of the in-window slots. *)
-
-  val quantile : ?now_ns:int -> t -> float -> float
-  (** Rolling quantile over the in-window value buckets; same rank
-      selection and degenerate-case pins as {!Histogram.quantile}. *)
-
-  val name : t -> string
-
+      The rank and the count come from one single-pass copy of the
+      buckets, so a read racing concurrent [observe] calls never pairs a
+      count with bucket contents from another moment (pinned in
+      suite_obs). *)
 end
 
 module Span : sig
-  (** Phase spans on the monotonic clock. Spans nest: entering a span
-      inside another simply pushes the per-domain stack; each name
+  (** Phase spans on the monotonic clock. Spans nest freely; each name
       accumulates (count, total ns, max ns) across all its runs. *)
 
   val with_ : string -> (unit -> 'a) -> 'a
   (** Time [f] under [name]. Exceptions propagate; the span is still
       recorded. When the registry is disabled this is just [f ()] —
       no clock read. *)
-
-  val depth : unit -> int
-  (** Current nesting depth in this domain (0 outside any span). *)
 
   val count : string -> int
   val total_ns : string -> int
@@ -193,11 +139,6 @@ module Meta : sig
 
   val set : string -> Rz_json.Json.t -> unit
   (** Set (or overwrite) one metadata key. *)
-
-  val clear : unit -> unit
-
-  val list : unit -> (string * Rz_json.Json.t) list
-  (** Sorted by key. *)
 end
 
 val recovery_counter_names : string list
@@ -236,12 +177,8 @@ module Registry : sig
   val to_json : snapshot -> Rz_json.Json.t
   (** [{"meta": {..}, "counters": {..}, "gauges": {..},
        "histograms": {name: {count, p50, p90, p99}},
-       "windows": {name: {count, rate, p50, p99, span_ns}},
        "spans": {name: {count, total_ns, max_ns}}}] — reparseable with
       {!Rz_json.Json.of_string}. *)
-
-  val to_text : snapshot -> string
-  (** Aligned human-readable rendering, spans first. *)
 end
 
 val to_prometheus : Registry.snapshot -> string
@@ -250,8 +187,7 @@ val to_prometheus : Registry.snapshot -> string
     gauges export as themselves with [# TYPE] lines; histograms export
     cumulative [_bucket{le="..."}] series (log-bucket upper bounds, a
     final [+Inf] bucket), [_count], and a bucket-midpoint-approximated
-    [_sum]; windows export [_window_count]/[_window_rate]/[_window_p50]/
-    [_window_p99]/[_window_span_seconds] gauges; spans export
+    [_sum]; spans export
     [_span_count]/[_span_total_ns] counters and a [_span_max_ns] gauge.
     {!Meta} entries lead the document as [# meta key value] comments.
     Always re-parses with {!parse_prometheus} (round-trip pinned in
@@ -265,8 +201,7 @@ type prom_sample = {
 
 val parse_prometheus : string -> (prom_sample list, string) result
 (** Strict parser/validator for the Prometheus text exposition format,
-    shared by the [prom_check] CLI validator, the test suites, and
-    [rpslyzer top]. Enforces: valid metric/label syntax on every sample
+    shared by the [prom_check] CLI validator and the test suites. Enforces: valid metric/label syntax on every sample
     line, a preceding [# TYPE] declaration for every sample's family,
     no duplicate TYPE declarations, no timestamps, and histogram-family
     invariants (every [_bucket] carries [le], bounds strictly increase,

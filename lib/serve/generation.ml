@@ -18,7 +18,6 @@ type store = {
   current : Db.t Atomic.t;
   gen : int Atomic.t;
   mutable serial : int;  (* guarded by [lock] *)
-  mutable fp_cache : (int * string) option;  (* guarded by [lock] *)
   lock : Mutex.t;
 }
 
@@ -29,7 +28,6 @@ let init ir =
   { current = Atomic.make db;
     gen = Atomic.make 1;
     serial = 0;
-    fp_cache = None;
     lock = Mutex.create () }
 
 let current t = Atomic.get t.current
@@ -169,20 +167,3 @@ let fingerprint db =
     | json -> json
   in
   Digest.to_hex (Digest.string (Json.to_string canonical))
-
-(* The !s scrape wants the live generation's fingerprint on every poll,
-   but [fingerprint] exports the whole IR — far too expensive per
-   scrape. Memoize per generation number under the store lock; reading
-   gen and db inside the same lock [apply] holds during a swap keeps the
-   (gen, db) pair coherent. The export runs once per swap, on the first
-   scrape that observes it. *)
-let cached_fingerprint t =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) @@ fun () ->
-  let gen = Atomic.get t.gen in
-  match t.fp_cache with
-  | Some (g, fp) when g = gen -> fp
-  | _ ->
-    let fp = fingerprint (Atomic.get t.current) in
-    t.fp_cache <- Some (gen, fp);
-    fp

@@ -45,12 +45,6 @@ val apply : store -> Rz_synthirr.Nrtm.op list -> int
     calls queue on a mutex. An empty (or fully stale) batch publishes
     nothing and returns the current generation number. *)
 
-val cached_fingerprint : store -> string
-(** {!fingerprint} of the live generation, memoized per generation
-    number under the store lock (the expensive IR export runs once per
-    swap, on the first call that observes the new generation). What the
-    [!s] scrape and [rpslyzer top] report. *)
-
 val fingerprint : Rz_irr.Db.t -> string
 (** Canonical content digest of a database's IR: the {!Rz_ir.Ir_json}
     export with route objects sorted (the arena keeps insertion order,

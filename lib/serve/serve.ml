@@ -13,15 +13,11 @@ let c_rejected = Obs.Counter.make "serve.queries_rejected"
 let c_timeouts = Obs.Counter.make "serve.query_timeouts"
 let h_query = Obs.Histogram.make "serve.query_ns"
 
-(* live-telemetry surface: point-in-time gauges plus rolling windows
-   (default geometry: 12 x 5s slots = 60s) feeding qps / rejects-per-sec
-   and rolling latency quantiles for the !s scrape and `rpslyzer top` *)
+(* live-telemetry gauges, refreshed point-in-time for the !s scrape *)
 let g_active = Obs.Gauge.make "serve.sessions_active"
 let g_generation = Obs.Gauge.make "serve.generation"
 let g_serial = Obs.Gauge.make "serve.serial"
 let g_queue = Obs.Gauge.make "serve.queue_depth"
-let w_query = Obs.Window.make "serve.query_window"
-let w_rejects = Obs.Window.make "serve.reject_window"
 
 let response_class = function
   | Irrd_query.Data _ -> "data"
@@ -57,7 +53,6 @@ let dispatch ?(config = default_config) ?stats ?sink db line =
   in
   let reject reason =
     Obs.Counter.incr c_rejected;
-    Obs.Window.observe w_rejects 1.0;
     finish ~rejected:reason ~latency_ns:0 (Irrd_query.Error_resp reason)
   in
   if String.length line > config.max_line_bytes then reject "query too long"
@@ -69,14 +64,13 @@ let dispatch ?(config = default_config) ?stats ?sink db line =
     let resp =
       Obs.Span.with_ "serve.query" (fun () ->
           (* !s is read-only and rides the normal guarded dispatch path,
-             so it is counted, timed, and windowed like any query *)
+             so it is counted and timed like any query *)
           match stats with
           | Some scrape when line = "!s" -> Irrd_query.Data (scrape ())
           | _ -> Irrd_query.answer db line)
     in
     let dt = Obs.now_ns () - t0 in
     Obs.Histogram.observe h_query (float_of_int dt);
-    Obs.Window.observe w_query (float_of_int dt);
     if
       config.query_timeout_ms > 0
       && dt > config.query_timeout_ms * 1_000_000
@@ -196,18 +190,14 @@ let next_batch t =
   Mutex.unlock t.jlock;
   batch
 
-(* The !s scrape body: refresh the point-in-time gauges and the
-   generation fingerprint (cached per generation — the expensive IR
-   export runs once per swap, not per scrape), then render the full
-   Prometheus exposition. Runs on the shared dispatch path, so it is
+(* The !s scrape body: refresh the point-in-time gauges, then render the
+   full Prometheus exposition. Runs on the shared dispatch path, so it is
    safe under concurrent generation swaps: everything it reads is an
-   atomic, a gauge, or the mutex-guarded fingerprint cache. *)
+   atomic or a gauge. *)
 let server_stats t () =
   Obs.Gauge.set g_generation (Generation.generation t.store);
   Obs.Gauge.set g_serial (Generation.last_serial t.store);
   Obs.Gauge.set g_queue (Bqueue.length t.queue);
-  Obs.Meta.set "generation_fingerprint"
-    (Json.String (Generation.cached_fingerprint t.store));
   Obs.Meta.set "stopping" (Json.Bool (Atomic.get t.stopping));
   Obs.to_prometheus (Obs.Registry.snapshot ())
 

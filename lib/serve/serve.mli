@@ -46,14 +46,14 @@ val dispatch :
   string ->
   Rz_irr.Irrd_query.response
 (** The one shared query path: admission guards, then
-    {!Rz_irr.Irrd_query.answer} under the latency span/histogram/window
+    {!Rz_irr.Irrd_query.answer} under the latency span and histogram
     and the deadline check. Both the one-shot CLI [query] command and
     every server session route through this. Total: never raises.
 
     [stats], when given, answers the [!s] control query with
     [Data (stats ())] — the live-telemetry scrape. It rides this same
     guarded path, so it is counted on [serve.queries_total], timed into
-    [serve.query_ns]/[serve.query_window], and subject to the deadline
+    [serve.query_ns], and subject to the deadline
     like any query; server sessions pass the Prometheus exposition
     closure, the one-shot CLI paths pass nothing and [!s] falls through
     to {!Rz_irr.Irrd_query.answer}.
@@ -64,8 +64,7 @@ val dispatch :
 
 val session_lines : Rz_irr.Db.t -> string list -> string
 (** In-process session: {!dispatch} each line in order, stop at [!q],
-    concatenate the rendered responses — {!Rz_irr.Irrd_query.session}
-    with the service guards applied. *)
+    concatenate the rendered responses ([!q] itself renders nothing). *)
 
 (** Where to listen (or connect): a loopback TCP port — [Port 0] binds an
     ephemeral port, read it back with {!port} — or a Unix-domain socket
@@ -100,11 +99,10 @@ val start :
 
     Live telemetry registered by this module: gauges
     [serve.sessions_active], [serve.generation], [serve.serial],
-    [serve.queue_depth] (refreshed on each [!s] scrape), and 60-second
-    rolling windows [serve.query_window] (latency) and
-    [serve.reject_window] (guard rejections). The [!s] exposition also
-    carries [# meta generation_fingerprint] (cached per generation) and
-    [# meta stopping]. *)
+    [serve.queue_depth] (refreshed on each [!s] scrape). The [!s]
+    exposition also carries [# meta stopping]. A scraper derives query
+    rates and recent latency quantiles from [serve_queries_total] and the
+    cumulative [serve_query_ns_bucket] series. *)
 
 val port : t -> int
 (** The bound TCP port (the ephemeral one under [Port 0]); [0] for a

@@ -236,18 +236,12 @@ module Chrome = struct
 
   let uninstall () = Obs.Span.set_sink None
 
-  let span_events () =
-    let ls = with_llock (fun () -> !lanes) in
-    List.concat_map (fun l -> List.rev l.events) ls
-
-  let lost () =
-    let ls = with_llock (fun () -> !lanes) in
-    List.fold_left (fun acc l -> acc + l.lost) 0 ls
-
   (* ts/dur are microseconds in the trace-event format; both rebased to
      the earliest event so the viewer timeline starts near zero. *)
   let export ?(records = []) () =
-    let events = span_events () in
+    let ls = with_llock (fun () -> !lanes) in
+    let events = List.concat_map (fun l -> List.rev l.events) ls in
+    let lost = List.fold_left (fun acc l -> acc + l.lost) 0 ls in
     let t_min =
       List.fold_left
         (fun acc (e : event) -> min acc e.e_start_ns)
@@ -265,7 +259,9 @@ module Chrome = struct
       Json.Obj
         [ ("name", Json.String "process_name"); ("ph", Json.String "M");
           ("pid", Json.Int 1); ("tid", Json.Int 0);
-          ("args", Json.Obj [ ("name", Json.String "rpslyzer") ]) ]
+          ( "args",
+            Json.Obj
+              [ ("name", Json.String "rpslyzer"); ("lost_span_events", Json.Int lost) ] ) ]
       :: List.map
            (fun d ->
              Json.Obj

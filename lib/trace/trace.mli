@@ -119,11 +119,10 @@ module Chrome : sig
   (** The trace-event JSON array: process/thread-name metadata ("M")
       events, one "X" event per collected span, one "i" event per
       [record] (its provenance under ["args"]). Timestamps are
-      microseconds rebased to the earliest event. *)
-
-  val lost : unit -> int
-  (** Span events discarded after a domain's buffer filled (bounded at
-      65536 events per domain per collection). *)
+      microseconds rebased to the earliest event. A domain keeps at most
+      65536 span events per collection; the process_name event's
+      ["args"] carry ["lost_span_events"], the number discarded past
+      that bound. *)
 end
 
 (** Periodic metrics streaming for long runs: a sampler domain appends

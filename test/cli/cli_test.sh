@@ -64,6 +64,17 @@ expect query-miss '^D' "$DIR/query2.txt"
 
 "$CLI" peval -d "$DIR/world" 'AS1000' -A > "$DIR/peval.txt" || [ $? -eq 2 ] || fail "peval"
 
+# query and peval read only the registry: a directory holding just the
+# .db dumps answers them as the whole world does
+mkdir "$DIR/dumps_only"
+cp "$DIR"/world/*.db "$DIR/dumps_only/"
+"$CLI" query -d "$DIR/dumps_only" AS1000 > "$DIR/dumps_query.txt" \
+  || fail "query of a dumps-only directory"
+cmp -s "$DIR/plain_aut_num.txt" "$DIR/dumps_query.txt" || fail "dumps-only query differs"
+"$CLI" peval -d "$DIR/dumps_only" 'AS1000' -A > "$DIR/dumps_peval.txt" || [ $? -eq 2 ] \
+  || fail "peval of a dumps-only directory"
+cmp -s "$DIR/peval.txt" "$DIR/dumps_peval.txt" || fail "dumps-only peval differs"
+
 # lint exits 1 when errors exist — both outcomes acceptable, output must parse
 "$CLI" lint -d "$DIR/world" > "$DIR/lint.txt" || true
 expect lint 'diagnostics' "$DIR/lint.txt"

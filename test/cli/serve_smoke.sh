@@ -3,7 +3,7 @@
 # Unix socket answers scripted client queries against a generated world,
 # a !u control query applies the generated NRTM journal as a live
 # copy-on-write generation swap (visible in the very next answer), the
-# !s scrape reports the live generation, serial and fingerprint, the
+# !s scrape reports the live generation, serial and query count, the
 # structured access log records every query with the generation it ran
 # against, a SIGTERM shutdown is clean (exit 0, "stopped at generation"
 # line), and the --metrics snapshot re-parses with the library's own
@@ -75,15 +75,16 @@ sed -e '1d' -e '$d' "$DIR/scrape.txt" > "$DIR/scrape.prom"
   --require serve_generation \
   --require serve_serial \
   --require serve_queries_total \
-  --require serve_query_window_window_rate \
-  --require serve_query_window_window_p99 \
+  --require serve_query_ns_count \
   "$DIR/scrape.prom" || fail "!s exposition invalid"
 grep -q '^serve_generation 2$' "$DIR/scrape.prom" \
   || fail "!s does not report the post-swap generation"
 grep -q '^serve_serial 24$' "$DIR/scrape.prom" \
   || fail "!s does not report the post-swap serial"
-grep -q '^# meta generation_fingerprint "' "$DIR/scrape.prom" \
-  || fail "!s carries no generation fingerprint"
+grep -q '_window_' "$DIR/scrape.prom" \
+  && fail "!s carries rolling-window series"
+grep -q 'generation_fingerprint' "$DIR/scrape.prom" \
+  && fail "!s carries a generation fingerprint"
 
 # clean SIGTERM shutdown: exit 0, final generation line, metrics written
 kill -TERM "$SERVER"
@@ -136,4 +137,4 @@ grep -q '"latency_ns":' "$DIR/access.jsonl" || fail "access log records carry no
 grep -q '"rejected"' "$DIR/access.jsonl" \
   && fail "clean run logged a rejected query"
 
-echo "serve smoke: live swap + !s/top telemetry + access log, shutdown clean"
+echo "serve smoke: live swap + !s telemetry + access log, shutdown clean"

@@ -1,6 +1,8 @@
-(* Tests for the IRRd-style query protocol (Rz_irr.Irrd_query). *)
+(* Tests for the IRRd-style query protocol (Rz_irr.Irrd_query), and its
+   sessions through the service path (Rz_serve.Serve.session_lines). *)
 module Q = Rz_irr.Irrd_query
 module Db = Rz_irr.Db
+module Serve = Rz_serve.Serve
 
 let fixture =
   "aut-num: AS65001\n\
@@ -157,6 +159,13 @@ let test_plain_whois () =
   Alcotest.(check bool) "unknown -> D" true
     (Q.answer (Lazy.force db) "WHAT-IS-THIS" = Q.Not_found_key)
 
+(* A plain lookup of an IPv6 prefix renders the object as the registry
+   holds it, [route6:], the same block [!mroute6] answers. *)
+let test_plain_whois_v6_route () =
+  let want = "route6:         2001:db8::/32\norigin:         AS65001" in
+  expect_data "2001:db8::/32" (Alcotest.(check string) "plain v6 route" want);
+  expect_data "!mroute6,2001:db8::/32" (Alcotest.(check string) "!mroute6" want)
+
 let test_framing () =
   Alcotest.(check string) "no data" "C\n" (Q.render Q.No_data);
   Alcotest.(check string) "not found" "D\n" (Q.render Q.Not_found_key);
@@ -165,7 +174,9 @@ let test_framing () =
   Alcotest.(check string) "quit renders empty" "" (Q.render Q.Quit)
 
 let test_session () =
-  let transcript = Q.session (Lazy.force db) [ "!nbgpq4"; "!gAS65001"; "!q"; "!gAS65001" ] in
+  let transcript =
+    Serve.session_lines (Lazy.force db) [ "!nbgpq4"; "!gAS65001"; "!q"; "!gAS65001" ]
+  in
   (* the !n ack, then one data block; nothing after !q *)
   Alcotest.(check bool) "starts with ack" true
     (String.length transcript > 2 && String.sub transcript 0 2 = "C\n");
@@ -216,7 +227,7 @@ let test_malformed_session_survives () =
   (* a hostile session never raises and produces one framed response per
      query line *)
   let transcript =
-    Q.session (Lazy.force db)
+    Serve.session_lines (Lazy.force db)
       [ "\x00garbage"; "!r999.999.999.999/99"; "!i" ^ String.make 10_000 'Z'; "" ]
   in
   Alcotest.(check bool) "non-empty transcript" true (String.length transcript > 0)
@@ -236,6 +247,7 @@ let suite =
     Alcotest.test_case "!a aggregated prefixes" `Quick test_a_aggregated_prefixes;
     Alcotest.test_case "!a cascades across origins" `Quick test_a_cascade_across_origins;
     Alcotest.test_case "plain whois" `Quick test_plain_whois;
+    Alcotest.test_case "plain whois v6 route" `Quick test_plain_whois_v6_route;
     Alcotest.test_case "framing" `Quick test_framing;
     Alcotest.test_case "session" `Quick test_session;
     Alcotest.test_case "unsupported !x" `Quick test_unsupported_bang;

@@ -2,7 +2,7 @@
    counter/histogram/span semantics, JSON round-trip through Rz_json,
    and a multi-domain stress test proving no increments are lost under
    Domain.spawn fan-out (the registry's core safety claim, relied on by
-   the serve workers and the stream pipeline). *)
+   the serve workers). *)
 
 module Obs = Rz_obs.Obs
 module Json = Rz_json.Json
@@ -140,55 +140,17 @@ let test_quantile_extreme_qs () =
   Alcotest.(check (float 0.0)) "underflow-only stream reports the 0.5 sentinel"
     0.5 (Obs.Histogram.quantile hu 0.5)
 
-(* ---------------- rolling windows ---------------- *)
-
-let ns = 1_000_000_000
-
-let test_window_rolling () =
-  (* 12 slots of 5s: a 60-second rolling window, driven on virtual time *)
-  let w = Obs.Window.make "test.win_roll" in
-  let slot = 5 * ns in
-  let t0 = 100 * ns in
-  Obs.Window.observe ~now_ns:t0 w 10.0;
-  Obs.Window.observe ~now_ns:t0 w 10.0;
-  Obs.Window.observe ~now_ns:(t0 + slot) w 1000.0;
-  Obs.Window.observe ~now_ns:(t0 + (11 * slot)) w 1000.0;
-  Alcotest.(check int) "all four in window" 4
-    (Obs.Window.total ~now_ns:(t0 + (11 * slot)) w);
-  Alcotest.(check (float 1e-9)) "rate = total / span" (4.0 /. 60.0)
-    (Obs.Window.rate ~now_ns:(t0 + (11 * slot)) w);
-  let p50 = Obs.Window.quantile ~now_ns:(t0 + (11 * slot)) w 0.5 in
-  let p99 = Obs.Window.quantile ~now_ns:(t0 + (11 * slot)) w 0.99 in
-  Alcotest.(check bool) "rolling p50 in the 10.0 bucket" true
-    (p50 >= 10.0 /. g && p50 <= 10.0 *. g);
-  Alcotest.(check bool) "rolling p99 in the 1000.0 bucket" true
-    (p99 >= 1000.0 /. g && p99 <= 1000.0 *. g);
-  (* one slot later the t0 slot has rolled out of the window *)
-  Alcotest.(check int) "t0 slot expired" 2
-    (Obs.Window.total ~now_ns:(t0 + (12 * slot)) w);
-  Alcotest.(check (float 1e-9)) "rate follows expiry" (2.0 /. 60.0)
-    (Obs.Window.rate ~now_ns:(t0 + (12 * slot)) w);
-  (* far future: everything expired, quantile degenerates like an empty
-     histogram *)
-  Alcotest.(check int) "all expired" 0 (Obs.Window.total ~now_ns:(t0 + (23 * slot)) w);
-  Alcotest.(check (float 0.0)) "empty window quantile" 0.0
-    (Obs.Window.quantile ~now_ns:(t0 + (23 * slot)) w 0.5);
-  (* make is idempotent: a second make returns the same window *)
-  Alcotest.(check bool) "second make is the same window" true
-    (Obs.Window.make "test.win_roll" == w)
-
 (* ---------------- scrape-vs-observe race ---------------- *)
 
 (* Regression pin for the torn (count, buckets) read: three writer
-   domains hammer a histogram and a window with a single value while the
-   main domain scrapes. Every quantile read must be either 0.0 (nothing
+   domains hammer a histogram with a single value while the main domain
+   scrapes. Every quantile read must be either 0.0 (nothing
    in the copy yet) or exactly that value's bucket representative — a
    rank computed from a count inconsistent with the bucket copy would
    run past the occupied bucket. Every full Prometheus scrape must
    strict-parse. *)
 let test_scrape_under_observe_stress () =
   let h = Obs.Histogram.make "test.scrape_stress.hist" in
-  let w = Obs.Window.make "test.scrape_stress.win" in
   (* the expected representative, from an isolated single observation *)
   let probe = Obs.Histogram.make "test.scrape_stress.probe" in
   Obs.Histogram.observe probe 100.0;
@@ -198,8 +160,7 @@ let test_scrape_under_observe_stress () =
     List.init 3 (fun _ ->
         Domain.spawn (fun () ->
             while not (Atomic.get stop) do
-              Obs.Histogram.observe h 100.0;
-              Obs.Window.observe w 100.0
+              Obs.Histogram.observe h 100.0
             done))
   in
   Fun.protect
@@ -212,10 +173,7 @@ let test_scrape_under_observe_stress () =
           (fun q ->
             let est = Obs.Histogram.quantile h q in
             if not (est = 0.0 || est = rep) then
-              Alcotest.failf "torn histogram quantile: q=%.2f read %.17g" q est;
-            let west = Obs.Window.quantile w q in
-            if not (west = 0.0 || west = rep) then
-              Alcotest.failf "torn window quantile: q=%.2f read %.17g" q west)
+              Alcotest.failf "torn histogram quantile: q=%.2f read %.17g" q est)
           [ 0.0; 0.5; 0.99; 1.0 ];
         if i mod 100 = 0 then
           match Obs.parse_prometheus (Obs.to_prometheus (Obs.Registry.snapshot ())) with
@@ -239,8 +197,6 @@ let test_prometheus_roundtrip () =
   Obs.Gauge.set g (-7);
   let h = Obs.Histogram.make "test.prom.hist" in
   List.iter (Obs.Histogram.observe h) [ 3.0; 700.0; 12_345.0 ];
-  let w = Obs.Window.make "test.prom.win" in
-  Obs.Window.observe w 100.0;
   Obs.Span.with_ "test.prom.span" (fun () -> ());
   Obs.Meta.set "test_key" (Json.String "test value");
   let text = Obs.to_prometheus (Obs.Registry.snapshot ()) in
@@ -263,8 +219,6 @@ let test_prometheus_roundtrip () =
     (match inf_bucket with
      | Some s -> Alcotest.(check (float 0.0)) "+Inf bucket = count" 3.0 s.Obs.p_value
      | None -> Alcotest.fail "+Inf bucket missing");
-    Alcotest.(check (float 0.0)) "window count gauge" 1.0
-      (find_sample "test_prom_win_window_count" samples);
     Alcotest.(check (float 0.0)) "span count" 1.0
       (find_sample "test_prom_span_span_count" samples);
     (* meta rides as comments, invisible to the sample list but present *)
@@ -308,7 +262,7 @@ let test_parse_prometheus_rejects () =
 
 (* ---------------- README metrics table drift ---------------- *)
 
-(* Every counter, gauge, histogram, and window any linked library
+(* Every counter, gauge and histogram any linked library
    registers must appear (backticked) in README.md's metrics reference
    table. Names the test suites register for themselves (the "test."
    prefix) and bench-only names are exempt. A failure here means a
@@ -339,17 +293,13 @@ let test_readme_metrics_table () =
   let registered =
     List.map fst (Obs.Registry.counters snap) @ List.map fst (Obs.Registry.gauges snap)
   in
-  (* histogram and window names via the JSON rendering (the "histograms"
-     and "windows" section keys: the registry exposes no direct listing) *)
-  let section_names section =
-    match Obs.Registry.to_json snap with
-    | Json.Obj fields -> (
-      match List.assoc_opt section fields with
-      | Some (Json.Obj rows) -> List.map fst rows
-      | _ -> [])
+  (* histogram names via the JSON rendering (the "histograms" section
+     keys: the registry exposes no direct listing) *)
+  let hist_names =
+    match Json.member "histograms" (Obs.Registry.to_json snap) with
+    | Some (Json.Obj rows) -> List.map fst rows
     | _ -> []
   in
-  let hist_names = section_names "histograms" @ section_names "windows" in
   let missing =
     List.filter
       (fun name ->
@@ -366,18 +316,11 @@ let test_readme_metrics_table () =
 (* ---------------- spans ---------------- *)
 
 let test_span_nesting () =
-  Alcotest.(check int) "depth 0 outside" 0 (Obs.Span.depth ());
-  let inner_depth = ref (-1) in
   let result =
     Obs.Span.with_ "test.span_outer" (fun () ->
-        Alcotest.(check int) "depth 1 in outer" 1 (Obs.Span.depth ());
-        Obs.Span.with_ "test.span_inner" (fun () ->
-            inner_depth := Obs.Span.depth ();
-            17))
+        Obs.Span.with_ "test.span_inner" (fun () -> 17))
   in
-  Alcotest.(check int) "nested depth" 2 !inner_depth;
   Alcotest.(check int) "result threads through" 17 result;
-  Alcotest.(check int) "depth 0 after" 0 (Obs.Span.depth ());
   Alcotest.(check int) "outer count" 1 (Obs.Span.count "test.span_outer");
   Alcotest.(check int) "inner count" 1 (Obs.Span.count "test.span_inner");
   Alcotest.(check bool) "outer time >= inner time" true
@@ -386,8 +329,7 @@ let test_span_nesting () =
 let test_span_exception_still_recorded () =
   (try Obs.Span.with_ "test.span_raises" (fun () -> failwith "boom") with
    | Failure _ -> ());
-  Alcotest.(check int) "recorded despite exception" 1 (Obs.Span.count "test.span_raises");
-  Alcotest.(check int) "stack unwound" 0 (Obs.Span.depth ())
+  Alcotest.(check int) "recorded despite exception" 1 (Obs.Span.count "test.span_raises")
 
 let test_span_accumulates () =
   for _ = 1 to 5 do
@@ -422,19 +364,6 @@ let test_json_roundtrip () =
     Alcotest.(check bool) "span total_ns is an int" true
       (match Json.member "total_ns" span with Some (Json.Int _) -> true | _ -> false)
 
-let test_text_rendering () =
-  let c = Obs.Counter.make "test.text.counter" in
-  Obs.Counter.add c 9;
-  Obs.Span.with_ "test.text.span" (fun () -> ());
-  let text = Obs.Registry.to_text (Obs.Registry.snapshot ()) in
-  let contains needle =
-    let n = String.length needle and m = String.length text in
-    let rec go i = i + n <= m && (String.sub text i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "counter line" true (contains "test.text.counter");
-  Alcotest.(check bool) "span line" true (contains "test.text.span")
-
 (* ---------------- multi-domain safety ---------------- *)
 
 let stress_domains = 4
@@ -462,9 +391,9 @@ let test_multi_domain_no_lost_increments () =
     (Obs.Span.count "test.stress.span")
 
 (* A domain that dies with spans open must not disturb any other
-   domain's DLS stack or the final snapshot: Span.with_ records the
-   raising span on the way out, the dead domain's stack dies with its
-   DLS, and every surviving domain's counts stay exact. *)
+   domain's spans or the final snapshot: Span.with_ records the raising
+   span on the way out, and every surviving domain's counts stay
+   exact. *)
 let test_span_crash_isolation () =
   let crash_domains = 4 in
   let iters = 1000 in
@@ -484,9 +413,8 @@ let test_span_crash_isolation () =
   let expect = ((crash_domains - 1) * iters) + (iters / 2) in
   Alcotest.(check int) "outer spans exact" expect (Obs.Span.count "test.crash.outer");
   Alcotest.(check int) "inner spans exact" expect (Obs.Span.count "test.crash.inner");
-  Alcotest.(check int) "main domain's stack untouched" 0 (Obs.Span.depth ());
-  Obs.Span.with_ "test.crash.after" (fun () ->
-      Alcotest.(check int) "main domain still nests" 1 (Obs.Span.depth ()));
+  Obs.Span.with_ "test.crash.after" (fun () -> ());
+  Alcotest.(check int) "main domain still records" 1 (Obs.Span.count "test.crash.after");
   match
     Json.of_string (Json.to_string (Obs.Registry.to_json (Obs.Registry.snapshot ())))
   with
@@ -539,8 +467,6 @@ let suite =
     Alcotest.test_case "span exception" `Quick (with_metrics test_span_exception_still_recorded);
     Alcotest.test_case "span accumulates" `Quick (with_metrics test_span_accumulates);
     Alcotest.test_case "json round-trip" `Quick (with_metrics test_json_roundtrip);
-    Alcotest.test_case "text rendering" `Quick (with_metrics test_text_rendering);
-    Alcotest.test_case "window rolling semantics" `Quick (with_metrics test_window_rolling);
     Alcotest.test_case "scrape under observe stress (4 domains)" `Quick
       (with_metrics test_scrape_under_observe_stress);
     Alcotest.test_case "prometheus round-trip" `Quick (with_metrics test_prometheus_roundtrip);

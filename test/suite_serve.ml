@@ -100,7 +100,8 @@ let test_dispatch_conformance () =
 
 let test_dispatch_matches_answer () =
   (* for clean in-protocol queries the service path adds nothing: it must
-     agree with Irrd_query.answer, and session_lines with session *)
+     agree with Irrd_query.answer, and session_lines with the rendered
+     answers up to !q *)
   let db = Lazy.force db in
   List.iter
     (fun (query, _) ->
@@ -108,9 +109,10 @@ let test_dispatch_matches_answer () =
         (Q.render (Q.answer db query))
         (Q.render (Serve.dispatch db query)))
     conformance_pins;
-  let lines = [ "!nbgpq4"; "!gAS65001"; "!iAS-CONE,1"; "!q"; "!gAS65001" ] in
-  Alcotest.(check string) "session_lines == session" (Q.session db lines)
-    (Serve.session_lines db lines)
+  let before_quit = [ "!nbgpq4"; "!gAS65001"; "!iAS-CONE,1" ] in
+  Alcotest.(check string) "session_lines == answers up to !q"
+    (String.concat "" (List.map (fun q -> Q.render (Q.answer db q)) before_quit))
+    (Serve.session_lines db (before_quit @ [ "!q"; "!gAS65001" ]))
 
 let test_dispatch_guards () =
   Obs.enable ();
@@ -782,14 +784,16 @@ let test_scrape_soak_under_swaps () =
   Alcotest.(check bool) "final serial advanced" true
     (Generation.last_serial store > 0)
 
-(* Acceptance differential: the !s windowed qps and rolling p50/p99 must
-   match an offline recomputation from the structured access log, within
-   histogram bucket error, with three generation swaps mid-run. Every
-   dispatched query (including !q and earlier !s scrapes) is windowed
-   with exactly the latency the access log records; !u is handled
-   outside dispatch (logged, not windowed); the final scrape's own
-   observation lands after its exposition is built, so the offline set
-   is every record written before it. *)
+(* Acceptance differential: the !s latency histogram must match an
+   offline recomputation from the structured access log exactly, count
+   and every cumulative bucket, with three generation swaps mid-run.
+   After [Obs.reset] the lifetime histogram covers exactly this run.
+   Every dispatched query (including !q and earlier !s scrapes) is
+   observed with exactly the latency the access log records; !u is
+   handled outside dispatch (logged, not timed) and guard rejections are
+   logged before timing; the final scrape's own observation lands after
+   its exposition is built, so the offline set is every record written
+   before it. *)
 let test_scrape_matches_access_log () =
   Obs.enable ();
   Obs.reset ();
@@ -843,9 +847,9 @@ let test_scrape_matches_access_log () =
   Alcotest.(check bool) "log has records" true (records <> []);
   Alcotest.(check bool) "every !u logged" true
     (List.length (List.filter (fun r -> str r "query" = "!u") records) = 3);
-  (* records written before the final !s: everything the scrape's window
-     had seen. Sessions are sequential, the writer queue is FIFO, so log
-     order is dispatch order. *)
+  (* records written before the final !s: everything the scrape's
+     histogram had seen. Sessions are sequential, the writer queue is
+     FIFO, so log order is dispatch order. *)
   let last_s =
     let rec find i best = function
       | [] -> best
@@ -855,7 +859,7 @@ let test_scrape_matches_access_log () =
     find 0 (-1) records
   in
   Alcotest.(check bool) "final !s logged" true (last_s >= 0);
-  let windowed =
+  let timed =
     List.filteri (fun i _ -> i < last_s) records
     |> List.filter (fun r ->
            str r "query" <> "!u" && Json.member "rejected" r = None)
@@ -863,29 +867,29 @@ let test_scrape_matches_access_log () =
   let scratch = Obs.Histogram.make "test.accesslog.recompute" in
   List.iter
     (fun r -> Obs.Histogram.observe scratch (float_of_int (int_field r "latency_ns")))
-    windowed;
-  let n = List.length windowed in
-  Alcotest.(check (float 0.0)) "windowed count = access-log recomputation"
-    (float_of_int n)
-    (sample "serve_query_window_window_count" final_scrape);
-  let span_s = sample "serve_query_window_window_span_seconds" final_scrape in
-  Alcotest.(check (float 1e-9)) "windowed qps = count / span"
-    (float_of_int n /. span_s)
-    (sample "serve_query_window_window_rate" final_scrape);
-  (* same bucket math on both sides: quantiles agree within one log
-     bucket (the histogram bucket error bound) *)
-  let g = Float.pow 2.0 0.25 (* the bucket growth factor *) in
-  let check_quantile label q prom_name =
-    let offline = Obs.Histogram.quantile scratch q in
-    let live = sample prom_name final_scrape in
-    Alcotest.(check bool)
-      (Printf.sprintf "%s within bucket error (offline %g, live %g)" label
-         offline live)
-      true
-      (live >= offline /. g && live <= offline *. g)
+    timed;
+  (* both sides through the same exposition: equal bucket bounds and
+     cumulative counts *)
+  let buckets name samples =
+    List.filter_map
+      (fun (s : Obs.prom_sample) ->
+        if s.Obs.p_name = name ^ "_bucket" then
+          Some (List.assoc "le" s.Obs.p_labels, s.Obs.p_value)
+        else None)
+      samples
   in
-  check_quantile "rolling p50" 0.5 "serve_query_window_window_p50";
-  check_quantile "rolling p99" 0.99 "serve_query_window_window_p99";
+  let offline =
+    match Obs.parse_prometheus (Obs.to_prometheus (Obs.Registry.snapshot ())) with
+    | Ok samples -> samples
+    | Error e -> Alcotest.failf "offline exposition does not parse: %s" e
+  in
+  Alcotest.(check (float 0.0)) "query count = access-log recount"
+    (float_of_int (List.length timed))
+    (sample "serve_query_ns_count" final_scrape);
+  Alcotest.(check (list (pair string (float 0.0))))
+    "cumulative buckets = access-log recount"
+    (buckets "test_accesslog_recompute" offline)
+    (buckets "serve_query_ns" final_scrape);
   Alcotest.(check (float 0.0)) "no access records dropped" 0.0
     (sample "obs_accesslog_dropped" final_scrape)
 

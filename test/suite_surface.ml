@@ -1,10 +1,12 @@
 (* Public-surface drift: every [val] a library interface exports must be
    named by some source file outside its own module. A word match over
    lib, bin, bench, perfbench, examples and test, like the README metrics
-   table drift check in suite_obs. A word match cannot tell modules
-   apart (two modules' [quantile] mask each other), so it misses some
-   dead values. A failure names each value no other file uses: delete it
-   from its .mli, and its code too unless its own module uses it. *)
+   table drift check in suite_obs. A [val] inside a nested
+   [module X : sig ... end] must be named as [X.name], so two nested
+   modules' [name] do not mask each other; a top-level word match still
+   cannot tell modules apart, so it misses some dead values. A failure
+   names each value no other file uses: delete it from its .mli, and its
+   code too unless its own module uses it. *)
 
 (* cwd is _build/default/test under `dune runtest`, the workspace root
    under `dune exec test/test_main.exe` *)
@@ -33,28 +35,41 @@ let is_word_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
   | _ -> false
 
+(* The words of [text], and each [A.b] pair of words joined by one dot
+   (so [Obs.Gauge.set] yields [Obs.Gauge] and [Gauge.set]). *)
 let words text =
   let tbl = Hashtbl.create 256 and n = String.length text in
-  let i = ref 0 in
+  let i = ref 0 and prev = ref None in
   while !i < n do
     if is_word_char text.[!i] then begin
       let start = !i in
       while !i < n && is_word_char text.[!i] do incr i done;
-      Hashtbl.replace tbl (String.sub text start (!i - start)) ()
+      let word = String.sub text start (!i - start) in
+      Hashtbl.replace tbl word ();
+      (match !prev with
+       | Some (p, stop) when stop = start - 1 && text.[stop] = '.' ->
+         Hashtbl.replace tbl (p ^ "." ^ word) ()
+       | _ -> ());
+      prev := Some (word, !i)
     end
     else incr i
   done;
   tbl
 
-(* The names of the [val] entries of an interface, nested signatures
-   included. *)
+(* The [val] entries of an interface, each named as its callers must
+   name it: [X.name] inside a nested [module X : sig] (which runs to the
+   next [end] at column 0), the bare name at top level. *)
 let vals text =
+  let inner = ref None in
   String.split_on_char '\n' text
   |> List.filter_map (fun line ->
          match String.split_on_char ' ' (String.trim line) with
+         | _ when line = "end" -> inner := None; None
+         | [ "module"; m; ":"; "sig" ] -> inner := Some m; None
          | "val" :: name :: _ when name <> "" ->
            let n = String.length name in
-           Some (if name.[n - 1] = ':' then String.sub name 0 (n - 1) else name)
+           let name = if name.[n - 1] = ':' then String.sub name 0 (n - 1) else name in
+           Some (match !inner with Some m -> m ^ "." ^ name | None -> name)
          | _ -> None)
 
 let test_every_val_is_named_outside_its_module () =

@@ -294,6 +294,29 @@ let test_chrome_export_well_formed () =
   Alcotest.(check int) "hop instant exported" 1 (count "i");
   Alcotest.(check bool) "metadata events present" true (count "M" >= 2)
 
+(* One domain past its buffer bound: the export keeps the first 65536
+   span events and reports the one it dropped. *)
+let test_chrome_export_reports_lost () =
+  Trace.Chrome.install ();
+  Fun.protect ~finally:Trace.Chrome.uninstall @@ fun () ->
+  for _ = 1 to 65_537 do
+    Obs.Span.with_ "trace.test.flood" Fun.id
+  done;
+  let events =
+    match Trace.Chrome.export () with
+    | Json.List es -> es
+    | _ -> Alcotest.fail "chrome trace is not a JSON array"
+  in
+  let named n e = Json.member "name" e = Some (Json.String n) in
+  Alcotest.(check int) "span events kept" 65_536
+    (List.length (List.filter (named "trace.test.flood") events));
+  match List.find_opt (named "process_name") events with
+  | None -> Alcotest.fail "no process_name event"
+  | Some e ->
+    Alcotest.(check bool) "lost count in process_name args" true
+      (Option.bind (Json.member "args" e) (Json.member "lost_span_events")
+       = Some (Json.Int 1))
+
 (* ---------------- metrics streaming ---------------- *)
 
 let test_metrics_stream_writes_jsonl () =
@@ -355,5 +378,7 @@ let suite =
       (with_trace test_explain_leaves_tracer_off);
     Alcotest.test_case "chrome export well-formed" `Quick
       (with_trace test_chrome_export_well_formed);
+    Alcotest.test_case "chrome export reports lost spans" `Quick
+      (with_trace test_chrome_export_reports_lost);
     Alcotest.test_case "metrics stream JSONL" `Quick
       (with_trace test_metrics_stream_writes_jsonl) ]
