@@ -137,14 +137,7 @@ let record_hop t (hop : Report.hop) route_counts =
      t.unverified_hops <- t.unverified_hops + 1;
      (* "Undeclared peering": every diagnostic is a peering mismatch —
         no rule's peering covered the neighbor. *)
-     let peering_only =
-       List.for_all
-         (function
-           | Report.Match_remote_as_num _ | Report.Match_remote_as_set _ -> true
-           | _ -> false)
-         hop.items
-     in
-     if peering_only then
+     if hop.peering_only then
        t.unverified_peering_only <- t.unverified_peering_only + 1
    | Status.Verified | Status.Skipped _ -> ())
 

@@ -124,6 +124,21 @@ type dep_note = {
 let max_deps = 128
 let fresh_deps () = { n_sets = []; n_origins = []; n_overflow = false }
 
+(* One rule of a subject's import or export list, for verdict mode: its
+   place in the list, and whether any of its peering clauses carries
+   actions (only such a rule can supply a verified hop's attrs). *)
+type cand = { pos : int; rule : Ast.rule; acts : bool }
+
+(* A subject's rules in one direction, split by the remotes they can
+   match. A rule is indexed under its ASNs when it is a plain term whose
+   every peering is a single ASN: such a rule's peerings are [NoMatch]
+   for any remote it does not name. Every other rule is [residual]. Both
+   hold their rules in list order. *)
+type rule_index = {
+  by_remote : (Rz_net.Asn.t, cand list) Hashtbl.t;
+  residual : cand list;
+}
+
 type t = {
   db : Db.t;
   rels : Rel_db.t;
@@ -132,7 +147,8 @@ type t = {
   regex_cache : Rz_aspath.Regex_nfa.Cache.cache;
       (* each distinct Path_regex pattern compiled once per engine *)
   path_dep_memo : (int, bool) Hashtbl.t;
-      (* (subject lsl 1) lor is_export -> policies reference the AS-path *)
+      (* {!dir_key} -> policies reference the AS-path *)
+  rule_index : (int, rule_index) Hashtbl.t;  (* {!dir_key} -> verdict-mode index *)
   hop_memo : memo_entry Hop_tbl.t;
   (* Reverse dependency indexes over memoized keys, maintained only when
      [config.track_deps]. A key may be listed more than once (re-inserted
@@ -151,6 +167,7 @@ let create ?(config = default_config) db rels =
     only_provider_memo = Hashtbl.create 64;
     regex_cache = Rz_aspath.Regex_nfa.Cache.create ();
     path_dep_memo = Hashtbl.create 64;
+    rule_index = Hashtbl.create 64;
     (* small, so that {!verify_rib}'s per-prefix [reset] is cheap; a
        persistent memo grows by doubling *)
     hop_memo = Hop_tbl.create 64;
@@ -164,6 +181,10 @@ let db t = t.db
 let bypasses t = t.bypasses
 let hop_memo_size t = Hop_tbl.length t.hop_memo
 let nfa_cache_size t = Rz_aspath.Regex_nfa.Cache.size t.regex_cache
+
+(* Key of the per-(subject, direction) caches. *)
+let dir_key subject direction =
+  (subject lsl 1) lor (match direction with `Export -> 1 | `Import -> 0)
 
 (* ------------------------------------------------------------------ *)
 (* Tri-valued evaluation: a filter/peering either matches, mismatches,  *)
@@ -190,7 +211,10 @@ let o_not = function Match -> NoMatch | NoMatch -> Match | Abstain x -> Abstain 
 (* Evaluation context for one hop check. *)
 type ctx = {
   prefix : Rz_net.Prefix.t;
-  path : Rz_net.Asn.t array;  (** exporter first, origin last *)
+  path : Rz_net.Asn.t array;
+      (** the route's path, origin last; the hop's own path starts at
+          [path.(off)], the exporter *)
+  off : int;
   remote : Rz_net.Asn.t;      (** PeerAS binding *)
   origin : Rz_net.Asn.t;
   mutable covering : (Rz_net.Prefix.t * Rz_net.Asn.t) list option;
@@ -209,9 +233,12 @@ type ctx = {
    as-set bomb. *)
 let max_traced_sets = 8
 
-let make_ctx ~trace ~deps ~prefix ~path ~remote ~origin =
-  { prefix; path; remote; origin; covering = None; trace; sets_walked = [];
-    sets_n = 0; deps }
+let make_ctx ~trace ~deps ~prefix ~path ~off ~remote =
+  { prefix; path; off; remote; origin = path.(Array.length path - 1); covering = None;
+    trace; sets_walked = []; sets_n = 0; deps }
+
+(* Length of the hop's own path, exporter .. origin. *)
+let hop_len ctx = Array.length ctx.path - ctx.off
 
 let trace_set ctx name =
   if ctx.trace && ctx.sets_n < max_traced_sets then begin
@@ -343,7 +370,10 @@ let rec eval_filter t ctx (filter : Ast.filter) : outcome =
         { Rz_aspath.Regex_match.asn_in_set = (fun name asn -> Db.asn_in_as_set t.db name asn);
           peer_as = Some ctx.remote }
       in
-      if Rz_aspath.Regex_nfa.matches ~env nfa ctx.path then Match else NoMatch
+      let hop_path =
+        if ctx.off = 0 then ctx.path else Array.sub ctx.path ctx.off (hop_len ctx)
+      in
+      if Rz_aspath.Regex_nfa.matches ~env nfa hop_path then Match else NoMatch
     end
   | Ast.Community _ -> Abstain (A_skip Status.Community_filter)
   | Ast.Fltr_martian -> if Rz_net.Martian.is_martian ctx.prefix then Match else NoMatch
@@ -384,7 +414,8 @@ let eval_peering t ctx (peering : Ast.peering) : outcome =
               | Ast.Peering_set_ref _ -> NoMatch (* no nested peering-sets *)))
          NoMatch ps.peerings)
 
-(* Remote ASNs / as-sets a peering references, for diagnostics. *)
+(* Remote ASNs / as-sets a peering references, for diagnostics, put
+   before [tail]. *)
 let rec as_expr_refs acc = function
   | Ast.Asn asn -> Report.Match_remote_as_num asn :: acc
   | Ast.As_set name -> Report.Match_remote_as_set name :: acc
@@ -392,19 +423,18 @@ let rec as_expr_refs acc = function
   | Ast.And (a, b) | Ast.Or (a, b) | Ast.Except_as (a, b) ->
     as_expr_refs (as_expr_refs acc a) b
 
-let peering_refs = function
-  | Ast.Peering_spec { as_expr; _ } -> as_expr_refs [] as_expr
-  | Ast.Peering_set_ref name -> [ Report.Match_remote_as_set name ]
+let peering_refs tail = function
+  | Ast.Peering_spec { as_expr; _ } -> as_expr_refs tail as_expr
+  | Ast.Peering_set_ref name -> Report.Match_remote_as_set name :: tail
 
 (* ---------------- rules ---------------- *)
 
 (* Facts gathered per factor whose afi applied, used by the precedence
-   decision and the relaxation checks. *)
+   decision, the relaxation checks and the diagnostics. *)
 type factor_fact = {
+  factor : Ast.factor;
   peering_outcome : outcome;
   filter_outcome : outcome option;  (* evaluated only when peering matched *)
-  filter : Ast.filter;
-  refs : Report.item list;          (* peering references, for diagnostics *)
   matched_actions : Ast.action list;
       (* actions of the peering clauses that matched the remote *)
 }
@@ -418,44 +448,43 @@ let afi_applies (rule : Ast.rule) (term : Ast.term) prefix =
       Rz_net.Prefix.is_v4 prefix
   | afis -> Rz_net.Afi.matches_any afis prefix
 
-let eval_factor t ctx (factor : Ast.factor) : factor_fact * outcome =
-  let peering_outcome = ref NoMatch in
-  let matched_actions = ref [] in
-  List.iter
-    (fun (pa : Ast.peering_action) ->
-      let o = eval_peering t ctx pa.peering in
-      if o = Match then matched_actions := !matched_actions @ pa.actions;
-      peering_outcome := o_or !peering_outcome o)
-    factor.peerings;
-  let peering_outcome = !peering_outcome in
-  let matched_actions = !matched_actions in
-  let refs = List.concat_map (fun (pa : Ast.peering_action) -> peering_refs pa.peering) factor.peerings in
-  match peering_outcome with
-  | Match ->
+(* The peerings' combined outcome, and the action lists of the clauses
+   that matched, last first. *)
+let rec eval_peerings t ctx acc matched = function
+  | [] -> (acc, matched)
+  | (pa : Ast.peering_action) :: rest ->
+    let o = eval_peering t ctx pa.peering in
+    let matched =
+      match o with
+      | Match when pa.actions <> [] -> pa.actions :: matched
+      | Match | NoMatch | Abstain _ -> matched
+    in
+    eval_peerings t ctx (o_or acc o) matched rest
+
+let eval_factor t ctx (factor : Ast.factor) facts : outcome =
+  match eval_peerings t ctx NoMatch [] factor.peerings with
+  | Match, matched ->
     let filter_outcome = eval_filter t ctx factor.filter in
     (match filter_outcome with
      | Abstain _ -> Obs.Counter.incr c_filter_abstains
      | Match | NoMatch -> ());
-    ( { peering_outcome; filter_outcome = Some filter_outcome; filter = factor.filter;
-        refs; matched_actions },
-      filter_outcome )
-  | NoMatch ->
-    ({ peering_outcome; filter_outcome = None; filter = factor.filter; refs;
-       matched_actions = [] },
-     NoMatch)
-  | Abstain a ->
-    ({ peering_outcome; filter_outcome = None; filter = factor.filter; refs;
-       matched_actions = [] },
-     Abstain a)
+    let matched_actions =
+      match matched with [] -> [] | [ actions ] -> actions | l -> List.concat (List.rev l)
+    in
+    facts :=
+      { factor; peering_outcome = Match; filter_outcome = Some filter_outcome;
+        matched_actions }
+      :: !facts;
+    filter_outcome
+  | ((NoMatch | Abstain _) as peering_outcome), _ ->
+    facts := { factor; peering_outcome; filter_outcome = None; matched_actions = [] } :: !facts;
+    peering_outcome
 
 let eval_term t ctx (rule : Ast.rule) (term : Ast.term) facts : outcome =
   if not (afi_applies rule term ctx.prefix) then NoMatch
   else
     List.fold_left
-      (fun acc factor ->
-        let fact, outcome = eval_factor t ctx factor in
-        facts := fact :: !facts;
-        o_or acc outcome)
+      (fun acc factor -> o_or acc (eval_factor t ctx factor facts))
       NoMatch term.factors
 
 (* Structured policies: EXCEPT's right-hand side takes precedence for the
@@ -489,9 +518,9 @@ let eval_rule t ctx (rule : Ast.rule) facts = eval_expr t ctx rule facts rule.ex
    the route was received from is a customer and a route object by some
    cone member covers the prefix (Appendix C semantics). *)
 let export_self_applies t ctx ~subject (fact : factor_fact) =
-  match fact.filter with
-  | Ast.As_num (asn, _) when asn = subject && Array.length ctx.path >= 2 ->
-    let received_from = ctx.path.(1) in
+  match fact.factor.filter with
+  | Ast.As_num (asn, _) when asn = subject && hop_len ctx >= 2 ->
+    let received_from = ctx.path.(ctx.off + 1) in
     Rel_db.relationship t.rels subject received_from = Rel_db.A_provider_of_b
     &&
     let cone = Rel_db.customer_cone t.rels subject in
@@ -501,7 +530,7 @@ let export_self_applies t ctx ~subject (fact : factor_fact) =
 (* Import Customer: filter names the (transit) customer the route comes
    from; relax the filter to ANY. *)
 let import_customer_applies t ctx ~subject (fact : factor_fact) =
-  match fact.filter with
+  match fact.factor.filter with
   | Ast.As_num (asn, _) ->
     asn = ctx.remote
     && Rel_db.relationship t.rels subject ctx.remote = Rel_db.A_provider_of_b
@@ -510,7 +539,7 @@ let import_customer_applies t ctx ~subject (fact : factor_fact) =
 (* Missing routes: the filter names the origin AS (or a set containing
    it) but its route objects are stale/missing. *)
 let missing_routes_applies t ctx (fact : factor_fact) =
-  match fact.filter with
+  match fact.factor.filter with
   | Ast.As_num (asn, _) -> asn = ctx.origin
   | Ast.As_set_ref (name, _) ->
     Db.as_set_exists t.db name && Db.asn_in_as_set t.db name ctx.origin
@@ -582,7 +611,7 @@ let rec filter_reads_path t ~visiting (filter : Ast.filter) =
     false
 
 let policies_read_path t ~subject ~direction =
-  let memo_key = (subject lsl 1) lor (match direction with `Export -> 1 | `Import -> 0) in
+  let memo_key = dir_key subject direction in
   match Hashtbl.find_opt t.path_dep_memo memo_key with
   | Some cached -> cached
   | None ->
@@ -635,7 +664,7 @@ let empty_prov = { p_rule = None; p_filter = None; p_sets = [] }
 (* Emit one trace record for a hop verdict, subject to the sampling
    policy. Building the record (prefix rendering, item strings) only
    happens for sampled hops. *)
-let emit_trace ~direction ~subject ~remote ~prefix ~path ~memo (hop : Report.hop)
+let emit_trace ~direction ~subject ~remote ~prefix ~path ~off ~memo (hop : Report.hop)
     (prov : prov option) =
   let cls = Status.class_label hop.Report.status in
   if Trace.should_sample cls then begin
@@ -649,7 +678,7 @@ let emit_trace ~direction ~subject ~remote ~prefix ~path ~memo (hop : Report.hop
         subject; remote;
         prefix = Rz_net.Prefix.to_string prefix;
         origin = (if n = 0 then remote else path.(n - 1));
-        path_len = n;
+        path_len = n - off;
         verdict = Status.to_string hop.Report.status;
         verdict_class = cls;
         rule = prov.p_rule;
@@ -660,190 +689,298 @@ let emit_trace ~direction ~subject ~remote ~prefix ~path ~memo (hop : Report.hop
         items = List.map Report.item_to_string hop.Report.items }
   end
 
-let verify_hop_full t ~direction ~subject ~remote ~prefix ~path :
+(* ---------------- verdict-mode rule index ---------------- *)
+
+let single_asn (pa : Ast.peering_action) =
+  match pa.peering with
+  | Ast.Peering_spec { as_expr = Ast.Asn asn; _ } -> Some asn
+  | Ast.Peering_spec _ | Ast.Peering_set_ref _ -> None
+
+(* The ASNs a rule's peerings name, when it is indexable (see
+   {!rule_index}); [None] for a residual rule. *)
+let indexed_asns (rule : Ast.rule) =
+  match rule.expr with
+  | Ast.Except_e _ | Ast.Refine_e _ -> None
+  | Ast.Term_e term ->
+    let peerings = List.concat_map (fun (factor : Ast.factor) -> factor.peerings) term.factors in
+    if List.for_all (fun pa -> single_asn pa <> None) peerings then
+      Some (List.filter_map single_asn peerings)
+    else None
+
+let rule_has_actions (rule : Ast.rule) =
+  List.exists
+    (fun (term : Ast.term) ->
+      List.exists
+        (fun (factor : Ast.factor) ->
+          List.exists (fun (pa : Ast.peering_action) -> pa.actions <> []) factor.peerings)
+        term.factors)
+    (Ast.expr_terms rule.expr)
+
+let build_rule_index rules =
+  let by_remote = Hashtbl.create 16 and residual = ref [] in
+  List.iteri
+    (fun pos rule ->
+      let c = { pos; rule; acts = rule_has_actions rule } in
+      match indexed_asns rule with
+      | None -> residual := c :: !residual
+      | Some asns ->
+        List.iter
+          (fun asn ->
+            match Hashtbl.find_opt by_remote asn with
+            | Some (c' :: _) when c' == c -> ()  (* a rule naming [asn] twice *)
+            | Some l -> Hashtbl.replace by_remote asn (c :: l)
+            | None -> Hashtbl.replace by_remote asn [ c ])
+          asns)
+    rules;
+  Hashtbl.filter_map_inplace (fun _ l -> Some (List.rev l)) by_remote;
+  { by_remote; residual = List.rev !residual }
+
+let rule_index t ~subject ~direction rules =
+  let key = dir_key subject direction in
+  match Hashtbl.find t.rule_index key with
+  | idx -> idx
+  | exception Not_found ->
+    let idx = build_rule_index rules in
+    Hashtbl.replace t.rule_index key idx;
+    idx
+
+(* Visit two position-sorted rule lists merged, while [visit] returns
+   [true]. *)
+let rec iter_merged visit xs ys =
+  match (xs, ys) with
+  | [], [] -> ()
+  | x :: xs', y :: _ when x.pos < y.pos -> if visit x then iter_merged visit xs' ys
+  | x :: xs', [] -> if visit x then iter_merged visit xs' []
+  | _, y :: ys' -> if visit y then iter_merged visit xs ys'
+
+(* ---------------- hop verification ---------------- *)
+
+let filter_matched (fact : factor_fact) =
+  match fact.filter_outcome with Some Match -> true | _ -> false
+
+let filter_failed (fact : factor_fact) =
+  match fact.filter_outcome with Some NoMatch -> true | _ -> false
+
+(* The attributes the first fully-matching factor's actions assign;
+   [facts] in evaluation order. *)
+let attrs_of facts =
+  List.find_map
+    (fun (fact : factor_fact) ->
+      if filter_matched fact && fact.matched_actions <> [] then
+        Result.to_option
+          (Rz_policy.Action_eval.apply fact.matched_actions Rz_policy.Action_eval.empty)
+      else None)
+    facts
+
+(* The fold of verdict mode: the remote's candidate rules (its indexed
+   ones and the residual ones, in list order) until the first [Match],
+   then only later rules with actions, and only until a factor supplies
+   the attrs. A rule it skips can only give [NoMatch] peerings: no
+   abstain, no filter failure and no attrs, so the verdict is the full
+   fold's. [facts] is in reverse order. *)
+let verdict_fold t ctx idx facts =
+  let indexed =
+    match Hashtbl.find idx.by_remote ctx.remote with l -> l | exception Not_found -> []
+  in
+  let attrs_found () =
+    List.exists (fun fact -> filter_matched fact && fact.matched_actions <> []) !facts
+    && Option.is_some (attrs_of (List.rev !facts))
+  in
+  let overall = ref NoMatch in
+  let visit c =
+    match !overall with
+    | Match ->
+      if c.acts then ignore (eval_rule t ctx c.rule facts : outcome);
+      not (c.acts && attrs_found ())
+    | NoMatch | Abstain _ ->
+      let o = eval_rule t ctx c.rule facts in
+      overall := o_or !overall o;
+      (match o with Match -> not (attrs_found ()) | NoMatch | Abstain _ -> true)
+  in
+  iter_merged visit indexed idx.residual;
+  !overall
+
+let abstain_of (fact : factor_fact) =
+  match (fact.peering_outcome, fact.filter_outcome) with
+  | Abstain a, _ | _, Some (Abstain a) -> Some a
+  | _ -> None
+
+(* The first abstain [pick] accepts, over the factors in order and then
+   the rules' combined outcome. *)
+let first_abstain pick facts overall =
+  match List.find_map (fun fact -> Option.bind (abstain_of fact) pick) facts with
+  | Some _ as found -> found
+  | None -> (match overall with Abstain a -> pick a | Match | NoMatch -> None)
+
+(* Diagnostics, before [tail]: peering references of factors whose
+   peering failed, and filter identities of factors whose filter
+   failed. *)
+let diagnostics facts tail =
+  List.fold_right
+    (fun (fact : factor_fact) acc ->
+      match (fact.peering_outcome, fact.filter_outcome) with
+      | Match, Some NoMatch ->
+        (match fact.factor.filter with
+         | Ast.As_num (asn, op) -> Report.Match_filter_as_num (asn, op)
+         | Ast.As_set_ref (name, _) -> Report.Match_filter_as_set name
+         | _ -> Report.Match_filter)
+        :: acc
+      | NoMatch, _ ->
+        List.fold_right
+          (fun (pa : Ast.peering_action) acc -> peering_refs acc pa.peering)
+          fact.factor.peerings acc
+      | _ -> acc)
+    facts tail
+
+(* Status, attrs, items (when [items]) and the peering-only bit of a hop
+   from its factor facts (in evaluation order) and the rules' combined
+   outcome. Both folds decide here. *)
+let decide t ctx ~direction ~subject ~items facts overall =
+  let remote = ctx.remote in
+  match overall with
+  | Match -> (Status.Verified, attrs_of facts, [], true)
+  | NoMatch | Abstain _ ->
+    let finish status tail =
+      let peering_only =
+        match status with
+        | Status.Unverified -> not (List.exists filter_failed facts)
+        | _ -> false
+      in
+      (status, None, (if items then diagnostics facts tail else []), peering_only)
+    in
+    (* Precedence after Verified: Skip, Unrecorded, Relaxed,
+       Safelisted, Unverified (Section 5). *)
+    let skip = function A_skip r -> Some r | A_unrec _ -> None in
+    let unrec = function A_unrec r -> Some r | A_skip _ -> None in
+    (match first_abstain skip facts overall with
+     | Some reason -> finish (Status.Skipped reason) [ Report.Skip reason ]
+     | None ->
+       (match first_abstain unrec facts overall with
+        | Some reason -> finish (Status.Unrecorded reason) [ Report.Unrec reason ]
+        | None ->
+          (* Relaxed filters: only for factors whose peering matched
+             but filter said no. *)
+          let failed_and applies =
+            List.exists (fun fact -> filter_failed fact && applies fact) facts
+          in
+          let relaxed =
+            if direction = `Export && failed_and (export_self_applies t ctx ~subject) then
+              Some Status.Export_self
+            else if
+              direction = `Import && failed_and (import_customer_applies t ctx ~subject)
+            then Some Status.Import_customer
+            else if failed_and (missing_routes_applies t ctx) then Some Status.Missing_routes
+            else None
+          in
+          (match relaxed with
+           | Some special -> finish (Status.Relaxed special) [ Report.Spec special ]
+           | None ->
+             let is_customer_or_peer =
+               match Rel_db.relationship t.rels subject remote with
+               | Rel_db.A_provider_of_b | Rel_db.Peers -> true
+               | _ -> false
+             in
+             let safelisted =
+               if is_customer_or_peer && only_provider_policies t ~subject then
+                 Some Status.Only_provider_policies
+               else if Rel_db.is_tier1 t.rels subject && Rel_db.is_tier1 t.rels remote
+               then Some Status.Tier1_pair
+               else begin
+                 let uphill =
+                   match direction with
+                   | `Export ->
+                     (* A customer passing a customer-learned route up
+                        to its provider. The origin's own first-hop
+                        export is NOT safelisted (there is no previous
+                        AS), matching the paper's Appendix C where the
+                        origin's export stays BadExport — the place
+                        where filtering is most valuable. *)
+                     Rel_db.relationship t.rels remote subject = Rel_db.A_provider_of_b
+                     && hop_len ctx >= 2
+                     && Rel_db.relationship t.rels subject ctx.path.(ctx.off + 1)
+                        = Rel_db.A_provider_of_b
+                   | `Import ->
+                     (* provider importing from its customer *)
+                     Rel_db.relationship t.rels subject remote = Rel_db.A_provider_of_b
+                 in
+                 if uphill then Some Status.Uphill else None
+               end
+             in
+             (match safelisted with
+              | Some special -> finish (Status.Safelisted special) [ Report.Spec special ]
+              | None -> finish Status.Unverified []))))
+
+(* Evaluate one side of one hop. The full fold folds every rule and
+   builds the diagnostics (and, when tracing, the provenance); [verdict]
+   folds only the remote's candidate rules, stops at the first match
+   ({!verdict_fold}) and builds neither. *)
+let evaluate t ~verdict ~direction ~subject ~remote ~prefix ~path ~off :
     Report.hop * prov option * dep_note option =
-  let tracing = Trace.enabled () in
+  let tracing = (not verdict) && Trace.enabled () in
   let deps = if t.config.track_deps then Some (fresh_deps ()) else None in
   let from_as, to_as =
     match direction with `Export -> (subject, remote) | `Import -> (remote, subject)
   in
-  let finish ?attrs status items =
+  let hop ?attrs status items peering_only =
     count_status status;
-    { Report.direction; from_as; to_as; status; items; attrs }
+    { Report.direction; from_as; to_as; status; items; attrs; peering_only }
   in
-  match Db.find_aut_num t.db subject with
-  | None ->
-    ( finish (Status.Unrecorded (Status.No_aut_num subject))
-        [ Report.Unrec (Status.No_aut_num subject) ],
+  let unrecorded reason =
+    ( hop (Status.Unrecorded reason) (if verdict then [] else [ Report.Unrec reason ]) false,
       (if tracing then Some empty_prov else None),
       deps )
+  in
+  match Db.find_aut_num t.db subject with
+  | None -> unrecorded (Status.No_aut_num subject)
   | Some an ->
     let rules = match direction with `Import -> an.imports | `Export -> an.exports in
-    if rules = [] then
-      ( finish (Status.Unrecorded Status.No_rules) [ Report.Unrec Status.No_rules ],
-        (if tracing then Some empty_prov else None),
-        deps )
+    if rules = [] then unrecorded Status.No_rules
     else begin
-      let origin = path.(Array.length path - 1) in
-      let ctx = make_ctx ~trace:tracing ~deps ~prefix ~path ~remote ~origin in
+      let ctx = make_ctx ~trace:tracing ~deps ~prefix ~path ~off ~remote in
       let facts = ref [] in
       let matched_rule = ref None in
       let overall =
-        List.fold_left
-          (fun acc rule ->
-            let o = eval_rule t ctx rule facts in
-            if o = Match && !matched_rule = None then matched_rule := Some rule;
-            o_or acc o)
-          NoMatch rules
+        if verdict then verdict_fold t ctx (rule_index t ~subject ~direction rules) facts
+        else
+          List.fold_left
+            (fun acc rule ->
+              let o = eval_rule t ctx rule facts in
+              if o = Match && !matched_rule = None then matched_rule := Some rule;
+              o_or acc o)
+            NoMatch rules
       in
       let facts = List.rev !facts in
-      (* Diagnostics: peering references of factors whose peering failed,
-         and filter identities of factors whose filter failed. *)
-      let items =
-        List.concat_map
-          (fun (fact : factor_fact) ->
-            match (fact.peering_outcome, fact.filter_outcome) with
-            | Match, Some NoMatch ->
-              [ (match fact.filter with
-                 | Ast.As_num (asn, op) -> Report.Match_filter_as_num (asn, op)
-                 | Ast.As_set_ref (name, _) -> Report.Match_filter_as_set name
-                 | _ -> Report.Match_filter) ]
-            | NoMatch, _ -> fact.refs
-            | _ -> [])
-          facts
+      let status, attrs, items, peering_only =
+        decide t ctx ~direction ~subject ~items:(not verdict) facts overall
       in
       (* Provenance for the trace record: the matched rule for Verified,
          otherwise the first rule consulted (all were); the decisive
-         filter's kind; the sets walked during evaluation. Computed only
-         when tracing — the untraced hot path allocates nothing here. *)
-      let prov () =
+         filter's kind; the sets walked during evaluation. *)
+      let prov =
         if not tracing then None
         else begin
           let rule =
             match !matched_rule with Some r -> Some r | None -> List.nth_opt rules 0
           in
           let decisive =
-            match overall with
-            | Match ->
-              List.find_opt
-                (fun (fact : factor_fact) -> fact.filter_outcome = Some Match)
-                facts
-            | NoMatch | Abstain _ ->
-              List.find_opt
-                (fun (fact : factor_fact) ->
-                  match fact.filter_outcome with
-                  | Some NoMatch | Some (Abstain _) -> true
-                  | _ -> false)
-                facts
+            List.find_opt
+              (match overall with
+               | Match -> filter_matched
+               | NoMatch | Abstain _ ->
+                 fun fact ->
+                   (match fact.filter_outcome with
+                    | Some NoMatch | Some (Abstain _) -> true
+                    | _ -> false))
+              facts
           in
           Some
             { p_rule = Option.map (fun r -> clip (Ast.rule_to_string r)) rule;
               p_filter =
-                Option.map (fun (f : factor_fact) -> filter_kind_label f.filter) decisive;
+                Option.map (fun (f : factor_fact) -> filter_kind_label f.factor.filter) decisive;
               p_sets = List.rev ctx.sets_walked }
         end
       in
-      let finish ?attrs status items = (finish ?attrs status items, prov (), deps) in
-      match overall with
-      | Match ->
-        (* the attributes the first fully-matching factor assigns *)
-        let attrs =
-          List.find_map
-            (fun (fact : factor_fact) ->
-              if fact.filter_outcome = Some Match && fact.matched_actions <> [] then
-                Result.to_option
-                  (Rz_policy.Action_eval.apply fact.matched_actions
-                     Rz_policy.Action_eval.empty)
-              else None)
-            facts
-        in
-        finish ?attrs Status.Verified []
-      | NoMatch | Abstain _ ->
-        (* Precedence after Verified: Skip, Unrecorded, Relaxed,
-           Safelisted, Unverified (Section 5). *)
-        let abstains =
-          List.filter_map
-            (fun (fact : factor_fact) ->
-              match (fact.peering_outcome, fact.filter_outcome) with
-              | Abstain a, _ | _, Some (Abstain a) -> Some a
-              | _ -> None)
-            facts
-          @ (match overall with Abstain a -> [ a ] | _ -> [])
-        in
-        let first_skip =
-          List.find_map (function A_skip r -> Some r | A_unrec _ -> None) abstains
-        in
-        let first_unrec =
-          List.find_map (function A_unrec r -> Some r | A_skip _ -> None) abstains
-        in
-        (match first_skip with
-         | Some reason -> finish (Status.Skipped reason) (items @ [ Report.Skip reason ])
-         | None ->
-           (match first_unrec with
-            | Some reason ->
-              finish (Status.Unrecorded reason) (items @ [ Report.Unrec reason ])
-            | None ->
-              (* Relaxed filters: only for factors whose peering matched
-                 but filter said no. *)
-              let filter_failed =
-                List.filter
-                  (fun (fact : factor_fact) -> fact.filter_outcome = Some NoMatch)
-                  facts
-              in
-              let relaxed =
-                if
-                  direction = `Export
-                  && List.exists (export_self_applies t ctx ~subject) filter_failed
-                then Some Status.Export_self
-                else if
-                  direction = `Import
-                  && List.exists (import_customer_applies t ctx ~subject) filter_failed
-                then Some Status.Import_customer
-                else if List.exists (missing_routes_applies t ctx) filter_failed then
-                  Some Status.Missing_routes
-                else None
-              in
-              (match relaxed with
-               | Some special ->
-                 finish (Status.Relaxed special) (items @ [ Report.Spec special ])
-               | None ->
-                 let is_customer_or_peer =
-                   match Rel_db.relationship t.rels subject remote with
-                   | Rel_db.A_provider_of_b | Rel_db.Peers -> true
-                   | _ -> false
-                 in
-                 let safelisted =
-                   if is_customer_or_peer && only_provider_policies t ~subject then
-                     Some Status.Only_provider_policies
-                   else if Rel_db.is_tier1 t.rels subject && Rel_db.is_tier1 t.rels remote
-                   then Some Status.Tier1_pair
-                   else begin
-                     let uphill =
-                       match direction with
-                       | `Export ->
-                         (* A customer passing a customer-learned route up
-                            to its provider. The origin's own first-hop
-                            export is NOT safelisted (there is no previous
-                            AS), matching the paper's Appendix C where the
-                            origin's export stays BadExport — the place
-                            where filtering is most valuable. *)
-                         Rel_db.relationship t.rels remote subject
-                         = Rel_db.A_provider_of_b
-                         && Array.length ctx.path >= 2
-                         && Rel_db.relationship t.rels subject ctx.path.(1)
-                            = Rel_db.A_provider_of_b
-                       | `Import ->
-                         (* provider importing from its customer *)
-                         Rel_db.relationship t.rels subject remote
-                         = Rel_db.A_provider_of_b
-                     in
-                     if uphill then Some Status.Uphill else None
-                   end
-                 in
-                 (match safelisted with
-                  | Some special ->
-                    finish (Status.Safelisted special) (items @ [ Report.Spec special ])
-                  | None -> finish Status.Unverified items))))
+      (hop ?attrs status items peering_only, prov, deps)
     end
 
 (* Never a valid ASN ([Asn.t] is a non-negative int), so it cannot
@@ -870,13 +1007,18 @@ let index_entry t key (deps : dep_note option) =
       List.iter (fun asn -> idx_push t.idx_origin asn key) d.n_origins
     end
 
-let verify_hop t ~direction ~subject ~remote ~prefix ~path : Report.hop =
+(* One hop check through the memo; the hop's path is [path.(off)] ..
+   the last element. The memo holds hops of one mode only: the full
+   fold's, except during {!verify_rib}, which empties it at both ends. *)
+let check_hop t ~verdict ~direction ~subject ~remote ~prefix ~path ~off : Report.hop =
   let n = Array.length path in
-  let tracing = Trace.enabled () in
+  let tracing = (not verdict) && Trace.enabled () in
   if (not t.config.memoize) || n = 0 then begin
-    let hop, prov, _deps = verify_hop_full t ~direction ~subject ~remote ~prefix ~path in
+    let hop, prov, _deps =
+      evaluate t ~verdict ~direction ~subject ~remote ~prefix ~path ~off
+    in
     if tracing then
-      emit_trace ~direction ~subject ~remote ~prefix ~path ~memo:"computed" hop prov;
+      emit_trace ~direction ~subject ~remote ~prefix ~path ~off ~memo:"computed" hop prov;
     hop
   end
   else begin
@@ -885,7 +1027,7 @@ let verify_hop t ~direction ~subject ~remote ~prefix ~path : Report.hop =
       { k_export = is_export;
         k_subject = subject;
         k_remote = remote;
-        k_second = (if is_export && n >= 2 then path.(1) else no_second_as);
+        k_second = (if is_export && n - off >= 2 then path.(off + 1) else no_second_as);
         k_prefix = prefix;
         k_origin = path.(n - 1) }
     in
@@ -899,11 +1041,13 @@ let verify_hop t ~direction ~subject ~remote ~prefix ~path : Report.hop =
       Obs.Counter.incr c_memo_hits;
       count_status entry.e_hop.Report.status;
       if tracing then
-        emit_trace ~direction ~subject ~remote ~prefix ~path ~memo:"hit" entry.e_hop
+        emit_trace ~direction ~subject ~remote ~prefix ~path ~off ~memo:"hit" entry.e_hop
           entry.e_prov;
       entry.e_hop
     | exception Not_found ->
-      let hop, prov, deps = verify_hop_full t ~direction ~subject ~remote ~prefix ~path in
+      let hop, prov, deps =
+        evaluate t ~verdict ~direction ~subject ~remote ~prefix ~path ~off
+      in
       (* Path-dependent policies bypass the memo (nothing is inserted, so
          later identical keys cannot hit) and results stay bit-identical
          to an unmemoized engine. *)
@@ -920,9 +1064,12 @@ let verify_hop t ~direction ~subject ~remote ~prefix ~path : Report.hop =
         end
       in
       if tracing then
-        emit_trace ~direction ~subject ~remote ~prefix ~path ~memo:memo_label hop prov;
+        emit_trace ~direction ~subject ~remote ~prefix ~path ~off ~memo:memo_label hop prov;
       hop
   end
+
+let verify_hop t ~direction ~subject ~remote ~prefix ~path =
+  check_hop t ~verdict:false ~direction ~subject ~remote ~prefix ~path ~off:0
 
 (* ---------------- churn-safe invalidation ---------------- *)
 
@@ -988,8 +1135,11 @@ let apply_edits t ~stale_patterns edits =
       match edit with
       | Edit_aut_num x ->
         Hashtbl.remove t.only_provider_memo x;
-        Hashtbl.remove t.path_dep_memo (x lsl 1);
-        Hashtbl.remove t.path_dep_memo ((x lsl 1) lor 1);
+        List.iter
+          (fun direction ->
+            Hashtbl.remove t.path_dep_memo (dir_key x direction);
+            Hashtbl.remove t.rule_index (dir_key x direction))
+          [ `Import; `Export ];
         invalidate_bucket t.idx_subject x
       | Edit_set name ->
         any_set_edit := true;
@@ -1017,7 +1167,7 @@ let apply_edits t ~stale_patterns edits =
   Obs.Counter.add c_invalidations !removed;
   (!removed, Hashtbl.fold (fun p () acc -> p :: acc) prefixes [])
 
-let verify_route_impl t (route : Rz_bgp.Route.t) : Report.route_report option =
+let verify_route_impl t ~verdict (route : Rz_bgp.Route.t) : Report.route_report option =
   if Rz_bgp.Route.contains_as_set route then None
   else begin
     let path = Array.of_list (Rz_bgp.Route.dedup_path route) in
@@ -1026,20 +1176,19 @@ let verify_route_impl t (route : Rz_bgp.Route.t) : Report.route_report option =
     else begin
       (* The path is in collector order: element i is nearer the
          collector, element i+1 nearer the origin, and path.(n-1) is the
-         origin. Hop i is exporter path.(i+1) -> importer path.(i); the
+         origin. Hop i is exporter path.(i+1) -> importer path.(i), and
+         the path announced across it is path.(i+1) .. the origin. The
          hops are walked origin-side first. *)
       let hops = ref [] in
       for i = n - 2 downto 0 do
         let exporter = path.(i + 1) and importer = path.(i) in
-        (* Path as announced across this hop: exporter .. origin. *)
-        let hop_path = Array.sub path (i + 1) (n - i - 1) in
         let export_hop =
-          verify_hop t ~direction:`Export ~subject:exporter ~remote:importer
-            ~prefix:route.prefix ~path:hop_path
+          check_hop t ~verdict ~direction:`Export ~subject:exporter ~remote:importer
+            ~prefix:route.prefix ~path ~off:(i + 1)
         in
         let import_hop =
-          verify_hop t ~direction:`Import ~subject:importer ~remote:exporter
-            ~prefix:route.prefix ~path:hop_path
+          check_hop t ~verdict ~direction:`Import ~subject:importer ~remote:exporter
+            ~prefix:route.prefix ~path ~off:(i + 1)
         in
         hops := import_hop :: export_hop :: !hops
       done;
@@ -1049,11 +1198,11 @@ let verify_route_impl t (route : Rz_bgp.Route.t) : Report.route_report option =
     end
   end
 
-let verify_route t route =
-  if not (Obs.enabled ()) then verify_route_impl t route
+let timed_route t ~verdict route =
+  if not (Obs.enabled ()) then verify_route_impl t ~verdict route
   else begin
     let t0 = Obs.now_ns () in
-    let result = verify_route_impl t route in
+    let result = verify_route_impl t ~verdict route in
     let elapsed = Obs.now_ns () - t0 in
     (match result with
      | Some _ ->
@@ -1062,6 +1211,8 @@ let verify_route t route =
      | None -> Obs.Counter.incr c_routes_excluded);
     result
   end
+
+let verify_route t route = timed_route t ~verdict:false route
 
 (* Empty the hop memo, and under [track_deps] its reverse indexes. Each
    table was created small and [reset] shrinks it back, so a clear costs
@@ -1080,15 +1231,21 @@ let clear_hop_memo t =
 
 (* Every memo key holds the prefix, so in prefix order an entry can hit
    only until the prefix changes: clearing there loses no hit and bounds
-   the memo by one prefix's hops instead of the whole RIB's. *)
+   the memo by one prefix's hops instead of the whole RIB's. Untraced,
+   the hops are evaluated in verdict mode; the memo is empty at both
+   ends, so no verdict-mode entry outlives the run. *)
 let verify_rib t routes f =
   let by_prefix (a : Rz_bgp.Route.t) (b : Rz_bgp.Route.t) =
     Rz_net.Prefix.compare a.prefix b.prefix
   in
+  let verdict = not (Trace.enabled ()) in
   Array.stable_sort by_prefix routes;
   clear_hop_memo t;
-  Array.iteri
-    (fun i route ->
-      if i > 0 && by_prefix routes.(i - 1) route <> 0 then clear_hop_memo t;
-      f route (verify_route t route))
-    routes
+  Fun.protect
+    ~finally:(fun () -> clear_hop_memo t)
+    (fun () ->
+      Array.iteri
+        (fun i route ->
+          if i > 0 && by_prefix routes.(i - 1) route <> 0 then clear_hop_memo t;
+          f route (timed_route t ~verdict route))
+        routes)

@@ -3,7 +3,17 @@
     For each inter-AS hop of a BGP route, checks the exporter's [export]
     rules and the importer's [import] rules against the route, classifying
     the hop with {!Status.t} in the paper's precedence order and emitting
-    Appendix-C style diagnostics. *)
+    Appendix-C style diagnostics.
+
+    A hop is evaluated one of two ways, with the same rule evaluation
+    and the same precedence, relaxation and safelist code. The {e full
+    fold} ({!verify_hop}, {!verify_route}, and {!verify_rib} while
+    decision tracing is on) folds every rule of the subject and builds
+    the diagnostic items and the trace provenance. {e Verdict mode}
+    ({!verify_rib} while tracing is off) folds only the rules that can
+    name the remote, stops at the first match, and builds no items: its
+    hops have the full fold's status, attrs and
+    [peering_only] ({!Report.hop}), and empty [items]. *)
 
 type config = {
   paper_compat : bool;
@@ -79,7 +89,8 @@ val apply_edits :
     verdict the edits can reach — via the reverse dependency indexes
     recorded under [track_deps] — evicts the compiled NFAs of
     [stale_patterns] (patterns the edit took away), and drops the
-    affected path-freeness and only-provider memo entries. Returns the
+    affected path-freeness and only-provider memo entries and the
+    verdict-mode rule index of each edited aut-num. Returns the
     number of hop memo entries removed (also added to
     [stream.invalidations]; NFA evictions count on [stream.nfa_evicted])
     and the distinct prefixes of their keys: a route whose prefix is not
@@ -97,25 +108,30 @@ val verify_hop :
   prefix:Rz_net.Prefix.t ->
   path:Rz_net.Asn.t array ->
   Report.hop
-(** Check one side of one hop. [subject] is the AS whose rules are
-    examined; [remote] the other side of the BGP session; [path] is the
-    AS-path as the route travels this hop — exporter first, origin last. *)
+(** Check one side of one hop, by the full fold. [subject] is the AS
+    whose rules are examined; [remote] the other side of the BGP
+    session; [path] is the AS-path as the route travels this hop —
+    exporter first, origin last. *)
 
 val verify_route : t -> Rz_bgp.Route.t -> Report.route_report option
 (** Full walk from the origin: for each adjacent pair, the exporter's
-    export check then the importer's import check. Returns [None] for
-    routes the paper excludes: single-AS paths (nothing to verify) and
-    paths containing BGP AS_SETs. Prepending is removed first. *)
+    export check then the importer's import check, each by the full
+    fold. Returns [None] for routes the paper excludes: single-AS paths
+    (nothing to verify) and paths containing BGP AS_SETs. Prepending is
+    removed first. *)
 
 val verify_rib :
   t -> Rz_bgp.Route.t array -> (Rz_bgp.Route.t -> Report.route_report option -> unit) -> unit
 (** [verify_rib t routes f] verifies a whole RIB: [f route report] for
-    every route, with [report] as {!verify_route} returns it. It first
+    every route. With decision tracing on ({!Rz_trace.Trace.enabled}),
+    [report] is what {!verify_route} returns; with it off, its hops are
+    evaluated in verdict mode and have empty [items]. It first
     stable-sorts [routes] in place by {!Rz_net.Prefix.compare}, then
     visits them in that order, emptying the hop memo (and, under
-    [track_deps], its reverse indexes) at the start and whenever the
-    prefix changes. Every memo key holds the prefix, so no hit is lost,
-    and the memo never holds more than one prefix's hop verdicts. The
-    NFA, path-freeness and only-provider caches are kept for the whole
-    engine. A streaming owner uses {!verify_route}, whose memo
-    persists. *)
+    [track_deps], its reverse indexes) at the start, whenever the
+    prefix changes, and at the end. Every memo key holds the prefix, so
+    no hit is lost, the memo never holds more than one prefix's hop
+    verdicts, and no verdict-mode hop answers a later {!verify_route}.
+    The NFA, path-freeness, only-provider and rule-index caches are kept
+    for the whole engine. A streaming owner uses {!verify_route}, whose
+    memo persists. *)

@@ -15,6 +15,7 @@ type hop = {
   status : Status.t;
   items : item list;
   attrs : Rz_policy.Action_eval.attrs option;
+  peering_only : bool;
 }
 
 type route_report = {

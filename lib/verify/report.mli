@@ -29,6 +29,13 @@ type hop = {
           actions assign (LocalPref via the pref inversion, MED,
           communities, prepends); [None] when no actions applied or the
           hop did not verify *)
+  peering_only : bool;
+      (** every item is a peering mismatch ([Match_remote_as_num] or
+          [Match_remote_as_set]): [true] for a Verified hop, [false]
+          when a status reason ends [items], and for an Unverified hop
+          [true] iff no factor had a matching peering and a failing
+          filter. Computed without [items], so it is set also where
+          [items] is left empty ({!Engine.verify_rib}). *)
 }
 
 type route_report = {

@@ -106,9 +106,15 @@ expect metrics-meta-cmd '"subcommand":"verify"' "$DIR/metrics_file.json"
 
 # --trace + --metrics-stream around a verify run: Chrome trace-event
 # export (spans as "X", hop records as "i") and JSONL metric streaming.
-"$CLI" verify -d "$DIR/world" --trace "$DIR/trace.json" --trace-sample all \
+"$CLI" verify -d "$DIR/world" -v --trace "$DIR/trace.json" --trace-sample all \
   --metrics-stream "$DIR/stream.jsonl" --metrics-interval 1 > "$DIR/verify3.txt"
 expect trace-verify-intact 'hop statuses' "$DIR/verify3.txt"
+# Traced, verify runs the engine's full fold; untraced (verify.txt), its
+# verdict mode. The accounting line (bar its timing), the hop-status
+# table and the AS summary must agree.
+untimed() { sed '1s/ in [0-9.]*s ([0-9]* routes\/s)$//' "$1"; }
+[ "$(untimed "$DIR/verify.txt")" = "$(untimed "$DIR/verify3.txt")" ] \
+  || fail "traced verify (full fold) differs from untraced (verdict mode)"
 expect trace-span '"ph":"X"' "$DIR/trace.json"
 expect trace-hop '"ph":"i"' "$DIR/trace.json"
 test -s "$DIR/stream.jsonl" || fail "metrics stream empty"

@@ -187,6 +187,40 @@ let test_verify_rib_prefix_memo () =
   Alcotest.(check bool) "the persistent memo holds more than one prefix's keys" true
     (Engine.hop_memo_size persistent > bound)
 
+(* ---- verdict mode ---- *)
+
+(* The world `gen --world-scale paper --scale 0.01 --seed 11` writes: the
+   paper preset's populations at that scale (3 tier-1, 25 transit, 720
+   stub ASes) and 2 collectors peering with the 4 best-connected mids. *)
+let paper_world =
+  lazy
+    (let dir = Filename.temp_file "paper-world" "" in
+     Sys.remove dir;
+     let topo_params =
+       { Rz_topology.Gen.default_params with seed = 11; n_tier1 = 3; n_mid = 25; n_stub = 720 }
+     in
+     ignore
+       (Rpslyzer.Pipeline.write_world ~topo_params
+          ~irr_config:{ Rz_synthirr.Config.default with seed = 12 }
+          ~n_collectors:2 ~n_collector_mids:4 dir);
+     let w = Rpslyzer.Pipeline.load_world dir in
+     Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+     Sys.rmdir dir;
+     w)
+
+(* Every hop of both worlds: verdict mode ([verify_rib], untraced) has
+   the full fold's status, attrs and peering-only bit. *)
+let test_verdict_equals_full () =
+  List.iter
+    (fun (label, (w : Rpslyzer.Pipeline.world), n_hops) ->
+      let hops, first_diff =
+        Suite_property.verdict_vs_full w.db w.rels (Rpslyzer.Pipeline.rib w)
+      in
+      Alcotest.(check (option string)) (label ^ ": first disagreement") None first_diff;
+      Alcotest.(check int) (label ^ ": hops compared") n_hops hops)
+    [ ("quick world", Lazy.force world, 29_470);
+      ("paper world", Lazy.force paper_world, 49_356) ]
+
 (* ---- ingest ---- *)
 
 let test_ingest_accounting () =
@@ -361,6 +395,7 @@ let test_chaos_contract () =
 let suite =
   [ Alcotest.test_case "verify accounting" `Quick test_verify_accounting;
     Alcotest.test_case "verify = memo-off engine" `Quick test_verify_memo_off_oracle;
+    Alcotest.test_case "verdict mode = full fold" `Quick test_verdict_equals_full;
     Alcotest.test_case "ingest accounting" `Quick test_ingest_accounting;
     Alcotest.test_case "stream accounting" `Quick test_stream_accounting;
     Alcotest.test_case "serve accounting" `Quick test_serve_accounting;

@@ -6,7 +6,12 @@ module Report = Rz_verify.Report
 let p = Rz_net.Prefix.of_string_exn
 
 let hop direction from_as to_as status items =
-  { Report.direction; from_as; to_as; status; items; attrs = None }
+  let peering_only =
+    List.for_all
+      (function Report.Match_remote_as_num _ | Report.Match_remote_as_set _ -> true | _ -> false)
+      items
+  in
+  { Report.direction; from_as; to_as; status; items; attrs = None; peering_only }
 
 let route_report prefix path hops =
   { Report.route = Rz_bgp.Route.make (p prefix) path; hops }

@@ -27,36 +27,39 @@ let gen_prefix =
     (fun addr24 len -> Rz_net.Prefix.v4 (addr24 lsl 8) len)
     (Gen.int_range 1 0xFFFFFF) (Gen.int_range 8 24)
 
-let rec gen_as_expr depth =
+(* [asn] and [set] draw the ASNs and as-set names referenced. *)
+let rec gen_as_expr ?(asn = gen_asn) ?(set = gen_set_name) depth =
   if depth = 0 then
     Gen.oneof
-      [ Gen.map (fun a -> Ast.Asn a) gen_asn;
-        Gen.map (fun s -> Ast.As_set s) gen_set_name;
+      [ Gen.map (fun a -> Ast.Asn a) asn;
+        Gen.map (fun s -> Ast.As_set s) set;
         Gen.return Ast.Any_as ]
   else
+    let sub = gen_as_expr ~asn ~set (depth - 1) in
     Gen.oneof
-      [ gen_as_expr 0;
-        Gen.map2 (fun a b -> Ast.And (a, b)) (gen_as_expr (depth - 1)) (gen_as_expr (depth - 1));
-        Gen.map2 (fun a b -> Ast.Or (a, b)) (gen_as_expr (depth - 1)) (gen_as_expr (depth - 1)) ]
+      [ gen_as_expr ~asn ~set 0;
+        Gen.map2 (fun a b -> Ast.And (a, b)) sub sub;
+        Gen.map2 (fun a b -> Ast.Or (a, b)) sub sub ]
 
-let rec gen_filter depth =
+let rec gen_filter ?(asn = gen_asn) ?(set = gen_set_name) depth =
   if depth = 0 then
     Gen.oneof
       [ Gen.return Ast.Any;
         Gen.return Ast.Peer_as_filter;
         Gen.return Ast.Fltr_martian;
-        Gen.map2 (fun a op -> Ast.As_num (a, op)) gen_asn gen_range_op;
-        Gen.map2 (fun s op -> Ast.As_set_ref (s, op)) gen_set_name gen_range_op;
+        Gen.map2 (fun a op -> Ast.As_num (a, op)) asn gen_range_op;
+        Gen.map2 (fun s op -> Ast.As_set_ref (s, op)) set gen_range_op;
         Gen.map2 (fun s op -> Ast.Route_set_ref (s, op)) gen_route_set_name gen_range_op;
         Gen.map
           (fun members -> Ast.Prefix_set (members, Rz_net.Range_op.None_))
           (Gen.list_size (Gen.int_range 1 3) (Gen.pair gen_prefix gen_range_op)) ]
   else
+    let sub = gen_filter ~asn ~set (depth - 1) in
     Gen.oneof
-      [ gen_filter 0;
-        Gen.map2 (fun a b -> Ast.And_f (a, b)) (gen_filter (depth - 1)) (gen_filter (depth - 1));
-        Gen.map2 (fun a b -> Ast.Or_f (a, b)) (gen_filter (depth - 1)) (gen_filter (depth - 1));
-        Gen.map (fun a -> Ast.Not_f a) (gen_filter (depth - 1)) ]
+      [ gen_filter ~asn ~set 0;
+        Gen.map2 (fun a b -> Ast.And_f (a, b)) sub sub;
+        Gen.map2 (fun a b -> Ast.Or_f (a, b)) sub sub;
+        Gen.map (fun a -> Ast.Not_f a) sub ]
 
 let gen_factor =
   Gen.map2
@@ -352,6 +355,298 @@ let memo_parity_path_regex =
       let memo2 = Rz_verify.Engine.verify_route memo_engine route in
       plain = memo1 && plain = memo2)
 
+(* ---------------- verdict mode = full fold ---------------- *)
+
+(* [Engine.verify_rib] evaluates untraced hops in verdict mode: only the
+   rules that can name the remote, up to the first match, with no
+   diagnostics. [Engine.verify_route] is the full fold. *)
+
+let is_peering_item = function
+  | Rz_verify.Report.Match_remote_as_num _ | Rz_verify.Report.Match_remote_as_set _ -> true
+  | _ -> false
+
+(* The hops of [route] from [Engine.verify_hop], each on its own copy of
+   the path announced across the hop, in report order. *)
+let hops_on_own_paths engine (route : Rz_bgp.Route.t) =
+  let path = Array.of_list (Rz_bgp.Route.dedup_path route) in
+  let n = Array.length path in
+  List.concat_map
+    (fun i ->
+      let hop_path = Array.sub path (i + 1) (n - i - 1) in
+      let check direction subject remote =
+        Rz_verify.Engine.verify_hop engine ~direction ~subject ~remote ~prefix:route.prefix
+          ~path:hop_path
+      in
+      [ check `Export path.(i + 1) path.(i); check `Import path.(i) path.(i + 1) ])
+    (List.init (max 0 (n - 1)) (fun k -> n - 2 - k))
+
+(* Verdict mode against the full fold, hop by hop: [verify_rib] on one
+   engine, [verify_route] on another. Each verdict hop has no items and
+   the full fold's status, attrs and peering-only bit; that bit is the
+   full fold's "every item is a peering mismatch"; and the full fold
+   equals [verify_hop] on a memo-off engine given each hop's own path.
+   Returns the number of hops compared and the first disagreement. *)
+let verdict_vs_full db rels routes =
+  let module E = Rz_verify.Engine in
+  let module R = Rz_verify.Report in
+  let verdict = E.create db rels and full = E.create db rels in
+  let own_paths = E.create ~config:{ E.default_config with memoize = false } db rels in
+  let hops = ref 0 and first_diff = ref None in
+  let diff what route (hop : R.hop) =
+    if !first_diff = None then
+      first_diff :=
+        Some (Printf.sprintf "%s: %s at %s" (Rz_bgp.Route.to_line route) what (R.hop_to_string hop))
+  in
+  E.verify_rib verdict (Array.copy routes) (fun route v ->
+      match (v, E.verify_route full route) with
+      | None, None -> ()
+      | Some v, Some f when List.length v.R.hops = List.length f.R.hops ->
+        if f.hops <> hops_on_own_paths own_paths route then
+          diff "full fold differs from verify_hop on the hop's own path" route
+            (List.hd f.hops);
+        List.iter2
+          (fun (vh : R.hop) (fh : R.hop) ->
+            incr hops;
+            if vh.status <> fh.status then diff "status" route fh
+            else if vh.attrs <> fh.attrs then diff "attrs" route fh
+            else if vh.peering_only <> fh.peering_only then diff "peering_only" route fh
+            else if fh.peering_only <> List.for_all is_peering_item fh.items then
+              diff "full fold's peering_only is not its items'" route fh
+            else if vh.items <> [] then diff "verdict hop has items" route vh)
+          v.hops f.hops
+      | _ -> if !first_diff = None then first_diff := Some (Rz_bgp.Route.to_line route ^ ": reported differently"));
+  (!hops, !first_diff)
+
+(* Small worlds: at most 12 ASes numbered from 1, random aut-nums built
+   from the rule generators above over the world's own ASNs and sets,
+   and paths over every link in both directions. *)
+type small_world = {
+  sw_links : (int * int * [ `P2c | `Peer ]) list;  (* provider first for `P2c *)
+  sw_clique : int list;
+  sw_sets : (string * int list * string list) list;
+  sw_peering_set : Ast.peering list;  (* PRNG-SET1; PRNG-SET2 is never defined *)
+  sw_route_objs : (Rz_net.Prefix.t * int) list;
+  sw_aut_nums : (int * Ast.rule list * Ast.rule list) list;
+  sw_routes : Rz_bgp.Route.t list;
+}
+
+let sw_prefixes =
+  List.map Rz_net.Prefix.of_string_exn
+    [ "10.0.0.0/16"; "10.0.1.0/24"; "10.0.2.0/24"; "10.1.0.0/24"; "192.0.2.0/24";
+      "2001:db8::/32"; "2001:db8:1::/48"; "2001:db8:2::/48"; "2001:db8:ffff::/48" ]
+
+let gen_small_rule ~asn ~set direction =
+  let open Gen in
+  let single = map (fun a -> Ast.Asn a) asn in
+  let peering =
+    frequency
+      [ ( 8,
+          map
+            (fun as_expr ->
+              Ast.Peering_spec { as_expr; remote_router = None; local_router = None })
+            (frequency
+               [ (6, single);
+                 (2, gen_as_expr ~asn ~set 1);
+                 (1, map2 (fun a b -> Ast.Except_as (a, b)) (gen_as_expr ~asn ~set 0) single) ]) );
+        (1, oneofl [ Ast.Peering_set_ref "PRNG-SET1"; Ast.Peering_set_ref "PRNG-SET2" ]) ]
+  in
+  let actions =
+    frequency
+      [ (5, return []);
+        (2, map (fun n -> [ Ast.Assign ("pref", string_of_int n) ]) (int_range 0 300));
+        (1, return [ Ast.Assign ("med", "5"); Ast.Append_op ("community", [ "65000:1" ]) ]);
+        (1, return [ Ast.Assign ("no-such-attribute", "1") ]) ]
+  in
+  let regex =
+    map2
+      (fun a b ->
+        match Rz_aspath.Regex_parse.parse (Printf.sprintf "^AS%d .* AS%d$" a b) with
+        | Ok r -> Ast.Path_regex r
+        | Error e -> failwith e)
+      asn asn
+  in
+  let filter =
+    frequency
+      [ (4, return Ast.Any);
+        (3, map2 (fun a op -> Ast.As_num (a, op)) asn gen_range_op);
+        (1, return Ast.Peer_as_filter);
+        (2, map (fun s -> Ast.As_set_ref (s, Rz_net.Range_op.None_)) set);
+        (2, gen_filter ~asn ~set 1);
+        (1, regex);
+        (1, return (Ast.Community ("", [ "65000:1" ]))) ]
+  in
+  let factor =
+    map2
+      (fun peerings filter -> { Ast.peerings; filter })
+      (list_size (int_range 1 2)
+         (map2 (fun peering actions -> { Ast.peering; actions }) peering actions))
+      filter
+  in
+  let v4 = { Rz_net.Afi.family = Rz_net.Afi.Ipv4; sub = Rz_net.Afi.Unicast } in
+  let v6 = { Rz_net.Afi.family = Rz_net.Afi.Ipv6; sub = Rz_net.Afi.Unicast } in
+  let term =
+    map2
+      (fun afi factors -> { Ast.afi; factors })
+      (oneofl [ []; []; [ Rz_net.Afi.any ]; [ v4 ]; [ v6 ] ])
+      (list_size (int_range 1 2) factor)
+  in
+  let expr =
+    frequency
+      [ (5, map (fun t -> Ast.Term_e t) term);
+        (1, map2 (fun a b -> Ast.Except_e (a, Ast.Term_e b)) term term);
+        (1, map2 (fun a b -> Ast.Refine_e (a, Ast.Term_e b)) term term) ]
+  in
+  map2
+    (fun multiprotocol expr ->
+      { Ast.direction; multiprotocol; protocol = None; into_protocol = None; expr })
+    bool expr
+
+let gen_small_world =
+  let open Gen in
+  int_range 2 12 >>= fun n ->
+  let asn = int_range 1 n in
+  let set = map (Printf.sprintf "AS-SET%d") (int_range 1 4) (* AS-SET4: undefined *) in
+  let rules direction = list_size (int_range 0 4) (gen_small_rule ~asn ~set direction) in
+  let links =
+    map
+      (fun l ->
+        List.sort_uniq compare
+          ((1, 2, `P2c)
+          :: List.filter_map
+               (fun (a, b, kind) -> if a = b then None else Some (a, b, kind))
+               l))
+      (list_size (int_range 0 (2 * n)) (triple asn asn (oneofl [ `P2c; `Peer ])))
+  in
+  let aut_num a =
+    frequency
+      [ (1, return None);
+        (8, map2 (fun imports exports -> Some (a, imports, exports)) (rules `Import) (rules `Export)) ]
+  in
+  links >>= fun sw_links ->
+  let neighbours a =
+    List.concat_map
+      (fun (x, y, _) -> if x = a then [ y ] else if y = a then [ x ] else [])
+      sw_links
+  in
+  (* every link both ways, extended at either end by a random AS or a
+     neighbour, and sometimes prepended *)
+  let route (u, v) =
+    map2
+      (fun (before, after, prepend) prefix ->
+        let path =
+          (match before with Some x -> [ x ] | None -> [])
+          @ [ u ] @ (if prepend then [ v; v ] else [ v ])
+          @ match after with Some y -> [ y ] | None -> []
+        in
+        Rz_bgp.Route.make prefix path)
+      (triple
+         (opt (oneof [ asn; oneofl (neighbours u) ]))
+         (opt (oneof [ asn; oneofl (neighbours v) ]))
+         (frequency [ (4, return false); (1, return true) ]))
+      (oneofl sw_prefixes)
+  in
+  let directed = List.concat_map (fun (a, b, _) -> [ (a, b); (b, a) ]) sw_links in
+  map3
+    (fun (sw_clique, sw_sets, sw_peering_set) (sw_route_objs, aut_nums) sw_routes ->
+      { sw_links; sw_clique; sw_sets; sw_peering_set; sw_route_objs;
+        sw_aut_nums = List.filter_map Fun.id aut_nums; sw_routes })
+    (triple
+       (list_size (int_range 0 3) asn)
+       (flatten_l
+          (List.map
+             (fun name ->
+               map2
+                 (fun asns sets -> (name, asns, sets))
+                 (list_size (int_range 0 3) asn)
+                 (list_size (int_range 0 1) set))
+             [ "AS-SET1"; "AS-SET2"; "AS-SET3" ]))
+       (list_size (int_range 1 2)
+          (map
+             (fun as_expr ->
+               Ast.Peering_spec { as_expr; remote_router = None; local_router = None })
+             (gen_as_expr ~asn ~set 0))))
+    (pair
+       (list_size (int_range 0 (2 * n)) (pair (oneofl sw_prefixes) asn))
+       (flatten_l (List.init n (fun i -> aut_num (i + 1)))))
+    (flatten_l (List.map route directed))
+
+let print_small_world w =
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun (a, c, kind) ->
+      Buffer.add_string b
+        (Printf.sprintf "%d %s %d\n" a (match kind with `P2c -> "p2c" | `Peer -> "peer") c))
+    w.sw_links;
+  Buffer.add_string b
+    (Printf.sprintf "clique %s\n" (String.concat " " (List.map string_of_int w.sw_clique)));
+  List.iter
+    (fun (name, asns, sets) ->
+      Buffer.add_string b
+        (Printf.sprintf "as-set %s: %s\n" name
+           (String.concat ", " (List.map (Printf.sprintf "AS%d") asns @ sets))))
+    w.sw_sets;
+  List.iter
+    (fun (p, o) ->
+      Buffer.add_string b (Printf.sprintf "route %s AS%d\n" (Rz_net.Prefix.to_string p) o))
+    w.sw_route_objs;
+  List.iter
+    (fun (a, imports, exports) ->
+      Buffer.add_string b (Printf.sprintf "aut-num AS%d\n" a);
+      List.iter
+        (fun r -> Buffer.add_string b ("  " ^ Ast.rule_to_string r ^ "\n"))
+        (imports @ exports))
+    w.sw_aut_nums;
+  List.iter
+    (fun r -> Buffer.add_string b (Rz_bgp.Route.to_line r ^ "\n"))
+    w.sw_routes;
+  Buffer.contents b
+
+let small_db w =
+  let module Ir = Rz_ir.Ir in
+  let ir = Ir.create () in
+  List.iter
+    (fun (asn, imports, exports) ->
+      Hashtbl.replace ir.Ir.aut_nums asn
+        { Ir.asn; as_name = Printf.sprintf "NET%d" asn; imports; exports; defaults = [];
+          member_of = []; mnt_by = []; source = "TEST" })
+    w.sw_aut_nums;
+  List.iter
+    (fun (name, member_asns, member_sets) ->
+      Hashtbl.replace ir.Ir.as_sets name
+        { Ir.name; member_asns; member_sets; contains_any = false; mbrs_by_ref = [];
+          mnt_by = []; source = "TEST" })
+    w.sw_sets;
+  Hashtbl.replace ir.Ir.peering_sets "PRNG-SET1"
+    { Ir.name = "PRNG-SET1"; peerings = w.sw_peering_set; source = "TEST" };
+  List.iter
+    (fun (prefix, origin) ->
+      if not (Hashtbl.mem ir.Ir.route_seen (prefix, origin)) then
+        Ir.add_route ir ~prefix ~origin ~member_of:[] ~mnt_by:[] ~source:"TEST")
+    w.sw_route_objs;
+  Rz_irr.Db.build ir
+
+let small_rels w =
+  let rels = Rz_asrel.Rel_db.create () in
+  List.iter
+    (fun (a, b, kind) ->
+      match kind with
+      | `P2c -> Rz_asrel.Rel_db.add_p2c rels ~provider:a ~customer:b
+      | `Peer -> Rz_asrel.Rel_db.add_p2p rels a b)
+    w.sw_links;
+  if w.sw_clique <> [] then Rz_asrel.Rel_db.set_clique rels (List.sort_uniq compare w.sw_clique);
+  rels
+
+let verdict_equals_full_small_worlds =
+  QCheck.Test.make ~name:"verdict mode = full fold (small worlds)" ~count:1000
+    (QCheck.make ~print:print_small_world gen_small_world)
+    (fun w ->
+      let _, first_diff =
+        verdict_vs_full (small_db w) (small_rels w) (Array.of_list w.sw_routes)
+      in
+      match first_diff with
+      | None -> true
+      | Some d -> QCheck.Test.fail_report d)
+
 let test_world_save_load_roundtrip () =
   let module P = Rpslyzer.Pipeline in
   let topo_params = { Rz_topology.Gen.default_params with n_tier1 = 2; n_mid = 8; n_stub = 20 } in
@@ -394,4 +689,5 @@ let suite =
     QCheck_alcotest.to_alcotest fault_hops_accounting;
     QCheck_alcotest.to_alcotest memo_parity_synthetic;
     QCheck_alcotest.to_alcotest memo_parity_path_regex;
+    QCheck_alcotest.to_alcotest verdict_equals_full_small_worlds;
     Alcotest.test_case "world save/load roundtrip" `Quick test_world_save_load_roundtrip ]

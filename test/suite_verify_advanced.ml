@@ -292,6 +292,57 @@ let test_appendix_c_route () =
            | _ -> false)
          unrec.items)
 
+(* Untraced, verify_rib evaluates in verdict mode over a per-aut-num
+   rule index. An edit that makes AS10 name a new neighbour reaches it
+   through apply_edits: the batch equals a fresh engine's. *)
+let test_rule_index_follows_edits () =
+  let db =
+    Db.of_dumps
+      [ ("TEST", "aut-num: AS10\nimport: from AS20 accept ANY\n\nroute: 192.0.2.0/24\norigin: AS1\n") ]
+  in
+  let engine = Engine.create ~config:{ Engine.default_config with track_deps = true } db (rels ()) in
+  let routes () = [| Rz_bgp.Route.make (p "192.0.2.0/24") [ 10; 1 ] |] in
+  let batch engine =
+    let reports = ref [] in
+    Engine.verify_rib engine (routes ()) (fun _ r -> reports := r :: !reports);
+    List.rev !reports
+  in
+  let import_hop = function
+    | [ Some (r : Report.route_report) ] ->
+      List.find (fun (h : Report.hop) -> h.direction = `Import) r.hops
+    | _ -> Alcotest.fail "route excluded"
+  in
+  Alcotest.(check bool) "AS1 undeclared before the edit" true
+    ((import_hop (batch engine)).status <> Status.Verified);
+  let ir = Db.ir db in
+  let an = Option.get (Rz_ir.Ir.find_aut_num ir 10) in
+  let rule =
+    Result.get_ok
+      (Rz_policy.Parser.parse_rule ~direction:`Import ~multiprotocol:false "from AS1 accept ANY")
+  in
+  Hashtbl.replace ir.Rz_ir.Ir.aut_nums 10 { an with imports = an.imports @ [ rule ] };
+  Db.patch db [ Engine.Edit_aut_num 10 ];
+  ignore (Engine.apply_edits engine ~stale_patterns:[] [ Engine.Edit_aut_num 10 ]);
+  let after = batch engine in
+  check_status "AS1 declared after the edit" Status.Verified (import_hop after);
+  Alcotest.(check bool) "= a fresh engine" true (after = batch (Engine.create db (rels ())))
+
+(* verify_rib's verdict-mode hops carry no items; none may answer a
+   later verify_route on the same engine. *)
+let test_verify_rib_leaves_no_verdict_hops () =
+  let rpsl = "aut-num: AS10\nimport: from AS20 accept AS20\n" in
+  let route = Rz_bgp.Route.make (p "192.0.2.0/24") [ 10; 77 ] in
+  let e = engine rpsl in
+  Engine.verify_rib e [| route |] (fun _ _ -> ());
+  Alcotest.(check int) "memo empty after the batch" 0 (Engine.hop_memo_size e);
+  let fresh = Engine.verify_route (engine rpsl) route in
+  Alcotest.(check bool) "the full fold has items" true
+    (List.exists
+       (fun (h : Report.hop) -> h.items <> [])
+       (Option.get fresh).Report.hops);
+  Alcotest.(check bool) "verify_route after verify_rib = on a fresh engine" true
+    (Engine.verify_route e route = fresh)
+
 let suite =
   [ Alcotest.test_case "peering EXCEPT" `Quick test_peering_except_expression;
     Alcotest.test_case "peering OR" `Quick test_peering_or_expression;
@@ -307,4 +358,7 @@ let suite =
     Alcotest.test_case "hierarchical set names" `Quick test_hierarchical_set_names_resolve;
     Alcotest.test_case "verified hop attrs" `Quick test_verified_hop_reports_attrs;
     Alcotest.test_case "only matching actions apply" `Quick test_unmatched_peering_actions_not_applied;
-    Alcotest.test_case "Appendix C full route" `Quick test_appendix_c_route ]
+    Alcotest.test_case "Appendix C full route" `Quick test_appendix_c_route;
+    Alcotest.test_case "rule index follows aut-num edits" `Quick test_rule_index_follows_edits;
+    Alcotest.test_case "verify_rib leaves no verdict hops" `Quick
+      test_verify_rib_leaves_no_verdict_hops ]
