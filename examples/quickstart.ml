@@ -37,12 +37,12 @@ let () =
     (String.concat ", "
        (List.map Rz_net.Asn.to_string (Rz_irr.Db.Asn_set.elements members)));
 
-  (* 3. Check a route against AS38639's export policy the way the
-        verifier does. *)
+  (* 3. Check a route against AS38639's export policy, with the
+        diagnostic items `explain` prints. *)
   let rels = Rz_asrel.Rel_db.create () in
   let engine = Rz_verify.Engine.create db rels in
   let hop =
-    Rz_verify.Engine.verify_hop engine ~direction:`Export ~subject:38639 ~remote:4713
+    Rz_verify.Engine.explain_hop engine ~direction:`Export ~subject:38639 ~remote:4713
       ~prefix:(Rz_net.Prefix.of_string_exn "203.0.113.0/24")
       ~path:[| 38639 |]
   in

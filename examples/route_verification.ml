@@ -90,7 +90,7 @@ let () =
   in
   print_endline "Verifying 103.162.114.0/23 via 3257 1299 6939 133840 56239 141893:";
   print_newline ();
-  match Rz_verify.Engine.verify_route engine route with
+  match Rz_verify.Engine.explain_route engine route with
   | None -> print_endline "route excluded"
   | Some report ->
     List.iter

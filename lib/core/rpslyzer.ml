@@ -120,9 +120,11 @@ module Pipeline = struct
 
   (** {2 Traced explanation}
 
-      The [explain] subcommand's engine: re-verify one route with
-      decision-trace sampling forced on and pair every hop report with
-      the provenance record the engine emitted for it. *)
+      The [explain] subcommand's engine: re-verify one route by the
+      engine's full fold ({!Rz_verify.Engine.explain_route}) with
+      decision-trace sampling forced on, and pair every hop report
+      (its diagnostic items included) with the provenance record the
+      engine emitted for it. *)
 
   type explained_hop = {
     hop : Rz_verify.Report.hop;
@@ -139,7 +141,7 @@ module Pipeline = struct
   let explain_route_traced ?config world route =
     Rz_trace.Trace.with_sampling Rz_trace.Trace.All @@ fun () ->
     let engine = Rz_verify.Engine.create ?config world.db world.rels in
-    match Rz_verify.Engine.verify_route engine route with
+    match Rz_verify.Engine.explain_route engine route with
     | None -> None
     | Some report ->
       let records = Rz_trace.Trace.records () in

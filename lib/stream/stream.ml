@@ -83,7 +83,6 @@ let create ?(window = 64) ~ir ~rels () =
     windows_rev = [];
     open_w = empty_window 0 }
 
-let engine t = t.engine
 let db t = Engine.db t.engine
 let generations t = t.generations
 let invalidated t = t.invalidated

@@ -30,7 +30,6 @@ val create : ?window:int -> ir:Rz_ir.Ir.t -> rels:Rz_asrel.Rel_db.t -> unit -> t
     caller's IR and any databases built from it stay valid. The engine
     runs memoized with dependency tracking. *)
 
-val engine : t -> Rz_verify.Engine.t
 val db : t -> Rz_irr.Db.t
 (** The service's database, patched in place by every policy edit. *)
 

@@ -66,7 +66,6 @@ type record = {
   as_sets : string list;   (* set names walked during evaluation *)
   memo : string;           (* "computed" | "hit" | "miss" | "bypass" *)
   trigger : string option; (* relaxation / safelist / abstain trigger *)
-  items : string list;     (* diagnostic items of the hop report *)
 }
 
 let capacity = 4096
@@ -108,9 +107,8 @@ let enabled () = Atomic.get on
 let sampling () = Atomic.get policy
 
 (* The sampling decision, separated from [emit] so the producer can skip
-   building the record (prefix rendering, item strings) when it will be
-   dropped anyway. The run keeps its first [q] records of every verdict
-   class. *)
+   building the record (prefix rendering) when it will be dropped
+   anyway. The run keeps its first [q] records of every verdict class. *)
 let should_sample verdict_class =
   Atomic.get on
   && with_ring (fun r -> Quota.admit (Atomic.get policy) r.quota verdict_class)
@@ -159,8 +157,7 @@ let record_to_json r =
       ("filter_kind", opt_string r.filter_kind);
       ("as_sets", Json.List (List.map (fun s -> Json.String s) r.as_sets));
       ("memo", Json.String r.memo);
-      ("trigger", opt_string r.trigger);
-      ("items", Json.List (List.map (fun s -> Json.String s) r.items)) ]
+      ("trigger", opt_string r.trigger) ]
 
 let record_to_lines r =
   let line k v = Printf.sprintf "%-12s %s" k v in

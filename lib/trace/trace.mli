@@ -61,7 +61,6 @@ type record = {
   as_sets : string list;   (** set names walked during evaluation *)
   memo : string;           (** ["computed"], ["hit"], ["miss"], ["bypass"] *)
   trigger : string option; (** relaxation / safelist / abstain trigger *)
-  items : string list;     (** diagnostic items of the hop report *)
 }
 
 val configure : sampling -> unit

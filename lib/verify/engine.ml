@@ -91,10 +91,11 @@ module Hop_tbl = Hashtbl.Make (struct
 end)
 
 (* Trace provenance gathered alongside a hop verdict when decision
-   tracing ({!Rz_trace.Trace}) is enabled: the rendered rule consulted,
-   the kind of the decisive filter, and every set name walked. [None]
-   whenever tracing was off during the evaluation — which also covers
-   every memo entry created in an untraced run. *)
+   tracing ({!Rz_trace.Trace}) is enabled: the rendered rule that
+   decided, the kind of the decisive filter, and every set name walked,
+   all from what the fold evaluated. [None] whenever tracing was off
+   during the evaluation — which also covers every memo entry created
+   in an untraced run. *)
 type prov = {
   p_rule : string option;
   p_filter : string option;
@@ -102,9 +103,11 @@ type prov = {
 }
 
 (* A memoized hop carries its provenance so cached hits can emit trace
-   records as rich as recomputed ones. Tracing configuration is fixed
-   before an engine runs, so entries created in a traced run (the only
-   ones its hits can find) always hold [Some prov]. *)
+   records as rich as recomputed ones. Only verdict-mode hops are
+   memoized: the full fold neither reads nor writes the memo. Tracing
+   configuration is fixed before an engine runs, so entries created in
+   a traced run (the only ones its hits can find) always hold
+   [Some prov]. *)
 type memo_entry = { e_hop : Report.hop; e_prov : prov option }
 
 (* Database reads a hop evaluation performed beyond what {!hop_key}
@@ -233,8 +236,14 @@ type ctx = {
    as-set bomb. *)
 let max_traced_sets = 8
 
+(* The route's origin: the path's last AS, or the remote on an empty
+   path. *)
+let origin_of ~remote path =
+  let n = Array.length path in
+  if n = 0 then remote else path.(n - 1)
+
 let make_ctx ~trace ~deps ~prefix ~path ~off ~remote =
-  { prefix; path; off; remote; origin = path.(Array.length path - 1); covering = None;
+  { prefix; path; off; remote; origin = origin_of ~remote path; covering = None;
     trace; sets_walked = []; sets_n = 0; deps }
 
 (* Length of the hop's own path, exporter .. origin. *)
@@ -662,13 +671,12 @@ let trigger_of : Status.t -> string option = function
 let empty_prov = { p_rule = None; p_filter = None; p_sets = [] }
 
 (* Emit one trace record for a hop verdict, subject to the sampling
-   policy. Building the record (prefix rendering, item strings) only
-   happens for sampled hops. *)
+   policy. Building the record (prefix and rule rendering) only happens
+   for sampled hops. *)
 let emit_trace ~direction ~subject ~remote ~prefix ~path ~off ~memo (hop : Report.hop)
     (prov : prov option) =
   let cls = Status.class_label hop.Report.status in
   if Trace.should_sample cls then begin
-    let n = Array.length path in
     let prov = Option.value prov ~default:empty_prov in
     Trace.emit
       { Trace.seq = 0;  (* assigned by emit *)
@@ -677,16 +685,15 @@ let emit_trace ~direction ~subject ~remote ~prefix ~path ~off ~memo (hop : Repor
         direction = (match direction with `Export -> "export" | `Import -> "import");
         subject; remote;
         prefix = Rz_net.Prefix.to_string prefix;
-        origin = (if n = 0 then remote else path.(n - 1));
-        path_len = n - off;
+        origin = origin_of ~remote path;
+        path_len = Array.length path - off;
         verdict = Status.to_string hop.Report.status;
         verdict_class = cls;
         rule = prov.p_rule;
         filter_kind = prov.p_filter;
         as_sets = prov.p_sets;
         memo;
-        trigger = trigger_of hop.Report.status;
-        items = List.map Report.item_to_string hop.Report.items }
+        trigger = trigger_of hop.Report.status }
   end
 
 (* ---------------- verdict-mode rule index ---------------- *)
@@ -772,13 +779,35 @@ let attrs_of facts =
       else None)
     facts
 
-(* The fold of verdict mode: the remote's candidate rules (its indexed
-   ones and the residual ones, in list order) until the first [Match],
-   then only later rules with actions, and only until a factor supplies
-   the attrs. A rule it skips can only give [NoMatch] peerings: no
-   abstain, no filter failure and no attrs, so the verdict is the full
-   fold's. [facts] is in reverse order. *)
-let verdict_fold t ctx idx facts =
+(* Note in [decider] the rule a trace record names: the first that
+   matched, else the first consulted. [before] is the combined outcome
+   of the rules consulted before [rule], [o] its own. *)
+let note_decider decider ~before rule o =
+  match (before, o) with
+  | (NoMatch | Abstain _), Match -> decider := Some rule
+  | _ -> if Option.is_none !decider then decider := Some rule
+
+(* The two folds over a subject's [rules] in one direction. Each returns
+   the rules' combined outcome, adds a fact per factor it evaluated to
+   [facts] (in reverse order) and names the deciding rule in [decider].
+
+   The full fold, for {!explain_hop}: every rule, in list order. *)
+let full_fold t ctx ~subject:_ ~direction:_ rules facts decider =
+  List.fold_left
+    (fun before rule ->
+      let o = eval_rule t ctx rule facts in
+      note_decider decider ~before rule o;
+      o_or before o)
+    NoMatch rules
+
+(* Verdict mode, for {!verify_hop}: the remote's candidate rules (its
+   indexed ones and the residual ones, in list order) until the first
+   [Match], then only later rules with actions, and only until a factor
+   supplies the attrs. A rule it skips can only give [NoMatch]
+   peerings: no abstain, no filter failure and no attrs, so the verdict
+   is the full fold's. *)
+let verdict_fold t ctx ~subject ~direction rules facts decider =
+  let idx = rule_index t ~subject ~direction rules in
   let indexed =
     match Hashtbl.find idx.by_remote ctx.remote with l -> l | exception Not_found -> []
   in
@@ -792,9 +821,10 @@ let verdict_fold t ctx idx facts =
     | Match ->
       if c.acts then ignore (eval_rule t ctx c.rule facts : outcome);
       not (c.acts && attrs_found ())
-    | NoMatch | Abstain _ ->
+    | (NoMatch | Abstain _) as before ->
       let o = eval_rule t ctx c.rule facts in
-      overall := o_or !overall o;
+      note_decider decider ~before c.rule o;
+      overall := o_or before o;
       (match o with Match -> not (attrs_found ()) | NoMatch | Abstain _ -> true)
   in
   iter_merged visit indexed idx.residual;
@@ -832,21 +862,22 @@ let diagnostics facts tail =
       | _ -> acc)
     facts tail
 
-(* Status, attrs, items (when [items]) and the peering-only bit of a hop
-   from its factor facts (in evaluation order) and the rules' combined
-   outcome. Both folds decide here. *)
-let decide t ctx ~direction ~subject ~items facts overall =
+(* Status, attrs, the status reason (the item that ends a non-Verified
+   hop's diagnostics) and the peering-only bit of a hop, from its factor
+   facts (in evaluation order) and the rules' combined outcome. Both
+   folds decide here. *)
+let decide t ctx ~direction ~subject facts overall =
   let remote = ctx.remote in
   match overall with
   | Match -> (Status.Verified, attrs_of facts, [], true)
   | NoMatch | Abstain _ ->
-    let finish status tail =
+    let finish status reason =
       let peering_only =
         match status with
         | Status.Unverified -> not (List.exists filter_failed facts)
         | _ -> false
       in
-      (status, None, (if items then diagnostics facts tail else []), peering_only)
+      (status, None, reason, peering_only)
     in
     (* Precedence after Verified: Skip, Unrecorded, Relaxed,
        Safelisted, Unverified (Section 5). *)
@@ -910,25 +941,37 @@ let decide t ctx ~direction ~subject ~items facts overall =
               | Some special -> finish (Status.Safelisted special) [ Report.Spec special ]
               | None -> finish Status.Unverified []))))
 
-(* Evaluate one side of one hop. The full fold folds every rule and
-   builds the diagnostics (and, when tracing, the provenance); [verdict]
-   folds only the remote's candidate rules, stops at the first match
-   ({!verdict_fold}) and builds neither. *)
-let evaluate t ~verdict ~direction ~subject ~remote ~prefix ~path ~off :
-    Report.hop * prov option * dep_note option =
-  let tracing = (not verdict) && Trace.enabled () in
+(* What one evaluation of one side of one hop found. [hop] has empty
+   [items]; {!explain_at} builds them from [facts] (in evaluation order)
+   and [reason]. [prov] is set while tracing, [deps] under
+   [track_deps]. *)
+type evaluation = {
+  hop : Report.hop;
+  facts : factor_fact list;
+  reason : Report.item list;
+  prov : prov option;
+  deps : dep_note option;
+}
+
+(* Evaluate one side of one hop with [fold] ({!verdict_fold} or
+   {!full_fold}). The provenance is built from the facts and the
+   deciding rule of that fold. *)
+let evaluate t ~fold ~direction ~subject ~remote ~prefix ~path ~off =
+  let tracing = Trace.enabled () in
   let deps = if t.config.track_deps then Some (fresh_deps ()) else None in
   let from_as, to_as =
     match direction with `Export -> (subject, remote) | `Import -> (remote, subject)
   in
-  let hop ?attrs status items peering_only =
+  let hop ?attrs status peering_only =
     count_status status;
-    { Report.direction; from_as; to_as; status; items; attrs; peering_only }
+    { Report.direction; from_as; to_as; status; items = []; attrs; peering_only }
   in
   let unrecorded reason =
-    ( hop (Status.Unrecorded reason) (if verdict then [] else [ Report.Unrec reason ]) false,
-      (if tracing then Some empty_prov else None),
-      deps )
+    { hop = hop (Status.Unrecorded reason) false;
+      facts = [];
+      reason = [ Report.Unrec reason ];
+      prov = (if tracing then Some empty_prov else None);
+      deps }
   in
   match Db.find_aut_num t.db subject with
   | None -> unrecorded (Status.No_aut_num subject)
@@ -937,31 +980,17 @@ let evaluate t ~verdict ~direction ~subject ~remote ~prefix ~path ~off :
     if rules = [] then unrecorded Status.No_rules
     else begin
       let ctx = make_ctx ~trace:tracing ~deps ~prefix ~path ~off ~remote in
-      let facts = ref [] in
-      let matched_rule = ref None in
-      let overall =
-        if verdict then verdict_fold t ctx (rule_index t ~subject ~direction rules) facts
-        else
-          List.fold_left
-            (fun acc rule ->
-              let o = eval_rule t ctx rule facts in
-              if o = Match && !matched_rule = None then matched_rule := Some rule;
-              o_or acc o)
-            NoMatch rules
-      in
+      let facts = ref [] and decider = ref None in
+      let overall = fold t ctx ~subject ~direction rules facts decider in
       let facts = List.rev !facts in
-      let status, attrs, items, peering_only =
-        decide t ctx ~direction ~subject ~items:(not verdict) facts overall
+      let status, attrs, reason, peering_only =
+        decide t ctx ~direction ~subject facts overall
       in
-      (* Provenance for the trace record: the matched rule for Verified,
-         otherwise the first rule consulted (all were); the decisive
-         filter's kind; the sets walked during evaluation. *)
+      (* Provenance for the trace record: the deciding rule, the
+         decisive filter's kind, the sets walked during evaluation. *)
       let prov =
         if not tracing then None
         else begin
-          let rule =
-            match !matched_rule with Some r -> Some r | None -> List.nth_opt rules 0
-          in
           let decisive =
             List.find_opt
               (match overall with
@@ -974,13 +1003,13 @@ let evaluate t ~verdict ~direction ~subject ~remote ~prefix ~path ~off :
               facts
           in
           Some
-            { p_rule = Option.map (fun r -> clip (Ast.rule_to_string r)) rule;
+            { p_rule = Option.map (fun r -> clip (Ast.rule_to_string r)) !decider;
               p_filter =
                 Option.map (fun (f : factor_fact) -> filter_kind_label f.factor.filter) decisive;
               p_sets = List.rev ctx.sets_walked }
         end
       in
-      (hop ?attrs status items peering_only, prov, deps)
+      { hop = hop ?attrs status peering_only; facts; reason; prov; deps }
     end
 
 (* Never a valid ASN ([Asn.t] is a non-negative int), so it cannot
@@ -1007,69 +1036,71 @@ let index_entry t key (deps : dep_note option) =
       List.iter (fun asn -> idx_push t.idx_origin asn key) d.n_origins
     end
 
-(* One hop check through the memo; the hop's path is [path.(off)] ..
-   the last element. The memo holds hops of one mode only: the full
-   fold's, except during {!verify_rib}, which empties it at both ends. *)
-let check_hop t ~verdict ~direction ~subject ~remote ~prefix ~path ~off : Report.hop =
-  let n = Array.length path in
-  let tracing = (not verdict) && Trace.enabled () in
-  if (not t.config.memoize) || n = 0 then begin
-    let hop, prov, _deps =
-      evaluate t ~verdict ~direction ~subject ~remote ~prefix ~path ~off
+(* One hop check in verdict mode, through the memo; the hop's path is
+   [path.(off)] .. the last element. *)
+let check_hop t ~direction ~subject ~remote ~prefix ~path ~off : Report.hop =
+  let is_export = match direction with `Export -> true | `Import -> false in
+  let key =
+    { k_export = is_export;
+      k_subject = subject;
+      k_remote = remote;
+      k_second =
+        (if is_export && Array.length path - off >= 2 then path.(off + 1) else no_second_as);
+      k_prefix = prefix;
+      k_origin = origin_of ~remote path }
+  in
+  match if t.config.memoize then Hop_tbl.find t.hop_memo key else raise Not_found with
+  | entry ->
+    (* A stored verdict implies the subject's policies are path-free,
+       so the hit path is a single probe. Cached verdicts still advance
+       [verify.hops_total] and the per-status counters, preserving the
+       golden-metrics invariant that the status counters sum to the hop
+       total. *)
+    Obs.Counter.incr c_memo_hits;
+    count_status entry.e_hop.Report.status;
+    if Trace.enabled () then
+      emit_trace ~direction ~subject ~remote ~prefix ~path ~off ~memo:"hit" entry.e_hop
+        entry.e_prov;
+    entry.e_hop
+  | exception Not_found ->
+    let e = evaluate t ~fold:verdict_fold ~direction ~subject ~remote ~prefix ~path ~off in
+    (* Path-dependent policies bypass the memo (nothing is inserted, so
+       later identical keys cannot hit) and results stay bit-identical
+       to an unmemoized engine. *)
+    let memo_label =
+      if not t.config.memoize then "computed"
+      else if not (policies_read_path t ~subject ~direction) then begin
+        Obs.Counter.incr c_memo_misses;
+        Hop_tbl.add t.hop_memo key { e_hop = e.hop; e_prov = e.prov };
+        if t.config.track_deps then index_entry t key e.deps;
+        "miss"
+      end
+      else begin
+        t.bypasses <- t.bypasses + 1;
+        "bypass"
+      end
     in
-    if tracing then
-      emit_trace ~direction ~subject ~remote ~prefix ~path ~off ~memo:"computed" hop prov;
-    hop
-  end
-  else begin
-    let is_export = match direction with `Export -> true | `Import -> false in
-    let key =
-      { k_export = is_export;
-        k_subject = subject;
-        k_remote = remote;
-        k_second = (if is_export && n - off >= 2 then path.(off + 1) else no_second_as);
-        k_prefix = prefix;
-        k_origin = path.(n - 1) }
-    in
-    match Hop_tbl.find t.hop_memo key with
-    | entry ->
-      (* A stored verdict implies the subject's policies are path-free,
-         so the hit path is a single probe. Cached verdicts still advance
-         [verify.hops_total] and the per-status counters, preserving the
-         golden-metrics invariant that the status counters sum to the hop
-         total. *)
-      Obs.Counter.incr c_memo_hits;
-      count_status entry.e_hop.Report.status;
-      if tracing then
-        emit_trace ~direction ~subject ~remote ~prefix ~path ~off ~memo:"hit" entry.e_hop
-          entry.e_prov;
-      entry.e_hop
-    | exception Not_found ->
-      let hop, prov, deps =
-        evaluate t ~verdict ~direction ~subject ~remote ~prefix ~path ~off
-      in
-      (* Path-dependent policies bypass the memo (nothing is inserted, so
-         later identical keys cannot hit) and results stay bit-identical
-         to an unmemoized engine. *)
-      let memo_label =
-        if not (policies_read_path t ~subject ~direction) then begin
-          Obs.Counter.incr c_memo_misses;
-          Hop_tbl.add t.hop_memo key { e_hop = hop; e_prov = prov };
-          if t.config.track_deps then index_entry t key deps;
-          "miss"
-        end
-        else begin
-          t.bypasses <- t.bypasses + 1;
-          "bypass"
-        end
-      in
-      if tracing then
-        emit_trace ~direction ~subject ~remote ~prefix ~path ~off ~memo:memo_label hop prov;
-      hop
-  end
+    if Trace.enabled () then
+      emit_trace ~direction ~subject ~remote ~prefix ~path ~off ~memo:memo_label e.hop e.prov;
+    e.hop
+
+(* One hop check by the full fold, with the diagnostic items of a
+   non-Verified hop. It neither reads nor writes the memo. *)
+let explain_at t ~direction ~subject ~remote ~prefix ~path ~off : Report.hop =
+  let e = evaluate t ~fold:full_fold ~direction ~subject ~remote ~prefix ~path ~off in
+  if Trace.enabled () then
+    emit_trace ~direction ~subject ~remote ~prefix ~path ~off ~memo:"computed" e.hop e.prov;
+  match e.hop.status with
+  | Status.Verified -> e.hop
+  | Status.Skipped _ | Status.Unrecorded _ | Status.Relaxed _ | Status.Safelisted _
+  | Status.Unverified ->
+    { e.hop with items = diagnostics e.facts e.reason }
 
 let verify_hop t ~direction ~subject ~remote ~prefix ~path =
-  check_hop t ~verdict:false ~direction ~subject ~remote ~prefix ~path ~off:0
+  check_hop t ~direction ~subject ~remote ~prefix ~path ~off:0
+
+let explain_hop t ~direction ~subject ~remote ~prefix ~path =
+  explain_at t ~direction ~subject ~remote ~prefix ~path ~off:0
 
 (* ---------------- churn-safe invalidation ---------------- *)
 
@@ -1167,7 +1198,9 @@ let apply_edits t ~stale_patterns edits =
   Obs.Counter.add c_invalidations !removed;
   (!removed, Hashtbl.fold (fun p () acc -> p :: acc) prefixes [])
 
-let verify_route_impl t ~verdict (route : Rz_bgp.Route.t) : Report.route_report option =
+(* The hop checks of one route by [check] ({!check_hop} or
+   {!explain_at}). *)
+let walk_route check t (route : Rz_bgp.Route.t) : Report.route_report option =
   if Rz_bgp.Route.contains_as_set route then None
   else begin
     let path = Array.of_list (Rz_bgp.Route.dedup_path route) in
@@ -1183,12 +1216,12 @@ let verify_route_impl t ~verdict (route : Rz_bgp.Route.t) : Report.route_report 
       for i = n - 2 downto 0 do
         let exporter = path.(i + 1) and importer = path.(i) in
         let export_hop =
-          check_hop t ~verdict ~direction:`Export ~subject:exporter ~remote:importer
-            ~prefix:route.prefix ~path ~off:(i + 1)
+          check t ~direction:`Export ~subject:exporter ~remote:importer ~prefix:route.prefix
+            ~path ~off:(i + 1)
         in
         let import_hop =
-          check_hop t ~verdict ~direction:`Import ~subject:importer ~remote:exporter
-            ~prefix:route.prefix ~path ~off:(i + 1)
+          check t ~direction:`Import ~subject:importer ~remote:exporter ~prefix:route.prefix
+            ~path ~off:(i + 1)
         in
         hops := import_hop :: export_hop :: !hops
       done;
@@ -1198,11 +1231,11 @@ let verify_route_impl t ~verdict (route : Rz_bgp.Route.t) : Report.route_report 
     end
   end
 
-let timed_route t ~verdict route =
-  if not (Obs.enabled ()) then verify_route_impl t ~verdict route
+let timed_route check t route =
+  if not (Obs.enabled ()) then walk_route check t route
   else begin
     let t0 = Obs.now_ns () in
-    let result = verify_route_impl t ~verdict route in
+    let result = walk_route check t route in
     let elapsed = Obs.now_ns () - t0 in
     (match result with
      | Some _ ->
@@ -1212,7 +1245,8 @@ let timed_route t ~verdict route =
     result
   end
 
-let verify_route t route = timed_route t ~verdict:false route
+let verify_route t route = timed_route check_hop t route
+let explain_route t route = timed_route explain_at t route
 
 (* Empty the hop memo, and under [track_deps] its reverse indexes. Each
    table was created small and [reset] shrinks it back, so a clear costs
@@ -1231,21 +1265,14 @@ let clear_hop_memo t =
 
 (* Every memo key holds the prefix, so in prefix order an entry can hit
    only until the prefix changes: clearing there loses no hit and bounds
-   the memo by one prefix's hops instead of the whole RIB's. Untraced,
-   the hops are evaluated in verdict mode; the memo is empty at both
-   ends, so no verdict-mode entry outlives the run. *)
+   the memo by one prefix's hops instead of the whole RIB's. *)
 let verify_rib t routes f =
   let by_prefix (a : Rz_bgp.Route.t) (b : Rz_bgp.Route.t) =
     Rz_net.Prefix.compare a.prefix b.prefix
   in
-  let verdict = not (Trace.enabled ()) in
   Array.stable_sort by_prefix routes;
-  clear_hop_memo t;
-  Fun.protect
-    ~finally:(fun () -> clear_hop_memo t)
-    (fun () ->
-      Array.iteri
-        (fun i route ->
-          if i > 0 && by_prefix routes.(i - 1) route <> 0 then clear_hop_memo t;
-          f route (timed_route t ~verdict route))
-        routes)
+  Array.iteri
+    (fun i route ->
+      if i = 0 || by_prefix routes.(i - 1) route <> 0 then clear_hop_memo t;
+      f route (verify_route t route))
+    routes

@@ -6,14 +6,18 @@
     Appendix-C style diagnostics.
 
     A hop is evaluated one of two ways, with the same rule evaluation
-    and the same precedence, relaxation and safelist code. The {e full
-    fold} ({!verify_hop}, {!verify_route}, and {!verify_rib} while
-    decision tracing is on) folds every rule of the subject and builds
-    the diagnostic items and the trace provenance. {e Verdict mode}
-    ({!verify_rib} while tracing is off) folds only the rules that can
-    name the remote, stops at the first match, and builds no items: its
-    hops have the full fold's status, attrs and
-    [peering_only] ({!Report.hop}), and empty [items]. *)
+    and the same precedence, relaxation and safelist code. {e Verdict
+    mode} ({!verify_hop}, {!verify_route}, {!verify_rib}) folds only the
+    rules that can name the remote, stops at the first match, and builds
+    no diagnostic items: its hops have empty [items] ({!Report.hop}).
+    The {e full fold} ({!explain_hop}, {!explain_route}) folds every
+    rule of the subject and fills [items] for non-Verified hops; it
+    neither reads nor writes the hop memo. Both give the same status,
+    attrs and [peering_only].
+
+    Decision tracing ({!Rz_trace.Trace}) decides only whether a hop
+    emits a provenance record, never which fold runs; the record's
+    rule, filter kind and sets come from what that fold evaluated. *)
 
 type config = {
   paper_compat : bool;
@@ -108,30 +112,43 @@ val verify_hop :
   prefix:Rz_net.Prefix.t ->
   path:Rz_net.Asn.t array ->
   Report.hop
-(** Check one side of one hop, by the full fold. [subject] is the AS
+(** Check one side of one hop, in verdict mode. [subject] is the AS
     whose rules are examined; [remote] the other side of the BGP
     session; [path] is the AS-path as the route travels this hop —
-    exporter first, origin last. *)
+    exporter first, origin last. An empty [path] is read as a route
+    originated by [remote]. *)
+
+val explain_hop :
+  t ->
+  direction:[ `Import | `Export ] ->
+  subject:Rz_net.Asn.t ->
+  remote:Rz_net.Asn.t ->
+  prefix:Rz_net.Prefix.t ->
+  path:Rz_net.Asn.t array ->
+  Report.hop
+(** {!verify_hop} by the full fold: the same hop, with the diagnostic
+    [items] of a non-Verified hop. *)
 
 val verify_route : t -> Rz_bgp.Route.t -> Report.route_report option
 (** Full walk from the origin: for each adjacent pair, the exporter's
-    export check then the importer's import check, each by the full
-    fold. Returns [None] for routes the paper excludes: single-AS paths
+    export check then the importer's import check, each in verdict
+    mode. Returns [None] for routes the paper excludes: single-AS paths
     (nothing to verify) and paths containing BGP AS_SETs. Prepending is
     removed first. *)
+
+val explain_route : t -> Rz_bgp.Route.t -> Report.route_report option
+(** {!verify_route} by the full fold, each hop as {!explain_hop}
+    gives it. *)
 
 val verify_rib :
   t -> Rz_bgp.Route.t array -> (Rz_bgp.Route.t -> Report.route_report option -> unit) -> unit
 (** [verify_rib t routes f] verifies a whole RIB: [f route report] for
-    every route. With decision tracing on ({!Rz_trace.Trace.enabled}),
-    [report] is what {!verify_route} returns; with it off, its hops are
-    evaluated in verdict mode and have empty [items]. It first
+    every route, [report] being what {!verify_route} returns. It first
     stable-sorts [routes] in place by {!Rz_net.Prefix.compare}, then
     visits them in that order, emptying the hop memo (and, under
-    [track_deps], its reverse indexes) at the start, whenever the
-    prefix changes, and at the end. Every memo key holds the prefix, so
-    no hit is lost, the memo never holds more than one prefix's hop
-    verdicts, and no verdict-mode hop answers a later {!verify_route}.
-    The NFA, path-freeness, only-provider and rule-index caches are kept
+    [track_deps], its reverse indexes) at the start and whenever the
+    prefix changes. Every memo key holds the prefix, so no hit is lost
+    and the memo never holds more than one prefix's hop verdicts. The
+    NFA, path-freeness, only-provider and rule-index caches are kept
     for the whole engine. A streaming owner uses {!verify_route}, whose
     memo persists. *)

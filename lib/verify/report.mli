@@ -23,7 +23,11 @@ type hop = {
   from_as : Rz_net.Asn.t;   (** exporter side of the hop *)
   to_as : Rz_net.Asn.t;     (** importer side of the hop *)
   status : Status.t;
-  items : item list;        (** diagnostics explaining non-Verified outcomes *)
+  items : item list;
+      (** diagnostics explaining a non-Verified outcome: filled by the
+          full fold ({!Engine.explain_hop}, {!Engine.explain_route}),
+          empty from verdict mode ({!Engine.verify_hop},
+          {!Engine.verify_route}, {!Engine.verify_rib}) *)
   attrs : Rz_policy.Action_eval.attrs option;
       (** for Verified hops: the BGP attributes the matching rule's
           actions assign (LocalPref via the pref inversion, MED,
@@ -35,7 +39,7 @@ type hop = {
           when a status reason ends [items], and for an Unverified hop
           [true] iff no factor had a matching peering and a failing
           filter. Computed without [items], so it is set also where
-          [items] is left empty ({!Engine.verify_rib}). *)
+          [items] is left empty (verdict mode). *)
 }
 
 type route_report = {

@@ -208,8 +208,8 @@ let paper_world =
      Sys.rmdir dir;
      w)
 
-(* Every hop of both worlds: verdict mode ([verify_rib], untraced) has
-   the full fold's status, attrs and peering-only bit. *)
+(* Every hop of both worlds: verdict mode ([verify_rib]) has the full
+   fold's ([explain_route]) status, attrs and peering-only bit. *)
 let test_verdict_equals_full () =
   List.iter
     (fun (label, (w : Rpslyzer.Pipeline.world), n_hops) ->

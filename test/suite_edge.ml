@@ -114,6 +114,32 @@ let test_verify_route_two_hop_loop_path () =
   | Some report -> Alcotest.(check int) "hops reported" 4 (List.length report.hops)
   | None -> Alcotest.fail "unexpected exclusion"
 
+(* The engine is total on paths: an empty path reads as a route the
+   remote originated, and a one-AS path holds only the exporter. *)
+let test_verify_short_paths () =
+  let db = db_of "aut-num: AS10\nimport: from AS20 accept ANY\n" in
+  let rels = Rz_asrel.Rel_db.create () in
+  List.iter
+    (fun (label, config) ->
+      let engine = Rz_verify.Engine.create ~config db rels in
+      List.iter
+        (fun (check_name, check) ->
+          List.iter
+            (fun path ->
+              let hop : Rz_verify.Report.hop =
+                check engine ~direction:`Import ~subject:10 ~remote:20
+                  ~prefix:(p "192.0.2.0/24") ~path
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "%s, %s, %d-AS path" label check_name (Array.length path))
+                "verified"
+                (Rz_verify.Status.class_label hop.status))
+            [ [||]; [| 20 |] ])
+        [ ("verify_hop", Rz_verify.Engine.verify_hop);
+          ("explain_hop", Rz_verify.Engine.explain_hop) ])
+    [ ("memo on", Rz_verify.Engine.default_config);
+      ("memo off", { Rz_verify.Engine.default_config with memoize = false }) ]
+
 (* ---------------- irrd / peval edges ---------------- *)
 
 let test_irrd_empty_line_and_whitespace () =
@@ -165,4 +191,5 @@ let suite =
     Alcotest.test_case "irrd blank query" `Quick test_irrd_empty_line_and_whitespace;
     Alcotest.test_case "peval empty set" `Quick test_peval_empty_set;
     Alcotest.test_case "peval malformed" `Quick test_peval_malformed;
-    Alcotest.test_case "world regeneration stable" `Quick test_world_regeneration_stable ]
+    Alcotest.test_case "world regeneration stable" `Quick test_world_regeneration_stable;
+    Alcotest.test_case "empty and one-AS paths" `Quick test_verify_short_paths ]

@@ -123,7 +123,11 @@ let test_explain_route () =
       (Rz_util.Strings.split_on_string ~sep:"route " text |> List.length > 1);
     Alcotest.(check bool) "reports Export and Import lines" true
       (Rz_util.Strings.split_on_string ~sep:"Export {" text |> List.length > 1
-       && Rz_util.Strings.split_on_string ~sep:"Import {" text |> List.length > 1)
+       && Rz_util.Strings.split_on_string ~sep:"Import {" text |> List.length > 1);
+    let full = Rz_verify.Engine.explain_route (Rz_verify.Engine.create w.db w.rels) route in
+    Alcotest.(check bool) "hops are the full fold's, items included" true
+      (Option.map (fun (r : Rz_verify.Report.route_report) -> r.hops) full
+       = Some (List.map (fun (h : Rpslyzer.Pipeline.explained_hop) -> h.hop) e.hops))
   | None -> Alcotest.fail "route unexpectedly excluded"
 
 let test_parse_rpsl_one_shot () =

@@ -357,16 +357,17 @@ let memo_parity_path_regex =
 
 (* ---------------- verdict mode = full fold ---------------- *)
 
-(* [Engine.verify_rib] evaluates untraced hops in verdict mode: only the
-   rules that can name the remote, up to the first match, with no
-   diagnostics. [Engine.verify_route] is the full fold. *)
+(* [Engine.verify_rib], [verify_route] and [verify_hop] evaluate in
+   verdict mode: only the rules that can name the remote, up to the
+   first match, with no diagnostics. [Engine.explain_route] and
+   [explain_hop] are the full fold. *)
 
 let is_peering_item = function
   | Rz_verify.Report.Match_remote_as_num _ | Rz_verify.Report.Match_remote_as_set _ -> true
   | _ -> false
 
-(* The hops of [route] from [Engine.verify_hop], each on its own copy of
-   the path announced across the hop, in report order. *)
+(* The hops of [route] from [Engine.explain_hop], each on its own copy
+   of the path announced across the hop, in report order. *)
 let hops_on_own_paths engine (route : Rz_bgp.Route.t) =
   let path = Array.of_list (Rz_bgp.Route.dedup_path route) in
   let n = Array.length path in
@@ -374,23 +375,24 @@ let hops_on_own_paths engine (route : Rz_bgp.Route.t) =
     (fun i ->
       let hop_path = Array.sub path (i + 1) (n - i - 1) in
       let check direction subject remote =
-        Rz_verify.Engine.verify_hop engine ~direction ~subject ~remote ~prefix:route.prefix
+        Rz_verify.Engine.explain_hop engine ~direction ~subject ~remote ~prefix:route.prefix
           ~path:hop_path
       in
       [ check `Export path.(i + 1) path.(i); check `Import path.(i) path.(i + 1) ])
     (List.init (max 0 (n - 1)) (fun k -> n - 2 - k))
 
 (* Verdict mode against the full fold, hop by hop: [verify_rib] on one
-   engine, [verify_route] on another. Each verdict hop has no items and
+   engine, [explain_route] on another. Each verdict hop has no items and
    the full fold's status, attrs and peering-only bit; that bit is the
-   full fold's "every item is a peering mismatch"; and the full fold
-   equals [verify_hop] on a memo-off engine given each hop's own path.
+   full fold's "every item is a peering mismatch"; the full fold equals
+   [explain_hop] given each hop's own path; and [verify_route] on an
+   engine whose memo outlives the prefix gives [verify_rib]'s report.
    Returns the number of hops compared and the first disagreement. *)
 let verdict_vs_full db rels routes =
   let module E = Rz_verify.Engine in
   let module R = Rz_verify.Report in
-  let verdict = E.create db rels and full = E.create db rels in
-  let own_paths = E.create ~config:{ E.default_config with memoize = false } db rels in
+  let verdict = E.create db rels and persistent = E.create db rels in
+  let full = E.create db rels in
   let hops = ref 0 and first_diff = ref None in
   let diff what route (hop : R.hop) =
     if !first_diff = None then
@@ -398,12 +400,15 @@ let verdict_vs_full db rels routes =
         Some (Printf.sprintf "%s: %s at %s" (Rz_bgp.Route.to_line route) what (R.hop_to_string hop))
   in
   E.verify_rib verdict (Array.copy routes) (fun route v ->
-      match (v, E.verify_route full route) with
+      match (v, E.explain_route full route) with
       | None, None -> ()
       | Some v, Some f when List.length v.R.hops = List.length f.R.hops ->
-        if f.hops <> hops_on_own_paths own_paths route then
-          diff "full fold differs from verify_hop on the hop's own path" route
+        if f.hops <> hops_on_own_paths full route then
+          diff "full fold differs from explain_hop on the hop's own path" route
             (List.hd f.hops);
+        if E.verify_route persistent route <> Some v then
+          diff "verify_route on a persistent memo differs from verify_rib" route
+            (List.hd v.hops);
         List.iter2
           (fun (vh : R.hop) (fh : R.hop) ->
             incr hops;

@@ -26,8 +26,7 @@ let dummy_record ?(verdict_class = "verified") () =
     direction = "import"; subject = 65000; remote = 65001;
     prefix = "10.0.0.0/24"; origin = 65000; path_len = 2;
     verdict = "Verified"; verdict_class; rule = Some "import: from AS65001 accept ANY";
-    filter_kind = Some "any"; as_sets = []; memo = "computed"; trigger = None;
-    items = [] }
+    filter_kind = Some "any"; as_sets = []; memo = "computed"; trigger = None }
 
 (* ---------------- sampling policies ---------------- *)
 

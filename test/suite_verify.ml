@@ -336,7 +336,7 @@ let test_unverified_peering_mismatch_items () =
      safelist from firing *)
   let e = engine "aut-num: AS20\nimport: from AS200 accept ANY\nimport: from AS300 accept ANY\n" in
   let hop =
-    Engine.verify_hop e ~direction:`Import ~subject:20 ~remote:10
+    Engine.explain_hop e ~direction:`Import ~subject:20 ~remote:10
       ~prefix:(p "192.0.2.0/24") ~path:[| 10 |]
   in
   check_status "peering mismatch" Status.Unverified hop;
@@ -351,7 +351,7 @@ let test_unverified_filter_mismatch_items () =
       "aut-num: AS20\nimport: from AS10 accept AS1\n\nroute: 198.51.100.0/24\norigin: AS1\n"
   in
   let hop =
-    Engine.verify_hop e ~direction:`Import ~subject:20 ~remote:10
+    Engine.explain_hop e ~direction:`Import ~subject:20 ~remote:10
       ~prefix:(p "192.0.2.0/24") ~path:[| 10; 99 |]
   in
   check_status "filter mismatch" Status.Unverified hop;
@@ -468,7 +468,7 @@ let test_verify_route_dedups_prepending () =
 let test_report_formatting () =
   let e = engine "aut-num: AS20\nimport: from AS200 accept ANY\nimport: from AS300 accept ANY\n" in
   let hop =
-    Engine.verify_hop e ~direction:`Import ~subject:20 ~remote:10
+    Engine.explain_hop e ~direction:`Import ~subject:20 ~remote:10
       ~prefix:(p "192.0.2.0/24") ~path:[| 10 |]
   in
   let text = Report.hop_to_string hop in
@@ -480,7 +480,7 @@ let test_report_formatting () =
 let test_report_meh_naming () =
   let e = engine "aut-num: AS100\nimport: from AS10 accept ANY\n" in
   let hop =
-    Engine.verify_hop e ~direction:`Import ~subject:100 ~remote:200
+    Engine.explain_hop e ~direction:`Import ~subject:100 ~remote:200
       ~prefix:(p "192.0.2.0/24") ~path:[| 200 |]
   in
   let text = Report.hop_to_string hop in

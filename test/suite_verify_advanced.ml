@@ -253,7 +253,7 @@ let test_appendix_c_route () =
   let route =
     Rz_bgp.Route.make (p "103.162.114.0/23") [ 3257; 1299; 6939; 133840; 56239; 141893 ]
   in
-  match Engine.verify_route engine route with
+  match Engine.explain_route engine route with
   | None -> Alcotest.fail "route excluded"
   | Some report ->
     let expected =
@@ -292,8 +292,8 @@ let test_appendix_c_route () =
            | _ -> false)
          unrec.items)
 
-(* Untraced, verify_rib evaluates in verdict mode over a per-aut-num
-   rule index. An edit that makes AS10 name a new neighbour reaches it
+(* verify_rib evaluates in verdict mode over a per-aut-num rule
+   index. An edit that makes AS10 name a new neighbour reaches it
    through apply_edits: the batch equals a fresh engine's. *)
 let test_rule_index_follows_edits () =
   let db =
@@ -327,21 +327,37 @@ let test_rule_index_follows_edits () =
   check_status "AS1 declared after the edit" Status.Verified (import_hop after);
   Alcotest.(check bool) "= a fresh engine" true (after = batch (Engine.create db (rels ())))
 
-(* verify_rib's verdict-mode hops carry no items; none may answer a
-   later verify_route on the same engine. *)
-let test_verify_rib_leaves_no_verdict_hops () =
-  let rpsl = "aut-num: AS10\nimport: from AS20 accept AS20\n" in
-  let route = Rz_bgp.Route.make (p "192.0.2.0/24") [ 10; 77 ] in
-  let e = engine rpsl in
-  Engine.verify_rib e [| route |] (fun _ _ -> ());
-  Alcotest.(check int) "memo empty after the batch" 0 (Engine.hop_memo_size e);
-  let fresh = Engine.verify_route (engine rpsl) route in
-  Alcotest.(check bool) "the full fold has items" true
-    (List.exists
-       (fun (h : Report.hop) -> h.items <> [])
-       (Option.get fresh).Report.hops);
-  Alcotest.(check bool) "verify_route after verify_rib = on a fresh engine" true
-    (Engine.verify_route e route = fresh)
+(* Decision tracing decides only whether a hop emits a record:
+   verify_rib under [Trace.All] gives the untraced reports, items
+   included, and one record per hop. *)
+let test_tracing_keeps_verdicts () =
+  let routes () =
+    Array.map
+      (fun (pfx, path) -> Rz_bgp.Route.make (p pfx) path)
+      [| ("103.162.114.0/23", [ 3257; 1299; 6939; 133840; 56239; 141893 ]);
+         ("103.162.114.0/24", [ 1299; 6939; 133840; 56239; 141893 ]);
+         ("192.0.2.0/24", [ 3257; 1299; 6939 ]) |]
+  in
+  let batch engine =
+    let reports = ref [] in
+    Engine.verify_rib engine (routes ()) (fun _ r -> reports := r :: !reports);
+    List.rev !reports
+  in
+  let untraced = batch (appendix_c_engine ()) in
+  let traced, records =
+    Rz_trace.Trace.with_sampling Rz_trace.Trace.All (fun () ->
+        let reports = batch (appendix_c_engine ()) in
+        (reports, List.length (Rz_trace.Trace.records ())))
+  in
+  Alcotest.(check bool) "traced reports = untraced" true (traced = untraced);
+  let hops =
+    List.fold_left
+      (fun acc -> function
+        | Some (r : Report.route_report) -> acc + List.length r.hops
+        | None -> acc)
+      0 untraced
+  in
+  Alcotest.(check int) "one record per hop" hops records
 
 let suite =
   [ Alcotest.test_case "peering EXCEPT" `Quick test_peering_except_expression;
@@ -360,5 +376,4 @@ let suite =
     Alcotest.test_case "only matching actions apply" `Quick test_unmatched_peering_actions_not_applied;
     Alcotest.test_case "Appendix C full route" `Quick test_appendix_c_route;
     Alcotest.test_case "rule index follows aut-num edits" `Quick test_rule_index_follows_edits;
-    Alcotest.test_case "verify_rib leaves no verdict hops" `Quick
-      test_verify_rib_leaves_no_verdict_hops ]
+    Alcotest.test_case "tracing does not change verdicts" `Quick test_tracing_keeps_verdicts ]
