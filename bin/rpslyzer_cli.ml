@@ -1286,31 +1286,12 @@ let stream_cmd =
    actually observes, so without this audit a pathological-regex bomb on an
    AS no collector route traverses would go unexercised. *)
 let nfa_audit ir =
-  let total = ref 0 in
-  let rec walk_filter = function
-    | Rz_policy.Ast.Path_regex regex ->
-      incr total;
-      ignore (Rz_aspath.Regex_nfa.compile regex)
-    | Rz_policy.Ast.And_f (a, b) | Rz_policy.Ast.Or_f (a, b) ->
-      walk_filter a;
-      walk_filter b
-    | Rz_policy.Ast.Not_f a -> walk_filter a
-    | _ -> ()
-  in
-  let rec walk_expr = function
-    | Rz_policy.Ast.Term_e term ->
-      List.iter (fun (f : Rz_policy.Ast.factor) -> walk_filter f.filter) term.factors
-    | Rz_policy.Ast.Except_e (term, rest) | Rz_policy.Ast.Refine_e (term, rest) ->
-      List.iter (fun (f : Rz_policy.Ast.factor) -> walk_filter f.filter) term.factors;
-      walk_expr rest
-  in
-  Hashtbl.iter
-    (fun _ (an : Rz_ir.Ir.aut_num) ->
-      List.iter
-        (fun (r : Rz_policy.Ast.rule) -> walk_expr r.expr)
-        (an.imports @ an.exports))
-    ir.Rz_ir.Ir.aut_nums;
-  !total
+  Hashtbl.fold
+    (fun _ (an : Rz_ir.Ir.aut_num) total ->
+      let patterns = Rz_verify.Engine.rule_patterns (an.imports @ an.exports) in
+      List.iter (fun regex -> ignore (Rz_aspath.Regex_nfa.compile regex)) patterns;
+      total + List.length patterns)
+    ir.Rz_ir.Ir.aut_nums 0
 
 let faultinject_cmd =
   let run obs dir seed rate kinds =

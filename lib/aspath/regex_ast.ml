@@ -79,6 +79,18 @@ let state_estimate ast =
   in
   go ast
 
+let terms regex =
+  let rec term acc = function
+    | Class (_, members) -> List.fold_right (fun t acc -> term acc t) members acc
+    | t -> t :: acc
+  and go acc = function
+    | Empty | Bol | Eol -> acc
+    | Term t | Tilde_star t | Tilde_plus t -> term acc t
+    | Seq (a, b) | Alt (a, b) -> go (go acc b) a
+    | Star a | Plus a | Opt a | Repeat (a, _, _) -> go acc a
+  in
+  go [] regex
+
 let term_uses_future_work = function
   | Asn_range _ -> true
   | Class (_, terms) -> List.exists (function Asn_range _ -> true | _ -> false) terms

@@ -31,6 +31,12 @@ type t =
 val to_string : t -> string
 (** Render back to RPSL syntax (without the surrounding [< >]). *)
 
+val terms : t -> term list
+(** The path-element terms the regex is written with, left to right, each
+    [\[...\]] class replaced by its members (negated or not): the ASNs
+    ([Asn], [Asn_range]) and as-set names ([As_set]) it names, and its
+    [PeerAS] and [.] tokens. *)
+
 val state_estimate : t -> int
 (** Saturating upper bound on the number of NFA states {!Regex_nfa.compile}
     would build for this AST. Cheap (proportional to the written regex, not

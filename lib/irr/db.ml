@@ -350,32 +350,29 @@ let warm_caches t =
    class sharing the canonical name space: as-set member sets, route-set
    [Rs_set] members, set references inside a filter-set's filter, and
    as-sets / nested sets named by a peering-set's peerings. This is the
-   edge relation behind the streaming engine's invalidation walk — edges
-   are a {e superset} of what evaluation can read (sound: reachability
-   over-approximation can only widen invalidation, never miss it), and
-   deliberately ignore the flattening work/depth caps. *)
-let rec filter_set_refs acc (f : Rz_policy.Ast.filter) =
-  match f with
-  | Rz_policy.Ast.As_set_ref (name, _)
-  | Rz_policy.Ast.Route_set_ref (name, _)
-  | Rz_policy.Ast.Filter_set_ref name -> canon name :: acc
-  | Rz_policy.Ast.And_f (a, b) | Rz_policy.Ast.Or_f (a, b) ->
-    filter_set_refs (filter_set_refs acc a) b
-  | Rz_policy.Ast.Not_f a -> filter_set_refs acc a
-  | Rz_policy.Ast.Any | Rz_policy.Ast.Peer_as_filter | Rz_policy.Ast.As_num _
-  | Rz_policy.Ast.Prefix_set _ | Rz_policy.Ast.Path_regex _
-  | Rz_policy.Ast.Community _ | Rz_policy.Ast.Fltr_martian -> acc
-
-let rec as_expr_set_refs acc (e : Rz_policy.Ast.as_expr) =
-  match e with
-  | Rz_policy.Ast.As_set name -> canon name :: acc
-  | Rz_policy.Ast.Asn _ | Rz_policy.Ast.Any_as -> acc
-  | Rz_policy.Ast.And (a, b) | Rz_policy.Ast.Or (a, b)
-  | Rz_policy.Ast.Except_as (a, b) -> as_expr_set_refs (as_expr_set_refs acc a) b
+   edge relation behind the streaming engine's invalidation walk, and it
+   deliberately ignores the flattening work/depth caps. It omits one
+   thing evaluation can read: an as-set named inside an AS-path regex of a
+   filter-set ([<AS-FOO+>]). That is sound because the edges only drive
+   the invalidation of memoized hop verdicts, and no memoized verdict
+   depends on such a set: a policy whose filters read the AS-path, even
+   through a filter-set, bypasses the hop memo (the engine's
+   path-freeness check). *)
+let filter_set_refs acc (f : Rz_policy.Ast.filter) =
+  List.fold_left
+    (fun acc -> function
+      | Rz_policy.Ast.As_set_ref (name, _)
+      | Rz_policy.Ast.Route_set_ref (name, _)
+      | Rz_policy.Ast.Filter_set_ref name -> canon name :: acc
+      | _ -> acc)
+    acc (Rz_policy.Ast.filter_leaves f)
 
 let peering_set_refs acc (p : Rz_policy.Ast.peering) =
   match p with
-  | Rz_policy.Ast.Peering_spec { as_expr; _ } -> as_expr_set_refs acc as_expr
+  | Rz_policy.Ast.Peering_spec { as_expr; _ } ->
+    List.fold_left
+      (fun acc -> function Rz_policy.Ast.As_set name -> canon name :: acc | _ -> acc)
+      acc (Rz_policy.Ast.as_expr_leaves as_expr)
   | Rz_policy.Ast.Peering_set_ref name -> canon name :: acc
 
 let referenced_sets t name =

@@ -82,41 +82,34 @@ let canon = Rz_rpsl.Set_name.canonical
 let collect_refs (ir : Ir.t) =
   let refs = { sets = Hashtbl.create 256; neighbors_of = Hashtbl.create 256 } in
   let add_set name = Hashtbl.replace refs.sets (canon name) () in
-  let rec scan_as_expr acc = function
-    | Ast.Asn asn -> asn :: acc
-    | Ast.As_set name -> add_set name; acc
-    | Ast.Any_as -> acc
-    | Ast.And (a, b) | Ast.Or (a, b) | Ast.Except_as (a, b) ->
-      scan_as_expr (scan_as_expr acc a) b
-  in
-  let rec scan_filter = function
-    | Ast.Any | Ast.Peer_as_filter | Ast.Fltr_martian | Ast.Prefix_set _
-    | Ast.Community _ | Ast.As_num _ | Ast.Path_regex _ -> ()
+  let scan_filter_leaf = function
     | Ast.As_set_ref (name, _) | Ast.Route_set_ref (name, _) | Ast.Filter_set_ref name ->
       add_set name
-    | Ast.And_f (a, b) | Ast.Or_f (a, b) -> scan_filter a; scan_filter b
-    | Ast.Not_f a -> scan_filter a
+    | Ast.Path_regex regex ->
+      List.iter
+        (function Rz_aspath.Regex_ast.As_set name -> add_set name | _ -> ())
+        (Rz_aspath.Regex_ast.terms regex)
+    | _ -> ()
   in
   Hashtbl.iter
     (fun asn (an : Ir.aut_num) ->
+      let rules = an.imports @ an.exports in
       let peer_asns = ref [] in
       List.iter
-        (fun (rule : Ast.rule) ->
-          List.iter
-            (fun (term : Ast.term) ->
-              List.iter
-                (fun (factor : Ast.factor) ->
-                  List.iter
-                    (fun (pa : Ast.peering_action) ->
-                      match pa.peering with
-                      | Ast.Peering_spec { as_expr; _ } ->
-                        peer_asns := scan_as_expr !peer_asns as_expr
-                      | Ast.Peering_set_ref name -> add_set name)
-                    factor.peerings;
-                  scan_filter factor.filter)
-                term.factors)
-            (Ast.expr_terms rule.expr))
-        (an.imports @ an.exports);
+        (fun (pa : Ast.peering_action) ->
+          match pa.peering with
+          | Ast.Peering_spec { as_expr; _ } ->
+            List.iter
+              (function
+                | Ast.Asn asn -> peer_asns := asn :: !peer_asns
+                | Ast.As_set name -> add_set name
+                | _ -> ())
+              (Ast.as_expr_leaves as_expr)
+          | Ast.Peering_set_ref name -> add_set name)
+        (List.concat_map Ast.rule_peerings rules);
+      List.iter
+        (fun (factor : Ast.factor) -> List.iter scan_filter_leaf (Ast.filter_leaves factor.filter))
+        (List.concat_map Ast.rule_factors rules);
       Hashtbl.replace refs.neighbors_of asn (List.sort_uniq compare !peer_asns))
     ir.aut_nums;
   refs
@@ -181,29 +174,19 @@ let lint_route_set db (s : Ir.route_set) =
 
 (* A transit AS whose export filter toward a provider/peer is its own bare
    ASN almost certainly means "me and my customers" (paper Section 5.1.1). *)
-let rule_filters (rule : Ast.rule) =
-  List.concat_map
-    (fun (term : Ast.term) -> List.map (fun (f : Ast.factor) -> f.filter) term.factors)
-    (Ast.expr_terms rule.expr)
+let rule_filters rule = List.map (fun (f : Ast.factor) -> f.filter) (Ast.rule_factors rule)
 
-let rule_peering_asns (rule : Ast.rule) =
-  let rec scan acc = function
-    | Ast.Asn asn -> asn :: acc
-    | Ast.As_set _ | Ast.Any_as -> acc
-    | Ast.And (a, b) | Ast.Or (a, b) | Ast.Except_as (a, b) -> scan (scan acc a) b
-  in
+(* The ASNs the rule's peerings name; each peering's last-named first. *)
+let rule_peering_asns rule =
   List.concat_map
-    (fun (term : Ast.term) ->
-      List.concat_map
-        (fun (f : Ast.factor) ->
-          List.concat_map
-            (fun (pa : Ast.peering_action) ->
-              match pa.peering with
-              | Ast.Peering_spec { as_expr; _ } -> scan [] as_expr
-              | Ast.Peering_set_ref _ -> [])
-            f.peerings)
-        term.factors)
-    (Ast.expr_terms rule.expr)
+    (fun (pa : Ast.peering_action) ->
+      match pa.peering with
+      | Ast.Peering_spec { as_expr; _ } ->
+        List.fold_left
+          (fun acc -> function Ast.Asn asn -> asn :: acc | _ -> acc)
+          [] (Ast.as_expr_leaves as_expr)
+      | Ast.Peering_set_ref _ -> [])
+    (Ast.rule_peerings rule)
 
 let lint_aut_num db rels refs (an : Ir.aut_num) =
   let out = ref [] in
@@ -296,20 +279,11 @@ let lint_aut_num db rels refs (an : Ir.aut_num) =
        in
        let has_any =
          List.exists
-           (fun (rule : Ast.rule) ->
-             List.exists
-               (fun (term : Ast.term) ->
-                 List.exists
-                   (fun (f : Ast.factor) ->
-                     List.exists
-                       (fun (pa : Ast.peering_action) ->
-                         match pa.peering with
-                         | Ast.Peering_spec { as_expr = Ast.Any_as; _ } -> true
-                         | _ -> false)
-                       f.peerings)
-                   term.factors)
-               (Ast.expr_terms rule.expr))
-           (an.imports @ an.exports)
+           (fun (pa : Ast.peering_action) ->
+             match pa.peering with
+             | Ast.Peering_spec { as_expr = Ast.Any_as; _ } -> true
+             | _ -> false)
+           (List.concat_map Ast.rule_peerings (an.imports @ an.exports))
        in
        if not has_any then
          List.iter

@@ -193,6 +193,29 @@ let rule_to_string rule =
   in
   Printf.sprintf "%s: %s%s%s" attr protocol into (expr_to_string ~keyword ~verb rule.expr)
 
-let rec expr_terms = function
-  | Term_e t -> [ t ]
-  | Except_e (t, rest) | Refine_e (t, rest) -> t :: expr_terms rest
+let rule_factors (rule : rule) =
+  let rec go = function
+    | Term_e t -> t.factors
+    | Except_e (t, rest) | Refine_e (t, rest) -> t.factors @ go rest
+  in
+  go rule.expr
+
+let rule_peerings rule =
+  List.concat_map (fun (f : factor) -> f.peerings) (rule_factors rule)
+
+(* Both leaf walks visit right to left onto an accumulator, so the list
+   comes out left to right without a reversal. *)
+let filter_leaves filter =
+  let rec go acc = function
+    | And_f (a, b) | Or_f (a, b) -> go (go acc b) a
+    | Not_f a -> go acc a
+    | leaf -> leaf :: acc
+  in
+  go [] filter
+
+let as_expr_leaves expr =
+  let rec go acc = function
+    | And (a, b) | Or (a, b) | Except_as (a, b) -> go (go acc b) a
+    | leaf -> leaf :: acc
+  in
+  go [] expr

@@ -109,5 +109,32 @@ val rule_to_string : rule -> string
 (** Render back to RPSL-ish text (canonical spacing); used by the JSON
     export, error messages, and round-trip tests. *)
 
-val expr_terms : expr -> term list
-(** All terms of a structured expression in syntactic order. *)
+(** {1 Enumeration}
+
+    The traversals every consumer of the IR shares: the Section 4
+    statistics, the linter, the classifiers, and the engine's indexes and
+    dependency analyses. Each returns the parts in the order they are
+    written in the rule text, so a consumer that keeps the first hit, or
+    prints what it finds, sees them as the author wrote them. Evaluators
+    and renderers give [AND], [OR], [NOT] and [EXCEPT] a meaning of their
+    own and keep their own recursion. *)
+
+val rule_factors : rule -> factor list
+(** The factors of every term of the rule: the terms left to right
+    across [EXCEPT] and [REFINE] (the term before the keyword first),
+    each term's factors in written order. *)
+
+val rule_peerings : rule -> peering_action list
+(** The peering-actions of {!rule_factors}, factor by factor, each
+    factor's [from]/[to] clauses in written order. *)
+
+val filter_leaves : filter -> filter list
+(** The leaves of a filter: every node that is not [And_f], [Or_f] or
+    [Not_f], left to right, with the composites looked through (a negated
+    leaf is listed like any other). A leaf is its own only leaf. A
+    [Filter_set_ref] is a leaf: the set's own filter is not read. *)
+
+val as_expr_leaves : as_expr -> as_expr list
+(** The [Asn], [As_set] and [Any_as] leaves of an AS expression, left to
+    right, both sides of [And], [Or] and [Except_as] included. A leaf is
+    its own only leaf. *)

@@ -8,8 +8,8 @@ let filter_compatible = function
 
 let rule_compatible (rule : Ast.rule) =
   match rule.expr with
-  | Ast.Term_e term ->
-    List.for_all (fun (f : Ast.factor) -> filter_compatible f.filter) term.factors
+  | Ast.Term_e _ ->
+    List.for_all (fun (f : Ast.factor) -> filter_compatible f.filter) (Ast.rule_factors rule)
   | Ast.Except_e _ | Ast.Refine_e _ -> false
 
 let compatible_rules (an : Rz_ir.Ir.aut_num) =

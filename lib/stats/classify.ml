@@ -28,63 +28,43 @@ let style_to_string = function
 
 let all_styles = [ Unregistered; Silent; Open_policy; Provider_only; Simple; Expressive ]
 
-(* Structural facts about one aut-num's rules. *)
-let rec as_expr_asns acc = function
-  | Ast.Asn asn -> asn :: acc
-  | Ast.As_set _ | Ast.Any_as -> acc
-  | Ast.And (a, b) | Ast.Or (a, b) | Ast.Except_as (a, b) ->
-    as_expr_asns (as_expr_asns acc a) b
-
-let rec as_expr_has_any = function
-  | Ast.Any_as -> true
-  | Ast.Asn _ | Ast.As_set _ -> false
-  | Ast.And (a, b) | Ast.Or (a, b) | Ast.Except_as (a, b) ->
-    as_expr_has_any a || as_expr_has_any b
-
-let rec filter_uses_sets = function
+let names_set = function
   | Ast.As_set_ref _ | Ast.Route_set_ref _ | Ast.Filter_set_ref _ -> true
-  | Ast.And_f (a, b) | Ast.Or_f (a, b) -> filter_uses_sets a || filter_uses_sets b
-  | Ast.Not_f a -> filter_uses_sets a
-  | Ast.Any | Ast.Peer_as_filter | Ast.As_num _ | Ast.Prefix_set _ | Ast.Path_regex _
-  | Ast.Community _ | Ast.Fltr_martian -> false
+  | _ -> false
 
 let classify_aut_num ?rels (an : Ir.aut_num) =
   let rules = an.imports @ an.exports in
   let n_rules = List.length rules in
-  let peer_asns = ref [] in
-  let has_any_peering = ref false in
-  let uses_sets = ref false in
-  let expressive = ref false in
-  List.iter
-    (fun (rule : Ast.rule) ->
-      if not (Bgpq4_compat.rule_compatible rule) then expressive := true;
-      List.iter
-        (fun (term : Ast.term) ->
-          List.iter
-            (fun (factor : Ast.factor) ->
-              if filter_uses_sets factor.filter then uses_sets := true;
-              List.iter
-                (fun (pa : Ast.peering_action) ->
-                  match pa.peering with
-                  | Ast.Peering_spec { as_expr; _ } ->
-                    peer_asns := as_expr_asns !peer_asns as_expr;
-                    if as_expr_has_any as_expr then has_any_peering := true
-                  | Ast.Peering_set_ref _ -> ())
-                factor.peerings)
-            term.factors)
-        (Ast.expr_terms rule.expr))
-    rules;
-  let neighbors = List.sort_uniq compare !peer_asns in
+  (* Structural facts about the aut-num's rules. *)
+  let peer_leaves =
+    List.concat_map
+      (fun (pa : Ast.peering_action) ->
+        match pa.peering with
+        | Ast.Peering_spec { as_expr; _ } -> Ast.as_expr_leaves as_expr
+        | Ast.Peering_set_ref _ -> [])
+      (List.concat_map Ast.rule_peerings rules)
+  in
+  let neighbors =
+    List.sort_uniq compare
+      (List.filter_map (function Ast.Asn asn -> Some asn | _ -> None) peer_leaves)
+  in
+  let has_any_peering = List.mem Ast.Any_as peer_leaves in
+  let uses_sets =
+    List.exists
+      (fun (factor : Ast.factor) -> List.exists names_set (Ast.filter_leaves factor.filter))
+      (List.concat_map Ast.rule_factors rules)
+  in
+  let expressive = not (List.for_all Bgpq4_compat.rule_compatible rules) in
   let style =
     if n_rules = 0 then Silent
-    else if !expressive then Expressive
-    else if !has_any_peering && neighbors = [] then Open_policy
+    else if expressive then Expressive
+    else if has_any_peering && neighbors = [] then Open_policy
     else begin
       let provider_only =
         match rels with
         | Some rels ->
           neighbors <> []
-          && (not !has_any_peering)
+          && (not has_any_peering)
           && List.for_all
                (fun n ->
                  Rz_asrel.Rel_db.relationship rels n an.asn
@@ -100,7 +80,7 @@ let classify_aut_num ?rels (an : Ir.aut_num) =
     style;
     n_rules;
     n_neighbors_declared = List.length neighbors;
-    uses_sets = !uses_sets;
+    uses_sets;
     multiprotocol = List.exists (fun (r : Ast.rule) -> r.multiprotocol) rules }
 
 let classify_all ?rels ~observed db =

@@ -43,17 +43,12 @@ let link_evidence db =
   in
   Hashtbl.iter
     (fun asn (an : Ir.aut_num) ->
-      let scan ~import (rule : Ast.rule) =
+      let scan ~import rule =
         List.iter
-          (fun (term : Ast.term) ->
-            List.iter
-              (fun (factor : Ast.factor) ->
-                let any = filter_is_any factor.filter in
-                List.iter
-                  (fun neighbor -> note asn neighbor ~import ~any)
-                  (factor_neighbors factor))
-              term.factors)
-          (Ast.expr_terms rule.expr)
+          (fun (factor : Ast.factor) ->
+            let any = filter_is_any factor.filter in
+            List.iter (fun neighbor -> note asn neighbor ~import ~any) (factor_neighbors factor))
+          (Ast.rule_factors rule)
       in
       List.iter (scan ~import:true) an.imports;
       List.iter (scan ~import:false) an.exports)

@@ -89,59 +89,45 @@ let fresh_refs () =
 
 let canon = Rz_rpsl.Set_name.canonical
 
-let rec walk_as_expr refs = function
-  | Ast.Asn asn -> Hashtbl.replace refs.aut_nums asn ()
-  | Ast.As_set name -> Hashtbl.replace refs.as_sets (canon name) ()
-  | Ast.Any_as -> ()
-  | Ast.And (a, b) | Ast.Or (a, b) | Ast.Except_as (a, b) ->
-    walk_as_expr refs a;
-    walk_as_expr refs b
+let note tbl name = Hashtbl.replace tbl (canon name) ()
 
 let walk_peering refs = function
-  | Ast.Peering_spec { as_expr; _ } -> walk_as_expr refs as_expr
-  | Ast.Peering_set_ref name -> Hashtbl.replace refs.peering_sets (canon name) ()
+  | Ast.Peering_spec { as_expr; _ } ->
+    List.iter
+      (function
+        | Ast.Asn asn -> Hashtbl.replace refs.aut_nums asn ()
+        | Ast.As_set name -> note refs.as_sets name
+        | _ -> ())
+      (Ast.as_expr_leaves as_expr)
+  | Ast.Peering_set_ref name -> note refs.peering_sets name
 
-let rec walk_filter refs = function
-  | Ast.Any | Ast.Peer_as_filter | Ast.Prefix_set _ | Ast.Community _ | Ast.Fltr_martian -> ()
-  | Ast.As_num (asn, _) -> Hashtbl.replace refs.aut_nums asn ()
-  | Ast.As_set_ref (name, _) -> Hashtbl.replace refs.as_sets (canon name) ()
-  | Ast.Route_set_ref (name, _) -> Hashtbl.replace refs.route_sets (canon name) ()
-  | Ast.Filter_set_ref name -> Hashtbl.replace refs.filter_sets (canon name) ()
-  | Ast.Path_regex regex ->
-    let rec walk_regex = function
-      | Rz_aspath.Regex_ast.Empty | Bol | Eol -> ()
-      | Term term -> walk_term term
-      | Seq (a, b) | Alt (a, b) -> walk_regex a; walk_regex b
-      | Star a | Plus a | Opt a | Repeat (a, _, _) -> walk_regex a
-      | Tilde_star term | Tilde_plus term -> walk_term term
-    and walk_term = function
-      | Rz_aspath.Regex_ast.Asn asn -> Hashtbl.replace refs.aut_nums asn ()
-      | As_set name -> Hashtbl.replace refs.as_sets (canon name) ()
-      | Asn_range _ | Peer_as | Wildcard -> ()
-      | Class (_, terms) -> List.iter walk_term terms
-    in
-    walk_regex regex
-  | Ast.And_f (a, b) | Ast.Or_f (a, b) ->
-    walk_filter refs a;
-    walk_filter refs b
-  | Ast.Not_f a -> walk_filter refs a
+let walk_filter refs filter =
+  List.iter
+    (function
+      | Ast.As_num (asn, _) -> Hashtbl.replace refs.aut_nums asn ()
+      | Ast.As_set_ref (name, _) -> note refs.as_sets name
+      | Ast.Route_set_ref (name, _) -> note refs.route_sets name
+      | Ast.Filter_set_ref name -> note refs.filter_sets name
+      | Ast.Path_regex regex ->
+        List.iter
+          (function
+            | Rz_aspath.Regex_ast.Asn asn -> Hashtbl.replace refs.aut_nums asn ()
+            | Rz_aspath.Regex_ast.As_set name -> note refs.as_sets name
+            | _ -> ())
+          (Rz_aspath.Regex_ast.terms regex)
+      | _ -> ())
+    (Ast.filter_leaves filter)
 
 let walk_rules ir ~in_peering ~in_filter =
   Hashtbl.iter
     (fun _ (an : Ir.aut_num) ->
+      let rules = an.imports @ an.exports in
       List.iter
-        (fun (rule : Ast.rule) ->
-          List.iter
-            (fun (term : Ast.term) ->
-              List.iter
-                (fun (factor : Ast.factor) ->
-                  List.iter
-                    (fun (pa : Ast.peering_action) -> walk_peering in_peering pa.peering)
-                    factor.peerings;
-                  walk_filter in_filter factor.filter)
-                term.factors)
-            (Ast.expr_terms rule.expr))
-        (an.imports @ an.exports))
+        (fun (pa : Ast.peering_action) -> walk_peering in_peering pa.peering)
+        (List.concat_map Ast.rule_peerings rules);
+      List.iter
+        (fun (factor : Ast.factor) -> walk_filter in_filter factor.filter)
+        (List.concat_map Ast.rule_factors rules))
     ir.Ir.aut_nums
 
 (* ---------------- filter shapes / peering simplicity ---------------- *)
@@ -310,22 +296,15 @@ let compute ~dumps db =
         if List.for_all Bgpq4_compat.rule_compatible rules then incr bgpq4_only
       end;
       List.iter
-        (fun (rule : Ast.rule) ->
-          List.iter
-            (fun (term : Ast.term) ->
-              List.iter
-                (fun (factor : Ast.factor) ->
-                  List.iter
-                    (fun (pa : Ast.peering_action) ->
-                      incr n_peerings;
-                      if peering_is_simple pa.peering then incr n_simple)
-                    factor.peerings;
-                  let kind = filter_kind factor.filter in
-                  Hashtbl.replace kinds kind
-                    (1 + Option.value ~default:0 (Hashtbl.find_opt kinds kind)))
-                term.factors)
-            (Ast.expr_terms rule.expr))
-        rules)
+        (fun (pa : Ast.peering_action) ->
+          incr n_peerings;
+          if peering_is_simple pa.peering then incr n_simple)
+        (List.concat_map Ast.rule_peerings rules);
+      List.iter
+        (fun (factor : Ast.factor) ->
+          let kind = filter_kind factor.filter in
+          Hashtbl.replace kinds kind (1 + Option.value ~default:0 (Hashtbl.find_opt kinds kind)))
+        (List.concat_map Ast.rule_factors rules))
     ir.Ir.aut_nums;
   (* Table 2. *)
   let in_peering = fresh_refs () and in_filter = fresh_refs () in

@@ -424,16 +424,15 @@ let eval_peering t ctx (peering : Ast.peering) : outcome =
          NoMatch ps.peerings)
 
 (* Remote ASNs / as-sets a peering references, for diagnostics, put
-   before [tail]. *)
-let rec as_expr_refs acc = function
-  | Ast.Asn asn -> Report.Match_remote_as_num asn :: acc
-  | Ast.As_set name -> Report.Match_remote_as_set name :: acc
-  | Ast.Any_as -> acc
-  | Ast.And (a, b) | Ast.Or (a, b) | Ast.Except_as (a, b) ->
-    as_expr_refs (as_expr_refs acc a) b
-
+   before [tail], last-named first. *)
 let peering_refs tail = function
-  | Ast.Peering_spec { as_expr; _ } -> as_expr_refs tail as_expr
+  | Ast.Peering_spec { as_expr; _ } ->
+    List.fold_left
+      (fun acc -> function
+        | Ast.Asn asn -> Report.Match_remote_as_num asn :: acc
+        | Ast.As_set name -> Report.Match_remote_as_set name :: acc
+        | _ -> acc)
+      tail (Ast.as_expr_leaves as_expr)
   | Ast.Peering_set_ref name -> Report.Match_remote_as_set name :: tail
 
 (* ---------------- rules ---------------- *)
@@ -554,8 +553,13 @@ let missing_routes_applies t ctx (fact : factor_fact) =
     Db.as_set_exists t.db name && Db.asn_in_as_set t.db name ctx.origin
   | _ -> false
 
-(* Only Provider Policies: every ASN referenced in the subject's rules'
-   peerings is one of its providers. *)
+let single_asn (pa : Ast.peering_action) =
+  match pa.peering with
+  | Ast.Peering_spec { as_expr = Ast.Asn asn; _ } -> Some asn
+  | Ast.Peering_spec _ | Ast.Peering_set_ref _ -> None
+
+(* Only Provider Policies: the subject's rules have peerings, and each
+   names a single ASN that is one of its providers. *)
 let only_provider_policies t ~subject =
   match Hashtbl.find_opt t.only_provider_memo subject with
   | Some cached -> cached
@@ -564,33 +568,14 @@ let only_provider_policies t ~subject =
       match Db.find_aut_num t.db subject with
       | None -> false
       | Some an ->
-        let referenced = ref [] and disqualified = ref false in
-        let scan_as_expr = function
-          | Ast.Asn asn -> referenced := asn :: !referenced
-          | Ast.As_set _ | Ast.Any_as | Ast.And _ | Ast.Or _ | Ast.Except_as _ ->
-            disqualified := true
-        in
-        let scan_rule (rule : Ast.rule) =
-          List.iter
-            (fun (term : Ast.term) ->
-              List.iter
-                (fun (factor : Ast.factor) ->
-                  List.iter
-                    (fun (pa : Ast.peering_action) ->
-                      match pa.peering with
-                      | Ast.Peering_spec { as_expr; _ } -> scan_as_expr as_expr
-                      | Ast.Peering_set_ref _ -> disqualified := true)
-                    factor.peerings)
-                term.factors)
-            (Ast.expr_terms rule.expr)
-        in
-        List.iter scan_rule an.imports;
-        List.iter scan_rule an.exports;
-        (not !disqualified)
-        && !referenced <> []
+        let peerings = List.concat_map Ast.rule_peerings (an.imports @ an.exports) in
+        peerings <> []
         && List.for_all
-             (fun asn -> Rel_db.relationship t.rels asn subject = Rel_db.A_provider_of_b)
-             !referenced
+             (fun pa ->
+               match single_asn pa with
+               | Some asn -> Rel_db.relationship t.rels asn subject = Rel_db.A_provider_of_b
+               | None -> false)
+             peerings
     in
     Hashtbl.replace t.only_provider_memo subject result;
     result
@@ -603,21 +588,17 @@ let only_provider_policies t ~subject =
    reads the full path is [Path_regex]; filter-sets are resolved
    recursively (with a cycle guard) because they can hide one. *)
 let rec filter_reads_path t ~visiting (filter : Ast.filter) =
-  match filter with
-  | Ast.Path_regex _ -> true
-  | Ast.And_f (a, b) | Ast.Or_f (a, b) ->
-    filter_reads_path t ~visiting a || filter_reads_path t ~visiting b
-  | Ast.Not_f a -> filter_reads_path t ~visiting a
-  | Ast.Filter_set_ref name ->
-    let key = Rz_rpsl.Set_name.canonical name in
-    if List.mem key visiting then false
-    else
-      (match Db.find_filter_set t.db name with
-       | None -> false
-       | Some fs -> filter_reads_path t ~visiting:(key :: visiting) fs.filter)
-  | Ast.Any | Ast.Peer_as_filter | Ast.As_num _ | Ast.As_set_ref _
-  | Ast.Route_set_ref _ | Ast.Prefix_set _ | Ast.Community _ | Ast.Fltr_martian ->
-    false
+  List.exists
+    (function
+      | Ast.Path_regex _ -> true
+      | Ast.Filter_set_ref name ->
+        let key = Rz_rpsl.Set_name.canonical name in
+        (not (List.mem key visiting))
+        && (match Db.find_filter_set t.db name with
+            | None -> false
+            | Some fs -> filter_reads_path t ~visiting:(key :: visiting) fs.filter)
+      | _ -> false)
+    (Ast.filter_leaves filter)
 
 let policies_read_path t ~subject ~direction =
   let memo_key = dir_key subject direction in
@@ -632,12 +613,8 @@ let policies_read_path t ~subject ~direction =
         List.exists
           (fun (rule : Ast.rule) ->
             List.exists
-              (fun (term : Ast.term) ->
-                List.exists
-                  (fun (factor : Ast.factor) ->
-                    filter_reads_path t ~visiting:[] factor.filter)
-                  term.factors)
-              (Ast.expr_terms rule.expr))
+              (fun (factor : Ast.factor) -> filter_reads_path t ~visiting:[] factor.filter)
+              (Ast.rule_factors rule))
           rules
     in
     Hashtbl.replace t.path_dep_memo memo_key result;
@@ -698,30 +675,19 @@ let emit_trace ~direction ~subject ~remote ~prefix ~path ~off ~memo (hop : Repor
 
 (* ---------------- verdict-mode rule index ---------------- *)
 
-let single_asn (pa : Ast.peering_action) =
-  match pa.peering with
-  | Ast.Peering_spec { as_expr = Ast.Asn asn; _ } -> Some asn
-  | Ast.Peering_spec _ | Ast.Peering_set_ref _ -> None
-
 (* The ASNs a rule's peerings name, when it is indexable (see
    {!rule_index}); [None] for a residual rule. *)
 let indexed_asns (rule : Ast.rule) =
   match rule.expr with
   | Ast.Except_e _ | Ast.Refine_e _ -> None
-  | Ast.Term_e term ->
-    let peerings = List.concat_map (fun (factor : Ast.factor) -> factor.peerings) term.factors in
+  | Ast.Term_e _ ->
+    let peerings = Ast.rule_peerings rule in
     if List.for_all (fun pa -> single_asn pa <> None) peerings then
       Some (List.filter_map single_asn peerings)
     else None
 
-let rule_has_actions (rule : Ast.rule) =
-  List.exists
-    (fun (term : Ast.term) ->
-      List.exists
-        (fun (factor : Ast.factor) ->
-          List.exists (fun (pa : Ast.peering_action) -> pa.actions <> []) factor.peerings)
-        term.factors)
-    (Ast.expr_terms rule.expr)
+let rule_has_actions rule =
+  List.exists (fun (pa : Ast.peering_action) -> pa.actions <> []) (Ast.rule_peerings rule)
 
 let build_rule_index rules =
   let by_remote = Hashtbl.create 16 and residual = ref [] in
@@ -1113,26 +1079,13 @@ type edit = Db.edit =
   | Edit_set of string
   | Edit_route of Rz_net.Prefix.t * Rz_net.Asn.t
 
-let rec patterns_of_filter acc (f : Ast.filter) =
-  match f with
-  | Ast.Path_regex r -> r :: acc
-  | Ast.And_f (a, b) | Ast.Or_f (a, b) ->
-    patterns_of_filter (patterns_of_filter acc a) b
-  | Ast.Not_f a -> patterns_of_filter acc a
-  | Ast.Any | Ast.Peer_as_filter | Ast.As_num _ | Ast.As_set_ref _
-  | Ast.Route_set_ref _ | Ast.Filter_set_ref _ | Ast.Prefix_set _
-  | Ast.Community _ | Ast.Fltr_martian -> acc
-
 let rule_patterns rules =
-  List.fold_left
-    (fun acc (rule : Ast.rule) ->
-      List.fold_left
-        (fun acc (term : Ast.term) ->
-          List.fold_left
-            (fun acc (factor : Ast.factor) -> patterns_of_filter acc factor.filter)
-            acc term.factors)
-        acc (Ast.expr_terms rule.expr))
-    [] rules
+  List.concat_map
+    (fun (factor : Ast.factor) ->
+      List.filter_map
+        (function Ast.Path_regex r -> Some r | _ -> None)
+        (Ast.filter_leaves factor.filter))
+    (List.concat_map Ast.rule_factors rules)
 
 let apply_edits t ~stale_patterns edits =
   let removed = ref 0 in

@@ -84,8 +84,9 @@ type edit = Rz_irr.Db.edit =
   | Edit_route of Rz_net.Prefix.t * Rz_net.Asn.t
 
 val rule_patterns : Rz_policy.Ast.rule list -> Rz_aspath.Regex_ast.t list
-(** The AS-path patterns the rules' filters hold — what a caller passes
-    as [stale_patterns] for rules an edit takes away. *)
+(** The AS-path patterns the rules' filters hold, one per occurrence in
+    written order — what a caller passes as [stale_patterns] for rules an
+    edit takes away. *)
 
 val apply_edits :
   t -> stale_patterns:Rz_aspath.Regex_ast.t list -> edit list -> int * Rz_net.Prefix.t list

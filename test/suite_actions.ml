@@ -10,8 +10,8 @@ let actions_of text =
       (Printf.sprintf "from AS1 action %s; accept ANY" text)
   with
   | Ok rule -> (
-    match Rz_policy.Ast.expr_terms rule.expr with
-    | [ { factors = [ { peerings = [ pa ]; _ } ]; _ } ] -> pa.actions
+    match rule.expr with
+    | Rz_policy.Ast.Term_e { factors = [ { peerings = [ pa ]; _ } ]; _ } -> pa.actions
     | _ -> Alcotest.fail (text ^ ": expected one peering"))
   | Error e -> Alcotest.fail (text ^ ": " ^ e)
 

@@ -133,6 +133,18 @@ let test_future_work_detection () =
   Alcotest.(check bool) "plain not flagged" false
     (Regex_ast.uses_future_work_features (parse "^AS1 .* AS2$"))
 
+let test_terms_in_order () =
+  let show = function
+    | Regex_ast.Asn n -> Printf.sprintf "AS%d" n
+    | Regex_ast.As_set name -> name
+    | t -> Regex_ast.to_string (Regex_ast.Term t)
+  in
+  Alcotest.(check (list string)) "left to right, classes opened"
+    [ "AS1"; "AS2"; "AS-FOO"; "AS3"; "AS-BAR"; "PeerAS"; "."; "AS4-AS6" ]
+    (List.map show
+       (Regex_ast.terms
+          (parse "^AS1 [AS2 AS-FOO]+ (AS3 | AS-BAR~*) [^PeerAS]? .{2} AS4-AS6$")))
+
 (* Differential property: the backtracking matcher agrees with the
    paper's explicit Cartesian-product formulation. *)
 let small_regex_gen =
@@ -221,6 +233,7 @@ let suite =
     Alcotest.test_case "empty path" `Quick test_empty_path;
     Alcotest.test_case "paper example regex" `Quick test_paper_example;
     Alcotest.test_case "future-work detection" `Quick test_future_work_detection;
+    Alcotest.test_case "terms in written order" `Quick test_terms_in_order;
     QCheck_alcotest.to_alcotest differential_product;
     Alcotest.test_case "nfa basics" `Quick test_nfa_basics;
     Alcotest.test_case "nfa state count" `Quick test_nfa_state_count;

@@ -95,6 +95,24 @@ let test_unreferenced_sets () =
   Alcotest.(check bool) "orphan flagged" true (has_for Linter.Unreferenced_set "AS-ORPHAN" diags);
   Alcotest.(check bool) "used not flagged" false (has_for Linter.Unreferenced_set "AS-USED" diags)
 
+(* A set named only inside an AS-path regex is referenced: the linter and
+   Table 2 read the same references. *)
+let test_regex_named_set_is_referenced () =
+  let text =
+    "aut-num: AS1\nimport: from AS2 accept <AS-FOO>\nimport: from AS3 accept <^[^AS-BAR]+$>\n\
+     export: to AS2 announce AS1\n\n\
+     as-set: AS-FOO\nmembers: AS2\n\nas-set: AS-BAR\nmembers: AS3\n"
+  in
+  let db = db_of text in
+  let diags = Linter.lint db in
+  List.iter
+    (fun set ->
+      Alcotest.(check bool) (set ^ " not flagged") false
+        (has_for Linter.Unreferenced_set set diags))
+    [ "AS-FOO"; "AS-BAR" ];
+  let usage = Rz_stats.Usage.compute ~dumps:[ ("TEST", text) ] db in
+  Alcotest.(check int) "Table 2 counts both" 2 usage.table2.ref_filter_as_set
+
 let rels_fixture () =
   let rels = Rel_db.create () in
   Rel_db.add_p2c rels ~provider:10 ~customer:2;
@@ -242,6 +260,7 @@ let suite =
     Alcotest.test_case "filter routes / route-set hint" `Quick test_filter_without_routes_and_route_set_hint;
     Alcotest.test_case "private asn" `Quick test_private_asn_leak;
     Alcotest.test_case "unreferenced sets" `Quick test_unreferenced_sets;
+    Alcotest.test_case "set named in a path regex" `Quick test_regex_named_set_is_referenced;
     Alcotest.test_case "export-self misuse" `Quick test_export_self_misuse;
     Alcotest.test_case "import-customer misuse" `Quick test_import_customer_misuse;
     Alcotest.test_case "undeclared neighbor" `Quick test_undeclared_neighbor;

@@ -257,7 +257,11 @@ let test_rule_as199284_full () =
      REFINE afi any { from AS-ANY EXCEPT (AS40027 OR AS63293 OR AS65535) accept ANY; }"
   in
   let r = rule `Import true text in
-  Alcotest.(check int) "8 refine levels" 8 (List.length (Ast.expr_terms r.expr))
+  let rec levels = function
+    | Ast.Term_e _ -> 1
+    | Ast.Except_e (_, rest) | Ast.Refine_e (_, rest) -> 1 + levels rest
+  in
+  Alcotest.(check int) "8 refine levels" 8 (levels r.expr)
 
 let test_rule_errors () =
   let bad dir s =

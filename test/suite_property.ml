@@ -117,6 +117,63 @@ let filter_roundtrip =
       | Ok reparsed ->
         String.equal text (Ast.filter_to_string reparsed))
 
+(* ---------------- shared AST enumeration ---------------- *)
+
+let is_filter_leaf = function Ast.And_f _ | Ast.Or_f _ | Ast.Not_f _ -> false | _ -> true
+
+let filter_leaves_algebra =
+  QCheck.Test.make ~name:"filter leaves: composites concatenate, leaves are fixed points"
+    ~count:300
+    (QCheck.make (Gen.pair (gen_filter 2) (gen_filter 2)))
+    (fun (a, b) ->
+      let leaves = Ast.filter_leaves in
+      leaves (Ast.And_f (a, b)) = leaves a @ leaves b
+      && leaves (Ast.Or_f (a, b)) = leaves a @ leaves b
+      && leaves (Ast.Not_f a) = leaves a
+      && List.for_all (fun l -> is_filter_leaf l && leaves l = [ l ]) (leaves a))
+
+let as_expr_leaves_algebra =
+  QCheck.Test.make ~name:"as-expr leaves: composites concatenate, leaves are fixed points"
+    ~count:300
+    (QCheck.make (Gen.pair (gen_as_expr 2) (gen_as_expr 2)))
+    (fun (a, b) ->
+      let leaves = Ast.as_expr_leaves in
+      let is_leaf = function Ast.And _ | Ast.Or _ | Ast.Except_as _ -> false | _ -> true in
+      List.for_all
+        (fun e -> leaves e = leaves a @ leaves b)
+        [ Ast.And (a, b); Ast.Or (a, b); Ast.Except_as (a, b) ]
+      && List.for_all (fun l -> is_leaf l && leaves l = [ l ]) (leaves a))
+
+(* 1-4 terms in written order, and a rule joining them with a random
+   EXCEPT or REFINE after each term but the last. *)
+let gen_structured_rule =
+  let gen_term =
+    Gen.map
+      (fun factors -> { Ast.afi = []; factors })
+      (Gen.list_size (Gen.int_range 1 3) gen_factor)
+  in
+  let rec join = function
+    | [] -> invalid_arg "join"
+    | [ (term, _) ] -> Ast.Term_e term
+    | (term, true) :: rest -> Ast.Refine_e (term, join rest)
+    | (term, false) :: rest -> Ast.Except_e (term, join rest)
+  in
+  Gen.map
+    (fun joined ->
+      ( List.map fst joined,
+        { Ast.direction = `Import; multiprotocol = false; protocol = None;
+          into_protocol = None; expr = join joined } ))
+    (Gen.list_size (Gen.int_range 1 4) (Gen.pair gen_term Gen.bool))
+
+let rule_factors_concatenate =
+  QCheck.Test.make ~name:"rule factors: the terms' factors in written order" ~count:300
+    (QCheck.make gen_structured_rule)
+    (fun (terms, rule) ->
+      let factors = List.concat_map (fun (t : Ast.term) -> t.factors) terms in
+      Ast.rule_factors rule = factors
+      && Ast.rule_peerings rule
+         = List.concat_map (fun (f : Ast.factor) -> f.peerings) factors)
+
 (* ---------------- engine totality / determinism ---------------- *)
 
 let small_world =
@@ -687,6 +744,9 @@ let test_world_save_load_roundtrip () =
 let suite =
   [ QCheck_alcotest.to_alcotest rule_roundtrip;
     QCheck_alcotest.to_alcotest filter_roundtrip;
+    QCheck_alcotest.to_alcotest filter_leaves_algebra;
+    QCheck_alcotest.to_alcotest as_expr_leaves_algebra;
+    QCheck_alcotest.to_alcotest rule_factors_concatenate;
     QCheck_alcotest.to_alcotest engine_total_and_deterministic;
     QCheck_alcotest.to_alcotest status_precedence_no_aut_num;
     QCheck_alcotest.to_alcotest histogram_quantile_accuracy;

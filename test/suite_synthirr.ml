@@ -90,23 +90,14 @@ let test_only_provider_persona_rules () =
           (* every peering in its rules names one of its providers *)
           let providers = Rz_asrel.Rel_db.providers rels asn in
           List.iter
-            (fun (rule : Rz_policy.Ast.rule) ->
-              List.iter
-                (fun (term : Rz_policy.Ast.term) ->
-                  List.iter
-                    (fun (factor : Rz_policy.Ast.factor) ->
-                      List.iter
-                        (fun (pa : Rz_policy.Ast.peering_action) ->
-                          match pa.peering with
-                          | Rz_policy.Ast.Peering_spec { as_expr = Rz_policy.Ast.Asn n; _ } ->
-                            Alcotest.(check bool)
-                              (Printf.sprintf "AS%d rule names provider" asn)
-                              true (List.mem n providers)
-                          | _ -> Alcotest.fail "unexpected peering shape")
-                        factor.peerings)
-                    term.factors)
-                (Rz_policy.Ast.expr_terms rule.expr))
-            (an.imports @ an.exports)
+            (fun (pa : Rz_policy.Ast.peering_action) ->
+              match pa.peering with
+              | Rz_policy.Ast.Peering_spec { as_expr = Rz_policy.Ast.Asn n; _ } ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "AS%d rule names provider" asn)
+                  true (List.mem n providers)
+              | _ -> Alcotest.fail "unexpected peering shape")
+            (List.concat_map Rz_policy.Ast.rule_peerings (an.imports @ an.exports))
         | None -> ())
     w.profiles
 

@@ -343,6 +343,23 @@ let test_unverified_peering_mismatch_items () =
   Alcotest.(check bool) "items name the referenced remote" true
     (List.mem (Report.Match_remote_as_num 200) hop.items)
 
+let test_unverified_peering_items_order () =
+  (* the referenced remotes of failed peerings: clauses in written order,
+     each AS expression's names last-named first *)
+  let e =
+    engine
+      "aut-num: AS20\nimport: from AS200 OR AS-X AND AS300 accept ANY\n\
+       import: from AS400 from AS500 accept ANY\n\nas-set: AS-X\nmembers: AS600\n"
+  in
+  let hop =
+    Engine.explain_hop e ~direction:`Import ~subject:20 ~remote:10
+      ~prefix:(p "192.0.2.0/24") ~path:[| 10 |]
+  in
+  Alcotest.(check (list string)) "items"
+    [ "MatchRemoteAsNum(300)"; "MatchRemoteAsSet(\"AS-X\")"; "MatchRemoteAsNum(200)";
+      "MatchRemoteAsNum(400)"; "MatchRemoteAsNum(500)" ]
+    (List.map Report.item_to_string hop.items)
+
 let test_unverified_filter_mismatch_items () =
   (* peering matches but the ASN filter rejects; AS1 has other route
      objects and is not the origin (origin is 99), so no relaxation *)
@@ -561,6 +578,7 @@ let suite =
     Alcotest.test_case "safelisted: uphill" `Quick test_safelisted_uphill_both_directions;
     Alcotest.test_case "origin uphill export not safelisted" `Quick test_origin_uphill_export_not_safelisted;
     Alcotest.test_case "unverified: peering items" `Quick test_unverified_peering_mismatch_items;
+    Alcotest.test_case "unverified: peering items order" `Quick test_unverified_peering_items_order;
     Alcotest.test_case "unverified: filter items" `Quick test_unverified_filter_mismatch_items;
     Alcotest.test_case "refine requires both" `Quick test_refine_requires_both;
     Alcotest.test_case "refine afi scoped" `Quick test_refine_afi_scoped;
