@@ -3,9 +3,11 @@
    paper-vs-measured values. It times nothing: all timing is perfbench's
    (perfbench/run.py).
 
-   Run with: dune exec bench/main.exe -- [--quick | --big] [--csv DIR]
-   [--metrics FILE]. The exact accounting of the verify, ingest, stream
-   and serve jobs on the --quick world is pinned in
+   Run with: dune exec bench/main.exe -- [--quick] [--csv DIR]
+   [--metrics FILE]. Its stdout is pinned by test/golden: the --quick
+   report whole, and the default report's paper-vs-measured blocks as
+   the tables of EXPERIMENTS.md. The exact accounting of the verify,
+   ingest, stream and serve jobs on the --quick world is pinned in
    test/suite_accounting.ml; their timing is perfbench's. *)
 
 module Table = Rz_util.Table
@@ -15,20 +17,19 @@ module Aggregate = Rz_verify.Aggregate
 (* --csv DIR also writes each figure's raw data series for plotting;
    --metrics FILE enables the Rz_obs registry for the whole run and writes
    its JSON snapshot (phase timings, counters, latency quantiles). *)
-let quick, big, csv_dir, metrics_path =
-  let quick = ref false and big = ref false in
+let quick, csv_dir, metrics_path =
+  let quick = ref false in
   let csv_dir = ref None and metrics_path = ref None in
   Arg.parse
     (Arg.align
        [ ("--quick", Arg.Set quick, " Smoke-size world: 4 tier-1, 40 transit, 160 stub ASes");
-         ("--big", Arg.Set big, " Large world: 8 tier-1, 400 transit, 3000 stub ASes");
          ("--csv", Arg.String (fun d -> csv_dir := Some d),
           "DIR Also write each figure's raw data series to DIR");
          ("--metrics", Arg.String (fun f -> metrics_path := Some f),
           "FILE Write an Rz_obs JSON snapshot after the headline verification") ])
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "Usage: main.exe [--quick | --big] [--csv DIR] [--metrics FILE]";
-  (!quick, !big, !csv_dir, !metrics_path)
+    "Usage: main.exe [--quick] [--csv DIR] [--metrics FILE]";
+  (!quick, !csv_dir, !metrics_path)
 
 let () = if metrics_path <> None then Rpslyzer.Obs.enable ()
 
@@ -57,7 +58,6 @@ let fint = float_of_int
 
 let topo_params =
   if quick then { Rz_topology.Gen.default_params with n_tier1 = 4; n_mid = 40; n_stub = 160 }
-  else if big then { Rz_topology.Gen.default_params with n_tier1 = 8; n_mid = 400; n_stub = 3000 }
   else { Rz_topology.Gen.default_params with n_tier1 = 6; n_mid = 150; n_stub = 700 }
 
 let irr_config = Rz_synthirr.Config.default
@@ -102,15 +102,150 @@ let metrics_section () =
       (Aggregate.n_hops agg)
 
 (* ------------------------------------------------------------------ *)
+(* The paper's values, written once                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* One row per compared property: (EXPERIMENTS.md block, property, the
+   paper's value, the measured value). Each report section prints its
+   block's rows as the Markdown table that EXPERIMENTS.md carries between
+   <!-- bench:BLOCK --> markers; test/golden/dune diffs that file against
+   the default report. Where two statements of a paper value disagree,
+   both are kept, labelled (a) and (b); EXPERIMENTS.md says which is
+   which. *)
+let paper_rows =
+  let module U = Rz_stats.Usage in
+  let t1 = usage.table1 in
+  (* Table 1's priority order: the authoritative registries, RADB, the rest *)
+  let auth, radb, rest =
+    let rec split auth = function
+      | (r : U.table1_row) :: tl when r.irr <> "RADB" -> split (r :: auth) tl
+      | radb :: tl -> (List.rev auth, radb, tl)
+      | [] -> invalid_arg "Table 1 has no RADB row"
+    in
+    split [] t1
+  in
+  let names rows = String.concat ", " (List.map (fun r -> r.U.irr) rows) in
+  let most f rows = List.fold_left (fun a r -> if f r > f a then r else a) (List.hd rows) rows in
+  let largest = most (fun r -> r.U.size_bytes) t1 in
+  let most_routes = most (fun r -> r.U.n_route) (radb :: rest) in
+  let lacnic = List.find (fun r -> r.U.irr = "LACNIC") t1 in
+  let total_kib = fint (List.fold_left (fun a r -> a + r.U.size_bytes) 0 t1) /. 1024. in
+  let rules = List.map snd usage.rules_per_aut_num in
+  let ccdf samples x = snd (List.hd (Stats_util.ccdf_at samples [ x ])) in
+  let bgpq4 = List.map snd usage.bgpq4_rules_per_aut_num in
+  let t2 = usage.table2 and rs = usage.route_stats and sets = usage.as_set_stats in
+  let e = usage.error_stats in
+  let share n d = pct (fint n /. fint (max 1 d)) in
+  let c = Aggregate.overall agg and n_hops = Aggregate.n_hops agg in
+  let ases = Aggregate.per_as_summary agg in
+  let pairs = Aggregate.per_pair_summary agg in
+  let routes = Aggregate.per_route_summary agg in
+  let unrec = Aggregate.unrec_breakdown agg in
+  let special = Aggregate.special_breakdown agg in
+  let of_ases n = Printf.sprintf "%s (%s)" (Table.commas n) (share n ases.n_ases) in
+  let slash = String.concat " / " in
+  [ ("table1", "number of IRRs, priority order", "13, authoritative → RADB → rest",
+     Printf.sprintf "%d: %s → %s → %s" (List.length t1) (names auth) radb.irr (names rest));
+    ("table1", "total size", "7,073 MiB", Printf.sprintf "%.0f KiB" total_kib);
+    ("table1", "largest IRR by size and rules", "RIPE (5,184 MiB; 368k imports)",
+     Printf.sprintf "%s (%.0f KiB; %s imports)" largest.irr
+       (fint largest.size_bytes /. 1024.) (Table.commas largest.n_import));
+    ("table1", "most routes among non-authoritative", "RADB (1.62M routes)",
+     Printf.sprintf "%s (%s routes)" most_routes.irr (Table.commas most_routes.n_route));
+    ("table1", "LACNIC carries no import/export", "0 / 0",
+     Printf.sprintf "%d / %d" lacnic.n_import lacnic.n_export);
+    ("figure1", "aut-nums with zero rules", "35.2%",
+     pct (Stats_util.fraction (fun n -> n = 0) rules));
+    ("figure1", "P(rules ≥ 10)", "10.9%", pct (ccdf rules 10));
+    ("figure1", "P(rules > 1000)", "0.13%", pct (ccdf rules 1001));
+    ("figure1", "P(rules ≥ 1), all rules vs BGPq4-compatible", "64.8%, similar series",
+     Printf.sprintf "%s vs %s" (pct (ccdf rules 1)) (pct (ccdf bgpq4 1)));
+    ("figure1", "simple peerings (single ASN or ANY)", "98.4%", pct usage.peering_simple_fraction);
+    ("figure1", "ASes fully BGPq4-compatible", "94.5%", pct usage.ases_bgpq4_only);
+    ("table2", "aut-nums defined / referenced", "78,701 / 52,028 (a); 60.4% referenced (b)",
+     Printf.sprintf "%s / %s (%s)" (Table.commas t2.defined_aut_num)
+       (Table.commas t2.ref_overall_aut_num) (share t2.ref_overall_aut_num t2.defined_aut_num));
+    ("table2", "as-sets defined / referenced", "53,268 / 17,789 (a); 31.7% referenced (b)",
+     Printf.sprintf "%s / %s (%s)" (Table.commas t2.defined_as_set)
+       (Table.commas t2.ref_overall_as_set) (share t2.ref_overall_as_set t2.defined_as_set));
+    ("table2", "route-sets defined / referenced (≪ as-sets referenced)", "24,460 / 1,711",
+     Printf.sprintf "%s / %s" (Table.commas t2.defined_route_set)
+       (Table.commas t2.ref_overall_route_set));
+    ("table2", "peering-/filter-sets defined / referenced", "342/64, 203/50",
+     Printf.sprintf "%d/%d, %d/%d" t2.defined_peering_set t2.ref_overall_peering_set
+       t2.defined_filter_set t2.ref_overall_filter_set);
+    ("section4", "route objects > unique pairs > unique prefixes",
+     "3,904,352 > 3,367,914 > 2,817,344",
+     Printf.sprintf "%s > %s > %s" (Table.commas rs.n_objects)
+       (Table.commas rs.n_prefix_origin) (Table.commas rs.n_prefixes));
+    ("section4", "multi-object prefixes", "24.7%", share rs.multi_object_prefixes rs.n_prefixes);
+    ("section4", "… of which multi-origin", "58.1%",
+     share rs.multi_origin_prefixes rs.multi_object_prefixes);
+    ("section4", "… of which multi-maintainer", "67.3%",
+     share rs.multi_maintainer_prefixes rs.multi_object_prefixes);
+    ("section4", "as-sets: empty", "14.5%", share sets.empty sets.n_sets);
+    ("section4", "as-sets: singleton", "32.7%", share sets.singleton sets.n_sets);
+    ("section4", "as-sets: over 10k members", "1.4%", share sets.over_10k sets.n_sets);
+    ("section4", "as-sets: contain reserved word ANY", "3", string_of_int sets.contains_any);
+    ("section4", "recursive as-sets", "25.5%", share sets.recursive sets.n_sets);
+    ("section4", "… of which loops / depth≥5", "22.4% / 23.0%",
+     slash [ share sets.with_loop sets.recursive; share sets.depth_5_plus sets.recursive ]);
+    ("section4", "errors: syntax / bad as-set names / bad route-set names", "663 / 12 / 17",
+     Printf.sprintf "%d / %d / %d" e.syntax_errors e.invalid_as_set_names
+       e.invalid_route_set_names);
+    ("section5", "verified (strict match)", "29.3%", share c.verified n_hops);
+    ("section5", "unrecorded", "40.4%", share c.unrecorded n_hops);
+    ("section5", "special-cased (relaxed + safelisted)", "19.0%",
+     share (c.relaxed + c.safelisted) n_hops);
+    ("section5", "unverified", "~11.3%", share c.unverified n_hops);
+    ("section5", "skipped", "0.01% of rules / 0.03% of ASes",
+     Printf.sprintf "%s of hops / %s of ASes" (share c.skipped n_hops)
+       (share ases.with_skips ases.n_ases));
+    ("figure2", "single-status ASes", "74.4%", share ases.all_same_status ases.n_ases);
+    ("figure2", "all-verified", "14.2%", share ases.all_verified ases.n_ases);
+    ("figure2", "all-unrecorded", "51.6%", share ases.all_unrecorded ases.n_ases);
+    ("figure2", "all-relaxed", "0.34%", share ases.all_relaxed ases.n_ases);
+    ("figure2", "all-safelisted", "6.9%", share ases.all_safelisted ases.n_ases);
+    ("figure2", "≥1 unrecorded", "54.9%", share ases.with_unrecorded ases.n_ases);
+    ("figure2", "≥1 special case", "30.9%", share ases.with_special ases.n_ases);
+    ("figure3", "single-status import pairs", "91.7%", pct pairs.single_status_import);
+    ("figure3", "single-status export pairs", "92%", pct pairs.single_status_export);
+    ("figure3", "pairs with unverified routes", "63.0%",
+     Printf.sprintf "%s (%s of %s)" (share pairs.pairs_with_unverified pairs.n_pairs)
+       (Table.commas pairs.pairs_with_unverified) (Table.commas pairs.n_pairs));
+    ("figure3", "unverified hops that are undeclared peerings", "98.98%",
+     pct pairs.unverified_peering_mismatch);
+    ("figure4", "routes with a single status across hops", "6.6%", pct routes.single_status);
+    ("figure4", "… all-verified / all-unrecorded / all-unverified", "1.6% / 3.0% / 1.6%",
+     slash [ pct routes.single_verified; pct routes.single_unrecorded;
+             pct routes.single_unverified ]);
+    ("figure4", "routes with two / three or more statuses", "most routes",
+     slash [ pct routes.two_statuses; pct routes.three_plus ]);
+    ("figure5", "no aut-num", "22,562", Table.commas unrec.ases_no_aut_num);
+    ("figure5", "zero rules", "20,048", Table.commas unrec.ases_no_rules);
+    ("figure5", "zero-route AS in filter", "2,706", Table.commas unrec.ases_zero_route_as);
+    ("figure5", "missing set object", "414", Table.commas unrec.ases_missing_set);
+    ("figure6", "uphill", "23,298 (28.1%)", of_ases special.ases_uphill);
+    ("figure6", "missing routes", "5,181 (6.2%)", of_ases special.ases_missing_routes);
+    ("figure6", "export self", "994 (1.2%)", of_ases special.ases_export_self);
+    ("figure6", "import customer", "325 (0.4%)", of_ases special.ases_import_customer) ]
+
+(* The rows of [block], as the Markdown table between its markers. *)
+let paper_block block =
+  Printf.printf "<!-- bench:%s -->\n| Property | Paper | Measured |\n|---|---|---|\n" block;
+  List.iter
+    (fun (b, property, paper, measured) ->
+      if b = block then Printf.printf "| %s | %s | %s |\n" property paper measured)
+    paper_rows;
+  Printf.printf "<!-- /bench:%s -->\n" block
+
+(* ------------------------------------------------------------------ *)
 (* Table 1                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let table1 () =
   section "Table 1: IRRs used, grouped and ordered by priority";
-  print_endline
-    "(paper: 13 IRRs, 7,073 MiB total, 78,701 aut-nums, 3,367,914 routes —\n\
-     \ shape target: RIPE largest, RADB most routes among non-authoritative,\n\
-     \ LACNIC contributes zero import/export)";
+  paper_block "table1";
   Table.print
     ~header:[ "IRR"; "SIZE (KiB)"; "aut-num"; "route"; "import"; "export" ]
     (List.map
@@ -170,10 +305,7 @@ let figure1 () =
          in
          [ string_of_int x; Printf.sprintf "%.6f" p_all; Printf.sprintf "%.6f" p_b ])
        all);
-  print_endline
-    "(paper: 35.2% of aut-nums have zero rules -> P(>=1) = 64.8%; 10.9% have\n\
-     \ >=10; 0.13% have >1000; the BGPq4-compatible series is quantitatively\n\
-     \ similar to the all-rules series)";
+  paper_block "figure1";
   let xs = [ 1; 2; 5; 10; 20; 50; 100; 1000 ] in
   let all = Stats_util.ccdf_at (List.map snd usage.rules_per_aut_num) xs in
   let bq = Stats_util.ccdf_at (List.map snd usage.bgpq4_rules_per_aut_num) xs in
@@ -181,13 +313,7 @@ let figure1 () =
     ~header:[ "rules >="; "P(all rules)"; "P(bgpq4-compatible)" ]
     (List.map2
        (fun (x, fa) (_, fb) -> [ string_of_int x; pct fa; pct fb ])
-       all bq);
-  Printf.printf "\nzero-rule aut-nums: %s (paper 35.2%%)\n"
-    (pct (Stats_util.fraction (fun (_, n) -> n = 0) usage.rules_per_aut_num));
-  Printf.printf "simple peerings (single ASN or ANY): %s (paper 98.4%%)\n"
-    (pct usage.peering_simple_fraction);
-  Printf.printf "ASes whose rules are all BGPq4-compatible: %s (paper 94.5%%)\n"
-    (pct usage.ases_bgpq4_only)
+       all bq)
 
 (* ------------------------------------------------------------------ *)
 (* Table 2                                                              *)
@@ -195,10 +321,7 @@ let figure1 () =
 
 let table2 () =
   section "Table 2: objects defined and referenced in rules";
-  print_endline
-    "(paper: 78,701 / 53,268 / 24,460 / 342 / 203 defined; 60.4% of aut-nums\n\
-     \ and 31.7% of as-sets referenced; route-sets referenced far less than\n\
-     \ as-sets despite similar maintenance)";
+  paper_block "table2";
   let t2 = usage.table2 in
   Table.print
     ~header:[ ""; "aut-num"; "as-set"; "route-set"; "peering-set"; "filter-set" ]
@@ -222,39 +345,14 @@ let table2 () =
 
 let section4_stats () =
   section "Section 4: route-object and as-set statistics";
-  let rs = usage.route_stats in
-  print_endline
-    "(paper: 3,904,352 route objects / 3,367,914 pairs / 2,817,344 prefixes;\n\
-     \ 24.7% of prefixes multi-object, of which 58.1% multi-origin; 67.3%\n\
-     \ multi-maintainer)";
-  Printf.printf "route objects %s, unique (prefix, origin) %s, unique prefixes %s\n"
-    (Table.commas rs.n_objects) (Table.commas rs.n_prefix_origin) (Table.commas rs.n_prefixes);
-  Printf.printf "multi-object prefixes: %s (%s of prefixes)\n"
-    (Table.commas rs.multi_object_prefixes)
-    (pct (fint rs.multi_object_prefixes /. fint rs.n_prefixes));
-  Printf.printf "  of which multi-origin: %s (%s)\n"
-    (Table.commas rs.multi_origin_prefixes)
-    (pct (fint rs.multi_origin_prefixes /. fint (max 1 rs.multi_object_prefixes)));
-  Printf.printf "  of which multi-maintainer: %s (%s)\n"
-    (Table.commas rs.multi_maintainer_prefixes)
-    (pct (fint rs.multi_maintainer_prefixes /. fint (max 1 rs.multi_object_prefixes)));
-  let s = usage.as_set_stats in
-  print_endline
-    "\n(paper: 53,268 as-sets; 14.5% empty, 32.7% singleton, 1.4% >10k members,\n\
-     \ 3 contain ANY, 25.5% recursive, of which 22.4% loop and 23.0% depth>=5)";
-  Printf.printf "as-sets %d: empty %s, singleton %s, >10k %s, contains-ANY %d\n" s.n_sets
-    (pct (fint s.empty /. fint s.n_sets))
-    (pct (fint s.singleton /. fint s.n_sets))
-    (pct (fint s.over_10k /. fint s.n_sets))
-    s.contains_any;
-  Printf.printf "recursive %s; of recursive: loops %s, depth>=5 %s\n"
-    (pct (fint s.recursive /. fint s.n_sets))
-    (pct (fint s.with_loop /. fint (max 1 s.recursive)))
-    (pct (fint s.depth_5_plus /. fint (max 1 s.recursive)));
-  let e = usage.error_stats in
-  print_endline "\n(paper: 663 syntax errors, 12 invalid as-set names, 17 invalid route-set names)";
-  Printf.printf "errors: %d syntax, %d invalid as-set names, %d invalid route-set names\n"
-    e.syntax_errors e.invalid_as_set_names e.invalid_route_set_names
+  paper_block "section4";
+  let rs = usage.route_stats and s = usage.as_set_stats in
+  Printf.printf "multi-object prefixes %s: multi-origin %s, multi-maintainer %s\n"
+    (Table.commas rs.multi_object_prefixes) (Table.commas rs.multi_origin_prefixes)
+    (Table.commas rs.multi_maintainer_prefixes);
+  Printf.printf "as-sets %s: recursive %s, with loops %s, depth>=5 %s\n"
+    (Table.commas s.n_sets) (Table.commas s.recursive) (Table.commas s.with_loop)
+    (Table.commas s.depth_5_plus)
 
 (* ------------------------------------------------------------------ *)
 (* Figures 2-4                                                          *)
@@ -262,9 +360,7 @@ let section4_stats () =
 
 let hop_status_overview () =
   section "Hop-status overview (abstract's per-interconnection shares)";
-  print_endline
-    "(paper: 29.3% strict matches, 19.0% explained by special cases, 40.4%\n\
-     \ unverifiable from the RPSL, rest unverified)";
+  paper_block "section5";
   let c = Aggregate.overall agg in
   let total = fint (Aggregate.n_hops agg) in
   Table.print
@@ -289,10 +385,7 @@ let figure2 () =
          [ (string_of_int asn :: "import" :: counts_row imports);
            (string_of_int asn :: "export" :: counts_row exports) ])
        (Aggregate.per_as_list agg));
-  print_endline
-    "(paper: 74.4% of ASes single-status; 14.2% all-verified, 51.6%\n\
-     \ all-unrecorded, 0.34% all-relaxed, 6.9% all-safelisted; 30.9% of ASes\n\
-     \ have >=1 special case; 0.03% have skips)";
+  paper_block "figure2";
   let s = Aggregate.per_as_summary agg in
   let f n = pct (fint n /. fint s.n_ases) in
   Table.print
@@ -318,56 +411,21 @@ let figure3 () =
          :: (match direction with `Import -> "import" | `Export -> "export")
          :: counts_row c)
        (Aggregate.per_pair_list agg));
-  print_endline
-    "(paper: 91.7% of import pairs and 92% of export pairs single-status;\n\
-     \ 63.0% of pairs have unverified routes, 98.98% of unverified cases are\n\
-     \ undeclared peerings)";
-  let s = Aggregate.per_pair_summary agg in
-  Table.print
-    ~header:[ "metric"; "value" ]
-    [ [ "directed pairs x direction"; Table.commas s.n_pairs ];
-      [ "single-status import pairs"; pct s.single_status_import ];
-      [ "single-status export pairs"; pct s.single_status_export ];
-      [ "pairs with unverified routes"; Table.commas s.pairs_with_unverified ];
-      [ "unverified hops that are undeclared peerings"; pct s.unverified_peering_mismatch ] ]
+  paper_block "figure3"
 
 let figure4 () =
   section "Figure 4: verification status for all hops in BGP routes";
   write_csv "figure4_per_route" counts_header
     (List.map counts_row (Aggregate.per_route_list agg));
-  print_endline
-    "(paper: only 6.6% of routes single-status across all hops — 1.6%\n\
-     \ verified, 3.0% unrecorded, 1.6% unverified; most routes mix 2-3\n\
-     \ statuses)";
-  let s = Aggregate.per_route_summary agg in
-  Table.print
-    ~header:[ "metric"; "share of routes" ]
-    [ [ "single status"; pct s.single_status ];
-      [ "  all verified"; pct s.single_verified ];
-      [ "  all unrecorded"; pct s.single_unrecorded ];
-      [ "  all unverified"; pct s.single_unverified ];
-      [ "two statuses"; pct s.two_statuses ];
-      [ "three or more"; pct s.three_plus ] ]
+  paper_block "figure4"
 
 let figure5 () =
   section "Figure 5: breakdown of unrecorded cases (ASes with >=1 case)";
-  print_endline
-    "(paper: 22,562 ASes missing aut-num > 20,048 with zero rules > 2,706\n\
-     \ zero-route ASes > 414 missing sets)";
-  let b = Aggregate.unrec_breakdown agg in
-  Table.print
-    ~header:[ "unrecorded cause"; "ASes" ]
-    [ [ "no aut-num object"; Table.commas b.ases_no_aut_num ];
-      [ "zero import/export rules"; Table.commas b.ases_no_rules ];
-      [ "filter references zero-route AS"; Table.commas b.ases_zero_route_as ];
-      [ "missing set object"; Table.commas b.ases_missing_set ] ]
+  paper_block "figure5"
 
 let figure6 () =
   section "Figure 6: breakdown of special cases (ASes with >=1 case)";
-  print_endline
-    "(paper: uphill 23,298 ASes (28.1%) >> missing routes 5,181 (6.2%) >>\n\
-     \ export-self 994 (1.2%) > import-customer 325 (0.4%); more export-self\n\
-     \ than import-customer)";
+  paper_block "figure6";
   let b = Aggregate.special_breakdown agg in
   Table.print
     ~header:[ "special case"; "ASes" ]

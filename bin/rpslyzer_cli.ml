@@ -269,24 +269,6 @@ let warn_rejected ~cmd errors =
       if i < 5 then Printf.eprintf "%s: journal line %d rejected: %s\n%!" cmd line reason)
     errors
 
-(* --golden FILE of rpki and stream: the differences of [doc] from the
-   baseline document in FILE. [exit_on_golden] reports them once the
-   command's output is written, and exits 1 on any. *)
-let golden_diff golden doc =
-  match golden with
-  | None -> []
-  | Some path -> (
-    match Rpslyzer.Json.of_string (read_file ~what:"golden file" path) with
-    | Error e -> failwith (Printf.sprintf "golden file %s: %s" path e)
-    | Ok baseline -> Rpslyzer.Json.diff ~baseline doc)
-
-let exit_on_golden golden = function
-  | [] -> if golden <> None then print_endline "golden: MATCH"
-  | diffs ->
-    Printf.eprintf "golden: MISMATCH (%d differences)\n" (List.length diffs);
-    List.iter (fun d -> Printf.eprintf "  %s\n" d) diffs;
-    exit 1
-
 (* ---------------- gen ---------------- *)
 
 (* Populations of the paper preset at --scale 1.0, shrunk linearly by
@@ -543,8 +525,9 @@ let verify_cmd =
     let t0 = Unix.gettimeofday () in
     let agg, `Total total, `Excluded excluded = Rpslyzer.Pipeline.verify ~config world in
     let elapsed = Unix.gettimeofday () -. t0 in
-    Printf.printf "verified %d routes (%d excluded) in %.2fs (%.0f routes/s)\n" total
-      excluded elapsed
+    Printf.printf "verified %d routes (%d excluded)\n%!" total excluded;
+    (* the timing varies per run, so it stays off stdout *)
+    Printf.eprintf "verify: %.2fs (%.0f routes/s)\n%!" elapsed
       (float_of_int total /. elapsed);
     let c = Rz_verify.Aggregate.overall agg in
     let hop_total = float_of_int (Rz_verify.Aggregate.n_hops agg) in
@@ -1020,12 +1003,11 @@ let diff_cmd =
 (* ---------------- rpki ---------------- *)
 
 let rpki_cmd =
-  let run obs dir snapshot roa_file fault_rate fault_seed json_out golden =
+  let run obs dir snapshot roa_file fault_rate fault_seed json_out =
     guarded @@ fun () ->
     (* Counters drive the exit policy (degraded ROA input -> exit 2), so
        the registry is always on here, like faultinject. *)
     Rpslyzer.Obs.enable ();
-    let mismatches = ref [] in
     let degraded =
       with_obs ~cmd:"rpki" obs @@ fun () ->
       let world = Rpslyzer.Pipeline.load_world ?snapshot dir in
@@ -1088,10 +1070,8 @@ let rpki_cmd =
         Printf.printf "RPSL-unrecorded but RPKI-valid: %d\n"
           (C.unrecorded_but_rpki_valid matrix)
       end;
-      mismatches := golden_diff golden doc;
       recovered ()
     in
-    exit_on_golden golden !mismatches;
     if degraded then exit 2
   in
   let roa_file =
@@ -1114,40 +1094,28 @@ let rpki_cmd =
   let json_out =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the agreement matrix as JSON.")
   in
-  let golden =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "golden" ] ~docv:"FILE"
-          ~doc:"Structurally compare this run's JSON document against the \
-                baseline in $(docv); any difference is printed and the \
-                command exits 1.")
-  in
   Cmd.v
     (Cmd.info "rpki"
        ~doc:
          "Cross-validate RPSL verification against RFC 6811 origin \
           validation: classify every collector route by both systems and \
           print the per-(RPSL-verdict, RPKI-state) agreement matrix. \
-          Exits 0 when clean, 1 on golden mismatch or hard failure, 2 \
-          when ROA input was degraded (rejected entries or injected \
-          faults).")
+          Exits 0 when clean, 1 on hard failure, 2 when ROA input was \
+          degraded (rejected entries or injected faults).")
     Term.(
       const run $ obs_opts_term $ dir_arg $ snapshot_arg $ roa_file $ fault_rate
-      $ fault_seed $ json_out $ golden)
+      $ fault_seed $ json_out)
 
 (* ---------------- stream ---------------- *)
 
 let stream_cmd =
-  let run obs dir seed events window edit_rate journal_out replay json_out
-      golden =
+  let run obs dir seed events window edit_rate journal_out replay json_out =
     guarded @@ fun () ->
     let module S = Rz_stream.Stream in
     let module E = Rz_routegen.Events in
     (* Counters drive the exit policy (degradation -> exit 2), so the
        registry is always on here, like faultinject and rpki. *)
     Rpslyzer.Obs.enable ();
-    let mismatches = ref [] in
     let degraded =
       with_obs ~cmd:"stream" ~seed obs @@ fun () ->
       let world = load_or_synthesize ~seed ~snapshot:None dir in
@@ -1203,10 +1171,8 @@ let stream_cmd =
           print_endline "\nresult: DEGRADED (recovery paths fired; exit 2)"
         else print_endline "\nresult: CLEAN (exit 0)"
       end;
-      mismatches := golden_diff golden doc;
       degraded
     in
-    exit_on_golden golden !mismatches;
     if degraded then exit 2
   in
   let dir =
@@ -1256,28 +1222,17 @@ let stream_cmd =
   let json_out =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the run summary as JSON.")
   in
-  let golden =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "golden" ] ~docv:"FILE"
-          ~doc:"Structurally compare this run's whole JSON summary against \
-                the baseline in $(docv); any difference is printed and the \
-                command exits 1. A run is deterministic, so a baseline is \
-                just a committed $(b,--json) dump.")
-  in
   Cmd.v
     (Cmd.info "stream"
        ~doc:
          "Stream a live update feed (announce/withdraw/policy-edit events) \
           through the incremental verification service, one event at a \
           time: churn-safe cache invalidation, windowed per-verdict \
-          aggregates. Exits 0 when clean, 1 on golden mismatch or hard \
-          failure, 2 when the run degraded (rejected events, or any \
-          recovery counter fired).")
+          aggregates. Exits 0 when clean, 1 on hard failure, 2 when the \
+          run degraded (rejected events, or any recovery counter fired).")
     Term.(
       const run $ obs_opts_term $ dir $ seed $ events $ window $ edit_rate
-      $ journal_out $ replay $ json_out $ golden)
+      $ journal_out $ replay $ json_out)
 
 (* ---------------- faultinject ---------------- *)
 

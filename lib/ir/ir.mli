@@ -176,7 +176,7 @@ val iter_routes : t -> (route_obj -> unit) -> unit
 val iter_routes_rev : t -> (route_obj -> unit) -> unit
 (** Newest first — the presentation order of the old reversed cons
     list, kept for consumers whose derived structures (tries, grouped
-    lists, stream views) bake that order into goldens. *)
+    lists, stream views) bake that order into committed expected outputs. *)
 
 val fold_routes : t -> init:'a -> f:('a -> route_obj -> 'a) -> 'a
 (** In insertion order. *)

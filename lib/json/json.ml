@@ -234,45 +234,3 @@ let rec equal a b =
     List.length x = List.length y
     && List.for_all2 (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && equal v1 v2) x y
   | _ -> false
-
-let diff ~baseline current =
-  let out = ref [] in
-  let emit path msg = out := Printf.sprintf "%s: %s" path msg :: !out in
-  let leaf = function
-    | Null -> "null"
-    | Bool b -> string_of_bool b
-    | Int n -> string_of_int n
-    | Float f -> string_of_float f
-    | String s -> Printf.sprintf "%S" s
-    | List _ -> "<list>"
-    | Obj _ -> "<object>"
-  in
-  let rec walk path a b =
-    match (a, b) with
-    | Obj fa, Obj fb ->
-      List.iter
-        (fun (k, va) ->
-          let p = if path = "" then k else path ^ "." ^ k in
-          match List.assoc_opt k fb with
-          | None -> emit p "missing in current"
-          | Some vb -> walk p va vb)
-        fa;
-      List.iter
-        (fun (k, _) ->
-          if not (List.mem_assoc k fa) then
-            emit (if path = "" then k else path ^ "." ^ k) "not in baseline")
-        fb
-    | List la, List lb ->
-      let na = List.length la and nb = List.length lb in
-      if na <> nb then
-        emit path (Printf.sprintf "length %d, baseline %d" nb na)
-      else
-        List.iteri
-          (fun i (va, vb) -> walk (Printf.sprintf "%s[%d]" path i) va vb)
-          (List.combine la lb)
-    | _ ->
-      if not (equal a b) then
-        emit path (Printf.sprintf "%s, baseline %s" (leaf b) (leaf a))
-  in
-  walk "" baseline current;
-  List.rev !out

@@ -26,9 +26,3 @@ val to_list : t -> t list
 (** Contents of a [List]; raises [Invalid_argument] otherwise. *)
 
 val equal : t -> t -> bool
-
-val diff : baseline:t -> t -> string list
-(** Exact structural diff, no tolerances: missing and extra keys, length
-    mismatches and unequal leaves, each labelled with its dotted path,
-    in document order. Empty when the documents are equal. The
-    [--golden] gates of [rpki] and [stream] report it. *)

@@ -82,33 +82,49 @@ let canon = Rz_rpsl.Set_name.canonical
 let collect_refs (ir : Ir.t) =
   let refs = { sets = Hashtbl.create 256; neighbors_of = Hashtbl.create 256 } in
   let add_set name = Hashtbl.replace refs.sets (canon name) () in
-  let scan_filter_leaf = function
-    | Ast.As_set_ref (name, _) | Ast.Route_set_ref (name, _) | Ast.Filter_set_ref name ->
-      add_set name
-    | Ast.Path_regex regex ->
-      List.iter
-        (function Rz_aspath.Regex_ast.As_set name -> add_set name | _ -> ())
-        (Rz_aspath.Regex_ast.terms regex)
-    | _ -> ()
-  in
   Hashtbl.iter
     (fun asn (an : Ir.aut_num) ->
       let rules = an.imports @ an.exports in
       let peer_asns = ref [] in
+      (* A filter-set or peering-set a rule names is read through: its
+         leaves count as the rule's own. Each is expanded once per
+         aut-num, so a cycle of sets ends. *)
+      let expanded = Hashtbl.create 8 in
+      let expand name find body =
+        add_set name;
+        if not (Hashtbl.mem expanded (canon name)) then begin
+          Hashtbl.replace expanded (canon name) ();
+          Option.iter body (find ir name)
+        end
+      in
+      let rec scan_filter filter = List.iter scan_filter_leaf (Ast.filter_leaves filter)
+      and scan_filter_leaf = function
+        | Ast.As_set_ref (name, _) | Ast.Route_set_ref (name, _) -> add_set name
+        | Ast.Filter_set_ref name ->
+          expand name Ir.find_filter_set (fun (fs : Ir.filter_set) -> scan_filter fs.filter)
+        | Ast.Path_regex regex ->
+          List.iter
+            (function Rz_aspath.Regex_ast.As_set name -> add_set name | _ -> ())
+            (Rz_aspath.Regex_ast.terms regex)
+        | _ -> ()
+      in
+      let rec scan_peering = function
+        | Ast.Peering_spec { as_expr; _ } ->
+          List.iter
+            (function
+              | Ast.Asn asn -> peer_asns := asn :: !peer_asns
+              | Ast.As_set name -> add_set name
+              | _ -> ())
+            (Ast.as_expr_leaves as_expr)
+        | Ast.Peering_set_ref name ->
+          expand name Ir.find_peering_set (fun (ps : Ir.peering_set) ->
+              List.iter scan_peering ps.peerings)
+      in
       List.iter
-        (fun (pa : Ast.peering_action) ->
-          match pa.peering with
-          | Ast.Peering_spec { as_expr; _ } ->
-            List.iter
-              (function
-                | Ast.Asn asn -> peer_asns := asn :: !peer_asns
-                | Ast.As_set name -> add_set name
-                | _ -> ())
-              (Ast.as_expr_leaves as_expr)
-          | Ast.Peering_set_ref name -> add_set name)
+        (fun (pa : Ast.peering_action) -> scan_peering pa.peering)
         (List.concat_map Ast.rule_peerings rules);
       List.iter
-        (fun (factor : Ast.factor) -> List.iter scan_filter_leaf (Ast.filter_leaves factor.filter))
+        (fun (factor : Ast.factor) -> scan_filter factor.filter)
         (List.concat_map Ast.rule_factors rules);
       Hashtbl.replace refs.neighbors_of asn (List.sort_uniq compare !peer_asns))
     ir.aut_nums;

@@ -73,8 +73,8 @@ let to_rows t =
       label :: Array.to_list (Array.map string_of_int t.cells.(i)))
     rpsl_classes
 
-(* Integers only: the golden artifact must be bit-identical across
-   machines, and float formatting is not. *)
+(* Integers only: the committed expected output must be bit-identical
+   across machines, and float formatting is not. *)
 let to_json t =
   Json.Obj
     [ ("matrix",

@@ -6,10 +6,10 @@
     verdict class (the worst hop status under the Section-5 precedence,
     or ["excluded"] for single-AS / AS_SET routes) and its column the
     RFC 6811 origin-validation state of its (prefix, origin) pair. The
-    matrix is the [stats]-layer artifact behind the [rpki] CLI surface
-    and is committed as a golden JSON that anchors the differential
-    test: any ingestion/verification/ROA-generation change that moves a
-    cell fails the structural diff. *)
+    matrix is the [stats]-layer artifact behind the [rpki] CLI surface;
+    its [rpki --json] rendering on the smoke world is committed byte for
+    byte, so any ingestion/verification/ROA-generation change that moves
+    a cell fails runtest with the diff. *)
 
 type t
 

@@ -404,7 +404,7 @@ let view_of db routes =
     |> List.sort compare
   in
   (* newest first: the order the reversed cons list presented, which the
-     event generator's goldens depend on *)
+     event generator's expected outputs depend on *)
   let route_objs =
     let acc = ref [] in
     Ir.iter_routes ir (fun r -> acc := (r.Ir.prefix, r.Ir.origin) :: !acc);

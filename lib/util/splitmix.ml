@@ -3,10 +3,10 @@ type t = { mutable state : int64 }
 let create seed = { state = Int64.of_int seed }
 let copy t = { state = t.state }
 
-let golden = 0x9E3779B97F4A7C15L
+let gamma = 0x9E3779B97F4A7C15L
 
 let next t =
-  t.state <- Int64.add t.state golden;
+  t.state <- Int64.add t.state gamma;
   let z = t.state in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in

@@ -9,7 +9,7 @@ let default_config = { paper_compat = false; memoize = true; track_deps = false 
 
 (* Observability: one increment of [verify.hops_total] plus exactly one
    per-status counter per hop check, so the status counters always sum
-   to the hop total (asserted by the golden pipeline test). *)
+   to the hop total (asserted by suite_pipeline's metrics tests). *)
 module Obs = Rz_obs.Obs
 module Trace = Rz_trace.Trace
 
@@ -1020,7 +1020,7 @@ let check_hop t ~direction ~subject ~remote ~prefix ~path ~off : Report.hop =
     (* A stored verdict implies the subject's policies are path-free,
        so the hit path is a single probe. Cached verdicts still advance
        [verify.hops_total] and the per-status counters, preserving the
-       golden-metrics invariant that the status counters sum to the hop
+       invariant that the status counters sum to the hop
        total. *)
     Obs.Counter.incr c_memo_hits;
     count_status entry.e_hop.Report.status;

@@ -1,5 +1,8 @@
 #!/usr/bin/env bash
 # Integration smoke of every CLI subcommand against a generated world.
+# What a report prints is pinned byte for byte by test/golden; this
+# script checks what the goldens cannot: exit codes, files written,
+# flags that must not change the output, and JSON that must re-parse.
 set -eu
 CLI="$1"
 JSON_CHECK="${2:-}"
@@ -24,54 +27,15 @@ expect gen 'wrote 13 IRR dumps' "$DIR/gen.txt"
 test -f "$DIR/world/RIPE.db" || fail "RIPE dump missing"
 test -f "$DIR/world/as-rel.txt" || fail "as-rel missing"
 
-"$CLI" stats -d "$DIR/world" > "$DIR/stats.txt"
-expect stats 'Table 1' "$DIR/stats.txt"
-expect stats-errors 'syntax 15' "$DIR/stats.txt"
-
-"$CLI" verify -d "$DIR/world" -v > "$DIR/verify.txt"
-expect verify 'hop statuses' "$DIR/verify.txt"
-expect verify-classes 'unrecorded' "$DIR/verify.txt"
+# verify prints its wall time on stderr
+"$CLI" verify -d "$DIR/world" -v > "$DIR/verify.txt" 2> "$DIR/verify.err"
+expect verify-timing '^verify: [0-9.]*s (' "$DIR/verify.err"
 
 "$CLI" parse -d "$DIR/world" -o "$DIR/ir.json" > "$DIR/parse.txt"
 expect parse 'wrote IR' "$DIR/parse.txt"
 expect json '"aut_nums"' "$DIR/ir.json"
 
-# pick a route whose path has two distinct ASes (prepending makes some
-# multi-token paths single-AS) and explain it
-ROUTE=$(awk -F'|' 'NF==2 { n=split($2, a, " "); for (i=2; i<=n; i++) if (a[i] != a[1]) { print; exit } }' \
-          "$DIR/world/synth-rrc00.routes")
-PFX=${ROUTE%%|*}; PATH_ASNS=${ROUTE#*|}
-"$CLI" explain -d "$DIR/world" "$PFX" $PATH_ASNS > "$DIR/explain.txt"
-grep -qE '(Ok|Meh|Bad|Unrec|Skip)(Import|Export)' "$DIR/explain.txt" || fail "explain"
-
-# explain runs the engine's full fold, whose non-Verified hops carry the
-# diagnostic items that verify's verdict mode never builds: explain the
-# first multi-AS route with a non-Verified hop and require its items
-awk -F'|' 'NF==2 { n=split($2, a, " "); for (i=2; i<=n; i++) if (a[i] != a[1]) { print; break } }' \
-  "$DIR/world/synth-rrc00.routes" | head -n 20 > "$DIR/explain_routes.txt"
-while IFS='|' read -r pfx asns; do
-  "$CLI" explain -d "$DIR/world" "$pfx" $asns > "$DIR/explain_items.txt"
-  grep -qE '^(Meh|Bad|Unrec|Skip)(Import|Export) ' "$DIR/explain_items.txt" && break
-done < "$DIR/explain_routes.txt"
-expect explain-items '^\(Meh\|Bad\|Unrec\|Skip\)\(Import\|Export\) {.*items: \[' "$DIR/explain_items.txt"
-
-# plain whois lookups go through query: an aut-num, an as-set (and its
-# flattened members), a registered route prefix
 "$CLI" query -d "$DIR/world" AS1000 > "$DIR/plain_aut_num.txt"
-expect plain-aut-num '^aut-num: *AS1000$' "$DIR/plain_aut_num.txt"
-SET=$(awk '/^as-set:/ { print $2; exit }' "$DIR"/world/*.db)
-"$CLI" query -d "$DIR/world" "$SET" "!i$SET,1" > "$DIR/plain_as_set.txt"
-expect plain-as-set "^as-set: *$SET\$" "$DIR/plain_as_set.txt"
-[ "$(grep -c '^A[0-9]' "$DIR/plain_as_set.txt")" -eq 2 ] || fail "as-set flattened members"
-ROUTE_PFX=$(awk '/^route:/ { print $2; exit }' "$DIR"/world/*.db)
-"$CLI" query -d "$DIR/world" "$ROUTE_PFX" > "$DIR/plain_route.txt"
-expect plain-route "^route: *$ROUTE_PFX\$" "$DIR/plain_route.txt"
-expect plain-route-origin '^origin: *AS[0-9]' "$DIR/plain_route.txt"
-
-"$CLI" query -d "$DIR/world" '!gAS1000' > "$DIR/query.txt"
-grep -qE '^A[0-9]+' "$DIR/query.txt" || fail "query !g"
-"$CLI" query -d "$DIR/world" '!iAS-NOWHERE' > "$DIR/query2.txt"
-expect query-miss '^D' "$DIR/query2.txt"
 
 "$CLI" peval -d "$DIR/world" 'AS1000' -A > "$DIR/peval.txt" || [ $? -eq 2 ] || fail "peval"
 
@@ -86,23 +50,17 @@ cmp -s "$DIR/plain_aut_num.txt" "$DIR/dumps_query.txt" || fail "dumps-only query
   || fail "peval of a dumps-only directory"
 cmp -s "$DIR/peval.txt" "$DIR/dumps_peval.txt" || fail "dumps-only peval differs"
 
-# lint exits 1 when errors exist — both outcomes acceptable, output must parse
-"$CLI" lint -d "$DIR/world" > "$DIR/lint.txt" || true
-expect lint 'diagnostics' "$DIR/lint.txt"
-
-"$CLI" classify -d "$DIR/world" > "$DIR/classify.txt"
-expect classify 'unregistered' "$DIR/classify.txt"
-
 # --metrics: `-` appends a JSON snapshot as the last stdout line; a path
 # writes the same document to that file. Without the flag nothing changes
 # (the earlier verify run above already exercised that: exit 0, no JSON).
-"$CLI" verify -d "$DIR/world" --metrics - > "$DIR/verify_metrics.txt"
+"$CLI" verify -d "$DIR/world" --metrics - > "$DIR/verify_metrics.txt" 2>/dev/null
 tail -n 1 "$DIR/verify_metrics.txt" > "$DIR/metrics_stdout.json"
 expect metrics-counters '"verify.hops_total"' "$DIR/metrics_stdout.json"
 expect metrics-spans '"db-build"' "$DIR/metrics_stdout.json"
 if grep -q '"counters"' "$DIR/verify.txt"; then fail "metrics JSON leaked without --metrics"; fi
 
-"$CLI" verify -d "$DIR/world" --metrics "$DIR/metrics_file.json" > "$DIR/verify2.txt"
+"$CLI" verify -d "$DIR/world" --metrics "$DIR/metrics_file.json" > "$DIR/verify2.txt" \
+  2>/dev/null
 expect metrics-file '"spans"' "$DIR/metrics_file.json"
 # verify output itself must be unchanged by the flag
 expect metrics-verify-intact 'hop statuses' "$DIR/verify2.txt"
@@ -118,14 +76,10 @@ expect metrics-meta-cmd '"subcommand":"verify"' "$DIR/metrics_file.json"
 # --trace + --metrics-stream around a verify run: Chrome trace-event
 # export (spans as "X", hop records as "i") and JSONL metric streaming.
 "$CLI" verify -d "$DIR/world" -v --trace "$DIR/trace.json" --trace-sample all \
-  --metrics-stream "$DIR/stream.jsonl" --metrics-interval 1 > "$DIR/verify3.txt"
-expect trace-verify-intact 'hop statuses' "$DIR/verify3.txt"
+  --metrics-stream "$DIR/stream.jsonl" --metrics-interval 1 > "$DIR/verify3.txt" 2>/dev/null
 # Trace sampling decides only which hops emit a record, never how a hop
-# is evaluated: the accounting line (bar its timing), the hop-status
-# table and the AS summary of this traced run must equal the untraced
-# run's (verify.txt).
-untimed() { sed '1s/ in [0-9.]*s ([0-9]* routes\/s)$//' "$1"; }
-[ "$(untimed "$DIR/verify.txt")" = "$(untimed "$DIR/verify3.txt")" ] \
+# is evaluated: this traced run prints what the untraced run printed.
+cmp -s "$DIR/verify.txt" "$DIR/verify3.txt" \
   || fail "trace sampling perturbed the verify verdicts"
 expect trace-span '"ph":"X"' "$DIR/trace.json"
 expect trace-hop '"ph":"i"' "$DIR/trace.json"
@@ -134,9 +88,7 @@ expect stream-metrics '"metrics"' "$DIR/stream.jsonl"
 head -n 1 "$DIR/stream.jsonl" > "$DIR/stream_line.json"
 
 # explain --json: per-hop verdicts with full provenance records
-"$CLI" explain -d "$DIR/world" --json "$PFX" $PATH_ASNS > "$DIR/explain.json"
-expect explain-json-trace '"trace"' "$DIR/explain.json"
-expect explain-json-verdict '"verdict"' "$DIR/explain.json"
+"$CLI" explain -d "$DIR/world" --json 20.0.90.0/24 1112 1042 1056 1259 > "$DIR/explain.json"
 
 if [ -n "$JSON_CHECK" ]; then
   "$JSON_CHECK" --chrome "$DIR/trace.json" || fail "trace file is not a well-formed Chrome trace"
@@ -154,8 +106,6 @@ expect rpki-agreement 'agreement:' "$DIR/rpki.txt"
 expect rpki-loaded 'ROAs: .* loaded' "$DIR/rpki.txt"
 
 "$CLI" rpki -d "$DIR/world" --json > "$DIR/rpki.json"
-expect rpki-json-cross '"cross"' "$DIR/rpki.json"
-expect rpki-json-matrix '"matrix"' "$DIR/rpki.json"
 
 "$CLI" rpki -d "$DIR/world" --metrics "$DIR/rpki_metrics.json" > /dev/null
 expect rpki-metrics-rov '"rpki.rov_total"' "$DIR/rpki_metrics.json"

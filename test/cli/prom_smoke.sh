@@ -18,7 +18,7 @@ fail() { echo "PROM SMOKE FAILED: $1" >&2; exit 1; }
   || fail "gen failed"
 
 # --- verify: clean run, full pipeline counters + latency histograms ---
-"$CLI" verify -d "$DIR/world" --prom-file "$DIR/verify.prom" > /dev/null \
+"$CLI" verify -d "$DIR/world" --prom-file "$DIR/verify.prom" > /dev/null 2>&1 \
   || fail "verify failed"
 [ -s "$DIR/verify.prom" ] || fail "verify wrote no exposition"
 "$PROM_CHECK" \

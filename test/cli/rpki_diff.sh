@@ -1,38 +1,19 @@
 #!/usr/bin/env bash
-# Differential anchor for the RPKI cross-validation scenario: the
-# default-seed agreement matrix is committed as rpki_golden.json. Any
-# change to topology generation, RPSL rendering, ingestion, verification,
-# ROA generation, or ROV that moves a single cell fails the structural
-# diff — by design. Regenerate with:
-#   rpslyzer gen --seed 5 --tier1 3 --mid 15 --stub 40 -o W
-#   rpslyzer rpki -d W --json > test/cli/rpki_golden.json
+# Hostile ROA input for the RPKI cross-validation scenario: a corrupted
+# ROA file must keep the run going (the matrix is still printed) and exit
+# 2, per the faultinject degraded contract. The clean run's agreement
+# matrix is pinned byte for byte by test/golden (rpki_json.expected).
 set -eu
 CLI="$1"
-GOLDEN="$2"
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
 fail() { echo "RPKI DIFF TEST FAILED: $1" >&2; exit 1; }
 
 "$CLI" gen --seed 5 --tier1 3 --mid 15 --stub 40 -o "$DIR/world" >/dev/null
 
-# the anchor seed must reproduce the committed golden bit-for-bit
-"$CLI" rpki -d "$DIR/world" --golden "$GOLDEN" > "$DIR/rpki.txt" 2> "$DIR/rpki.err" \
-  || fail "golden mismatch on the anchor seed: $(cat "$DIR/rpki.err")"
-grep -q 'golden: MATCH' "$DIR/rpki.txt" || fail "MATCH marker missing"
-
-# a perturbed run (different world seed) must be rejected with exit 1
-"$CLI" gen --seed 6 --tier1 3 --mid 15 --stub 40 -o "$DIR/world2" >/dev/null
-rc=0
-"$CLI" rpki -d "$DIR/world2" --golden "$GOLDEN" >/dev/null 2> "$DIR/diff.txt" || rc=$?
-[ "$rc" -eq 1 ] || fail "perturbed run exited $rc, want 1"
-grep -q 'golden: MISMATCH' "$DIR/diff.txt" || fail "mismatch not reported"
-grep -q 'cross\.' "$DIR/diff.txt" || fail "diff does not localize the moved cells"
-
-# hostile ROA input: corruption must keep going (matrix still printed)
-# and exit 2 per the faultinject degraded contract
 rc=0
 "$CLI" rpki -d "$DIR/world" --fault-rate 0.8 > "$DIR/faulted.txt" 2>/dev/null || rc=$?
 [ "$rc" -eq 2 ] || fail "faulted run exited $rc, want 2"
 grep -q 'agreement:' "$DIR/faulted.txt" || fail "faulted run did not keep going"
 
-echo "rpki diff: golden anchored, perturbation rejected, degradation contained"
+echo "rpki diff: degradation contained"

@@ -113,6 +113,34 @@ let test_regex_named_set_is_referenced () =
   let usage = Rz_stats.Usage.compute ~dumps:[ ("TEST", text) ] db in
   Alcotest.(check int) "Table 2 counts both" 2 usage.table2.ref_filter_as_set
 
+(* A set that a rule reads only through a filter-set or a peering-set is
+   referenced too, and a peering-set's ASNs are declared neighbors: the
+   linter reads through the sets a rule names, and through filter-sets
+   that name filter-sets, cycles included. *)
+let test_set_read_through_named_sets () =
+  let db =
+    db_of
+      "aut-num: AS1\nimport: from AS2 accept FLTR-X\nimport: from PRNG-X accept ANY\n\
+       import: from PRNG-Y accept ANY\nexport: to AS2 announce AS1\n\n\
+       filter-set: FLTR-X\nfilter: AS-FOO OR FLTR-Y\n\n\
+       filter-set: FLTR-Y\nfilter: RS-BAR OR FLTR-X\n\n\
+       peering-set: PRNG-X\npeering: AS-PEERS\n\npeering-set: PRNG-Y\npeering: AS3\n\n\
+       as-set: AS-FOO\nmembers: AS2\n\nas-set: AS-PEERS\nmembers: AS3\n\n\
+       route-set: RS-BAR\nmembers: 192.0.2.0/24\n\n\
+       as-set: AS-ORPHAN\nmembers: AS4\n"
+  in
+  let rels = Rel_db.create () in
+  Rel_db.add_p2p rels 1 3;
+  let diags = Linter.lint ~rels db in
+  List.iter
+    (fun set ->
+      Alcotest.(check bool) (set ^ " not flagged") false
+        (has_for Linter.Unreferenced_set set diags))
+    [ "AS-FOO"; "RS-BAR"; "AS-PEERS" ];
+  Alcotest.(check bool) "orphan flagged" true (has_for Linter.Unreferenced_set "AS-ORPHAN" diags);
+  Alcotest.(check bool) "AS3 declared through PRNG-Y" false
+    (has_for Linter.Undeclared_neighbor "AS1" diags)
+
 let rels_fixture () =
   let rels = Rel_db.create () in
   Rel_db.add_p2c rels ~provider:10 ~customer:2;
@@ -271,4 +299,5 @@ let suite =
     Alcotest.test_case "rewrite export-self" `Quick test_rewrite_export_self;
     Alcotest.test_case "rewrite import-customer" `Quick test_rewrite_import_customer;
     Alcotest.test_case "rewrite nothing to do" `Quick test_rewrite_nothing_to_do;
-    Alcotest.test_case "rewrite keeps stub self" `Quick test_rewrite_stub_export_self_kept ]
+    Alcotest.test_case "rewrite keeps stub self" `Quick test_rewrite_stub_export_self_kept;
+    Alcotest.test_case "set read through named sets" `Quick test_set_read_through_named_sets ]
